@@ -112,7 +112,10 @@ def _parse_interval(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 2:
         raise ParameterError(f"expected lo,hi interval, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError as exc:
+        raise ParameterError(f"bad interval {text!r}: {exc}") from None
 
 
 def _parse_eps_range(text: str) -> np.ndarray:
@@ -255,7 +258,7 @@ def cmd_estimate(args) -> int:
                              grid_n=args.search_N,
                              report_grid_n=args.report_N, jobs=jobs)
     if args.sweep_l6:
-        ks = [int(k) for k in args.sweep_l6.split(",")]
+        ks = _parse_ks(args.sweep_l6)
         targets = []
         for k in ks:
             try:
@@ -336,8 +339,12 @@ def _resolve_law(args):
     if args.law == "grid":
         if not args.samples:
             raise ParameterError("law grid needs --samples FILE")
-        values = [float(line) for line in
-                  Path(args.samples).read_text().split()]
+        try:
+            values = [float(line) for line in
+                      Path(args.samples).read_text().split()]
+        except (OSError, ValueError) as exc:
+            raise ParameterError(
+                f"bad samples file {args.samples!r}: {exc}") from None
         return ct.GridSamples(tuple(values), args.T)
     raise ParameterError(f"unknown law {args.law!r}")
 
@@ -478,9 +485,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParameterError, PreconditionError) as exc:
-        print(f"gnlab: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"gnlab: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

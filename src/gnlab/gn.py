@@ -34,6 +34,14 @@ from .norms import (INF, NormSpec, ProductSpec, derivative_product,
 RESIDUAL_TOL = 1e-12
 
 
+def _fraction(x) -> Fraction:
+    """Fraction(x); malformed text is a ParameterError."""
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"bad number {x!r}: {exc}") from None
+
+
 def as_exponent(x):
     """Normalize an exponent to Fraction, or inf."""
     if x is None:
@@ -41,10 +49,10 @@ def as_exponent(x):
     if isinstance(x, str):
         if x.strip().lower() in ("inf", "infinity"):
             return INF
-        return Fraction(x)
+        return _fraction(x)
     if isinstance(x, float) and math.isinf(x):
         return INF
-    return Fraction(x)
+    return _fraction(x)
 
 
 def _inv(x) -> Fraction:
@@ -84,7 +92,7 @@ class GNParams:
         p = as_exponent(self.p)
         q = as_exponent(self.q)
         r = as_exponent(self.r)
-        th = self.theta if isinstance(self.theta, Fraction) else Fraction(self.theta)
+        th = self.theta if isinstance(self.theta, Fraction) else _fraction(self.theta)
         ks = tuple(int(k) for k in self.ks)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -172,7 +180,7 @@ def solve_exponent(p=None, q=None, r=None, ks=(), j=0, m=1, theta=None) -> GNPar
     r = as_exponent(r)
 
     if p is None:
-        th = Fraction(theta)
+        th = _fraction(theta)
         qf = as_exponent(q)
         inv_p = (Fraction(j) + th * (_inv(r) - m)
                  + (1 - th) * (_inv(qf) / kappa - kbar))
@@ -182,7 +190,7 @@ def solve_exponent(p=None, q=None, r=None, ks=(), j=0, m=1, theta=None) -> GNPar
         return GNParams(p, qf, r, ks, j, m, th)
 
     if q is None:
-        th = Fraction(theta)
+        th = _fraction(theta)
         pf = as_exponent(p)
         if th == 1:
             raise InfeasibleError("q is undetermined at theta = 1")

@@ -34,6 +34,11 @@ class TestParams:
     def test_incomplete_tuple_is_parameter_error(self, tmp_path):
         assert run(tmp_path, "params", "--j", "2") == 2
 
+    @pytest.mark.parametrize("q,theta", [("banana", "0.5"), ("2", "1/0")])
+    def test_malformed_number_is_parameter_error(self, tmp_path, q, theta):
+        assert run(tmp_path, "params", "--ks", "0,1,2", "--j", "2", "--m",
+                   "3", "--q", q, "--theta", theta) == 2
+
 
 class TestEnvelope:
     def test_report_carries_config_and_seed(self, tmp_path):
@@ -82,6 +87,10 @@ class TestCheckKinds:
         rows = read_report(tmp_path)["result"]
         assert rows[0]["function"] == "bumpchi"
         assert rows[0]["ratio_half"] is None
+
+    def test_malformed_omega_is_parameter_error(self, tmp_path):
+        assert run(tmp_path, "check", "localized", "--preset", "l12",
+                   "--N", "257", "--omega", "a,b") == 2
 
     def test_open_problem(self, tmp_path):
         assert run(tmp_path, "check", "open-problem", "--function", "all",
@@ -147,6 +156,14 @@ class TestControl:
         assert run(tmp_path, "control", "obstruction", "--p", "12", "--eta",
                    "1.0", "--trials", "70", "--steps", "2048", "--seed", "7",
                    "--deterministic") == 1
+
+    def test_malformed_or_missing_samples_file(self, tmp_path):
+        samples = tmp_path / "w.txt"
+        assert run(tmp_path, "control", "integrate", "--law", "grid",
+                   "--samples", str(samples)) == 2
+        samples.write_text("0 1 x 1 0\n")
+        assert run(tmp_path, "control", "integrate", "--law", "grid",
+                   "--samples", str(samples)) == 2
 
     def test_budget_violation_is_parameter_error(self, tmp_path):
         assert run(tmp_path, "control", "obstruction", "--p", "13", "--T",

@@ -29,6 +29,42 @@ OBSTRUCTION_WORST_P13 = 0.9674138597522465
 BOUNDARY_WORST_ETA1 = -0.1639309643445931
 
 
+def stepwise_rk4_chain(w_stages, T, steps, p):
+    """Reference: the step-by-step RK4 loop that `_rk4_chain` sweeps in
+    blocks; no divergence check, non-finite states propagate."""
+    batch = w_stages.shape[1]
+    h = T / steps
+    out = np.zeros((4, steps + 1, batch))
+    x1 = np.zeros(batch)
+    x2 = np.zeros(batch)
+    x3 = np.zeros(batch)
+    x4 = np.zeros(batch)
+
+    def rhs(w, y1, y2, y3):
+        return w, y1, y2, (y1 * y2 * y3) ** 2 - y1 ** p
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(steps):
+            wa = w_stages[2 * n]
+            wm = w_stages[2 * n + 1]
+            wb = w_stages[2 * n + 2]
+            a1, a2, a3, a4 = rhs(wa, x1, x2, x3)
+            b1, b2, b3, b4 = rhs(wm, x1 + 0.5 * h * a1, x2 + 0.5 * h * a2,
+                                 x3 + 0.5 * h * a3)
+            c1, c2, c3, c4 = rhs(wm, x1 + 0.5 * h * b1, x2 + 0.5 * h * b2,
+                                 x3 + 0.5 * h * b3)
+            d1, d2, d3, d4 = rhs(wb, x1 + h * c1, x2 + h * c2, x3 + h * c3)
+            x1 = x1 + (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+            x2 = x2 + (h / 6.0) * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+            x3 = x3 + (h / 6.0) * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+            x4 = x4 + (h / 6.0) * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
+            out[0, n + 1] = x1
+            out[1, n + 1] = x2
+            out[2, n + 1] = x3
+            out[3, n + 1] = x4
+    return out
+
+
 class TestSystemAndLaws:
     def test_system_validation(self):
         with pytest.raises(ParameterError):
@@ -114,6 +150,50 @@ class TestIntegrator:
         with pytest.raises(DivergenceError) as err:
             ct.integrate(ct.ControlSystem(12, 1.0), huge, 256)
         assert 1 <= err.value.step <= 256
+
+    @pytest.mark.parametrize("steps", [256, 5000])
+    def test_divergence_reports_first_step(self, steps):
+        huge = ct.GridSamples((0.0, 1e80, 1e80, 1e80, 0.0), 1.0)
+        with pytest.raises(DivergenceError) as err:
+            ct.integrate(ct.ControlSystem(12, 1.0), huge, steps)
+        assert err.value.step == 1
+
+    def test_divergence_in_later_block_matches_stepwise(self, monkeypatch):
+        monkeypatch.setattr(ct, "_BLOCK_ENTRIES", 16)
+        late = ct.GridSamples((0.0, 0.0, 0.0, 1e80, 0.0), 1.0)
+        steps = 256
+        w = late(ct._stage_times(1.0, steps))[:, None]
+        ref = stepwise_rk4_chain(w, 1.0, steps, 12)
+        bad = ~(np.isfinite(ref[0, :, 0]) & np.isfinite(ref[3, :, 0]))
+        first = int(np.argmax(bad))
+        assert first > 16
+        with pytest.raises(DivergenceError) as err:
+            ct._rk4_chain(w, 1.0, steps, 12)
+        assert err.value.step == first
+
+
+class TestSweepMatchesStepwise:
+    """The block sweep reproduces the stepwise scheme float for float."""
+
+    @pytest.mark.parametrize("p", [1, 7, 12])
+    @pytest.mark.parametrize("batch", [1, 5, 100])
+    def test_bit_identical_across_block_edges(self, monkeypatch, p, batch):
+        rows = 16
+        monkeypatch.setattr(ct, "_BLOCK_ENTRIES", rows * batch)
+        rng = np.random.default_rng([p, batch])
+        for steps in (rows - 5, rows, rows + 1, 3 * rows + 7):
+            w = rng.standard_normal((2 * steps + 1, batch))
+            assert np.array_equal(ct._rk4_chain(w, 1.0, steps, p),
+                                  stepwise_rk4_chain(w, 1.0, steps, p))
+
+    def test_bit_identical_at_module_block_size(self):
+        # a batch wide enough that the module's own budget gives 8 rows
+        batch = ct._BLOCK_ENTRIES // 8
+        rng = np.random.default_rng(3)
+        for steps in (9, 13):
+            w = rng.standard_normal((2 * steps + 1, batch))
+            assert np.array_equal(ct._rk4_chain(w, 1.0, steps, 12),
+                                  stepwise_rk4_chain(w, 1.0, steps, 12))
 
 
 class TestTerminalFormula:
