@@ -251,12 +251,11 @@ def cmd_cover(args) -> int:
 
 def cmd_estimate(args) -> int:
     seed = _resolve_seed(args)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     config = ex.SearchConfig(restarts=args.restarts, budget=args.budget,
                              tol=args.tol, seed=seed,
                              dimension=args.dimension,
                              grid_n=args.search_N,
-                             report_grid_n=args.report_N, jobs=jobs)
+                             report_grid_n=args.report_N)
     if args.sweep_l6:
         ks = _parse_ks(args.sweep_l6)
         targets = []
@@ -388,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RNG seed (default: $GNLAB_SEED or 0)")
     common.add_argument("--deterministic", action="store_true",
                         help="omit timestamps for byte-identical reports")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="parallel worker cap (default: cpu count)")
 
     tuple_flags = argparse.ArgumentParser(add_help=False)
     tuple_flags.add_argument("--preset", choices=["l12", "l6"])

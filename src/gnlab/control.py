@@ -38,11 +38,11 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import funcspace as fs
 from .errors import (ParameterError, PreconditionError, InvariantError,
                      DivergenceError)
+from .norms import simpson
 
 DEFAULT_STEPS = 2 ** 14
 TERMINAL_TOL = 1e-8
@@ -281,8 +281,8 @@ def terminal_formula_check(sys: ControlSystem, law: ControlLaw,
         raise PreconditionError(
             f"terminal chain state {triple} exceeds {terminal_tol:g}; "
             "the quadrature identity needs x1(T)=x2(T)=x3(T)=0")
-    quad = (simpson((x3 * x2 * x1) ** 2, x=traj.times)
-            - simpson(x1 ** sys.p, x=traj.times))
+    h = sys.T / steps
+    quad = simpson((x3 * x2 * x1) ** 2, h) - simpson(x1 ** sys.p, h)
     x4t = float(x4[-1])
     residual = abs(x4t - quad) / max(abs(x4t), 1e-30)
     return {"x4_terminal": x4t, "quadrature": float(quad),
@@ -295,7 +295,8 @@ def bump_triple_integral() -> float:
     """int_0^1 (chi chi' chi'')^2, the coefficient of the quadratic term."""
     x = np.linspace(0.0, 1.0, _COEFF_GRID_N)
     ch = fs.chi_stack(x, 2)
-    return float(simpson((ch[0] * ch[1] * ch[2]) ** 2, x=x))
+    return float(simpson((ch[0] * ch[1] * ch[2]) ** 2,
+                         1.0 / (_COEFF_GRID_N - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +304,7 @@ def bump_power_integral(p: int) -> float:
     """int_0^1 (chi'')^p, the coefficient of the p-th power term."""
     x = np.linspace(0.0, 1.0, _COEFF_GRID_N)
     ch = fs.chi_stack(x, 2)
-    return float(simpson(ch[2] ** p, x=x))
+    return float(simpson(ch[2] ** p, 1.0 / (_COEFF_GRID_N - 1)))
 
 
 def expected_terms(p: int, a: float) -> dict:
@@ -463,7 +464,7 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
     basis = np.stack([np.ones_like(stage_t), stage_t, stage_t ** 2], axis=1)
     weights = np.stack([np.ones_like(stage_t), T - stage_t,
                         0.5 * (T - stage_t) ** 2])
-    targets = np.stack([simpson(weights[i][:, None] * w, x=stage_t, axis=0)
+    targets = np.stack([simpson(weights[i][:, None] * w, T / (2 * steps))
                         for i in range(3)])
     correction = np.linalg.solve(_constraint_matrix(T), targets)
     w = w - basis @ correction
@@ -473,9 +474,8 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
     w = w * scale
 
     states = _rk4_chain(w, T, steps, p)
-    node_t = np.linspace(0.0, T, steps + 1)
-    pos = simpson((states[0] * states[1] * states[2]) ** 2, x=node_t, axis=0)
-    neg = simpson(np.abs(states[0]) ** p, x=node_t, axis=0)
+    pos = simpson((states[0] * states[1] * states[2]) ** 2, T / steps)
+    neg = simpson(np.abs(states[0]) ** p, T / steps)
     x4t = states[3, -1, :]
 
     margins = []

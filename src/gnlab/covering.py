@@ -23,14 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import (InvariantError, NoCrossingError, ParameterError,
-                     PreconditionError)
+from .errors import InvariantError, NoCrossingError, ParameterError
 from .funcspace import GridFunction
-from .norms import INF, derivative_product
+from .norms import derivative_product
 
 #: relative balance equality tolerance per selected interval
 BALANCE_TOL = 1e-6
@@ -174,27 +172,15 @@ class _RangeMax:
         """Max over inclusive node index range [lo, hi]; -inf when empty."""
         out = np.full(lo.shape, -np.inf)
         ok = hi >= lo
-        if not np.any(ok):
-            return out
-        length = hi[ok] - lo[ok] + 1
-        k = np.ceil(np.log2(np.maximum(length, 1))).astype(int)
-        k = np.maximum(k - 1, 0)
-        k = np.minimum(k, len(self.levels) - 1)
-        half = 1 << k
-        left = np.empty(length.shape)
-        right = np.empty(length.shape)
+        lo, hi = lo[ok], hi[ok]
+        # k = floor(log2(length)), exactly; two windows of 2^k nodes, one
+        # starting at lo and one ending at hi, cover the range
+        k = np.frexp(hi - lo + 1)[1] - 1
+        res = np.empty(lo.shape)
         for kk in np.unique(k):
             m = k == kk
             tbl = self.levels[kk]
-            left[m] = tbl[lo[ok][m]]
-            right[m] = tbl[hi[ok][m] - (1 << kk) + 1]
-        res = np.maximum(left, right)
-        # one doubling may be missing when the range is longer than 2*half
-        need = length > 2 * half
-        if np.any(need):
-            mid_lo = lo[ok][need] + half[need]
-            mid_hi = hi[ok][need] - half[need]
-            res[need] = np.maximum(res[need], self._node_max(mid_lo, mid_hi))
+            res[m] = np.maximum(tbl[lo[m]], tbl[hi[m] - (1 << kk) + 1])
         out[ok] = res
         return out
 
@@ -433,18 +419,20 @@ def besicovitch_select(centers, radii) -> list:
     return selected
 
 
-def overlap_profile(intervals: np.ndarray, n_probes: int = 10_000) -> int:
-    """Maximum number of intervals containing any of n_probes uniform
-    probe points spanning the union's hull."""
+def overlap_profile(intervals: np.ndarray) -> int:
+    """Maximum number of the open intervals that share a point.
+
+    Exact endpoint sweep: +1 at each left end, -1 at each right end, with
+    a right end sorted before a left end at the same coordinate because
+    intervals that only touch share no point.
+    """
     intervals = np.asarray(intervals, dtype=float)
     if intervals.size == 0:
         return 0
-    lo = intervals[:, 0].min()
-    hi = intervals[:, 1].max()
-    probes = np.linspace(lo, hi, n_probes)
-    counts = ((probes[None, :] > intervals[:, :1])
-              & (probes[None, :] < intervals[:, 1:])).sum(axis=0)
-    return int(counts.max())
+    ends = np.concatenate([intervals[:, 0], intervals[:, 1]])
+    steps = np.repeat([1, -1], len(intervals))
+    order = np.lexsort((steps, ends))
+    return int(np.cumsum(steps[order]).max())
 
 
 @dataclass

@@ -20,7 +20,6 @@ artifacts are visible.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -93,7 +92,6 @@ class SearchConfig:
     dimension: int = 16
     grid_n: int = SEARCH_GRID_N
     report_grid_n: int = REPORT_GRID_N
-    jobs: int = 1
 
     def __post_init__(self):
         if self.budget < 1:
@@ -109,7 +107,7 @@ class SearchConfig:
         return {"restarts": self.restarts, "budget": self.budget,
                 "tol": self.tol, "seed": self.seed,
                 "dimension": self.dimension, "grid_n": self.grid_n,
-                "report_grid_n": self.report_grid_n, "jobs": self.jobs}
+                "report_grid_n": self.report_grid_n}
 
 
 @lru_cache(maxsize=8)
@@ -299,14 +297,8 @@ def estimate_constant(target: Target,
         rng = np.random.default_rng([config.seed, idx])
         starts.append(rng.standard_normal(config.dimension))
 
-    def job(idx):
-        return _run_restart(ratio_fn, starts[idx], config.budget, config.tol)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(job, range(len(starts))))
-    else:
-        outcomes = [job(i) for i in range(len(starts))]
+    outcomes = [_run_restart(ratio_fn, start, config.budget, config.tol)
+                for start in starts]
 
     trace = []
     best = 0.0
@@ -355,38 +347,29 @@ def estimate_constant(target: Target,
 
 def random_ratio_batch(target: Target, count: int = 10_000,
                        dimension: int = 8, seed: int = 0,
-                       grid_n: int = SEARCH_GRID_N,
-                       chunk: int = 512) -> dict:
-    """Ratios of seeded random candidates, vectorized in chunks.
+                       grid_n: int = SEARCH_GRID_N) -> dict:
+    """Ratios of seeded random unit candidates, one objective call each.
 
     This is the coarse random-search oracle used to sanity-check the
     proof ceilings and to lower-bound the optimizer: the max over many
     random unit coefficient vectors must stay below the ceiling and the
-    optimizer must beat this max.
+    optimizer must beat this max.  All normals come from one draw, so
+    the candidates depend only on (seed, count, dimension).
     """
+    if count < 1:
+        raise ParameterError("count must be >= 1")
     ratio_fn, _ = _make_objective(target, dimension, grid_n)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    best_vec = None
-    values = np.empty(count)
-    done = 0
-    while done < count:
-        take = min(chunk, count - done)
-        coeffs = rng.standard_normal((take, dimension))
-        norms = np.linalg.norm(coeffs, axis=1)
-        norms[norms == 0.0] = 1.0
-        coeffs /= norms[:, None]
-        for row in range(take):
-            values[done + row] = ratio_fn(coeffs[row])
-        idx = int(np.argmax(values[done:done + take]))
-        if values[done + idx] > best:
-            best = float(values[done + idx])
-            best_vec = coeffs[idx].copy()
-        done += take
+    coeffs = np.random.default_rng(seed).standard_normal((count, dimension))
+    norms = np.linalg.norm(coeffs, axis=1)
+    norms[norms == 0.0] = 1.0
+    coeffs /= norms[:, None]
+    values = np.array([ratio_fn(c) for c in coeffs])
+    idx = int(np.argmax(values))
+    best = max(float(values[idx]), 0.0)
     return {"target": _target_label(target), "count": count,
             "max": best, "mean": float(values.mean()),
             "degenerate": int(np.sum(values == 0.0)),
-            "argmax": None if best_vec is None else best_vec.tolist(),
+            "argmax": coeffs[idx].tolist() if best > 0.0 else None,
             "grid_n": grid_n, "seed": seed, "dimension": dimension}
 
 

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -238,11 +237,6 @@ class AnalyticFunction:
 
     def descriptor(self) -> dict:
         raise NotImplementedError
-
-
-def evaluate(f: AnalyticFunction, i: int, x):
-    """Exact value of D^i f at x (0 outside the support, all orders)."""
-    return f.derivative(i, x)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ of valid tuples are exactly zero rather than float noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,8 +28,8 @@ import numpy as np
 from .errors import (InfeasibleError, InvariantError, ParameterError,
                      PreconditionError)
 from .funcspace import GridFunction
-from .norms import (INF, NormSpec, ProductSpec, derivative_product,
-                    gagliardo_seminorm, lebesgue_norm, product_norm)
+from .norms import (INF, NormSpec, ProductSpec, gagliardo_seminorm,
+                    lebesgue_norm, product_norm, simpson)
 
 RESIDUAL_TOL = 1e-12
 
@@ -364,15 +364,14 @@ def ibp_identities(u: GridFunction, which: str | None = None) -> IbpResiduals:
     """
     if which not in (None, "L4", "L6"):
         raise ParameterError("which must be None, 'L4' or 'L6'")
-    from scipy.integrate import simpson
     u0, u1, u2 = u.stack[0], u.stack[1], u.stack[2]
     dx = u.dx
 
     def residual(power, factor):
-        pos = float(simpson(u1 ** power, dx=dx))
+        pos = float(simpson(u1 ** power, dx))
         if pos == 0.0:
             return 0.0
-        cross = float(simpson(u0 * u1 ** (power - 2) * u2, dx=dx))
+        cross = float(simpson(u0 * u1 ** (power - 2) * u2, dx))
         return (pos + factor * cross) / pos
 
     l4 = residual(4, 3.0) if which in (None, "L4") else None

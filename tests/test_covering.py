@@ -121,6 +121,33 @@ class TestBesicovitchSelection:
         ivs = np.array([[0.0, 1.0], [0.1, 0.9], [0.2, 0.8]])
         assert cov.overlap_profile(ivs) == 3
 
+    def test_overlap_profile_is_exact_for_open_intervals(self):
+        # a sliver far narrower than any probe spacing still overlaps
+        sliver = np.array([[0.0, 1.0], [1 - 1e-6, 2.0]])
+        assert cov.overlap_profile(sliver) == 2
+        # intervals that only touch share no point
+        assert cov.overlap_profile(np.array([[0.0, 1.0], [1.0, 2.0]])) == 1
+        assert cov.overlap_profile(np.zeros((0, 2))) == 0
+
+
+class TestRangeMax:
+    def test_matches_slice_max(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 7, 64, 100, 1025):
+            f = rng.standard_normal(n)
+            rm = cov._RangeMax(f)
+            lo = rng.integers(0, n, 500)
+            hi = np.minimum(lo + rng.integers(0, n, 500), n - 1)
+            lo = np.concatenate([lo, np.arange(n), [0]])
+            hi = np.concatenate([hi, np.arange(n), [n - 1]])
+            want = [f[a:b + 1].max() for a, b in zip(lo, hi)]
+            assert np.array_equal(rm._node_max(lo, hi), want)
+
+    def test_empty_range_is_minus_infinity(self):
+        rm = cov._RangeMax(np.arange(5.0))
+        out = rm._node_max(np.array([3, 0]), np.array([2, 4]))
+        assert out[0] == -np.inf and out[1] == 4.0
+
 
 class TestBuildCover:
     def test_bump_cover_shape_and_quality(self, bump_4097):

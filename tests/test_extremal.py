@@ -104,14 +104,6 @@ class TestEstimateConstant:
         res = ex.estimate_constant("ratio4", TINY)
         assert res.ratio <= gn.RATIO4_BOUND + ex.CEILING_SLACK
 
-    def test_parallel_matches_serial(self):
-        serial = ex.estimate_constant("ratio4", TINY)
-        par_cfg = ex.SearchConfig(restarts=3, budget=50, tol=1e-13, seed=11,
-                                  dimension=8, grid_n=1025,
-                                  report_grid_n=2049, jobs=2)
-        par = ex.estimate_constant("ratio4", par_cfg)
-        assert par.ratio == serial.ratio
-
     def test_gnparams_target(self, l12):
         cfg = ex.SearchConfig(restarts=2, budget=40, tol=1e-10, seed=1,
                               dimension=8, grid_n=513, report_grid_n=1025)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson as scipy_simpson
 
 import gnlab.funcspace as fs
 import gnlab.norms as nm
@@ -97,6 +98,25 @@ def test_even_count_quadrature_rejected():
     g = fs.GridFunction(0.0, 1.0, np.stack([x]))
     with pytest.raises(ParameterError):
         nm.lebesgue_norm(g, nm.NormSpec(2.0, 0))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 1024, 1025, 4096, 4097])
+@pytest.mark.parametrize("cols", [None, 7])
+def test_simpson_matches_scipy_bit_for_bit(n, cols):
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n if cols is None else (n, cols))
+    for dx in (1.0 / (n - 1), 0.37, 2.0 ** -14):
+        got = nm.simpson(y, dx)
+        want = scipy_simpson(y, dx=dx, axis=0)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("y", [np.zeros(0), np.ones(1), np.ones(2),
+                               np.ones((2, 5)), np.float64(1.0)])
+def test_simpson_needs_three_nodes(y):
+    with pytest.raises(ParameterError):
+        nm.simpson(y, 0.5)
 
 
 # frozen by refinement study of the double-integral discretization:
