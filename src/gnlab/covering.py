@@ -15,13 +15,17 @@ greedy selection covers E with overlap at most 4.
 Window integrals use a dyadic segment decomposition of trapezoid cell
 sums with quadratic in-cell end pieces, and window maxima use a sparse
 table with interpolated endpoints, so alpha and beta are continuous in h
-and accurate at the local scale even deep in the support tails; the
-bisection then drives the balance residual to machine level.
+and accurate at the local scale even deep in the support tails.  A
+geometric scan from h = 2 dx, up where alpha > beta and down elsewhere,
+brackets each crossing, evaluating only points not yet bracketed; a
+bisection over the brackets that still move then drives the balance
+residual to machine level.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,6 +204,11 @@ class _RangeMax:
         return np.maximum(inner, np.maximum(interp(lo_pos), interp(hi_pos)))
 
 
+def _window_norm(f: np.ndarray, p: float, dx: float):
+    """Window aggregate behind ||f||_{L^p}: max for p = inf, else int f^p."""
+    return _RangeMax(f) if math.isinf(p) else _SegmentIntegral(f ** p, dx)
+
+
 class BalanceEvaluator:
     """Vectorized alpha/beta over many (x, h) pairs for one grid function."""
 
@@ -212,19 +221,8 @@ class BalanceEvaluator:
         self.spec = spec
         self.v = derivative_product(u, spec.ks)
         self.w = np.abs(u.stack[spec.m])
-        dx = u.dx
-        if math.isinf(spec.q):
-            self._v_max = _RangeMax(np.abs(self.v))
-            self._v_int = None
-        else:
-            self._v_int = _SegmentIntegral(np.abs(self.v) ** spec.q, dx)
-            self._v_max = None
-        if math.isinf(spec.r):
-            self._w_max = _RangeMax(self.w)
-            self._w_int = None
-        else:
-            self._w_int = _SegmentIntegral(self.w ** spec.r, dx)
-            self._w_max = None
+        self._v_norm = _window_norm(np.abs(self.v), spec.q, u.dx)
+        self._w_norm = _window_norm(self.w, spec.r, u.dx)
 
     def _window(self, x, h):
         lo = x - h
@@ -239,33 +237,24 @@ class BalanceEvaluator:
         hi_pos = (hi - self.u.a) / self.u.dx
         return lo_pos, hi_pos, length
 
+    def _balance(self, norm, p, root, order, x, h):
+        """l^{order - 1/(p root)} ||f||_{L^p(J)}^{1/root}, J = (x-h, x+h),
+        with ``norm`` the window aggregate of f (integral of f^p, or max)."""
+        lo, hi, length = self._window(np.asarray(x, dtype=float),
+                                      np.asarray(h, dtype=float))
+        agg = norm(lo, hi)
+        if math.isinf(p):
+            return length ** float(order) * agg ** (1.0 / root)
+        e = 1.0 / (p * root)
+        return length ** (order - e) * agg ** e
+
     def alpha(self, x, h):
-        x = np.asarray(x, dtype=float)
-        h = np.asarray(h, dtype=float)
-        lo, hi, length = self._window(x, h)
         s = self.spec
-        if self._v_int is not None:
-            integral = self._v_int(lo, hi)
-            norm_piece = integral ** (1.0 / (s.q * s.kappa))
-            expo = s.kbar - 1.0 / (s.q * s.kappa)
-        else:
-            norm_piece = self._v_max(lo, hi) ** (1.0 / s.kappa)
-            expo = s.kbar
-        return length ** expo * norm_piece
+        return self._balance(self._v_norm, s.q, s.kappa, s.kbar, x, h)
 
     def beta(self, x, h):
-        x = np.asarray(x, dtype=float)
-        h = np.asarray(h, dtype=float)
-        lo, hi, length = self._window(x, h)
         s = self.spec
-        if self._w_int is not None:
-            integral = self._w_int(lo, hi)
-            norm_piece = integral ** (1.0 / s.r)
-            expo = s.m - 1.0 / s.r
-        else:
-            norm_piece = self._w_max(lo, hi)
-            expo = float(s.m)
-        return length ** expo * norm_piece
+        return self._balance(self._w_norm, s.r, 1, s.m, x, h)
 
     def working_set(self, stride: int = 1,
                     threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -277,68 +266,49 @@ class BalanceEvaluator:
         idx = np.arange(0, self.u.n, stride)
         return idx[mask[idx]]
 
-    def critical_radii(self, xs: np.ndarray,
-                       h0: float | None = None,
-                       hmax: float | None = None) -> np.ndarray:
-        """First crossing of alpha - beta for each x, refined by bisection."""
+    def critical_radii(self, xs: np.ndarray) -> np.ndarray:
+        """First crossing of alpha - beta for each x of a 1-D array.
+
+        From h0 = 2 dx each point scans up where alpha > beta and down
+        elsewhere until its last two scan points bracket the crossing;
+        only points not yet bracketed are evaluated.  Then bisection."""
         xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            return np.zeros(0)
-        if h0 is None:
-            h0 = 2.0 * self.u.dx
-        if hmax is None:
-            hmax = HMAX_FACTOR * (self.u.b - self.u.a)
+        h0 = 2.0 * self.u.dx
+        hmin = 1e-12 * h0
+        hmax = HMAX_FACTOR * (self.u.b - self.u.a)
 
-        def sign(h):
-            return self.alpha(xs, h) - self.beta(xs, h)
+        def gap(idx, h):
+            return self.alpha(xs[idx], h) - self.beta(xs[idx], h)
 
-        lo_h = np.full(xs.shape, h0)
-        hi_h = np.full(xs.shape, h0)
-        diff = sign(np.full(xs.shape, h0))
-        # points already past the crossing at the scan floor: walk down
-        below = diff <= 0.0
-        if np.any(below):
-            lo = np.full(xs.shape, h0)
-            for _ in range(600):
-                lo[below] /= SCAN_FACTOR
-                d = self.alpha(xs[below], lo[below]) - self.beta(xs[below], lo[below])
-                newly = np.zeros_like(below)
-                newly[below] = d > 0.0
-                below &= ~newly
-                if not np.any(below) or lo[below].max() < 1e-12 * h0:
-                    break
-            if np.any(below):
-                bad = xs[below][0]
+        lo, hi = np.full((2, xs.size), h0)
+        todo = np.arange(xs.size)
+        up = gap(todo, lo) > 0.0
+        while todo.size:
+            go_up = up[todo]
+            cur = np.where(go_up, hi[todo], lo[todo])
+            nxt = np.where(go_up, cur * SCAN_FACTOR, cur / SCAN_FACTOR)
+            out = (nxt > hmax) | (nxt < hmin)
+            if np.any(out):
                 raise NoCrossingError(
-                    f"alpha <= beta down to the scan floor at x={bad}; "
-                    "hypothesis failure for this function/spec")
-            lo_h = lo
-            hi_h = np.where(diff <= 0.0, h0 * np.ones_like(lo), lo)
-        # points still above: walk up geometrically
-        above = diff > 0.0
-        h = np.full(xs.shape, h0)
-        while np.any(above):
-            nxt = h * SCAN_FACTOR
-            over = nxt > hmax
-            if np.any(above & over):
-                bad = xs[above & over][0]
-                raise NoCrossingError(
-                    f"no balance crossing below h_max={hmax} at x={bad}; "
-                    "hypothesis failure for this function/spec")
-            d = np.where(above, sign(nxt), 1.0)
-            crossed = above & (d <= 0.0)
-            lo_h[crossed] = h[crossed]
-            hi_h[crossed] = nxt[crossed]
-            above &= ~crossed
-            h = np.where(above, nxt, h)
-        # crossing bracketed in [lo_h, hi_h]: bisect
+                    f"no balance crossing for h in [{hmin}, {hmax}] at x="
+                    f"{xs[todo[out][0]]}; hypothesis failure for this spec")
+            lo[todo] = np.where(go_up, cur, nxt)
+            hi[todo] = np.where(go_up, nxt, cur)
+            d = gap(todo, nxt)
+            todo = todo[~np.where(go_up, d <= 0.0, d > 0.0)]
+        # bisect [lo, hi]; a bracket whose midpoint rounds onto one of its
+        # ends can never move again, so only the others are evaluated
+        todo = np.arange(xs.size)
         for _ in range(BISECT_STEPS):
-            mid = 0.5 * (lo_h + hi_h)
-            d = sign(mid)
-            take_hi = d <= 0.0
-            hi_h = np.where(take_hi, mid, hi_h)
-            lo_h = np.where(take_hi, lo_h, mid)
-        return 0.5 * (lo_h + hi_h)
+            mid = 0.5 * (lo[todo] + hi[todo])
+            moves = (mid != lo[todo]) & (mid != hi[todo])
+            todo, mid = todo[moves], mid[moves]
+            if not todo.size:
+                break
+            take_hi = gap(todo, mid) <= 0.0
+            hi[todo[take_hi]] = mid[take_hi]
+            lo[todo[~take_hi]] = mid[~take_hi]
+        return 0.5 * (lo + hi)
 
 
 def balance_alpha(u: GridFunction, x: float, h: float,
@@ -370,9 +340,7 @@ def critical_radius(u: GridFunction, x: float, spec: BalanceSpec,
     i = int(round(pos))
     if not (0 <= i < u.n):
         raise ParameterError(f"x={x} outside the grid")
-    u0 = np.abs(u.stack[0])
-    va = np.abs(ev.v)
-    if u0[i] <= threshold * u0.max() or va[i] <= threshold * va.max():
+    if i not in ev.working_set(threshold=threshold):
         raise ParameterError(
             f"x={x} is not in the working set E (u or v vanishes there)")
     r = float(ev.critical_radii(xi)[0])
@@ -386,8 +354,12 @@ def critical_radius(u: GridFunction, x: float, spec: BalanceSpec,
 
 def besicovitch_select(centers, radii) -> list:
     """Greedy selection by descending radius, skipping candidates whose
-    center is already covered, then a completion sweep.  Returns selected
-    indices into the input arrays."""
+    center already lies in a selected open interval.  Returns selected
+    indices into the input arrays.
+
+    With the selected ends in two sorted lists, #{lo < c} - #{hi <= c}
+    selected intervals contain c; one that rounds to a point is left out.
+    """
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     if centers.shape != radii.shape:
@@ -395,27 +367,17 @@ def besicovitch_select(centers, radii) -> list:
     if np.any(radii <= 0):
         raise ParameterError("radii must be positive")
     order = np.lexsort((np.arange(centers.size), -radii))
-    sel_lo: list = []
-    sel_hi: list = []
+    los: list = []
+    his: list = []
     selected: list = []
-
-    def covered(x) -> bool:
-        return any(lo < x < hi for lo, hi in zip(sel_lo, sel_hi))
-
-    for idx in order:
-        c, r = centers[idx], radii[idx]
-        if covered(c):
+    for idx, c, r in zip(order.tolist(), centers[order].tolist(),
+                         radii[order].tolist()):
+        if bisect_left(los, c) - bisect_right(his, c) > 0:
             continue
-        selected.append(int(idx))
-        sel_lo.append(c - r)
-        sel_hi.append(c + r)
-    # completion sweep: every input point must lie in the union
-    for idx in order:
-        c, r = centers[idx], radii[idx]
-        if not covered(c):
-            selected.append(int(idx))
-            sel_lo.append(c - r)
-            sel_hi.append(c + r)
+        selected.append(idx)
+        if c - r < c + r:
+            insort(los, c - r)
+            insort(his, c + r)
     return selected
 
 

@@ -1,5 +1,7 @@
 """Balance functions, critical radii, and the interval covering pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,26 @@ class TestCriticalRadius:
         with pytest.raises(ParameterError):
             cov.critical_radius(bump_4097, 1.5, SPEC)
 
+    @pytest.mark.parametrize("c,rel", [(1e2, 1e-12), (1e4, 1e-12),
+                                       (1e12, 1e-9)])
+    def test_analytic_crossing_in_both_scan_directions(self, c, rel):
+        # u = u' = u'' = 1 and u''' = c give alpha = 2h and beta = 8 c h^3,
+        # so r = 1/(2 sqrt(c)); c = 1e12 puts r below the scan start 2 dx,
+        # so it takes the downward scan, where window-end roundoff is eps x/h
+        rows = np.ones((4, 1025))
+        rows[3] = c
+        g = fs.GridFunction(0.0, 1.0, rows)
+        r = cov.critical_radius(g, 0.5, SPEC)
+        assert (r < 2 * g.dx) == (c > 1e6)
+        assert r == pytest.approx(0.5 / np.sqrt(c), rel=rel)
+
+    def test_no_crossing_above_the_scan_floor(self):
+        # r = 5e-21 lies below the scan floor 1e-12 * 2 dx
+        rows = np.ones((4, 1025))
+        rows[3] = 1e40
+        with pytest.raises(NoCrossingError):
+            cov.critical_radius(fs.GridFunction(0.0, 1.0, rows), 0.5, SPEC)
+
     def test_no_crossing_for_vanishing_top_derivative(self):
         # quadratic: the third derivative is identically zero, so the
         # top-order side can never catch the product side
@@ -90,6 +112,11 @@ class TestBesicovitchSelection:
     def test_trivial_cases(self):
         assert cov.besicovitch_select(np.zeros(0), np.zeros(0)) == []
         assert cov.besicovitch_select(np.array([0.3]), np.array([0.1])) == [0]
+
+    def test_interval_rounding_to_a_point_is_picked_once(self):
+        # 1 - 1e-17 and 1 + 1e-17 both round to 1.0
+        assert cov.besicovitch_select(np.array([1.0]),
+                                      np.array([1e-17])) == [0]
 
     def test_nested_intervals_pick_the_widest(self):
         centers = np.array([0.5, 0.52, 0.48])
@@ -109,6 +136,7 @@ class TestBesicovitchSelection:
         centers = np.array([c for c, _ in pairs])
         radii = np.array([r for _, r in pairs])
         picked = cov.besicovitch_select(centers, radii)
+        assert len(set(picked)) == len(picked)
         ivs = np.stack([centers[picked] - radii[picked],
                         centers[picked] + radii[picked]], axis=1)
         # every input center lies inside some selected interval
@@ -128,6 +156,32 @@ class TestBesicovitchSelection:
         # intervals that only touch share no point
         assert cov.overlap_profile(np.array([[0.0, 1.0], [1.0, 2.0]])) == 1
         assert cov.overlap_profile(np.zeros((0, 2))) == 0
+
+
+class TestSegmentIntegral:
+    def test_integer_ends_sum_whole_cells(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 64, 100, 1025):
+            f = rng.random(n) ** 2
+            dx = 1.0 / (n - 1)
+            si = cov._SegmentIntegral(f, dx)
+            cells = 0.5 * (f[1:] + f[:-1]) * dx
+            lo = rng.integers(0, n, 300)
+            hi = np.minimum(lo + rng.integers(0, n, 300), n - 1)
+            got = si(lo.astype(float), hi.astype(float))
+            want = [math.fsum(cells[a:b]) for a, b in zip(lo, hi)]
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_fractional_ends_are_exact_for_affine_integrands(self):
+        n, dx = 1025, 1.0 / 1024
+        rng = np.random.default_rng(6)
+        f = 0.5 + 0.25 * np.arange(n) * dx
+        lo = rng.uniform(0.0, n - 1.0, 400)
+        hi = np.minimum(lo + rng.uniform(0.0, 40.0, 400), n - 1.0)
+        # the midpoint rule is exact for an affine f, without cancellation
+        want = (hi - lo) * dx * (0.5 + 0.125 * (lo + hi) * dx)
+        got = cov._SegmentIntegral(f, dx)(lo, hi)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestRangeMax:
