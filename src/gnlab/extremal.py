@@ -34,8 +34,10 @@ from .errors import ParameterError, InvariantError, SearchFailureError
 
 SEARCH_GRID_N = 4097
 REPORT_GRID_N = 2 ** 16 + 1
-# The fractional-seminorm ratio has an O(n^2) kernel; it searches on a
-# subsampled grid and reports on a moderate one instead of the fine grid.
+# The seminorm is O(n^2) time: 6 ms at 513 nodes, 0.3 s at 8193 (2 vCPU,
+# numpy 2.4), against 0.25 ms for a ratio4 objective at 4097.  So ratio-half
+# searches on a subsampled grid and reports on a moderate one; changing
+# either value moves search results, not just roundoff.
 SEMINORM_SEARCH_STRIDE = 8
 SEMINORM_REPORT_N = 4097
 CEILING_SLACK = 1e-3
@@ -187,8 +189,12 @@ def _make_objective(target: Target, dimension: int, n: int):
 
         return ratio, ev
     if target == "ratio-half":
-        ev = _StackEvaluator(dimension, n, order)
         stride = SEMINORM_SEARCH_STRIDE if n > 1024 else 1
+        if (n - 1) % stride:
+            raise ParameterError(
+                f"ratio-half subsamples {n} nodes by {stride}: n - 1 must be "
+                f"a multiple of {stride} so the last kept node is x = 1")
+        ev = _StackEvaluator(dimension, n, order)
 
         def ratio(coeffs: np.ndarray) -> float:
             st = ev.stack(coeffs)[:, ::stride]
@@ -290,6 +296,9 @@ def estimate_constant(target: Target,
     config = config or SearchConfig()
     label = _target_label(target)
     ratio_fn, ev = _make_objective(target, config.dimension, config.grid_n)
+    report_n = (min(config.report_grid_n, SEMINORM_REPORT_N)
+                if target == "ratio-half" else config.report_grid_n)
+    report_fn, _ = _make_objective(target, config.dimension, report_n)
     starts = warm_starts(ev.value_matrix)
     n_warm = min(len(starts), config.restarts)
     starts = starts[:n_warm]
@@ -328,10 +337,6 @@ def estimate_constant(target: Target,
     trace.append({"restart": len(outcomes), "kind": "polish",
                   "ratio": val, "best_so_far": best})
 
-    report_n = config.report_grid_n
-    if target == "ratio-half":
-        report_n = min(report_n, SEMINORM_REPORT_N)
-    report_fn, _ = _make_objective(target, config.dimension, report_n)
     fine = report_fn(best_vec)
     ceiling = _TAG_CEILING.get(target if isinstance(target, str) else "")
     if ceiling is not None and fine > ceiling + CEILING_SLACK:

@@ -6,6 +6,8 @@ quadrature rule of the package: `gn` and `control` integrate with it too.
 The infinity norm is the grid maximum.  The fractional seminorm is the
 standard double-integral Gagliardo form discretized by midpoint double
 summation over the grid domain padded by one support length on each side.
+It is an offset sweep, each pair of cells once, with the zero padding in
+closed form: O(n^2) time and O(n) memory.
 """
 
 from __future__ import annotations
@@ -162,8 +164,10 @@ def gagliardo_seminorm(g: GridFunction, s: float, p: float) -> float:
     Computes (sum_{i != j} |u(x_i)-u(x_j)|^p / |x_i-x_j|^{1+sp} dx^2)^{1/p}
     over cell midpoints of the grid interval padded by one support length
     on each side; u is taken as zero on the padding, which is exact for
-    compactly supported samples.  Row blocks keep memory bounded and the
-    summation order fixed.
+    compactly supported samples.  Pairs of grid cells are swept by offset k
+    with the kernel w_k = (k dx)^{-(1+sp)}; cell i meets the padding through
+    |m_i|^p times a range sum of w, taken from suffix sums (prefix sums
+    lose about 8 digits to cancellation).  O(n^2) time, O(n) memory.
     """
     if not 0.0 < s < 1.0:
         raise ParameterError("s must lie in (0,1)")
@@ -172,26 +176,16 @@ def gagliardo_seminorm(g: GridFunction, s: float, p: float) -> float:
         raise ParameterError("p must be finite for the seminorm")
     u = g.stack[0]
     ncell = g.n - 1
-    dx = g.dx
     mid_u = 0.5 * (u[1:] + u[:-1])
-    # midpoint coordinates of the padded domain: pad | domain | pad
-    total_cells = 3 * ncell
-    xs = (np.arange(total_cells) + 0.5) * dx
-    full_u = np.zeros(total_cells)
-    full_u[ncell:2 * ncell] = mid_u
-    expo = 1.0 + s * p
-
-    acc_all = 0.0
-    acc_mid = 0.0
-    block = 1024
-    mid_lo, mid_hi = ncell, 2 * ncell
-    for start in range(mid_lo, mid_hi, block):
-        stop = min(start + block, mid_hi)
-        du = np.abs(full_u[start:stop, None] - full_u[None, :]) ** p
-        dist = np.abs(xs[start:stop, None] - xs[None, :])
-        np.fill_diagonal(dist[:, start:stop], np.inf)
-        kern = du / dist ** expo
-        acc_all += float(np.sum(kern))
-        acc_mid += float(np.sum(kern[:, mid_lo:mid_hi]))
-    total = (2.0 * acc_all - acc_mid) * dx * dx
+    # w[k] for offsets k = 1 .. 2 ncell - 1; tail[k] = sum of w[k:]
+    w = np.zeros(2 * ncell + 1)
+    w[1:-1] = (np.arange(1, 2 * ncell) * g.dx) ** -(1.0 + s * p)
+    tail = np.cumsum(w[::-1])[::-1]
+    # cell i sees the left pad at offsets i+1 .. i+ncell; the right pad is
+    # the mirror image, at the left-pad offsets of cell ncell-1-i
+    near = tail[1:ncell + 1] - tail[ncell + 1:]
+    pad = near + near[::-1]
+    inner = sum(w[k] * float(np.sum(np.abs(mid_u[k:] - mid_u[:-k]) ** p))
+                for k in range(1, ncell))
+    total = 2.0 * (inner + float(np.sum(np.abs(mid_u) ** p * pad))) * g.dx ** 2
     return max(total, 0.0) ** (1.0 / p)

@@ -119,6 +119,11 @@ class TestEstimate:
         assert rep["result"]["ratio"] > 0
         assert "entries" in rep["result"]["trace"]
 
+    def test_ratio_half_search_grid_off_stride(self, tmp_path):
+        assert run(tmp_path, "estimate", "--target", "ratio-half",
+                   "--restarts", "1", "--budget", "1", "--search-N",
+                   "2051") == 2
+
     def test_sweep_csv(self, tmp_path):
         assert run(tmp_path, "estimate", "--sweep-l6", "1,2", "--restarts",
                    "1", "--budget", "30", "--dimension", "8", "--search-N",

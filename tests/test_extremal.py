@@ -139,6 +139,19 @@ class TestRandomBatch:
         assert b["mean"] <= b["max"]
         assert len(b["argmax"]) == 8  # unit coefficient vector of the max
 
+    @pytest.mark.parametrize("grid_n", [2051, 4095])
+    def test_ratio_half_stride_must_keep_the_end_node(self, grid_n):
+        with pytest.raises(ParameterError):
+            ex.random_ratio_batch("ratio-half", count=4, grid_n=grid_n)
+
+    def test_ratio_half_strided_grid_is_the_coarse_grid(self):
+        """4097 nodes subsampled by 8 are the 513-node grid of [0, 1]."""
+        fine = ex.random_ratio_batch("ratio-half", count=4, seed=3, grid_n=4097)
+        coarse = ex.random_ratio_batch("ratio-half", count=4, seed=3,
+                                       grid_n=513)
+        assert fine["max"] == pytest.approx(coarse["max"], rel=1e-12)
+        assert fine["mean"] == pytest.approx(coarse["mean"], rel=1e-12)
+
 
 class TestSweep:
     CFG = ex.SearchConfig(restarts=2, budget=60, tol=1e-10, seed=1,

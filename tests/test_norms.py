@@ -2,10 +2,12 @@
 
 Closed forms on monomials pin the quadrature; hypothesis properties pin
 homogeneity and domain monotonicity, which the inequality evaluations
-lean on.
+lean on.  The offset sweep of the seminorm is checked against the direct
+blocked double sum over the padded grid.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +121,34 @@ def test_simpson_needs_three_nodes(y):
         nm.simpson(y, 0.5)
 
 
+def blocked_seminorm(g, s, p):
+    """Reference: the direct double sum of `gagliardo_seminorm` over n
+    grid-cell rows and all 3n padded columns, in row blocks."""
+    u = g.stack[0]
+    ncell = g.n - 1
+    dx = g.dx
+    mid_u = 0.5 * (u[1:] + u[:-1])
+    total_cells = 3 * ncell
+    xs = (np.arange(total_cells) + 0.5) * dx
+    full_u = np.zeros(total_cells)
+    full_u[ncell:2 * ncell] = mid_u
+    expo = 1.0 + s * p
+    acc_all = 0.0
+    acc_mid = 0.0
+    block = 1024
+    mid_lo, mid_hi = ncell, 2 * ncell
+    for start in range(mid_lo, mid_hi, block):
+        stop = min(start + block, mid_hi)
+        du = np.abs(full_u[start:stop, None] - full_u[None, :]) ** p
+        dist = np.abs(xs[start:stop, None] - xs[None, :])
+        np.fill_diagonal(dist[:, start:stop], np.inf)
+        kern = du / dist ** expo
+        acc_all += float(np.sum(kern))
+        acc_mid += float(np.sum(kern[:, mid_lo:mid_hi]))
+    total = (2.0 * acc_all - acc_mid) * dx * dx
+    return max(total, 0.0) ** (1.0 / p)
+
+
 # frozen by refinement study of the double-integral discretization:
 # values at successive grids differ in the seventh digit, consistent
 # with first-order midpoint convergence of the singular kernel
@@ -162,3 +192,28 @@ def test_seminorm_parameter_validation():
         nm.gagliardo_seminorm(u, 1.0, 4.0)
     with pytest.raises(ParameterError):
         nm.gagliardo_seminorm(u, 0.5, math.inf)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 18, 257, 1025])
+def test_seminorm_matches_blocked_double_sum(n):
+    """Samples that do not vanish at the ends make the pad term large."""
+    x = np.linspace(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    u = 1.0 + x + 0.3 * np.sin(7.0 * x) + 0.05 * rng.standard_normal(n)
+    g = fs.GridFunction(0.0, 1.0, np.stack([u]))
+    for s in (0.1, 0.5, 0.9):
+        for p in (1.0, 2.5, 4.0, 6.0):
+            assert nm.gagliardo_seminorm(g, s, p) == pytest.approx(
+                blocked_seminorm(g, s, p), rel=1e-13)
+
+
+def test_seminorm_memory_is_linear_in_n():
+    n = 8193
+    u = fs.sample(fs.BumpChi(), (0.0, 1.0), n, 0)
+    tracemalloc.start()
+    try:
+        nm.gagliardo_seminorm(u, 0.5, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 8 * n
