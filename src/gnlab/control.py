@@ -165,6 +165,9 @@ class Trajectory:
 
 
 def _stage_times(T: float, steps: int) -> np.ndarray:
+    """Nodes and midpoints of the step grid; the one check of `steps`."""
+    if steps < 2:
+        raise ParameterError(f"steps must be >= 2, got {steps}")
     return np.linspace(0.0, T, 2 * steps + 1)
 
 
@@ -242,10 +245,9 @@ def _law_support_check(law: ControlLaw, T: float) -> None:
 def integrate(sys: ControlSystem, law: ControlLaw,
               steps: int = DEFAULT_STEPS) -> Trajectory:
     """Fixed-step fourth-order solution of the chain from the origin."""
-    if steps < 2:
-        raise ParameterError("steps must be >= 2")
+    stage_t = _stage_times(sys.T, steps)
     _law_support_check(law, sys.T)
-    stage_w = np.asarray(law(_stage_times(sys.T, steps)), dtype=float)
+    stage_w = np.asarray(law(stage_t), dtype=float)
     states = _rk4_chain(stage_w[:, None], sys.T, steps, sys.p)[:, :, 0]
     return Trajectory(times=np.linspace(0.0, sys.T, steps + 1),
                       states=states, control=stage_w[::2],
@@ -506,10 +508,11 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
 def default_p1_laws(T: float, steps: int, seed: int = 0,
                     random_laws: int = 3) -> list:
     """Zero, a bump triple, and bounded random grid controls."""
+    count = _stage_times(T, steps).size
     laws = [Zero(), ScaledBumpTriple(1e-2, 0.0)]
     for i in range(random_laws):
         rng = np.random.default_rng([seed, i])
-        vals = rng.standard_normal(2 * steps + 1)
+        vals = rng.standard_normal(count)
         vals /= max(np.max(np.abs(vals)), 1e-30)
         laws.append(GridSamples(tuple(vals), T))
     return laws

@@ -4,7 +4,10 @@ The sharp constant of an inequality lhs <= C * rhs is probed from below
 by maximizing the ratio lhs/rhs over a parametrized family of smooth
 compactly supported candidates: clamped quintic B-spline profiles on
 [0, 1] multiplied by the reference bump, so every derivative vanishes at
-the endpoints and the product rule gives exact derivative stacks.
+the endpoints and the product rule gives exact derivative stacks.  The
+basis is funcspace's own SplineBump stack of the identity coefficient
+matrix, cached per grid as one (orders, n, dim) array, so a candidate's
+stack is `basis @ c` and every objective is one closure over it.
 
 The ratio is 0-homogeneous in the coefficient vector, so candidates are
 normalized to unit Euclidean length before evaluation; the optimizer
@@ -19,13 +22,11 @@ artifacts are visible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
 from . import funcspace as fs
@@ -40,6 +41,10 @@ REPORT_GRID_N = 2 ** 16 + 1
 # either value moves search results, not just roundoff.
 SEMINORM_SEARCH_STRIDE = 8
 SEMINORM_REPORT_N = 4097
+# The cached candidate basis takes 8 * dimension * (dimension + (order + 1)
+# * n) bytes per grid (16 x 65537 x 3: 25 MB) and building it peaks at about
+# 2.7 times that, so larger bases are refused before allocation.
+BASIS_BYTES_CAP = 2 ** 30
 CEILING_SLACK = 1e-3
 WARM_START_POWERS = (0.82, 0.85, 0.9, 1.0)
 WARM_START_FREQS = (1, 2, 3)
@@ -102,6 +107,8 @@ class SearchConfig:
             raise ParameterError("restarts must be >= 1")
         if self.dimension < 6:
             raise ParameterError("dimension must be >= 6 for quintic splines")
+        if min(self.grid_n, self.report_grid_n) < 3:
+            raise ParameterError("grids need at least 3 nodes")
         if self.grid_n % 2 == 0 or self.report_grid_n % 2 == 0:
             raise ParameterError("grids must have an odd node count")
 
@@ -113,50 +120,14 @@ class SearchConfig:
 
 
 @lru_cache(maxsize=8)
-def _basis_matrices(dimension: int, n: int, max_order: int) -> tuple:
-    """Columns D^i(B_j * chi) on the n-node grid of [0,1], per order i.
+def _basis_matrices(dimension: int, n: int, max_order: int) -> np.ndarray:
+    """D^i(B_j * chi) on the n-node grid of [0,1], shape (orders, n, dim).
 
-    Orders above the spline degree drop the spline factor; this matches
-    the pointwise (almost-everywhere) derivative of the candidate.
+    This is SplineBump's own stack of the identity coefficient matrix, so
+    `basis @ c` is the stack of the candidate with coefficients c.
     """
-    knots = fs.uniform_quintic_knots(dimension)
-    degree = 5
-    x = np.linspace(0.0, 1.0, n)
-    ch = fs.chi_stack(x, max_order)
-    eye = np.eye(dimension)
-    spline = BSpline(knots, eye, degree, extrapolate=False)
-    b_mats = []
-    top = min(max_order, degree)
-    for l in range(top + 1):
-        b_mats.append(np.nan_to_num(spline(x), nan=0.0))
-        if l < top:
-            spline = spline.derivative()
-    out = []
-    for i in range(max_order + 1):
-        acc = np.zeros((n, dimension))
-        for l in range(min(i, degree) + 1):
-            acc += math.comb(i, l) * b_mats[l] * ch[i - l][:, None]
-        out.append(acc)
-    return tuple(out)
-
-
-class _StackEvaluator:
-    """Maps coefficient vectors to derivative stacks via cached matrices."""
-
-    def __init__(self, dimension: int, n: int, max_order: int):
-        self.matrices = _basis_matrices(dimension, n, max_order)
-        self.n = n
-        self.dimension = dimension
-
-    def stack(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.stack([m @ coeffs for m in self.matrices])
-
-    def grid_function(self, coeffs: np.ndarray) -> fs.GridFunction:
-        return fs.GridFunction(0.0, 1.0, self.stack(coeffs))
-
-    @property
-    def value_matrix(self) -> np.ndarray:
-        return self.matrices[0]
+    return fs.SplineBump(np.eye(dimension)).stack(
+        max_order, np.linspace(0.0, 1.0, n))
 
 
 def _target_label(target: Target) -> str:
@@ -176,38 +147,41 @@ def _target_order(target: Target) -> int:
     return _TAG_ORDER[target]
 
 
-def _make_objective(target: Target, dimension: int, n: int):
-    """Returns (ratio_fn, evaluator); ratio_fn gives 0.0 on degenerate rhs."""
-    order = _target_order(target)
+def _ratio_fn(target: Target):
+    """Maps a sampled stack to the target's ratio; 0.0 on degenerate rhs."""
     if isinstance(target, gn.GNParams):
-        target.validate()
-        ev = _StackEvaluator(dimension, n, order)
-
-        def ratio(coeffs: np.ndarray) -> float:
-            rep = gn.evaluate_generalized(ev.grid_function(coeffs), target)
+        def ratio(u: fs.GridFunction) -> float:
+            rep = gn.evaluate_generalized(u, target)
             return 0.0 if rep.degenerate else rep.ratio
 
-        return ratio, ev
-    if target == "ratio-half":
-        stride = SEMINORM_SEARCH_STRIDE if n > 1024 else 1
-        if (n - 1) % stride:
-            raise ParameterError(
-                f"ratio-half subsamples {n} nodes by {stride}: n - 1 must be "
-                f"a multiple of {stride} so the last kept node is x = 1")
-        ev = _StackEvaluator(dimension, n, order)
+        return ratio
+    return _TAG_FN[target]
 
-        def ratio(coeffs: np.ndarray) -> float:
-            st = ev.stack(coeffs)[:, ::stride]
-            return gn.ratio_half(fs.GridFunction(0.0, 1.0, st))
 
-        return ratio, ev
-    fn = _TAG_FN[target]
-    ev = _StackEvaluator(dimension, n, order)
+def _make_objective(target: Target, dimension: int, n: int):
+    """Returns (ratio_fn, basis); ratio_fn maps coefficients to the ratio.
+
+    The basis is refused before it is allocated when it would take more
+    than BASIS_BYTES_CAP bytes.
+    """
+    order = _target_order(target)
+    fn = _ratio_fn(target)
+    stride = SEMINORM_SEARCH_STRIDE if target == "ratio-half" and n > 1024 else 1
+    if (n - 1) % stride:
+        raise ParameterError(
+            f"ratio-half subsamples {n} nodes by {stride}: n - 1 must be "
+            f"a multiple of {stride} so the last kept node is x = 1")
+    need = 8 * dimension * (dimension + (order + 1) * n)
+    if need > BASIS_BYTES_CAP:
+        raise ParameterError(
+            f"the candidate basis for dimension {dimension} on {n} nodes "
+            f"needs {need} bytes, above the {BASIS_BYTES_CAP}-byte cap")
+    basis = _basis_matrices(dimension, n, order)
 
     def ratio(coeffs: np.ndarray) -> float:
-        return fn(ev.grid_function(coeffs))
+        return fn(fs.GridFunction(0.0, 1.0, (basis @ coeffs)[:, ::stride]))
 
-    return ratio, ev
+    return ratio, basis
 
 
 def warm_starts(value_matrix: np.ndarray) -> list:
@@ -295,11 +269,11 @@ def estimate_constant(target: Target,
     """
     config = config or SearchConfig()
     label = _target_label(target)
-    ratio_fn, ev = _make_objective(target, config.dimension, config.grid_n)
+    ratio_fn, basis = _make_objective(target, config.dimension, config.grid_n)
     report_n = (min(config.report_grid_n, SEMINORM_REPORT_N)
                 if target == "ratio-half" else config.report_grid_n)
     report_fn, _ = _make_objective(target, config.dimension, report_n)
-    starts = warm_starts(ev.value_matrix)
+    starts = warm_starts(basis[0])
     n_warm = min(len(starts), config.restarts)
     starts = starts[:n_warm]
     for idx in range(n_warm, config.restarts):
@@ -408,6 +382,7 @@ def sweep(targets: Sequence, config: Optional[SearchConfig] = None,
                 row["argmax"] = "candidate"
             else:
                 order = _target_order(target)
+                fn = _ratio_fn(target)
                 if sampled is None or sampled[0] < order:
                     base = corpus if corpus is not None else fs.standard_corpus()
                     sampled = (order, [(name, fs.sample(f, (0.0, 1.0),
@@ -415,11 +390,7 @@ def sweep(targets: Sequence, config: Optional[SearchConfig] = None,
                                        for name, f in base])
                 best_name, best_val = "", 0.0
                 for name, u in sampled[1]:
-                    if isinstance(target, gn.GNParams):
-                        rep = gn.evaluate_generalized(u, target)
-                        val = 0.0 if rep.degenerate else rep.ratio
-                    else:
-                        val = _TAG_FN[target](u)
+                    val = fn(u)
                     if val > best_val:
                         best_name, best_val = name, val
                 row["ratio"] = best_val

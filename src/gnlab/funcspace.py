@@ -20,9 +20,11 @@ log(MIN_POSITIVE) + 64, so the rational prefactors can never overflow the
 vanishing exponential.
 
 Function families (bump, scaled bumps, truncated polynomials, sine bumps,
-spline bumps) expose exact derivatives up to MAX_ORDER and evaluate to
-exactly zero outside their supports.  `sample` turns any of them into a
-GridFunction carrying a derivative stack for the norm and covering
+spline bumps) return their whole exact derivative stack D^0..D^m, m up to
+MAX_ORDER, in one pass (one chi_stack call, each spline derivative
+evaluated once), and evaluate to exactly zero outside their supports.
+Sine and spline bumps share one Leibniz loop.  `sample` turns any of them
+into a GridFunction carrying that stack for the norm and covering
 machinery.
 """
 
@@ -203,36 +205,62 @@ def chi(t):
 # analytic function families
 # ---------------------------------------------------------------------------
 
+def _leibniz(factors, ch, weight=1.0, length=1.0) -> np.ndarray:
+    """Rows D^0..D^m of g(x) * chi((x - a) / length) by the Leibniz rule.
+
+    `ch` holds chi, chi', ..., chi^(m) at the scaled points, and
+    `factors[l]` is D^l g / weight^l; factors past the end are zero (a
+    spline above its degree).  Factors may carry trailing columns, one
+    per function of a batch.
+    """
+    ch = ch.reshape(ch.shape + (1,) * (factors[0].ndim - 1))
+    out = np.zeros(ch.shape[:1] + factors[0].shape)
+    for i in range(len(ch)):
+        for l in range(min(i, len(factors) - 1) + 1):
+            out[i] += (math.comb(i, l) * weight ** l * factors[l] * ch[i - l]
+                       / length ** (i - l))
+    return out
+
+
 class AnalyticFunction:
     """A function on R with exact derivatives and compact support.
 
-    Subclasses implement `_derivative_inside(i, x)` for points already
-    known to lie inside the open support; the base class handles the
-    outside-is-zero convention and scalar/array plumbing.
+    Every family produces its whole derivative stack D^0..D^m in one pass:
+    subclasses implement `_stack_inside(m, x)` for a flat array of points
+    already known to lie inside the closed support, and the base class
+    handles the outside-is-zero convention, the order check and shapes.
+    `derivative(i, x)` is row i of `stack(i, x)`.
     """
 
     support: tuple
     max_order: int = MAX_ORDER
 
-    def derivative(self, i: int, x):
-        if i < 0:
+    def stack(self, m: int, x) -> np.ndarray:
+        """Rows D^0 u, ..., D^m u at x, shape (m+1,) + shape(x)."""
+        if m < 0:
             raise ParameterError("derivative order must be >= 0")
-        if i > self.max_order:
+        if m > self.max_order:
             raise UnsupportedOrderError(
-                f"order {i} exceeds max_order={self.max_order}")
-        scalar = np.isscalar(x)
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
+                f"order {m} exceeds max_order={self.max_order}")
+        xa = np.asarray(x, dtype=float).ravel()
         a, b = self.support
-        out = np.zeros_like(xa)
-        mask = (xa >= a) & (xa <= b)
-        if np.any(mask):
-            out[mask] = self._derivative_inside(i, xa[mask])
-        return float(out[0]) if scalar else out.reshape(np.shape(x))
+        inside = (xa >= a) & (xa <= b)
+        if inside.all():
+            out = self._stack_inside(m, xa)
+        else:
+            rows = self._stack_inside(m, xa[inside])
+            out = np.zeros((m + 1, xa.size) + rows.shape[2:])
+            out[:, inside] = rows
+        return out.reshape((m + 1,) + np.shape(x) + out.shape[2:])
+
+    def derivative(self, i: int, x):
+        row = self.stack(i, x)[i]
+        return float(row) if np.isscalar(x) else row
 
     def __call__(self, x):
         return self.derivative(0, x)
 
-    def _derivative_inside(self, i: int, x: np.ndarray) -> np.ndarray:
+    def _stack_inside(self, m: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -246,8 +274,8 @@ class BumpChi(AnalyticFunction):
     support: tuple = (0.0, 1.0)
     max_order: int = MAX_ORDER
 
-    def _derivative_inside(self, i, x):
-        return chi_stack(x, i)[i]
+    def _stack_inside(self, m, x):
+        return chi_stack(x, m)
 
     def descriptor(self):
         return {"family": "bumpchi", "params": {}, "support": [0.0, 1.0]}
@@ -266,9 +294,11 @@ class ScaledBump(AnalyticFunction):
             raise ParameterError("need b > a")
         object.__setattr__(self, "support", (float(self.a), float(self.b)))
 
-    def _derivative_inside(self, i, x):
-        s = (x - self.a) / (self.b - self.a)
-        return chi_stack(s, i)[i] / (self.b - self.a) ** i
+    def _stack_inside(self, m, x):
+        rows = chi_stack((x - self.a) / (self.b - self.a), m)
+        for i in range(m + 1):
+            rows[i] /= (self.b - self.a) ** i
+        return rows
 
     def descriptor(self):
         return {"family": "scaledbump", "params": {"a": self.a, "b": self.b},
@@ -294,11 +324,13 @@ class Polynomial(AnalyticFunction):
         if not self.support[1] > self.support[0]:
             raise ParameterError("empty support interval")
 
-    def _derivative_inside(self, i, x):
+    def _stack_inside(self, m, x):
+        rows = np.empty((m + 1,) + x.shape)
         c = self.coeffs
-        for _ in range(i):
+        for i in range(m + 1):
+            rows[i] = _poly_eval(c, x)
             c = _poly_derivative(c)
-        return _poly_eval(c, x) * np.ones_like(x)
+        return rows
 
     def descriptor(self):
         return {"family": "polynomial",
@@ -318,14 +350,10 @@ class SineBump(AnalyticFunction):
         if self.frequency < 1:
             raise ParameterError("frequency must be a positive integer")
 
-    def _derivative_inside(self, i, x):
-        ch = chi_stack(x, i)
+    def _stack_inside(self, m, x):
         w = math.pi * self.frequency
-        out = np.zeros_like(x)
-        for l in range(i + 1):
-            out += (math.comb(i, l) * w ** l
-                    * np.sin(w * x + l * math.pi / 2.0) * ch[i - l])
-        return out
+        waves = [np.sin(w * x + l * math.pi / 2.0) for l in range(m + 1)]
+        return _leibniz(waves, chi_stack(x, m), weight=w)
 
     def descriptor(self):
         return {"family": "sinebump", "params": {"frequency": self.frequency},
@@ -346,19 +374,21 @@ class SplineBump(AnalyticFunction):
     The chi envelope guarantees flat decay at 0 and 1 regardless of the
     clamped spline's boundary values.  Derivatives use the Leibniz rule
     with exact spline derivatives from the B-spline recursion; orders
-    above the spline degree drop the spline term entirely.
+    above the spline degree drop the spline term entirely.  A (dim, k)
+    coefficient matrix makes k splines at once, and its stack carries one
+    trailing column per spline.
     """
 
     def __init__(self, coeffs, knots=None, degree: int = 5):
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim != 1 or coeffs.size < degree + 1:
+        if coeffs.ndim not in (1, 2) or coeffs.shape[0] < degree + 1:
             raise ParameterError("need at least degree+1 spline coefficients")
         if knots is None:
             if degree != 5:
                 raise ParameterError("default knots are quintic; pass knots")
-            knots = uniform_quintic_knots(coeffs.size)
+            knots = uniform_quintic_knots(coeffs.shape[0])
         knots = np.asarray(knots, dtype=float)
-        if knots.size != coeffs.size + degree + 1:
+        if knots.size != coeffs.shape[0] + degree + 1:
             raise ParameterError("knot count must equal coeffs + degree + 1")
         self.coeffs = coeffs
         self.knots = knots
@@ -370,20 +400,13 @@ class SplineBump(AnalyticFunction):
         for _ in range(degree):
             self._splines.append(self._splines[-1].derivative())
 
-    def _spline_value(self, l, x):
-        if l > self.degree:
-            return np.zeros_like(x)
-        return np.nan_to_num(self._splines[l](x), nan=0.0)
-
-    def _derivative_inside(self, i, x):
+    def _stack_inside(self, m, x):
         a, b = self.support
-        s = (x - a) / (b - a)
-        ch = chi_stack(s, i)
-        out = np.zeros_like(x)
-        for l in range(i + 1):
-            out += (math.comb(i, l) * self._spline_value(l, x)
-                    * ch[i - l] / (b - a) ** (i - l))
-        return out
+        # extrapolate=False marks points off the knot span as NaN
+        factors = [np.nan_to_num(s(x), nan=0.0, copy=False)
+                   for s in self._splines[:m + 1]]
+        return _leibniz(factors, chi_stack((x - a) / (b - a), m),
+                        length=b - a)
 
     def descriptor(self):
         return {"family": "splinebump",
@@ -406,10 +429,12 @@ class Rescaled(AnalyticFunction):
         self._scale = (d - c) / (b - a)
         self._shift = c
 
-    def _derivative_inside(self, i, x):
+    def _stack_inside(self, m, x):
         a, _ = self.support
-        s = self._shift + self._scale * (x - a)
-        return self.base.derivative(i, s) * self._scale ** i
+        rows = self.base.stack(m, self._shift + self._scale * (x - a))
+        for i in range(m + 1):
+            rows[i] *= self._scale ** i
+        return rows
 
     def descriptor(self):
         return {"family": "rescaled",
@@ -430,10 +455,10 @@ class Sum(AnalyticFunction):
                         max(f.support[1] for _, f in terms))
         self.max_order = min(f.max_order for _, f in terms)
 
-    def _derivative_inside(self, i, x):
-        out = np.zeros_like(x)
+    def _stack_inside(self, m, x):
+        out = np.zeros((m + 1,) + x.shape)
         for c, f in self.terms:
-            out += c * f.derivative(i, x)
+            out += c * f.stack(m, x)
         return out
 
     def descriptor(self):
@@ -522,6 +547,10 @@ class GridFunction:
     def from_samples(cls, values, interval, m: int) -> "GridFunction":
         """Build a stack by repeated second-order finite differencing."""
         values = np.asarray(values, dtype=float)
+        if values.size < (3 if m > 0 else 2):
+            raise ParameterError(
+                f"got {values.size} samples; need 2, and 3 for m >= 1 "
+                "(second-order differences)")
         a, b = interval
         dx = (b - a) / (values.size - 1)
         rows = [values]
@@ -535,13 +564,9 @@ def sample(f: AnalyticFunction, interval, n: int, m: int = 0) -> GridFunction:
     """Exact-provenance GridFunction of f on a closed uniform grid."""
     if n < 2:
         raise ParameterError("need at least 2 nodes")
-    if m > f.max_order:
-        raise UnsupportedOrderError(
-            f"derivative stack {m} exceeds max_order={f.max_order}")
     a, b = float(interval[0]), float(interval[1])
-    x = np.linspace(a, b, n)
-    stack = np.stack([f.derivative(i, x) for i in range(m + 1)])
-    return GridFunction(a, b, stack, provenance="exact")
+    return GridFunction(a, b, f.stack(m, np.linspace(a, b, n)),
+                        provenance="exact")
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,21 @@ class TestCorpus:
         assert len(lines) == 258
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--target", "ratio4", "--search-N", "-5"],
+    ["estimate", "--target", "ratio4", "--report-N", "-3"],
+    ["estimate", "--target", "ratio4", "--dimension", "100000",
+     "--restarts", "1", "--budget", "5", "--search-N", "5"],
+    ["control", "scaling", "--eps", "1e-3:1e-2:3", "--steps", "-1"],
+    ["control", "obstruction", "--p", "12", "--trials", "2", "--steps", "-2"],
+    ["control", "p1", "--steps", "-4"],
+    ["corpus", "emit", "--m", "-1"],
+], ids=["search-N", "report-N", "dimension", "scaling-steps",
+        "obstruction-steps", "p1-steps", "emit-m"])
+def test_out_of_range_sizes_are_refused(tmp_path, argv):
+    assert run(tmp_path, *argv) == 2
+
+
 class TestDispatch:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
+import gnlab.extremal as ex
 import gnlab.funcspace as fs
 from gnlab.errors import ParameterError, UnsupportedOrderError
 
@@ -140,6 +142,18 @@ def test_grid_function_properties(bump_4097):
         g.derivative(4)
 
 
+@pytest.mark.parametrize("values,m", [([1.0], 0), ([1.0], 1),
+                                      ([1.0, 2.0], 1), ([1.0, 2.0], 3)])
+def test_from_samples_needs_enough_samples(values, m):
+    with pytest.raises(ParameterError):
+        fs.GridFunction.from_samples(values, (0.0, 1.0), m)
+
+
+def test_from_samples_two_values_without_differencing():
+    g = fs.GridFunction.from_samples([1.0, 2.0], (0.0, 1.0), 0)
+    assert g.n == 2
+
+
 def test_from_samples_has_fd_provenance():
     x = np.linspace(0.0, 1.0, 129)
     g = fs.GridFunction.from_samples(np.sin(np.pi * x), (0.0, 1.0), 2)
@@ -187,3 +201,156 @@ def test_descriptor_round_trip():
     assert np.allclose(f.derivative(0, x), fs.SineBump(3).derivative(0, x))
     with pytest.raises(ParameterError):
         fs.from_descriptor({"family": "nosuch"})
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-order derivative bodies that the one-pass stacks replaced
+# ---------------------------------------------------------------------------
+
+def _ref_horner(c, x):
+    acc = np.zeros_like(x)
+    for coef in reversed(c):
+        acc = acc * x + float(coef)
+    return acc
+
+
+def _ref_inside(f, i, x):
+    if isinstance(f, fs.BumpChi):
+        return fs.chi_stack(x, i)[i]
+    if isinstance(f, fs.ScaledBump):
+        s = (x - f.a) / (f.b - f.a)
+        return fs.chi_stack(s, i)[i] / (f.b - f.a) ** i
+    if isinstance(f, fs.Polynomial):
+        c = f.coeffs
+        for _ in range(i):
+            c = fs._poly_derivative(c)
+        return _ref_horner(c, x) * np.ones_like(x)
+    if isinstance(f, fs.SineBump):
+        ch = fs.chi_stack(x, i)
+        w = math.pi * f.frequency
+        out = np.zeros_like(x)
+        for l in range(i + 1):
+            out += (math.comb(i, l) * w ** l
+                    * np.sin(w * x + l * math.pi / 2.0) * ch[i - l])
+        return out
+    if isinstance(f, fs.SplineBump):
+        a, b = f.support
+        s = (x - a) / (b - a)
+        ch = fs.chi_stack(s, i)
+        spline = BSpline(f.knots, f.coeffs, f.degree, extrapolate=False)
+        out = np.zeros_like(x)
+        for l in range(i + 1):
+            value = (np.nan_to_num(spline(x), nan=0.0) if l <= f.degree
+                     else np.zeros_like(x))
+            out += math.comb(i, l) * value * ch[i - l] / (b - a) ** (i - l)
+            if l < f.degree:
+                spline = spline.derivative()
+        return out
+    if isinstance(f, fs.Rescaled):
+        a, b = f.support
+        c, d = f.base.support
+        scale = (d - c) / (b - a)
+        return ref_derivative(f.base, i, c + scale * (x - a)) * scale ** i
+    if isinstance(f, fs.Sum):
+        out = np.zeros_like(x)
+        for c, g in f.terms:
+            out += c * ref_derivative(g, i, x)
+        return out
+    raise TypeError(type(f).__name__)
+
+
+def ref_derivative(f, i, x):
+    """D^i f at x, one order at a time, zero outside the support."""
+    a, b = f.support
+    out = np.zeros_like(x)
+    mask = (x >= a) & (x <= b)
+    if np.any(mask):
+        out[mask] = _ref_inside(f, i, x[mask])
+    return out
+
+
+def ref_basis(dimension, n, max_order):
+    """Per-order columns D^i(B_j * chi) from their own Leibniz loop."""
+    knots = fs.uniform_quintic_knots(dimension)
+    degree = 5
+    x = np.linspace(0.0, 1.0, n)
+    ch = fs.chi_stack(x, max_order)
+    spline = BSpline(knots, np.eye(dimension), degree, extrapolate=False)
+    b_mats = []
+    top = min(max_order, degree)
+    for l in range(top + 1):
+        b_mats.append(np.nan_to_num(spline(x), nan=0.0))
+        if l < top:
+            spline = spline.derivative()
+    out = []
+    for i in range(max_order + 1):
+        acc = np.zeros((n, dimension))
+        for l in range(min(i, degree) + 1):
+            acc += math.comb(i, l) * b_mats[l] * ch[i - l][:, None]
+        out.append(acc)
+    return out
+
+
+def _oracle_functions():
+    rng = np.random.default_rng(2024)
+    seeded = [(f"seeded{d}", fs.SplineBump(rng.uniform(-1.0, 1.0, d)))
+              for d in (6, 11, 16)]
+    return (fs.standard_corpus() + seeded
+            + [("polynomial", fs.Polynomial((0.5, -1.0, 2.0, 0.25, -3.0),
+                                            (0.2, 0.9))),
+               ("rescaled_spline", fs.Rescaled(fs.SplineBump(
+                   (0.6, -1.0, 0.8, 0.4, -0.9, 1.0, -0.3, 0.7)), 0.1, 0.7)),
+               # support [0.2, 0.9]: the chi rows carry powers of 1/0.7
+               ("knotted_spline", fs.SplineBump(
+                   rng.uniform(-1.0, 1.0, 9),
+                   np.concatenate([np.full(6, 0.2), [0.4, 0.5, 0.75],
+                                   np.full(6, 0.9)])))])
+
+
+_ORACLE = dict(_oracle_functions())
+
+
+@pytest.mark.parametrize("n", [65, 1025, 65537])
+@pytest.mark.parametrize("name", list(_ORACLE))
+def test_sampled_stack_matches_per_order_oracle(name, n):
+    f = _ORACLE[name]
+    x = np.linspace(0.0, 1.0, n)
+    ref = [ref_derivative(f, i, x) for i in range(5)]
+    for m in range(5):
+        got = fs.sample(f, (0.0, 1.0), n, m).stack
+        assert np.array_equal(got, np.stack(ref[:m + 1]))
+
+
+@pytest.mark.parametrize("name", list(_ORACLE))
+def test_stack_rows_do_not_depend_on_the_top_order(name):
+    f = _ORACLE[name]
+    x = np.linspace(-0.25, 1.25, 1029)
+    top = f.stack(f.max_order, x)
+    for i in range(f.max_order + 1):
+        assert np.array_equal(top[i], f.stack(i, x)[i])
+        assert np.array_equal(f.derivative(i, x), top[i])
+
+
+@pytest.mark.parametrize("n", [65, 1025, 65537])
+def test_basis_is_the_per_order_leibniz_loop(n):
+    for dimension, order in ((8, 4), (16, 2)):
+        basis = ex._basis_matrices.__wrapped__(dimension, n, order)
+        assert basis.shape == (order + 1, n, dimension)
+        assert np.array_equal(basis, np.stack(ref_basis(dimension, n, order)))
+
+
+def test_stack_rejects_orders_outside_range():
+    f = fs.SineBump(2)
+    with pytest.raises(ParameterError):
+        f.stack(-1, np.linspace(0.0, 1.0, 9))
+    with pytest.raises(UnsupportedOrderError):
+        f.stack(f.max_order + 1, np.linspace(0.0, 1.0, 9))
+
+
+def test_stack_keeps_the_shape_of_x():
+    f = fs.SineBump(3)
+    x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    assert f.stack(2, x).shape == (3, 3, 4)
+    assert f.stack(2, 0.5).shape == (3,)
+    assert f.derivative(1, 0.5) == f.stack(1, np.array([0.5]))[1, 0]
+    assert f.derivative(1, 2.0) == 0.0
