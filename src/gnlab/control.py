@@ -90,8 +90,9 @@ class ScaledBumpTriple:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ParameterError("epsilon must be positive")
-        if self.a < 0:
-            raise ParameterError("scaling exponent a must be >= 0")
+        if not (math.isfinite(self.a) and self.a >= 0):
+            raise ParameterError(
+                f"scaling exponent a must be finite and >= 0, got {self.a}")
 
     @property
     def support_end(self) -> float:

@@ -259,7 +259,12 @@ class BalanceEvaluator:
     def working_set(self, stride: int = 1,
                     threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
         """Indices (into the grid) of E = {|u| and |v| above threshold},
-        subsampled by stride."""
+        subsampled by stride.  The threshold lies in [0, 1): at 1 no
+        point clears it and the cover would be vacuous."""
+        if not 0.0 <= threshold < 1.0:
+            raise ParameterError(
+                f"working-set threshold must be finite and in [0, 1), "
+                f"got {threshold}")
         u0 = np.abs(self.u.stack[0])
         va = np.abs(self.v)
         mask = (u0 > threshold * u0.max()) & (va > threshold * va.max())

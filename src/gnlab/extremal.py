@@ -7,7 +7,17 @@ compactly supported candidates: clamped quintic B-spline profiles on
 the endpoints and the product rule gives exact derivative stacks.  The
 basis is funcspace's own SplineBump stack of the identity coefficient
 matrix, cached per grid as one (orders, n, dim) array, so a candidate's
-stack is `basis @ c` and every objective is one closure over it.
+stack is `basis @ c` and the grid objective is one closure over it.
+
+On the Simpson grid ratio4^4 and ratio6^6 are quotients of two polynomial
+forms in c, so their search objectives (Nelder-Mead and the random
+batches) are evaluated as (|R_num y| / |R_den y|)^(1/d) wherever the
+splines are local and the factors are no larger than the stack: y holds the
+products of d coefficients whose splines overlap, and each R is a cached
+triangular QR factor of the weighted monomial coefficients.  That is the
+grid's discrete sum in another order.  The grid objective stays the oracle
+for the forms, the single report-grid evaluation, and the objective of
+every other target.
 
 The ratio is 0-homogeneous in the coefficient vector, so candidates are
 normalized to unit Euclidean length before evaluation; the optimizer
@@ -22,6 +32,9 @@ artifacts are visible.
 
 from __future__ import annotations
 
+import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -31,12 +44,14 @@ from scipy.optimize import minimize
 
 from . import funcspace as fs
 from . import gn
+from . import norms
 from .errors import ParameterError, InvariantError, SearchFailureError
 
 SEARCH_GRID_N = 4097
 REPORT_GRID_N = 2 ** 16 + 1
 # The seminorm is O(n^2) time: 6 ms at 513 nodes, 0.3 s at 8193 (2 vCPU,
-# numpy 2.4), against 0.25 ms for a ratio4 objective at 4097.  So ratio-half
+# numpy 2.4), against 14 us for a ratio4 search objective at 4097 nodes and
+# dimension 16 (polynomial form; 0.23 ms through the grid).  So ratio-half
 # searches on a subsampled grid and reports on a moderate one; changing
 # either value moves search results, not just roundoff.
 SEMINORM_SEARCH_STRIDE = 8
@@ -53,6 +68,21 @@ RATIO_TAGS = ("ratio4", "ratio6", "ratio-half")
 _TAG_CEILING = {"ratio4": gn.RATIO4_BOUND, "ratio6": gn.RATIO6_BOUND}
 _TAG_FN = {"ratio4": gn.ratio4, "ratio6": gn.ratio6, "ratio-half": gn.ratio_half}
 _TAG_ORDER = {"ratio4": 2, "ratio6": 2, "ratio-half": 1}
+# derivative orders of the numerator and denominator products: ratio4^4 is
+# the integral of (u' u')^2 over that of (u u'')^2, ratio6^6 likewise
+_TAG_FORMS = {"ratio4": ((1, 1), (0, 2)), "ratio6": ((1, 1, 1), (0, 1, 2))}
+# degree of the candidate splines: B_i and B_j overlap iff |i - j| <= 5
+SPLINE_DEGREE = 5
+# A form in the monomials of c loses digits like the candidate's pointwise
+# cancellation to the power d.  With fewer than three knot intervals the
+# splines are nearly global and warm starts cancel heavily: against the
+# grid objective the forms differ by up to 2e-13 (ratio4) and 3e-12
+# (ratio6) at dimension 6, and 1.3e-13 (ratio6) at 7, where the grid
+# objective itself is within 3e-16 of an extended-precision sum.
+FORM_MIN_DIMENSION = SPLINE_DEGREE + 3
+# grid rows factored at a time: the default search grid is one block, and a
+# finer grid builds its factors in O(P * FACTOR_ROWS) memory, not O(P * n)
+FACTOR_ROWS = SEARCH_GRID_N
 
 Target = Union[str, gn.GNParams]
 
@@ -88,6 +118,13 @@ class Candidate:
         return cls(tuple(rng.standard_normal(dimension)))
 
 
+def _check_grid_n(n) -> None:
+    """Simpson grids of [0, 1] need an odd integer node count >= 3."""
+    if not isinstance(n, numbers.Integral) or n < 3 or n % 2 == 0:
+        raise ParameterError(
+            f"grids need an odd integer node count >= 3, got {n!r}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Budget and reproducibility knobs for the ratio maximization."""
@@ -107,10 +144,11 @@ class SearchConfig:
             raise ParameterError("restarts must be >= 1")
         if self.dimension < 6:
             raise ParameterError("dimension must be >= 6 for quintic splines")
-        if min(self.grid_n, self.report_grid_n) < 3:
-            raise ParameterError("grids need at least 3 nodes")
-        if self.grid_n % 2 == 0 or self.report_grid_n % 2 == 0:
-            raise ParameterError("grids must have an odd node count")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ParameterError(
+                f"tol must be finite and >= 0, got {self.tol}")
+        _check_grid_n(self.grid_n)
+        _check_grid_n(self.report_grid_n)
 
     def echo(self) -> dict:
         return {"restarts": self.restarts, "budget": self.budget,
@@ -158,8 +196,9 @@ def _ratio_fn(target: Target):
     return _TAG_FN[target]
 
 
-def _make_objective(target: Target, dimension: int, n: int):
-    """Returns (ratio_fn, basis); ratio_fn maps coefficients to the ratio.
+def _grid_objective(target: Target, dimension: int, n: int):
+    """Returns (ratio_fn, basis); ratio_fn maps coefficients to the ratio
+    through the candidate's sampled stack and the norms of `gn`.
 
     The basis is refused before it is allocated when it would take more
     than BASIS_BYTES_CAP bytes.
@@ -181,6 +220,97 @@ def _make_objective(target: Target, dimension: int, n: int):
     def ratio(coeffs: np.ndarray) -> float:
         return fn(fs.GridFunction(0.0, 1.0, (basis @ coeffs)[:, ::stride]))
 
+    return ratio, basis
+
+
+def _monomials(dimension: int, degree: int) -> np.ndarray:
+    """Sorted index tuples (i_1 <= ... <= i_degree) of the coefficient
+    products whose splines overlap, as a (degree, P) array.
+
+    Products with index spread above SPLINE_DEGREE vanish at every node,
+    so they are never formed.
+    """
+    return np.array([(i,) + rest for i in range(dimension)
+                     for rest in itertools.combinations_with_replacement(
+                         range(i, min(i + SPLINE_DEGREE, dimension - 1) + 1),
+                         degree - 1)]).T
+
+
+@lru_cache(maxsize=8)
+def _ratio_factors(target: str, dimension: int, n: int):
+    """(monomials, R_num, R_den) of a ratio4/ratio6 target on n nodes.
+
+    On the Simpson grid the numerator integral of ratio^(2d) (d = 2 for
+    ratio4, 3 for ratio6) is sum_x w(x) (K y)(x)^2 with y the monomials
+    of c and K's columns the monomials' coefficients in the derivative
+    product; the denominator likewise.  R is the triangular QR factor of
+    sqrt(w) K, so the integral is |R y|^2.  QR rather than the Gram
+    matrix K^T W K, whose conditioning is the square.
+    """
+    basis = _basis_matrices(dimension, n, _TAG_ORDER[target])
+    sqrt_w = np.sqrt(norms.simpson_weights(n, 1.0 / (n - 1)))
+    monos = _monomials(dimension, len(_TAG_FORMS[target][0]))
+    perms = [sorted(set(itertools.permutations(mono))) for mono in monos.T]
+
+    def factor(orders):
+        r = np.empty((0, monos.shape[1]))
+        for lo in range(0, n, FACTOR_ROWS):
+            rows = slice(lo, min(lo + FACTOR_ROWS, n))
+            # [R; next rows] has the same R^T R as all rows so far
+            stacked = np.empty((len(r) + rows.stop - lo, monos.shape[1]))
+            stacked[:len(r)] = r
+            k = stacked[len(r):]
+            for col, assignments in enumerate(perms):
+                # the coefficient of c_{i_1}..c_{i_d}: one term per distinct
+                # assignment of the indices to the derivative orders
+                k[:, col] = sum(
+                    np.prod([basis[o][rows, i] for o, i in zip(orders, perm)],
+                            axis=0)
+                    for perm in assignments)
+            k *= sqrt_w[rows, None]
+            r = np.linalg.qr(stacked, mode="r")
+        return r
+
+    num_orders, den_orders = _TAG_FORMS[target]
+    return monos, factor(num_orders), factor(den_orders)
+
+
+def _form_objective(target: str, dimension: int, n: int):
+    """ratio_fn of a ratio4/ratio6 target as (|R_num y| / |R_den y|)^(1/d):
+    the grid objective's Simpson sums in another order, so only roundoff
+    differs from it."""
+    monos, r_num, r_den = _ratio_factors(target, dimension, n)
+    power = 0.5 / monos.shape[0]
+    first, *rest = monos
+
+    def ratio(coeffs: np.ndarray) -> float:
+        y = coeffs[first]
+        for idx in rest:
+            y = y * coeffs[idx]
+        num = r_num @ y
+        den = r_den @ y
+        den2 = den @ den
+        if den2 == 0.0:
+            return 0.0
+        return float((num @ num / den2) ** power)
+
+    return ratio
+
+
+def _make_objective(target: Target, dimension: int, n: int):
+    """Returns (ratio_fn, basis) for a search: many calls on one grid.
+
+    ratio4 and ratio6 evaluate as polynomial forms whenever their two
+    factors hold no more entries than the derivative stack they replace
+    and the splines are local (FORM_MIN_DIMENSION); every other target
+    and size keeps the grid objective, which stays the oracle and the
+    single report evaluation.
+    """
+    ratio, basis = _grid_objective(target, dimension, n)
+    if target in _TAG_FORMS and dimension >= FORM_MIN_DIMENSION:
+        size = _monomials(dimension, len(_TAG_FORMS[target][0])).shape[1]
+        if 2 * size ** 2 <= (_TAG_ORDER[target] + 1) * n * dimension:
+            ratio = _form_objective(target, dimension, n)
     return ratio, basis
 
 
@@ -272,7 +402,7 @@ def estimate_constant(target: Target,
     ratio_fn, basis = _make_objective(target, config.dimension, config.grid_n)
     report_n = (min(config.report_grid_n, SEMINORM_REPORT_N)
                 if target == "ratio-half" else config.report_grid_n)
-    report_fn, _ = _make_objective(target, config.dimension, report_n)
+    report_fn, _ = _grid_objective(target, config.dimension, report_n)
     starts = warm_starts(basis[0])
     n_warm = min(len(starts), config.restarts)
     starts = starts[:n_warm]
@@ -335,13 +465,14 @@ def random_ratio_batch(target: Target, count: int = 10_000,
     optimizer must beat this max.  All normals come from one draw, so
     the candidates depend only on (seed, count, dimension).
     """
-    if count < 1:
-        raise ParameterError("count must be >= 1")
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ParameterError(f"count must be an integer >= 1, got {count!r}")
+    _check_grid_n(grid_n)
     ratio_fn, _ = _make_objective(target, dimension, grid_n)
     coeffs = np.random.default_rng(seed).standard_normal((count, dimension))
-    norms = np.linalg.norm(coeffs, axis=1)
-    norms[norms == 0.0] = 1.0
-    coeffs /= norms[:, None]
+    lengths = np.linalg.norm(coeffs, axis=1)
+    lengths[lengths == 0.0] = 1.0
+    coeffs /= lengths[:, None]
     values = np.array([ratio_fn(c) for c in coeffs])
     idx = int(np.argmax(values))
     best = max(float(values[idx]), 0.0)

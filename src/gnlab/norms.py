@@ -2,7 +2,9 @@
 
 Finite-exponent norms use composite Simpson on the uniform grid, so the
 node count over the integration domain must be odd.  `simpson` is the one
-quadrature rule of the package: `gn` and `control` integrate with it too.
+quadrature rule of the package: `gn` and `control` integrate with it too,
+and `simpson_weights` gives its weights for callers that fold the rule
+into a precomputed form.
 The infinity norm is the grid maximum.  The fractional seminorm is the
 standard double-integral Gagliardo form discretized by midpoint double
 summation over the grid domain padded by one support length on each side.
@@ -49,6 +51,21 @@ def simpson(y, dx: float):
         eta = dx ** 3 / (6 * dx * (dx + dx))
         result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
     return result
+
+
+def simpson_weights(n: int, dx: float) -> np.ndarray:
+    """Weights w of the composite Simpson rule on n nodes, odd n only.
+
+    `w @ y` is `simpson(y, dx)` summed in another order, so the two agree
+    up to roundoff.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ParameterError(
+            f"Simpson weights need an odd node count >= 3, got {n}")
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (dx / 3.0)
 
 
 def _check_exponent(p):

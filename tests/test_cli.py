@@ -210,6 +210,25 @@ def test_out_of_range_sizes_are_refused(tmp_path, argv):
     assert run(tmp_path, *argv) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--target", "ratio4", "--tol", "nan"],
+    ["estimate", "--target", "ratio4", "--tol", "inf"],
+    ["estimate", "--target", "ratio4", "--tol", "-1"],
+    ["cover", "--preset", "l12", "--N", "513", "--threshold", "nan"],
+    ["cover", "--preset", "l12", "--N", "513", "--threshold", "1.0"],
+    ["cover", "--preset", "l12", "--N", "513", "--threshold", "1.5"],
+    ["control", "scaling", "--p", "7", "--a", "nan", "--eps", "1e-4:1e-2:3"],
+    ["control", "scaling", "--p", "7", "--a", "inf", "--eps", "1e-4:1e-2:3"],
+], ids=["tol-nan", "tol-inf", "tol-negative", "threshold-nan",
+        "threshold-one", "threshold-above-one", "scaling-a-nan",
+        "scaling-a-inf"])
+def test_non_finite_or_vacuous_floats_are_refused(tmp_path, argv):
+    """Refused before a report with bare NaN/Infinity or an empty cover
+    can be written."""
+    assert run(tmp_path, *argv, "--deterministic") == 2
+    assert not (tmp_path / "report.json").exists()
+
+
 class TestDispatch:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2

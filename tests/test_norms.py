@@ -217,3 +217,19 @@ def test_seminorm_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 8 * n
+
+
+@pytest.mark.parametrize("n", [3, 5, 65, 1025, 4097])
+def test_simpson_weights_dot_matches_simpson(n):
+    rng = np.random.default_rng(n)
+    dx = 1.0 / (n - 1)
+    w = nm.simpson_weights(n, dx)
+    for scale in (1e-3, 1.0, 1e5):
+        y = scale * rng.random(n)
+        assert w @ y == pytest.approx(nm.simpson(y, dx), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 1024])
+def test_simpson_weights_need_an_odd_node_count(n):
+    with pytest.raises(ParameterError):
+        nm.simpson_weights(n, 0.1)
