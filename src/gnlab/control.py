@@ -166,9 +166,12 @@ class Trajectory:
 
 
 def _stage_times(T: float, steps: int) -> np.ndarray:
-    """Nodes and midpoints of the step grid; the one check of `steps`."""
+    """Nodes and midpoints of the step grid; the one check of `steps` and
+    of a finite horizon, which every integration passes first."""
     if steps < 2:
         raise ParameterError(f"steps must be >= 2, got {steps}")
+    if not math.isfinite(T):
+        raise ParameterError(f"horizon T must be finite, got {T}")
     return np.linspace(0.0, T, 2 * steps + 1)
 
 

@@ -12,14 +12,14 @@ critical radius r_x (first crossing of alpha - beta) is well defined; the
 intervals (x - r_x, x + r_x) satisfy the balance equality exactly, and a
 greedy selection covers E with overlap at most 4.
 
-Window integrals use a dyadic segment decomposition of trapezoid cell
-sums with quadratic in-cell end pieces, and window maxima use a sparse
-table with interpolated endpoints, so alpha and beta are continuous in h
-and accurate at the local scale even deep in the support tails.  A
-geometric scan from h = 2 dx, up where alpha > beta and down elsewhere,
-brackets each crossing, evaluating only points not yet bracketed; a
-bisection over the brackets that still move then drives the balance
-residual to machine level.
+Window integrals (trapezoid cells with quadratic in-cell end pieces) and
+window maxima (nodes with interpolated ends) both take their whole runs
+from one disjoint sparse table, two stored partial runs per query, so
+alpha and beta are continuous in h and accurate at the local scale even
+deep in the support tails.  A geometric scan from h = 2 dx, up where
+alpha > beta and down elsewhere, brackets each crossing, evaluating only
+points not yet bracketed; a bisection over the brackets that still move
+then drives the balance residual to machine level.
 """
 
 from __future__ import annotations
@@ -84,129 +84,88 @@ class BalanceSpec:
         return cls(params.ks, float(params.q), params.m, float(params.r), mode)
 
 
-class _SegmentIntegral:
-    """Window integrals of a nonnegative integrand, trapezoid between nodes.
+class _RunTable:
+    """Aggregates op(a[i..j]) of whole runs, from a disjoint sparse table.
 
-    A plain cumulative prefix loses the entire window integral to
-    cancellation once the local mass drops below machine epsilon times the
-    total (which happens in the flat tails of the bump families).  Here
-    each query is assembled from O(log n) dyadic cell-block sums plus the
-    two fractional end cells; every addend is nonnegative and of the local
-    scale, so the relative error stays at the eps*log^2(n) level of the
-    window integral itself.
+    Level k cuts the (zero-padded) array into blocks of 2^(k+1) entries;
+    each entry holds op over the entries from itself to the middle of its
+    block: the left half accumulates leftward and the right half
+    rightward.  A run i < j straddles the middle of exactly one block,
+    that of level k = floor(log2(i ^ j)), so it is op of two stored
+    partial runs, with no loop over the levels.
+
+    For op = add and nonnegative entries both partial runs are sums of
+    entries inside the run, so nothing cancels: a run of m entries keeps
+    the recursive-summation bound, relative error at most about m eps/2
+    (about sqrt(m) eps/2 for rounding errors of random sign), however
+    small it is next to the total.  For op = maximum the result is exact.
     """
 
-    def __init__(self, f: np.ndarray, dx: float):
-        self.f = f
-        self.dx = dx
-        cells = 0.5 * (f[1:] + f[:-1]) * dx
-        levels = [cells]
-        cur = cells
-        while cur.size > 1:
-            if cur.size & 1:
-                cur = np.append(cur, 0.0)
-            cur = cur[0::2] + cur[1::2]
-            levels.append(cur)
-        self.levels = levels
+    def __init__(self, a: np.ndarray, op, empty: float):
+        self.op = op
+        self.empty = empty
+        levels = max(1, (a.size - 1).bit_length())
+        padded = np.zeros(1 << levels)
+        padded[:a.size] = a
+        self.table = np.empty((levels, padded.size))
+        for k in range(levels):
+            blocks = padded.reshape(-1, 2, 1 << k)
+            row = self.table[k].reshape(blocks.shape)
+            row[:, 0] = op.accumulate(blocks[:, 0, ::-1], axis=1)[:, ::-1]
+            row[:, 1] = op.accumulate(blocks[:, 1], axis=1)
 
-    def _cell_range_sum(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Sum of whole cells with indices in [lo, hi), vectorized."""
-        total = np.zeros(lo.shape)
-        lo = lo.astype(np.int64).copy()
-        hi = hi.astype(np.int64).copy()
-        for level in self.levels:
-            active = lo < hi
-            if not np.any(active):
-                break
-            m = active & ((lo & 1) == 1)
-            if np.any(m):
-                total[m] += level[lo[m]]
-                lo = np.where(m, lo + 1, lo)
-            m2 = (lo < hi) & ((hi & 1) == 1)
-            if np.any(m2):
-                hi = np.where(m2, hi - 1, hi)
-                total[m2] += level[hi[m2]]
-            lo >>= 1
-            hi >>= 1
-        return total
-
-    def __call__(self, lo_pos: np.ndarray, hi_pos: np.ndarray) -> np.ndarray:
-        n = self.f.size
-        lo = np.clip(lo_pos, 0.0, n - 1.0)
-        hi = np.clip(hi_pos, 0.0, n - 1.0)
-        hi = np.maximum(hi, lo)
-        jl = np.minimum(np.floor(lo).astype(np.int64), n - 2)
-        jh = np.minimum(np.floor(hi).astype(np.int64), n - 2)
-        f, dx = self.f, self.dx
-
-        def piece(j, a, b):
-            fj = f[j]
-            df = f[j + 1] - fj
-            return dx * (fj * (b - a) + 0.5 * df * (b * b - a * a))
-
-        la = lo - jl
-        ha = hi - jh
-        out = np.zeros(lo.shape)
-        same = jl == jh
-        if np.any(same):
-            out[same] = piece(jl[same], la[same], ha[same])
-        dif = ~same
-        if np.any(dif):
-            left = piece(jl[dif], la[dif], 1.0)
-            right = piece(jh[dif], 0.0, ha[dif])
-            mid = self._cell_range_sum(jl[dif] + 1, jh[dif])
-            out[dif] = left + mid + right
+    def __call__(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """op over a[i..j] for integer arrays i, j; ``empty`` where i > j."""
+        out = np.full(i.shape, self.empty)
+        one = i == j
+        out[one] = self.table[0, i[one]]
+        run = i < j
+        i, j = i[run], j[run]
+        k = np.frexp(i ^ j)[1] - 1
+        out[run] = self.op(self.table[k, i], self.table[k, j])
         return out
-
-
-class _RangeMax:
-    """Sparse-table range maximum with interpolated fractional endpoints."""
-
-    def __init__(self, f: np.ndarray):
-        self.f = f
-        levels = [f.copy()]
-        k = 1
-        while 2 * k <= f.size:
-            prev = levels[-1]
-            levels.append(np.maximum(prev[:-k], prev[k:]))
-            k *= 2
-        self.levels = levels
-
-    def _node_max(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Max over inclusive node index range [lo, hi]; -inf when empty."""
-        out = np.full(lo.shape, -np.inf)
-        ok = hi >= lo
-        lo, hi = lo[ok], hi[ok]
-        # k = floor(log2(length)), exactly; two windows of 2^k nodes, one
-        # starting at lo and one ending at hi, cover the range
-        k = np.frexp(hi - lo + 1)[1] - 1
-        res = np.empty(lo.shape)
-        for kk in np.unique(k):
-            m = k == kk
-            tbl = self.levels[kk]
-            res[m] = np.maximum(tbl[lo[m]], tbl[hi[m] - (1 << kk) + 1])
-        out[ok] = res
-        return out
-
-    def __call__(self, lo_pos: np.ndarray, hi_pos: np.ndarray) -> np.ndarray:
-        n = self.f.size
-        lo_pos = np.clip(lo_pos, 0.0, n - 1.0)
-        hi_pos = np.clip(hi_pos, 0.0, n - 1.0)
-        li = np.ceil(lo_pos).astype(int)
-        hi_i = np.floor(hi_pos).astype(int)
-        inner = self._node_max(li, hi_i)
-
-        def interp(pos):
-            i = np.minimum(pos.astype(int), n - 2)
-            tau = pos - i
-            return self.f[i] * (1 - tau) + self.f[i + 1] * tau
-
-        return np.maximum(inner, np.maximum(interp(lo_pos), interp(hi_pos)))
 
 
 def _window_norm(f: np.ndarray, p: float, dx: float):
-    """Window aggregate behind ||f||_{L^p}: max for p = inf, else int f^p."""
-    return _RangeMax(f) if math.isinf(p) else _SegmentIntegral(f ** p, dx)
+    """Window aggregate behind ||f||_{L^p} between fractional node
+    positions lo <= hi: for p = inf the max over the nodes inside and the
+    interpolated ends, else the trapezoid integral of f^p, whole cells
+    from the run table plus quadratic pieces of the two end cells."""
+    n = f.size
+    if math.isinf(p):
+        runs = _RunTable(f, np.maximum, -np.inf)
+
+        def at(pos):
+            i = np.minimum(pos.astype(np.int64), n - 2)
+            tau = pos - i
+            return f[i] * (1 - tau) + f[i + 1] * tau
+
+        def window_max(lo, hi):
+            lo = np.clip(lo, 0.0, n - 1.0)
+            hi = np.clip(hi, 0.0, n - 1.0)
+            inner = runs(np.ceil(lo).astype(np.int64),
+                         np.floor(hi).astype(np.int64))
+            return np.maximum(inner, np.maximum(at(lo), at(hi)))
+        return window_max
+
+    f = f ** p
+    runs = _RunTable(0.5 * (f[1:] + f[:-1]) * dx, np.add, 0.0)
+
+    def piece(j, a, b):
+        fj = f[j]
+        return dx * (fj * (b - a) + 0.5 * (f[j + 1] - fj) * (b * b - a * a))
+
+    def window_sum(lo, hi):
+        lo = np.clip(lo, 0.0, n - 1.0)
+        hi = np.maximum(np.clip(hi, 0.0, n - 1.0), lo)
+        jl = np.minimum(np.floor(lo).astype(np.int64), n - 2)
+        jh = np.minimum(np.floor(hi).astype(np.int64), n - 2)
+        la = lo - jl
+        ha = hi - jh
+        return np.where(jl == jh, piece(jl, la, ha),
+                        piece(jl, la, 1.0) + runs(jl + 1, jh - 1)
+                        + piece(jh, 0.0, ha))
+    return window_sum
 
 
 class BalanceEvaluator:

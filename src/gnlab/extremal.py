@@ -196,16 +196,16 @@ def _ratio_fn(target: Target):
     return _TAG_FN[target]
 
 
-def _grid_objective(target: Target, dimension: int, n: int):
+def _grid_objective(target: Target, dimension: int, n: int, stride: int = 1):
     """Returns (ratio_fn, basis); ratio_fn maps coefficients to the ratio
-    through the candidate's sampled stack and the norms of `gn`.
+    through the candidate's stack sampled on n nodes, kept at every
+    stride-th node, and the norms of `gn`.
 
     The basis is refused before it is allocated when it would take more
     than BASIS_BYTES_CAP bytes.
     """
     order = _target_order(target)
     fn = _ratio_fn(target)
-    stride = SEMINORM_SEARCH_STRIDE if target == "ratio-half" and n > 1024 else 1
     if (n - 1) % stride:
         raise ParameterError(
             f"ratio-half subsamples {n} nodes by {stride}: n - 1 must be "
@@ -304,9 +304,11 @@ def _make_objective(target: Target, dimension: int, n: int):
     factors hold no more entries than the derivative stack they replace
     and the splines are local (FORM_MIN_DIMENSION); every other target
     and size keeps the grid objective, which stays the oracle and the
-    single report evaluation.
+    single report evaluation.  A ratio-half search on more than 1024
+    nodes keeps every SEMINORM_SEARCH_STRIDE-th node.
     """
-    ratio, basis = _grid_objective(target, dimension, n)
+    stride = SEMINORM_SEARCH_STRIDE if target == "ratio-half" and n > 1024 else 1
+    ratio, basis = _grid_objective(target, dimension, n, stride)
     if target in _TAG_FORMS and dimension >= FORM_MIN_DIMENSION:
         size = _monomials(dimension, len(_TAG_FORMS[target][0])).shape[1]
         if 2 * size ** 2 <= (_TAG_ORDER[target] + 1) * n * dimension:

@@ -219,9 +219,17 @@ def test_out_of_range_sizes_are_refused(tmp_path, argv):
     ["cover", "--preset", "l12", "--N", "513", "--threshold", "1.5"],
     ["control", "scaling", "--p", "7", "--a", "nan", "--eps", "1e-4:1e-2:3"],
     ["control", "scaling", "--p", "7", "--a", "inf", "--eps", "1e-4:1e-2:3"],
+    ["control", "integrate", "--p", "3", "--T", "inf"],
+    ["control", "formula", "--p", "3", "--T", "inf"],
+    ["control", "scaling", "--p", "7", "--a", "0.3", "--eps", "1e-4:1e-2:3",
+     "--T", "inf"],
+    ["control", "obstruction", "--p", "12", "--T", "inf", "--eta", "0.8",
+     "--trials", "2"],
+    ["control", "p1", "--T", "inf"],
 ], ids=["tol-nan", "tol-inf", "tol-negative", "threshold-nan",
         "threshold-one", "threshold-above-one", "scaling-a-nan",
-        "scaling-a-inf"])
+        "scaling-a-inf", "integrate-T-inf", "formula-T-inf", "scaling-T-inf",
+        "obstruction-T-inf", "p1-T-inf"])
 def test_non_finite_or_vacuous_floats_are_refused(tmp_path, argv):
     """Refused before a report with bare NaN/Infinity or an empty cover
     can be written."""

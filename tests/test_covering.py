@@ -159,16 +159,18 @@ class TestBesicovitchSelection:
 
 
 class TestSegmentIntegral:
+    """Window integrals: whole cells from the run table, plus end pieces."""
+
     def test_integer_ends_sum_whole_cells(self):
         rng = np.random.default_rng(5)
-        for n in (2, 3, 64, 100, 1025):
+        for n in (2, 3, 64, 100, 1025, 8193):
             f = rng.random(n) ** 2
             dx = 1.0 / (n - 1)
-            si = cov._SegmentIntegral(f, dx)
+            window = cov._window_norm(f, 1.0, dx)
             cells = 0.5 * (f[1:] + f[:-1]) * dx
             lo = rng.integers(0, n, 300)
             hi = np.minimum(lo + rng.integers(0, n, 300), n - 1)
-            got = si(lo.astype(float), hi.astype(float))
+            got = window(lo.astype(float), hi.astype(float))
             want = [math.fsum(cells[a:b]) for a, b in zip(lo, hi)]
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
@@ -180,27 +182,51 @@ class TestSegmentIntegral:
         hi = np.minimum(lo + rng.uniform(0.0, 40.0, 400), n - 1.0)
         # the midpoint rule is exact for an affine f, without cancellation
         want = (hi - lo) * dx * (0.5 + 0.125 * (lo + hi) * dx)
-        got = cov._SegmentIntegral(f, dx)(lo, hi)
+        got = cov._window_norm(f, 1.0, dx)(lo, hi)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestRangeMax:
+    """Window maxima: whole runs from the run table, interpolated ends."""
+
     def test_matches_slice_max(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, 7, 64, 100, 1025):
             f = rng.standard_normal(n)
-            rm = cov._RangeMax(f)
+            runs = cov._RunTable(f, np.maximum, -np.inf)
             lo = rng.integers(0, n, 500)
             hi = np.minimum(lo + rng.integers(0, n, 500), n - 1)
             lo = np.concatenate([lo, np.arange(n), [0]])
             hi = np.concatenate([hi, np.arange(n), [n - 1]])
             want = [f[a:b + 1].max() for a, b in zip(lo, hi)]
-            assert np.array_equal(rm._node_max(lo, hi), want)
+            assert np.array_equal(runs(lo, hi), want)
 
     def test_empty_range_is_minus_infinity(self):
-        rm = cov._RangeMax(np.arange(5.0))
-        out = rm._node_max(np.array([3, 0]), np.array([2, 4]))
+        runs = cov._RunTable(np.arange(5.0), np.maximum, -np.inf)
+        out = runs(np.array([3, 0]), np.array([2, 4]))
         assert out[0] == -np.inf and out[1] == 4.0
+
+    def test_fractional_ends_match_brute_force(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 64, 1025):
+            f = rng.standard_normal(n)
+            lo = rng.uniform(0.0, n - 1.0, 400)
+            hi = np.minimum(lo + rng.uniform(0.0, n / 4, 400), n - 1.0)
+            # ends on nodes, windows inside one cell, and the whole grid
+            a = rng.uniform(0.0, n - 1.0, 50)
+            lo = np.concatenate([lo, np.floor(a), a, [0.0]])
+            hi = np.concatenate([hi, np.ceil(a), (a + np.ceil(a)) / 2,
+                                 [n - 1.0]])
+
+            def at(pos):
+                i = min(int(pos), n - 2)
+                return f[i] * (1 - (pos - i)) + f[i + 1] * (pos - i)
+
+            want = [max([at(a), at(b)]
+                        + list(f[math.ceil(a):math.floor(b) + 1]))
+                    for a, b in zip(lo, hi)]
+            got = cov._window_norm(f, math.inf, 1.0 / (n - 1))(lo, hi)
+            assert np.array_equal(got, want)
 
 
 class TestBuildCover:

@@ -126,6 +126,17 @@ class TestEstimateConstant:
         with pytest.raises(ParameterError):
             ex.estimate_constant("ratio5", TINY)
 
+    def test_ratio_half_reports_on_every_report_node(self):
+        # the search keeps every 8th of its 1025 nodes; the report must not
+        cfg = ex.SearchConfig(restarts=1, budget=20, dimension=8,
+                              grid_n=1025, report_grid_n=2049)
+        res = ex.estimate_constant("ratio-half", cfg)
+        x = np.linspace(0.0, 1.0, res.report_grid_n)
+        stack = fs.SplineBump(res.candidate.coeffs).stack(1, x)
+        want = gn.ratio_half(fs.GridFunction(0.0, 1.0, stack))
+        assert res.report_grid_n == 2049
+        assert res.ratio == pytest.approx(want, rel=1e-12)
+
 
 class TestRandomBatch:
     def test_frozen_maxima_and_ceilings(self):
