@@ -16,10 +16,23 @@ Window integrals (trapezoid cells with quadratic in-cell end pieces) and
 window maxima (nodes with interpolated ends) both take their whole runs
 from one disjoint sparse table, two stored partial runs per query, so
 alpha and beta are continuous in h and accurate at the local scale even
-deep in the support tails.  A geometric scan from h = 2 dx, up where
-alpha > beta and down elsewhere, brackets each crossing, evaluating only
-points not yet bracketed; a bisection over the brackets that still move
-then drives the balance residual to machine level.
+deep in the support tails.
+
+Each crossing is bracketed by the first sign change of alpha - beta on a
+ladder of radii h0 q^k (h0 = 2 dx, q = SCAN_FACTOR), up where alpha >
+beta at h0 and down elsewhere; a bisection over the brackets that still
+move then drives the balance residual to machine level.  The scan skips
+a run of rungs only on a certificate, an interval bound over monotone
+factors (R. E. Moore, Interval Analysis, 1966).  In l^a S^e the window
+length l and the aggregate S are nondecreasing in h (the computed window
+ends are monotone in h, and S is the max or integral of a nonnegative
+interpolant) and e > 0, so over a run of windows each balance function
+lies between its values with S from the narrow and from the wide end, l
+taken from whichever end bounds l^a.  The margin delta = (n + 64) eps
+bounds the rounding of every computed aggregate, relative to an envelope
+of its window, and of the powers and products after it.  A skipped rung
+therefore has the sign that evaluating it would give, and the brackets,
+and so the radii, are the floats a rung-by-rung scan finds.
 """
 
 from __future__ import annotations
@@ -46,6 +59,17 @@ BISECT_STEPS = 60
 HMAX_FACTOR = 10.0
 
 
+def _order(name: str, k) -> int:
+    """k as an int; a derivative order that is not a whole number is
+    refused rather than truncated."""
+    try:
+        if k == int(k):
+            return int(k)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{name} must be an integer, got {k!r}")
+
+
 @dataclass(frozen=True)
 class BalanceSpec:
     """Orders and exponents feeding alpha and beta, plus the domain mode."""
@@ -57,10 +81,11 @@ class BalanceSpec:
     mode: str = "real-line"
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.ks)
+        ks = tuple(_order("ks entry", k) for k in self.ks)
+        m = _order("m", self.m)
         if not ks or list(ks) != sorted(ks) or ks[0] < 0:
             raise ParameterError("ks must be nonempty, sorted, nonnegative")
-        if self.m <= ks[-1]:
+        if m <= ks[-1]:
             raise ParameterError("m must exceed every product order")
         for name, v in (("q", self.q), ("r", self.r)):
             if not (float(v) >= 1.0 or math.isinf(float(v))):
@@ -68,6 +93,7 @@ class BalanceSpec:
         if self.mode not in ("real-line", "bounded"):
             raise ParameterError("mode must be real-line|bounded")
         object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "q", float(self.q))
         object.__setattr__(self, "r", float(self.r))
 
@@ -130,7 +156,16 @@ def _window_norm(f: np.ndarray, p: float, dx: float):
     """Window aggregate behind ||f||_{L^p} between fractional node
     positions lo <= hi: for p = inf the max over the nodes inside and the
     interpolated ends, else the trapezoid integral of f^p, whole cells
-    from the run table plus quadratic pieces of the two end cells."""
+    from the run table plus quadratic pieces of the two end cells.
+
+    With ``envelope`` it also returns an envelope env of each window: the
+    computed aggregate of every window inside lies within (n + 64) eps
+    env of the exact max or integral of the interpolant over that window.
+    A max rounds only at its two interpolated ends, by a few eps, so env
+    is the max itself.  An end piece that keeps a sliver of its cell
+    cancels to an error of up to about 8 eps of the whole cell, and run
+    sums over at most n cells carry about n eps, so for an integral env
+    is the sum over every cell the window touches."""
     n = f.size
     if math.isinf(p):
         runs = _RunTable(f, np.maximum, -np.inf)
@@ -140,12 +175,13 @@ def _window_norm(f: np.ndarray, p: float, dx: float):
             tau = pos - i
             return f[i] * (1 - tau) + f[i + 1] * tau
 
-        def window_max(lo, hi):
+        def window_max(lo, hi, envelope=False):
             lo = np.clip(lo, 0.0, n - 1.0)
             hi = np.clip(hi, 0.0, n - 1.0)
             inner = runs(np.ceil(lo).astype(np.int64),
                          np.floor(hi).astype(np.int64))
-            return np.maximum(inner, np.maximum(at(lo), at(hi)))
+            out = np.maximum(inner, np.maximum(at(lo), at(hi)))
+            return (out, out) if envelope else out
         return window_max
 
     f = f ** p
@@ -155,17 +191,51 @@ def _window_norm(f: np.ndarray, p: float, dx: float):
         fj = f[j]
         return dx * (fj * (b - a) + 0.5 * (f[j + 1] - fj) * (b * b - a * a))
 
-    def window_sum(lo, hi):
+    def window_sum(lo, hi, envelope=False):
         lo = np.clip(lo, 0.0, n - 1.0)
         hi = np.maximum(np.clip(hi, 0.0, n - 1.0), lo)
         jl = np.minimum(np.floor(lo).astype(np.int64), n - 2)
         jh = np.minimum(np.floor(hi).astype(np.int64), n - 2)
         la = lo - jl
         ha = hi - jh
-        return np.where(jl == jh, piece(jl, la, ha),
-                        piece(jl, la, 1.0) + runs(jl + 1, jh - 1)
-                        + piece(jh, 0.0, ha))
+        out = np.where(jl == jh, piece(jl, la, ha),
+                       piece(jl, la, 1.0) + runs(jl + 1, jh - 1)
+                       + piece(jh, 0.0, ha))
+        return (out, runs(jl, jh)) if envelope else out
     return window_sum
+
+
+class _Side:
+    """One balance function l^a S^e, with S the window aggregate ``norm``
+    of f (the integral of f^p, or its max) and e = 1/(p root) > 0.
+
+    ``delta`` = (n + 64) eps bounds the aggregates' rounding relative to
+    their envelopes (``_window_norm``) and leaves room for the powers and
+    the product after them."""
+
+    def __init__(self, f: np.ndarray, p: float, root: int, order, dx: float):
+        self.norm = _window_norm(f, p, dx)
+        self.delta = (f.size + 64) * np.finfo(float).eps
+        if math.isinf(p):
+            self.a, self.e = float(order), 1.0 / root
+        else:
+            self.e = 1.0 / (p * root)
+            self.a = order - self.e
+
+    def __call__(self, length, agg):
+        return length ** self.a * agg ** self.e
+
+    def bound(self, high, l_narrow, l_wide, agg, env):
+        """Bound on the computed l^a S^e over every window between a
+        narrow one and a wide one containing it: a high bound where
+        ``high``, from agg the wide window's aggregate, else a low bound
+        from agg the narrow one's.  env is the wide window's envelope:
+        each computed aggregate lies within delta env of its exact,
+        nondecreasing value, so S moves by 2 delta env at most.  l comes
+        from whichever end bounds l^a."""
+        slack = 2.0 * self.delta * env
+        s = np.where(high, agg + slack, np.maximum(agg - slack, 0.0))
+        return self(np.where(high == (self.a >= 0), l_wide, l_narrow), s)
 
 
 class BalanceEvaluator:
@@ -180,8 +250,9 @@ class BalanceEvaluator:
         self.spec = spec
         self.v = derivative_product(u, spec.ks)
         self.w = np.abs(u.stack[spec.m])
-        self._v_norm = _window_norm(np.abs(self.v), spec.q, u.dx)
-        self._w_norm = _window_norm(self.w, spec.r, u.dx)
+        self._alpha = _Side(np.abs(self.v), spec.q, spec.kappa, spec.kbar,
+                            u.dx)
+        self._beta = _Side(self.w, spec.r, 1, spec.m, u.dx)
 
     def _window(self, x, h):
         lo = x - h
@@ -196,24 +267,18 @@ class BalanceEvaluator:
         hi_pos = (hi - self.u.a) / self.u.dx
         return lo_pos, hi_pos, length
 
-    def _balance(self, norm, p, root, order, x, h):
-        """l^{order - 1/(p root)} ||f||_{L^p(J)}^{1/root}, J = (x-h, x+h),
-        with ``norm`` the window aggregate of f (integral of f^p, or max)."""
+    def _balance(self, side, x, h):
         lo, hi, length = self._window(np.asarray(x, dtype=float),
                                       np.asarray(h, dtype=float))
-        agg = norm(lo, hi)
-        if math.isinf(p):
-            return length ** float(order) * agg ** (1.0 / root)
-        e = 1.0 / (p * root)
-        return length ** (order - e) * agg ** e
+        return side(length, side.norm(lo, hi))
 
     def alpha(self, x, h):
-        s = self.spec
-        return self._balance(self._v_norm, s.q, s.kappa, s.kbar, x, h)
+        """alpha_x(h) over arrays of x and h."""
+        return self._balance(self._alpha, x, h)
 
     def beta(self, x, h):
-        s = self.spec
-        return self._balance(self._w_norm, s.r, 1, s.m, x, h)
+        """beta_x(h) over arrays of x and h."""
+        return self._balance(self._beta, x, h)
 
     def working_set(self, stride: int = 1,
                     threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -230,36 +295,104 @@ class BalanceEvaluator:
         idx = np.arange(0, self.u.n, stride)
         return idx[mask[idx]]
 
-    def critical_radii(self, xs: np.ndarray) -> np.ndarray:
-        """First crossing of alpha - beta for each x of a 1-D array.
-
-        From h0 = 2 dx each point scans up where alpha > beta and down
-        elsewhere until its last two scan points bracket the crossing;
-        only points not yet bracketed are evaluated.  Then bisection."""
-        xs = np.asarray(xs, dtype=float)
+    def _ladder(self):
+        """The scan's rungs h0 / q^k .. h0 .. h0 q^k (q = SCAN_FACTOR) in
+        [hmin, hmax], each the float that repeated division or
+        multiplication from h0 = 2 dx gives, and the index of h0."""
         h0 = 2.0 * self.u.dx
         hmin = 1e-12 * h0
         hmax = HMAX_FACTOR * (self.u.b - self.u.a)
+        up = [h0]
+        while up[-1] * SCAN_FACTOR <= hmax:
+            up.append(up[-1] * SCAN_FACTOR)
+        down = [h0]
+        while down[-1] / SCAN_FACTOR >= hmin:
+            down.append(down[-1] / SCAN_FACTOR)
+        return np.array(down[:0:-1] + up), len(down) - 1, hmin, hmax
 
-        def gap(idx, h):
-            return self.alpha(xs[idx], h) - self.beta(xs[idx], h)
+    def critical_radii(self, xs: np.ndarray) -> np.ndarray:
+        """First crossing of alpha - beta for each x of a 1-D array.
 
-        lo, hi = np.full((2, xs.size), h0)
+        Each point walks the ladder of ``_ladder`` from h0 = 2 dx, up
+        where alpha > beta at h0 and down elsewhere, to the first rung
+        where alpha - beta changes sign; that rung and the one before
+        bracket the crossing, which bisection then refines.
+
+        The walk gallops.  A point tries to move s rungs at once: it
+        evaluates the target rung and moves if the target keeps the sign
+        and a certificate (module docstring; ``_Side.bound``) proves the
+        sign of every rung passed, and then s doubles.  Otherwise s
+        halves, and a target past the crossing caps later moves.  At
+        s = 1 the point evaluates the next rung, as a rung-by-rung scan
+        would, so the brackets are that scan's.
+        """
+        xs = np.asarray(xs, dtype=float)
+        ladder, start, hmin, hmax = self._ladder()
+        al, be = self._alpha, self._beta
+        delta = al.delta
+
+        def evaluate(idx, k):
+            lo, hi, length = self._window(xs[idx], ladder[k])
+            sv, env_v = al.norm(lo, hi, envelope=True)
+            sw, env_w = be.norm(lo, hi, envelope=True)
+            return (al(length, sv) - be(length, sw),
+                    (length, sv, env_v, env_w), sw)
+
+        # per point: current rung (index into ladder), direction, the
+        # nearest rung known past the crossing (one off the ladder until
+        # one is found), step size, and what the bounds need of the
+        # current rung
+        rung = np.full(xs.size, start)
+        gap, cache, _ = evaluate(np.arange(xs.size), rung)
+        up = gap > 0.0
+        direction = np.where(up, 1, -1)
+        past = np.where(up, ladder.size, -1)
+        step = np.ones(xs.size, dtype=np.int64)
+        lo, hi = np.full((2, xs.size), ladder[start])
         todo = np.arange(xs.size)
-        up = gap(todo, lo) > 0.0
         while todo.size:
+            room = (past[todo] - rung[todo]) * direction[todo] - 1
+            done = todo[room == 0]
+            if done.size:
+                off = (past[done] < 0) | (past[done] == ladder.size)
+                if np.any(off):
+                    raise NoCrossingError(
+                        f"no balance crossing for h in [{hmin}, {hmax}] at "
+                        f"x={xs[done[off][0]]}; hypothesis failure for this "
+                        f"spec")
+                lo[done] = ladder[np.minimum(rung[done], past[done])]
+                hi[done] = ladder[np.maximum(rung[done], past[done])]
+                todo, room = todo[room > 0], room[room > 0]
+                if not todo.size:
+                    break
             go_up = up[todo]
-            cur = np.where(go_up, hi[todo], lo[todo])
-            nxt = np.where(go_up, cur * SCAN_FACTOR, cur / SCAN_FACTOR)
-            out = (nxt > hmax) | (nxt < hmin)
-            if np.any(out):
-                raise NoCrossingError(
-                    f"no balance crossing for h in [{hmin}, {hmax}] at x="
-                    f"{xs[todo[out][0]]}; hypothesis failure for this spec")
-            lo[todo] = np.where(go_up, cur, nxt)
-            hi[todo] = np.where(go_up, nxt, cur)
-            d = gap(todo, nxt)
-            todo = todo[~np.where(go_up, d <= 0.0, d > 0.0)]
+            s = np.minimum(step[todo], room)
+            target = rung[todo] + direction[todo] * s
+            gap, new, sw = evaluate(todo, target)
+            length, sv, env_v, env_w = new
+            l_cur, sv_cur, env_v_cur, env_w_cur = (c[todo] for c in cache)
+            # going up the current rung is the narrow end of the run and
+            # the target the wide end, going down the reverse: so alpha's
+            # low (up) or high (down) bound takes its aggregate from the
+            # current rung, and beta's high (up) or low (down) bound from
+            # the target
+            narrow = np.where(go_up, l_cur, length)
+            wide = np.where(go_up, length, l_cur)
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                a = al.bound(~go_up, narrow, wide, sv_cur,
+                             np.where(go_up, env_v, env_v_cur))
+                b = be.bound(go_up, narrow, wide, sw,
+                             np.where(go_up, env_w, env_w_cur))
+                proved = np.where(go_up, a * (1 - delta) > b * (1 + delta),
+                                  a * (1 + delta) < b * (1 - delta))
+            crossed = np.where(go_up, gap <= 0.0, gap > 0.0)
+            moved = ~crossed & (proved | (s == 1))
+            rung[todo[moved]] = target[moved]
+            for c, v in zip(cache, new):
+                c[todo[moved]] = v[moved]
+            past[todo[crossed]] = target[crossed]
+            step[todo] = np.where(moved, 2 * s, np.maximum(s // 2, 1))
         # bisect [lo, hi]; a bracket whose midpoint rounds onto one of its
         # ends can never move again, so only the others are evaluated
         todo = np.arange(xs.size)
@@ -269,15 +402,23 @@ class BalanceEvaluator:
             todo, mid = todo[moves], mid[moves]
             if not todo.size:
                 break
-            take_hi = gap(todo, mid) <= 0.0
+            take_hi = (self.alpha(xs[todo], mid)
+                       - self.beta(xs[todo], mid)) <= 0.0
             hi[todo[take_hi]] = mid[take_hi]
             lo[todo[~take_hi]] = mid[~take_hi]
         return 0.5 * (lo + hi)
 
 
+def _check_finite(**values):
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ParameterError(f"{name} must be finite, got {v}")
+
+
 def balance_alpha(u: GridFunction, x: float, h: float,
                   spec: BalanceSpec) -> float:
     """alpha_x(h) = |J|^{kbar-1/(q kappa)} ||v||_{L^q(J)}^{1/kappa}."""
+    _check_finite(x=x, h=h)
     if h <= 0:
         raise ParameterError("h must be positive")
     return float(BalanceEvaluator(u, spec).alpha(np.array([x]), np.array([h]))[0])
@@ -286,6 +427,7 @@ def balance_alpha(u: GridFunction, x: float, h: float,
 def balance_beta(u: GridFunction, x: float, h: float,
                  spec: BalanceSpec) -> float:
     """beta_x(h) = |J|^{m-1/r} ||D^m u||_{L^r(J)}."""
+    _check_finite(x=x, h=h)
     if h <= 0:
         raise ParameterError("h must be positive")
     return float(BalanceEvaluator(u, spec).beta(np.array([x]), np.array([h]))[0])
@@ -295,6 +437,7 @@ def critical_radius(u: GridFunction, x: float, spec: BalanceSpec,
                     threshold: float = DEFAULT_THRESHOLD) -> float:
     """Smallest h with alpha_x(h) = beta_x(h), located by geometric scan
     plus bisection.  Requires x in the working set E."""
+    _check_finite(x=x)
     ev = BalanceEvaluator(u, spec)
     if spec.mode == "real-line" and not spec.kbar < spec.m - 1:
         raise ParameterError(
@@ -328,6 +471,8 @@ def besicovitch_select(centers, radii) -> list:
     radii = np.asarray(radii, dtype=float)
     if centers.shape != radii.shape:
         raise ParameterError("centers and radii must have equal length")
+    if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(radii))):
+        raise ParameterError("centers and radii must be finite")
     if np.any(radii <= 0):
         raise ParameterError("radii must be positive")
     order = np.lexsort((np.arange(centers.size), -radii))

@@ -1,6 +1,8 @@
 """Balance functions, critical radii, and the interval covering pipeline."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,6 +108,215 @@ class TestCriticalRadius:
         g = fs.sample(quad, (0.0, 1.0), 2049, 3)
         with pytest.raises(NoCrossingError):
             cov.critical_radius(g, 0.5, SPEC)
+
+
+def _plain_scan(ev, xs):
+    """The rung-by-rung scan that ``critical_radii`` gallops over: every
+    rung h0 q^k from h0 = 2 dx is evaluated until alpha - beta changes
+    sign, then the same bisection."""
+    h0 = 2.0 * ev.u.dx
+    hmin = 1e-12 * h0
+    hmax = cov.HMAX_FACTOR * (ev.u.b - ev.u.a)
+
+    def gap(idx, h):
+        return ev.alpha(xs[idx], h) - ev.beta(xs[idx], h)
+
+    lo, hi = np.full((2, xs.size), h0)
+    todo = np.arange(xs.size)
+    up = gap(todo, lo) > 0.0
+    while todo.size:
+        go_up = up[todo]
+        cur = np.where(go_up, hi[todo], lo[todo])
+        nxt = np.where(go_up, cur * cov.SCAN_FACTOR, cur / cov.SCAN_FACTOR)
+        if np.any((nxt > hmax) | (nxt < hmin)):
+            raise NoCrossingError("plain scan left [hmin, hmax]")
+        lo[todo] = np.where(go_up, cur, nxt)
+        hi[todo] = np.where(go_up, nxt, cur)
+        d = gap(todo, nxt)
+        todo = todo[~np.where(go_up, d <= 0.0, d > 0.0)]
+    todo = np.arange(xs.size)
+    for _ in range(cov.BISECT_STEPS):
+        mid = 0.5 * (lo[todo] + hi[todo])
+        moves = (mid != lo[todo]) & (mid != hi[todo])
+        todo, mid = todo[moves], mid[moves]
+        if not todo.size:
+            break
+        take_hi = gap(todo, mid) <= 0.0
+        hi[todo[take_hi]] = mid[take_hi]
+        lo[todo[~take_hi]] = mid[~take_hi]
+    return 0.5 * (lo + hi)
+
+
+def _counted(norm, tally):
+    """``norm`` counting in tally[0] the (x, h) points it evaluates."""
+    def window(lo, hi, envelope=False):
+        tally[0] += np.size(lo)
+        return norm(lo, hi, envelope)
+    return window
+
+
+def _both_scans(ev, xs=None):
+    """Radii from ``critical_radii`` and from the plain scan, with the
+    window aggregates each evaluated (the whole working set by default)."""
+    if xs is None:
+        xs = ev.u.grid[ev.working_set()]
+    tally = [0]
+    for side in (ev._alpha, ev._beta):
+        side.norm = _counted(side.norm, tally)
+    out = []
+    for scan in (ev.critical_radii, lambda xs: _plain_scan(ev, xs)):
+        tally[0] = 0
+        out.append((scan(xs), tally[0]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus_8193():
+    return {name: fs.sample(f, (0.0, 1.0), 8193, 3)
+            for name, f in fs.standard_corpus()}
+
+
+class TestGallopingScan:
+    """``critical_radii`` skips only rungs whose sign it has proved, so it
+    finds the plain scan's brackets and radii, from fewer evaluations."""
+
+    @pytest.mark.parametrize("mode", ["real-line", "bounded"])
+    @pytest.mark.parametrize("name", [n for n, _ in fs.standard_corpus()])
+    def test_corpus_radii_equal_the_plain_scan(self, corpus_8193, name,
+                                               mode):
+        ev = cov.BalanceEvaluator(corpus_8193[name],
+                                  dataclasses.replace(SPEC, mode=mode))
+        (got, work), (want, plain_work) = _both_scans(ev)
+        assert np.array_equal(got, want)
+        assert work <= plain_work
+        if name == "bumpchi" and mode == "real-line":
+            assert work <= 0.6 * plain_work
+
+    # ks = (0,), q = 2 gives alpha = l^{-1/2} ||u||_{L^2(J)}, whose length
+    # exponent is negative, so its low bound takes l from a run's wide
+    # end; the second spec also takes beta from an integral, with the
+    # windows clipped to [0, 1]
+    @pytest.mark.parametrize("spec", [
+        cov.BalanceSpec(ks=(0,), q=2, m=2, r="inf"),
+        cov.BalanceSpec(ks=(0,), q=2, m=3, r=2, mode="bounded"),
+    ])
+    def test_other_exponents_equal_the_plain_scan(self, corpus_8193, spec):
+        ev = cov.BalanceEvaluator(corpus_8193["sinebump3"], spec)
+        assert ev._alpha.a == -0.5
+        (got, work), (want, plain_work) = _both_scans(ev)
+        assert np.array_equal(got, want)
+        assert work <= plain_work
+
+    def test_second_crossing_just_past_the_first_is_not_skipped(self):
+        # a spike of D^3 u at k1 nodes from x lifts beta over alpha, and a
+        # spike of the product at k2 > k1 nodes lifts alpha back over it,
+        # so alpha - beta changes sign at about k1 dx and again a rung or
+        # few later; a jump that skipped the rungs between would land on
+        # the second positive run and miss the first crossing
+        for k1 in range(6, 36, 3):
+            for k2 in (k1 + 1, k1 + 2, k1 + 3):
+                rows = np.ones((4, 1025))
+                rows[2, 512 + k2] = 1e6
+                rows[3, 512 - k1] = 1e4
+                ev = cov.BalanceEvaluator(fs.GridFunction(0.0, 1.0, rows),
+                                          SPEC)
+                (got, _), (want, _) = _both_scans(ev, np.array([0.5]))
+                assert np.array_equal(got, want), (k1, k2)
+
+    @pytest.mark.parametrize("c", [1e2, 1e12])
+    def test_analytic_crossings_equal_the_plain_scan(self, c):
+        # the scan goes up for c = 1e2 and down for c = 1e12
+        rows = np.ones((4, 1025))
+        rows[3] = c
+        ev = cov.BalanceEvaluator(fs.GridFunction(0.0, 1.0, rows), SPEC)
+        (got, work), (want, plain_work) = _both_scans(ev, np.array([0.5]))
+        assert np.array_equal(got, want)
+        assert work <= plain_work
+
+
+class TestWindowEnvelope:
+    """Every computed window aggregate lies within delta * envelope of the
+    exact max or integral of the interpolant, slivers of cells included."""
+
+    @staticmethod
+    def _exact(f, p, lo, hi):
+        n = f.size
+        lo, hi = Fraction(lo), Fraction(hi)
+
+        def at(pos):
+            i = min(math.floor(pos), n - 2)
+            return (Fraction(f[i]) * (1 - (pos - i))
+                    + Fraction(f[i + 1]) * (pos - i))
+        if math.isinf(p):
+            inner = f[math.ceil(lo):math.floor(hi) + 1]
+            return max([at(lo), at(hi)] + [Fraction(v) for v in inner])
+        total = Fraction(0)
+        last = min(math.floor(hi), n - 2)
+        for j in range(min(math.floor(lo), n - 2), last + 1):
+            a, b = max(lo, j), min(hi, j + 1)
+            total += (at(a) + at(b)) / 2 * (b - a)
+        return total / (n - 1)
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_error_within_delta_envelope(self, p):
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 17, 33):
+            f = rng.random(n) ** 3
+            f[rng.random(n) < 0.3] = 0.0
+            f[rng.random(n) < 0.2] *= 1e-12
+            norm = cov._window_norm(f, p, 1.0 / (n - 1))
+            delta = (n + 64) * np.finfo(float).eps
+            c = rng.uniform(0.0, n - 1.0, 40)
+            h = 10.0 ** rng.uniform(-14.0, 0.5, 40)
+            j = rng.integers(0, n - 1, 40).astype(float)
+            # random windows, tiny windows around nodes, and slivers at
+            # the top of a cell, where an end piece cancels
+            lo = np.concatenate([c - h, j - h, j + 1 - h])
+            hi = np.concatenate([c + h, j + h, j + 1 - h * 1e-3])
+            lo = np.clip(lo, 0.0, n - 1.0)
+            hi = np.clip(hi, lo, n - 1.0)
+            got, env = norm(lo, hi, envelope=True)
+            assert np.array_equal(got, norm(lo, hi))
+            fp = f if math.isinf(p) else f ** p
+            for g, e, a, b in zip(got, env, lo, hi):
+                err = abs(Fraction(g) - self._exact(fp, p, a, b))
+                assert err <= Fraction(delta) * Fraction(e)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("x,h", [(0.25, math.nan), (0.25, math.inf),
+                                     (math.inf, 0.01), (math.nan, 0.01),
+                                     (-math.inf, 0.01)])
+    def test_refused_with_parameter_error(self, bump_4097, x, h):
+        for balance in (cov.balance_alpha, cov.balance_beta):
+            with pytest.raises(ParameterError):
+                balance(bump_4097, x, h, SPEC)
+        if not math.isfinite(x):
+            with pytest.raises(ParameterError):
+                cov.critical_radius(bump_4097, x, SPEC)
+
+    @pytest.mark.parametrize("centers,radii", [
+        ([0.3, 0.5], [0.1, math.nan]),
+        ([math.nan, 0.5], [0.1, 0.1]),
+        ([0.3, 0.5], [0.1, math.inf]),
+        ([0.3, -math.inf], [0.1, 0.1]),
+    ])
+    def test_selection_refuses_non_finite(self, centers, radii):
+        with pytest.raises(ParameterError):
+            cov.besicovitch_select(np.array(centers), np.array(radii))
+
+
+class TestBalanceSpec:
+    @pytest.mark.parametrize("ks,m", [((0.5, 1), 3), ((0, 1), 2.5),
+                                      ((0, math.nan), 3), ((0, 1), None)])
+    def test_rejects_non_integral_orders(self, ks, m):
+        with pytest.raises(ParameterError):
+            cov.BalanceSpec(ks=ks, q=2, m=m, r="inf")
+
+    def test_integral_floats_become_ints(self):
+        spec = cov.BalanceSpec(ks=(0.0, 1.0), q=2, m=3.0, r="inf")
+        assert spec.ks == (0, 1) and type(spec.ks[0]) is int
+        assert spec.m == 3 and type(spec.m) is int
 
 
 class TestBesicovitchSelection:
