@@ -145,7 +145,7 @@ def _resolve_params(args) -> gn.GNParams:
     if preset == "l12":
         return gn.l12_params()
     if preset == "l6":
-        return gn.l6_params(getattr(args, "k", 1) or 1)
+        return gn.l6_params(args.k)
     if preset is not None:
         raise ParameterError(f"unknown preset {preset!r}")
     if args.ks is None or args.j is None or args.m is None:

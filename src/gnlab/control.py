@@ -15,6 +15,8 @@ fourth-order scheme.  Because the chain is triangular and x4 feeds back
 into nothing, the steps are swept in blocks one state at a time, each
 state an elementwise increment array and a cumulative sum along time;
 the result is bit-identical to stepping the scheme one step at a time.
+A run whose chain (states and stage controls, times the batch) would take
+more than the package's byte cap is refused before anything is allocated.
 It cross-checks the terminal formula by quadrature, fits the
 epsilon-scaling exponents of the bump control family
 w(t) = eps * chi'''(t * eps^{-a}), and probes the p >= 12 sign
@@ -42,6 +44,7 @@ import numpy as np
 from . import funcspace as fs
 from .errors import (ParameterError, PreconditionError, InvariantError,
                      DivergenceError)
+from .extremal import BASIS_BYTES_CAP
 from .norms import simpson
 
 DEFAULT_STEPS = 2 ** 14
@@ -165,13 +168,21 @@ class Trajectory:
         return self.states[:, -1]
 
 
-def _stage_times(T: float, steps: int) -> np.ndarray:
-    """Nodes and midpoints of the step grid; the one check of `steps` and
-    of a finite horizon, which every integration passes first."""
+def _stage_times(T: float, steps: int, batch: int = 1) -> np.ndarray:
+    """Nodes and midpoints of the step grid; the one check of `steps`, of
+    a finite horizon and of the chain's footprint, which every integration
+    passes first.  The footprint is the states (4, steps+1) and the stage
+    controls (2*steps+1) of each of `batch` runs, refused above the
+    package's byte cap before anything is allocated."""
     if steps < 2:
         raise ParameterError(f"steps must be >= 2, got {steps}")
     if not math.isfinite(T):
         raise ParameterError(f"horizon T must be finite, got {T}")
+    need = 8 * batch * (4 * (steps + 1) + 2 * steps + 1)
+    if need > BASIS_BYTES_CAP:
+        raise ParameterError(
+            f"the chain for {steps} steps x {batch} runs needs {need} bytes, "
+            f"above the {BASIS_BYTES_CAP}-byte cap")
     return np.linspace(0.0, T, 2 * steps + 1)
 
 
@@ -366,6 +377,7 @@ def scaling_experiment(p: int, a: float, eps: Sequence[float], T: float = 1.0,
     support [0, eps^a] must fit inside [0, T].  Zero terminal values are
     dropped from the fit; a single surviving point yields no slope.
     """
+    stage_t = _stage_times(T, steps, len(eps))
     eps = [float(e) for e in eps]
     if not eps or any(e <= 0 for e in eps):
         raise ParameterError("epsilon list must be nonempty and positive")
@@ -376,7 +388,6 @@ def scaling_experiment(p: int, a: float, eps: Sequence[float], T: float = 1.0,
     laws = [ScaledBumpTriple(e, a) for e in eps]
     for law in laws:
         _law_support_check(law, T)
-    stage_t = _stage_times(T, steps)
     w = np.stack([law(stage_t) for law in laws], axis=1)
     states = _rk4_chain(w, T, steps, p)
     x4 = states[3, -1, :]
@@ -458,7 +469,7 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
         raise ParameterError(
             f"T^(p-12) eta^(p-6) = {budget:g} exceeds 1; outside the regime")
 
-    stage_t = _stage_times(T, steps)
+    stage_t = _stage_times(T, steps, trials)
     modes = np.arange(1, NOISE_MODES + 1)
     sin_mat = np.sin(np.pi * np.outer(stage_t, modes) / T)
     coeffs = np.empty((NOISE_MODES, trials))

@@ -10,7 +10,10 @@ where v = D^{k_1}u ... D^{k_kappa}u.  On the set E where both u and v are
 nonzero, alpha dominates for small windows and beta for large ones, so the
 critical radius r_x (first crossing of alpha - beta) is well defined; the
 intervals (x - r_x, x + r_x) satisfy the balance equality exactly, and a
-greedy selection covers E with overlap at most 4.
+greedy selection covers E with overlap at most 4.  Both functions and the
+radii are methods of one BalanceEvaluator per grid function; each public
+call refuses a non-finite x, or an h that is not finite and positive,
+with a ParameterError.
 
 Window integrals (trapezoid cells with quadratic in-cell end pieces) and
 window maxima (nodes with interpolated ends) both take their whole runs
@@ -45,7 +48,7 @@ import numpy as np
 
 from .errors import InvariantError, NoCrossingError, ParameterError
 from .funcspace import GridFunction
-from .norms import derivative_product
+from .norms import _check_exponent, _order, derivative_product
 
 #: relative balance equality tolerance per selected interval
 BALANCE_TOL = 1e-6
@@ -57,17 +60,6 @@ SCAN_FACTOR = 1.05
 BISECT_STEPS = 60
 #: scan ceiling, in units of the domain length
 HMAX_FACTOR = 10.0
-
-
-def _order(name: str, k) -> int:
-    """k as an int; a derivative order that is not a whole number is
-    refused rather than truncated."""
-    try:
-        if k == int(k):
-            return int(k)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ParameterError(f"{name} must be an integer, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -87,15 +79,12 @@ class BalanceSpec:
             raise ParameterError("ks must be nonempty, sorted, nonnegative")
         if m <= ks[-1]:
             raise ParameterError("m must exceed every product order")
-        for name, v in (("q", self.q), ("r", self.r)):
-            if not (float(v) >= 1.0 or math.isinf(float(v))):
-                raise ParameterError(f"{name} must be >= 1 or inf")
         if self.mode not in ("real-line", "bounded"):
             raise ParameterError("mode must be real-line|bounded")
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "q", _check_exponent(self.q))
+        object.__setattr__(self, "r", _check_exponent(self.r))
 
     @property
     def kappa(self) -> int:
@@ -238,6 +227,17 @@ class _Side:
         return self(np.where(high == (self.a >= 0), l_wide, l_narrow), s)
 
 
+def _finite(name: str, a, positive: bool = False) -> np.ndarray:
+    """a as a float array; an entry that is not finite (or, if
+    ``positive``, not above 0) is a ParameterError."""
+    a = np.asarray(a, dtype=float)
+    bad = ~np.isfinite(a) | (positive & (a <= 0.0))
+    if np.any(bad):
+        need = "finite and positive" if positive else "finite"
+        raise ParameterError(f"{name} must be {need}, got {a[bad].flat[0]}")
+    return a
+
+
 class BalanceEvaluator:
     """Vectorized alpha/beta over many (x, h) pairs for one grid function."""
 
@@ -268,17 +268,20 @@ class BalanceEvaluator:
         return lo_pos, hi_pos, length
 
     def _balance(self, side, x, h):
-        lo, hi, length = self._window(np.asarray(x, dtype=float),
-                                      np.asarray(h, dtype=float))
+        """l^a S^e of ``side`` over float arrays of x and h, unchecked."""
+        lo, hi, length = self._window(x, h)
         return side(length, side.norm(lo, hi))
 
     def alpha(self, x, h):
-        """alpha_x(h) over arrays of x and h."""
-        return self._balance(self._alpha, x, h)
+        """alpha_x(h) over arrays of x and h; a non-finite x, or an h that
+        is not finite and positive, is a ParameterError."""
+        return self._balance(self._alpha, _finite("x", x),
+                             _finite("h", h, positive=True))
 
     def beta(self, x, h):
-        """beta_x(h) over arrays of x and h."""
-        return self._balance(self._beta, x, h)
+        """beta_x(h) over arrays of x and h, checked as in ``alpha``."""
+        return self._balance(self._beta, _finite("x", x),
+                             _finite("h", h, positive=True))
 
     def working_set(self, stride: int = 1,
                     threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -324,9 +327,10 @@ class BalanceEvaluator:
         sign of every rung passed, and then s doubles.  Otherwise s
         halves, and a target past the crossing caps later moves.  At
         s = 1 the point evaluates the next rung, as a rung-by-rung scan
-        would, so the brackets are that scan's.
+        would, so the brackets are that scan's.  xs is checked once, as
+        in ``alpha``; the scan and the bisection evaluate unchecked.
         """
-        xs = np.asarray(xs, dtype=float)
+        xs = _finite("xs", xs)
         ladder, start, hmin, hmax = self._ladder()
         al, be = self._alpha, self._beta
         delta = al.delta
@@ -402,42 +406,18 @@ class BalanceEvaluator:
             todo, mid = todo[moves], mid[moves]
             if not todo.size:
                 break
-            take_hi = (self.alpha(xs[todo], mid)
-                       - self.beta(xs[todo], mid)) <= 0.0
+            take_hi = (self._balance(al, xs[todo], mid)
+                       - self._balance(be, xs[todo], mid)) <= 0.0
             hi[todo[take_hi]] = mid[take_hi]
             lo[todo[~take_hi]] = mid[~take_hi]
         return 0.5 * (lo + hi)
-
-
-def _check_finite(**values):
-    for name, v in values.items():
-        if not math.isfinite(v):
-            raise ParameterError(f"{name} must be finite, got {v}")
-
-
-def balance_alpha(u: GridFunction, x: float, h: float,
-                  spec: BalanceSpec) -> float:
-    """alpha_x(h) = |J|^{kbar-1/(q kappa)} ||v||_{L^q(J)}^{1/kappa}."""
-    _check_finite(x=x, h=h)
-    if h <= 0:
-        raise ParameterError("h must be positive")
-    return float(BalanceEvaluator(u, spec).alpha(np.array([x]), np.array([h]))[0])
-
-
-def balance_beta(u: GridFunction, x: float, h: float,
-                 spec: BalanceSpec) -> float:
-    """beta_x(h) = |J|^{m-1/r} ||D^m u||_{L^r(J)}."""
-    _check_finite(x=x, h=h)
-    if h <= 0:
-        raise ParameterError("h must be positive")
-    return float(BalanceEvaluator(u, spec).beta(np.array([x]), np.array([h]))[0])
 
 
 def critical_radius(u: GridFunction, x: float, spec: BalanceSpec,
                     threshold: float = DEFAULT_THRESHOLD) -> float:
     """Smallest h with alpha_x(h) = beta_x(h), located by geometric scan
     plus bisection.  Requires x in the working set E."""
-    _check_finite(x=x)
+    _finite("x", x)
     ev = BalanceEvaluator(u, spec)
     if spec.mode == "real-line" and not spec.kbar < spec.m - 1:
         raise ParameterError(
@@ -467,14 +447,10 @@ def besicovitch_select(centers, radii) -> list:
     With the selected ends in two sorted lists, #{lo < c} - #{hi <= c}
     selected intervals contain c; one that rounds to a point is left out.
     """
-    centers = np.asarray(centers, dtype=float)
-    radii = np.asarray(radii, dtype=float)
+    centers = _finite("centers", centers)
+    radii = _finite("radii", radii, positive=True)
     if centers.shape != radii.shape:
         raise ParameterError("centers and radii must have equal length")
-    if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(radii))):
-        raise ParameterError("centers and radii must be finite")
-    if np.any(radii <= 0):
-        raise ParameterError("radii must be positive")
     order = np.lexsort((np.arange(centers.size), -radii))
     los: list = []
     his: list = []

@@ -56,9 +56,10 @@ REPORT_GRID_N = 2 ** 16 + 1
 # either value moves search results, not just roundoff.
 SEMINORM_SEARCH_STRIDE = 8
 SEMINORM_REPORT_N = 4097
-# The cached candidate basis takes 8 * dimension * (dimension + (order + 1)
-# * n) bytes per grid (16 x 65537 x 3: 25 MB) and building it peaks at about
-# 2.7 times that, so larger bases are refused before allocation.
+# The package's one byte cap.  The cached candidate basis takes 8 * dimension
+# * (dimension + (order + 1) * n) bytes per grid (16 x 65537 x 3: 25 MB) and
+# building it peaks at about 2.7 times that, so larger bases are refused
+# before allocation; `control` refuses larger RK4 chains the same way.
 BASIS_BYTES_CAP = 2 ** 30
 CEILING_SLACK = 1e-3
 WARM_START_POWERS = (0.82, 0.85, 0.9, 1.0)
@@ -85,37 +86,6 @@ FORM_MIN_DIMENSION = SPLINE_DEGREE + 3
 FACTOR_ROWS = SEARCH_GRID_N
 
 Target = Union[str, gn.GNParams]
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """Coefficient vector of one spline-times-bump trial function."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        c = tuple(float(v) for v in self.coeffs)
-        if len(c) < 6:
-            raise ParameterError("candidate needs at least 6 coefficients")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coeffs)
-
-    def normalized(self) -> "Candidate":
-        arr = np.asarray(self.coeffs)
-        nrm = float(np.linalg.norm(arr))
-        if nrm == 0.0:
-            raise ParameterError("all-zero candidate cannot be normalized")
-        return Candidate(tuple(arr / nrm))
-
-    def function(self) -> fs.SplineBump:
-        return fs.SplineBump(self.coeffs)
-
-    @classmethod
-    def random(cls, rng: np.random.Generator, dimension: int = 8) -> "Candidate":
-        return cls(tuple(rng.standard_normal(dimension)))
 
 
 def _check_grid_n(n) -> None:
@@ -338,12 +308,13 @@ def warm_starts(value_matrix: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one estimate_constant run."""
+    """Outcome of one estimate_constant run; ``candidate`` holds the unit
+    coefficient vector of the winning spline bump."""
 
     target: str
     ratio: float
     search_ratio: float
-    candidate: Candidate
+    candidate: tuple
     trace: tuple
     evaluations: int
     degenerate: int
@@ -355,7 +326,7 @@ class SearchResult:
         return {"target": self.target,
                 "ratio": self.ratio,
                 "search_ratio": self.search_ratio,
-                "candidate": list(self.candidate.coeffs),
+                "candidate": list(self.candidate),
                 "trace": [dict(t) for t in self.trace],
                 "evaluations": self.evaluations,
                 "degenerate": self.degenerate,
@@ -450,7 +421,7 @@ def estimate_constant(target: Target,
             f"ratio {fine} exceeds the proof ceiling {ceiling} for {label}")
     return SearchResult(target=label, ratio=float(fine),
                         search_ratio=float(best),
-                        candidate=Candidate(tuple(best_vec)),
+                        candidate=tuple(best_vec.tolist()),
                         trace=tuple(trace), evaluations=evals,
                         degenerate=degenerate, grid_n=config.grid_n,
                         report_grid_n=report_n, config=config)

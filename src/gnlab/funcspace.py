@@ -468,31 +468,6 @@ class Sum(AnalyticFunction):
                 "support": list(self.support)}
 
 
-def from_descriptor(desc: dict) -> AnalyticFunction:
-    """Rebuild a family from its JSON descriptor {family, params, support}."""
-    fam = desc.get("family")
-    params = desc.get("params", {})
-    if fam == "bumpchi":
-        return BumpChi()
-    if fam == "scaledbump":
-        return ScaledBump(params["a"], params["b"])
-    if fam == "polynomial":
-        return Polynomial(tuple(params["coeffs"]),
-                          tuple(desc.get("support", (0.0, 1.0))))
-    if fam == "sinebump":
-        return SineBump(int(params["frequency"]))
-    if fam == "splinebump":
-        return SplineBump(params["coeffs"], params.get("knots"),
-                          int(params.get("degree", 5)))
-    if fam == "rescaled":
-        return Rescaled(from_descriptor(params["base"]),
-                        params["a"], params["b"])
-    if fam == "sum":
-        return Sum([(t["coef"], from_descriptor(t["fn"]))
-                    for t in params["terms"]])
-    raise ParameterError(f"unknown family {fam!r}")
-
-
 # ---------------------------------------------------------------------------
 # sampled carrier
 # ---------------------------------------------------------------------------
@@ -536,12 +511,6 @@ class GridFunction:
     @property
     def grid(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.n)
-
-    def derivative(self, i: int) -> np.ndarray:
-        if not 0 <= i <= self.max_derivative:
-            raise ParameterError(
-                f"derivative {i} not in stored stack (max {self.max_derivative})")
-        return self.stack[i]
 
     @classmethod
     def from_samples(cls, values, interval, m: int) -> "GridFunction":

@@ -14,7 +14,10 @@ the relation collapses to the dual form 1/p = theta/r + (1-theta)/(q kappa)
 and the two residuals must agree identically.
 
 All exponent arithmetic is exact (Fractions, with 1/inf = 0) so residuals
-of valid tuples are exactly zero rather than float noise.
+of valid tuples are exactly zero rather than float noise.  Exponents and
+derivative orders are checked by the rules of `norms`: an exponent is
+>= 1 or +inf, and an order that is not a whole number is refused, never
+truncated.  `ibp_identities` returns both identity residuals.
 """
 
 from __future__ import annotations
@@ -28,29 +31,30 @@ import numpy as np
 from .errors import (InfeasibleError, InvariantError, ParameterError,
                      PreconditionError)
 from .funcspace import GridFunction
-from .norms import (INF, NormSpec, ProductSpec, gagliardo_seminorm,
-                    lebesgue_norm, product_norm, simpson)
+from .norms import (INF, NormSpec, ProductSpec, _check_exponent, _order,
+                    gagliardo_seminorm, lebesgue_norm, product_norm, simpson)
 
 RESIDUAL_TOL = 1e-12
 
 
 def _fraction(x) -> Fraction:
-    """Fraction(x); malformed text is a ParameterError."""
+    """Fraction(x); malformed text or a non-finite float is a
+    ParameterError."""
     try:
         return Fraction(x)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParameterError(f"bad number {x!r}: {exc}") from None
 
 
 def as_exponent(x):
-    """Normalize an exponent to Fraction, or inf."""
+    """Normalize an exponent to Fraction, or INF for +inf only."""
     if x is None:
         return None
     if isinstance(x, str):
         if x.strip().lower() in ("inf", "infinity"):
             return INF
         return _fraction(x)
-    if isinstance(x, float) and math.isinf(x):
+    if isinstance(x, float) and x == INF:
         return INF
     return _fraction(x)
 
@@ -64,7 +68,8 @@ def _inv(x) -> Fraction:
 
 def theta_star(ks, j: int, m: int) -> Fraction:
     """Critical interpolation weight (j - kbar)/(m - kbar)."""
-    ks = tuple(int(k) for k in ks)
+    ks = tuple(_order("ks entry", k) for k in ks)
+    j, m = _order("j", j), _order("m", m)
     if not ks or ks[-1] > j or not j < m:
         raise ParameterError("orders must satisfy k_kappa <= j < m")
     kbar = Fraction(sum(ks), len(ks))
@@ -93,7 +98,9 @@ class GNParams:
         q = as_exponent(self.q)
         r = as_exponent(self.r)
         th = self.theta if isinstance(self.theta, Fraction) else _fraction(self.theta)
-        ks = tuple(int(k) for k in self.ks)
+        ks = tuple(_order("ks entry", k) for k in self.ks)
+        object.__setattr__(self, "j", _order("j", self.j))
+        object.__setattr__(self, "m", _order("m", self.m))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
@@ -173,7 +180,7 @@ def solve_exponent(p=None, q=None, r=None, ks=(), j=0, m=1, theta=None) -> GNPar
             f"exactly one of p, q, theta must be unknown, got {unknowns}")
     if r is None:
         raise ParameterError("r must be given")
-    ks = tuple(int(k) for k in ks)
+    ks = tuple(_order("ks entry", k) for k in ks)
     kappa = len(ks)
     kbar = Fraction(sum(ks), kappa) if ks else None
     ts = theta_star(ks, j, m)
@@ -291,8 +298,7 @@ class BoundedExtras:
     def __post_init__(self):
         if self.k0 < 0:
             raise ParameterError("k0 must be >= 0")
-        if not (float(self.s) >= 1.0 or math.isinf(float(self.s))):
-            raise ParameterError("s must be >= 1 or inf")
+        _check_exponent(self.s)
         if self.omega is not None:
             lo, hi = self.omega
             if not (0.0 <= lo < hi <= 1.0):
@@ -347,23 +353,17 @@ def evaluate_localized(u: GridFunction, params: GNParams,
 
 @dataclass(frozen=True)
 class IbpResiduals:
-    l4: float | None
-    l6: float | None
-
-    def __iter__(self):
-        return iter((self.l4, self.l6))
+    l4: float
+    l6: float
 
 
-def ibp_identities(u: GridFunction, which: str | None = None) -> IbpResiduals:
+def ibp_identities(u: GridFunction) -> IbpResiduals:
     """Normalized residuals of the two derivative-product identities.
 
     L4: integral (u')^4 + 3 integral u (u')^2 u''  (vanishes for compact u)
     L6: integral (u')^6 + 5 integral u (u')^4 u''
     Each residual is normalized by its positive term; zero functions give 0.
-    `which` restricts the computation to "L4" or "L6".
     """
-    if which not in (None, "L4", "L6"):
-        raise ParameterError("which must be None, 'L4' or 'L6'")
     u0, u1, u2 = u.stack[0], u.stack[1], u.stack[2]
     dx = u.dx
 
@@ -374,9 +374,7 @@ def ibp_identities(u: GridFunction, which: str | None = None) -> IbpResiduals:
         cross = float(simpson(u0 * u1 ** (power - 2) * u2, dx))
         return (pos + factor * cross) / pos
 
-    l4 = residual(4, 3.0) if which in (None, "L4") else None
-    l6 = residual(6, 5.0) if which in (None, "L6") else None
-    return IbpResiduals(l4, l6)
+    return IbpResiduals(residual(4, 3.0), residual(6, 5.0))
 
 
 #: proof ceilings for the two derivative-product ratios
@@ -451,7 +449,7 @@ def open_problem_probe(corpus, q, ks) -> list:
     where the fractional seminorm of order 1/2 in L^{q kappa} stands in.
     No pass/fail: exploration output only.
     """
-    ks = tuple(int(k) for k in ks)
+    ks = tuple(_order("ks entry", k) for k in ks)
     if not ks:
         raise ParameterError("ks must be nonempty")
     kappa = len(ks)

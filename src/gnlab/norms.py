@@ -68,11 +68,26 @@ def simpson_weights(n: int, dx: float) -> np.ndarray:
     return w * (dx / 3.0)
 
 
-def _check_exponent(p):
-    p = float(p)
+def _check_exponent(p) -> float:
+    """p as a float: the one exponent rule, p >= 1 or p = +inf."""
+    try:
+        p = float(p)
+    except (TypeError, ValueError):
+        raise ParameterError(f"exponent must be a number, got {p!r}") from None
     if not (p >= 1.0):
-        raise ParameterError(f"exponent must be >= 1, got {p}")
+        raise ParameterError(f"exponent must be >= 1 or inf, got {p}")
     return p
+
+
+def _order(name: str, k) -> int:
+    """k as an int: the one derivative-order rule, so an order that is not
+    a whole number is refused rather than truncated."""
+    try:
+        if k == int(k):
+            return int(k)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{name} must be an integer, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +100,10 @@ class NormSpec:
 
     def __post_init__(self):
         _check_exponent(self.p)
-        if self.j < 0:
+        j = _order("derivative order", self.j)
+        if j < 0:
             raise ParameterError("derivative order must be >= 0")
+        object.__setattr__(self, "j", j)
 
 
 @dataclass(frozen=True)
@@ -98,7 +115,7 @@ class ProductSpec:
     domain: tuple | None = None
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.ks)
+        ks = tuple(_order("order", k) for k in self.ks)
         if not ks:
             raise ParameterError("order list must be nonempty")
         if list(ks) != sorted(ks):

@@ -1,6 +1,7 @@
 """End-to-end command dispatch, exit codes, and artifact determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -38,6 +39,13 @@ class TestParams:
     def test_malformed_number_is_parameter_error(self, tmp_path, q, theta):
         assert run(tmp_path, "params", "--ks", "0,1,2", "--j", "2", "--m",
                    "3", "--q", q, "--theta", theta) == 2
+
+    @pytest.mark.parametrize("command", ["params", "cover"])
+    def test_l6_preset_refuses_k_zero(self, tmp_path, command):
+        # k = 0 is outside the l6 family; it must not run as k = 1
+        assert run(tmp_path, command, "--preset", "l6", "--k", "0",
+                   "--deterministic") == 2
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestEnvelope:
@@ -234,6 +242,28 @@ def test_non_finite_or_vacuous_floats_are_refused(tmp_path, argv):
     """Refused before a report with bare NaN/Infinity or an empty cover
     can be written."""
     assert run(tmp_path, *argv, "--deterministic") == 2
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["control", "obstruction", "--p", "12", "--T", "1", "--eta", "0.8",
+     "--trials", "100000"],
+    ["control", "scaling", "--p", "7", "--a", "0.3", "--eps", "1e-4:1e-2:3",
+     "--steps", "200000000"],
+    ["control", "p1", "--steps", "300000000"],
+], ids=["obstruction-trials", "scaling-steps", "p1-steps"])
+def test_oversized_control_runs_are_refused_up_front(tmp_path, capsys, argv):
+    """The chain's footprint (gigabytes here) is refused with its cost in
+    bytes before any of it is allocated."""
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, *argv, "--deterministic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2 ** 24
+    assert "bytes" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

