@@ -118,8 +118,10 @@ def _parse_interval(text: str) -> tuple:
         raise ParameterError(f"bad interval {text!r}: {exc}") from None
 
 
-def _parse_eps_range(text: str) -> np.ndarray:
-    """start:end:count geometric range, e.g. 1e-2:1e-4:5."""
+def _parse_eps_range(text: str, steps: int) -> np.ndarray:
+    """start:end:count geometric range, e.g. 1e-2:1e-4:5; a count whose
+    chain of `steps` steps is above the byte cap is refused before the
+    range is built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ParameterError(
@@ -131,6 +133,7 @@ def _parse_eps_range(text: str) -> np.ndarray:
         raise ParameterError(f"bad epsilon range {text!r}: {exc}") from None
     if start <= 0 or end <= 0 or count < 1:
         raise ParameterError("epsilon range needs positive bounds, count >= 1")
+    ct.check_chain_size(steps, count)
     return np.geomspace(start, end, count)
 
 
@@ -168,6 +171,12 @@ def _corpus_selection(name: str):
 
 
 def _sample_corpus(selection, n: int, order: int):
+    """The selected functions' stacks to `order` on n nodes, refused up
+    front when they and 20 working arrays of n values (up to about 16
+    were measured for the norms and ratios) are above the byte cap."""
+    ex.refuse_above_cap(
+        f"{len(selection)} sampled stack(s) to order {order} on {n} nodes",
+        8 * n * (len(selection) * (order + 1) + 20))
     return [(name, fs.sample(f, (0.0, 1.0), n, order)) for name, f in selection]
 
 
@@ -228,6 +237,8 @@ def cmd_cover(args) -> int:
     params = _resolve_params(args)
     spec = cov.BalanceSpec.from_params(params, mode=args.mode)
     selection = _corpus_selection(args.function)
+    ex.refuse_above_cap(f"a cover on {args.N} nodes",
+                        cov.cover_bytes(args.N, spec.m))
     reports = []
     for name, f in selection:
         u = fs.sample(f, (0.0, 1.0), args.N, spec.m)
@@ -309,7 +320,7 @@ def cmd_control(args) -> int:
     if args.kind == "scaling":
         if not args.eps:
             raise ParameterError("scaling needs --eps start:end:count")
-        eps = _parse_eps_range(args.eps)
+        eps = _parse_eps_range(args.eps, args.steps)
         report = ct.scaling_experiment(args.p, args.a, eps, T=args.T,
                                        steps=args.steps)
         _write_csv(args, "scaling.csv", ["eps", "x4", "sign"],

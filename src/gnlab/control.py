@@ -15,6 +15,8 @@ fourth-order scheme.  Because the chain is triangular and x4 feeds back
 into nothing, the steps are swept in blocks one state at a time, each
 state an elementwise increment array and a cumulative sum along time;
 the result is bit-identical to stepping the scheme one step at a time.
+The power term x1^p is |x1|^p with x1's sign restored for odd p, in the
+sweep and in the quadrature check alike.
 A run whose chain (states and stage controls, times the batch) would take
 more than the package's byte cap is refused before anything is allocated.
 It cross-checks the terminal formula by quadrature, fits the
@@ -44,8 +46,8 @@ import numpy as np
 from . import funcspace as fs
 from .errors import (ParameterError, PreconditionError, InvariantError,
                      DivergenceError)
-from .extremal import BASIS_BYTES_CAP
-from .norms import simpson
+from .extremal import refuse_above_cap
+from .norms import simpson, simpson_weights
 
 DEFAULT_STEPS = 2 ** 14
 TERMINAL_TOL = 1e-8
@@ -168,21 +170,34 @@ class Trajectory:
         return self.states[:, -1]
 
 
+def _power(y: np.ndarray, p: int) -> np.ndarray:
+    """y^p as |y|^p with y's sign restored for odd p.
+
+    numpy's float power on a negative base costs several times its cost
+    on |y|; both are within an ulp of the exact power, and copysign keeps
+    -0.0, +-inf and NaN as y ** p does.
+    """
+    mag = np.abs(y) ** p
+    return np.copysign(mag, y, out=mag) if p % 2 else mag
+
+
+def check_chain_size(steps: int, batch: int) -> None:
+    """Refuse, before anything is allocated, a chain whose footprint is
+    above the package's byte cap: the states (4, steps+1) and the stage
+    controls (2*steps+1) of each of `batch` runs."""
+    refuse_above_cap(f"the chain for {steps} steps x {batch} runs",
+                     8 * batch * (4 * (steps + 1) + 2 * steps + 1))
+
+
 def _stage_times(T: float, steps: int, batch: int = 1) -> np.ndarray:
     """Nodes and midpoints of the step grid; the one check of `steps`, of
     a finite horizon and of the chain's footprint, which every integration
-    passes first.  The footprint is the states (4, steps+1) and the stage
-    controls (2*steps+1) of each of `batch` runs, refused above the
-    package's byte cap before anything is allocated."""
+    passes first."""
     if steps < 2:
         raise ParameterError(f"steps must be >= 2, got {steps}")
     if not math.isfinite(T):
         raise ParameterError(f"horizon T must be finite, got {T}")
-    need = 8 * batch * (4 * (steps + 1) + 2 * steps + 1)
-    if need > BASIS_BYTES_CAP:
-        raise ParameterError(
-            f"the chain for {steps} steps x {batch} runs needs {need} bytes, "
-            f"above the {BASIS_BYTES_CAP}-byte cap")
+    check_chain_size(steps, batch)
     return np.linspace(0.0, T, 2 * steps + 1)
 
 
@@ -211,7 +226,7 @@ def _rk4_chain(w_stages: np.ndarray, T: float, steps: int, p: int) -> np.ndarray
     rows = max(1, _BLOCK_ENTRIES // max(batch, 1))
 
     def power_term(y1, y2, y3):
-        return (y1 * y2 * y3) ** 2 - y1 ** p
+        return (y1 * y2 * y3) ** 2 - _power(y1, p)
 
     def advance(state, lo, hi, a, b, c, d):
         inc = (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
@@ -299,7 +314,7 @@ def terminal_formula_check(sys: ControlSystem, law: ControlLaw,
             f"terminal chain state {triple} exceeds {terminal_tol:g}; "
             "the quadrature identity needs x1(T)=x2(T)=x3(T)=0")
     h = sys.T / steps
-    quad = simpson((x3 * x2 * x1) ** 2, h) - simpson(x1 ** sys.p, h)
+    quad = simpson((x3 * x2 * x1) ** 2, h) - simpson(_power(x1, sys.p), h)
     x4t = float(x4[-1])
     residual = abs(x4t - quad) / max(abs(x4t), 1e-30)
     return {"x4_terminal": x4t, "quadrature": float(quad),
@@ -419,6 +434,29 @@ def _constraint_matrix(T: float) -> np.ndarray:
     return m
 
 
+def _noise_controls(stage_t: np.ndarray, T: float, trials: int,
+                    seed: int) -> np.ndarray:
+    """(stage points, trials) low-pass noise sum_k c_k sin(pi k t / T),
+    c_k ~ N(0, 1)/k drawn from the stream seeded by (seed, trial)."""
+    modes = np.arange(1, NOISE_MODES + 1)
+    coeffs = np.empty((NOISE_MODES, trials))
+    for idx in range(trials):
+        rng = np.random.default_rng([seed, idx])
+        coeffs[:, idx] = rng.standard_normal(NOISE_MODES) / modes
+    return np.sin(np.pi * np.outer(stage_t, modes) / T) @ coeffs
+
+
+def _terminal_targets(w: np.ndarray, stage_t: np.ndarray,
+                      T: float) -> np.ndarray:
+    """x1(T), x2(T), x3(T) of each control column of w: Simpson on the
+    stage grid of the weights 1, T - t, (T - t)^2 / 2 times w, with the
+    weights folded into the rule's, as one (3, stages) @ w product."""
+    weights = np.stack([np.ones_like(stage_t), T - stage_t,
+                        0.5 * (T - stage_t) ** 2])
+    rule = simpson_weights(stage_t.size, T / (stage_t.size - 1))
+    return (weights * rule) @ w
+
+
 @dataclass(frozen=True)
 class ObstructionReport:
     """Sign check of x4(T) over random constrained controls."""
@@ -470,20 +508,10 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
             f"T^(p-12) eta^(p-6) = {budget:g} exceeds 1; outside the regime")
 
     stage_t = _stage_times(T, steps, trials)
-    modes = np.arange(1, NOISE_MODES + 1)
-    sin_mat = np.sin(np.pi * np.outer(stage_t, modes) / T)
-    coeffs = np.empty((NOISE_MODES, trials))
-    for idx in range(trials):
-        rng = np.random.default_rng([seed, idx])
-        coeffs[:, idx] = rng.standard_normal(NOISE_MODES) / modes
-    w = sin_mat @ coeffs
-
+    w = _noise_controls(stage_t, T, trials, seed)
     basis = np.stack([np.ones_like(stage_t), stage_t, stage_t ** 2], axis=1)
-    weights = np.stack([np.ones_like(stage_t), T - stage_t,
-                        0.5 * (T - stage_t) ** 2])
-    targets = np.stack([simpson(weights[i][:, None] * w, T / (2 * steps))
-                        for i in range(3)])
-    correction = np.linalg.solve(_constraint_matrix(T), targets)
+    correction = np.linalg.solve(_constraint_matrix(T),
+                                 _terminal_targets(w, stage_t, T))
     w = w - basis @ correction
 
     sup = np.max(np.abs(w), axis=0)

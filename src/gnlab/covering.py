@@ -527,6 +527,15 @@ class CoverReport:
         return rows
 
 
+def cover_bytes(n: int, m: int) -> int:
+    """Footprint of `build_cover` on n nodes from a stack to order m: the
+    stack, the two run tables of levels x 2^levels entries, and 72 working
+    arrays of n values for the radii search (63-65 were measured at full
+    centre resolution)."""
+    levels = max(1, (n - 1).bit_length())
+    return 8 * ((m + 1 + 72) * n + 2 * levels * (1 << levels))
+
+
 def build_cover(u: GridFunction, spec: BalanceSpec,
                 e_resolution: int | None = None,
                 threshold: float = DEFAULT_THRESHOLD) -> CoverReport:

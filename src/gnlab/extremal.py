@@ -59,7 +59,8 @@ SEMINORM_REPORT_N = 4097
 # The package's one byte cap.  The cached candidate basis takes 8 * dimension
 # * (dimension + (order + 1) * n) bytes per grid (16 x 65537 x 3: 25 MB) and
 # building it peaks at about 2.7 times that, so larger bases are refused
-# before allocation; `control` refuses larger RK4 chains the same way.
+# before allocation; `control` refuses larger RK4 chains, and the command
+# line larger covers and sampled corpora, the same way (`refuse_above_cap`).
 BASIS_BYTES_CAP = 2 ** 30
 CEILING_SLACK = 1e-3
 WARM_START_POWERS = (0.82, 0.85, 0.9, 1.0)
@@ -86,6 +87,14 @@ FORM_MIN_DIMENSION = SPLINE_DEGREE + 3
 FACTOR_ROWS = SEARCH_GRID_N
 
 Target = Union[str, gn.GNParams]
+
+
+def refuse_above_cap(what: str, need: int) -> None:
+    """ParameterError, with the cost, when ``what`` needs more than
+    BASIS_BYTES_CAP bytes; called before anything of it is allocated."""
+    if need > BASIS_BYTES_CAP:
+        raise ParameterError(
+            f"{what} needs {need} bytes, above the {BASIS_BYTES_CAP}-byte cap")
 
 
 def _check_grid_n(n) -> None:
@@ -180,11 +189,8 @@ def _grid_objective(target: Target, dimension: int, n: int, stride: int = 1):
         raise ParameterError(
             f"ratio-half subsamples {n} nodes by {stride}: n - 1 must be "
             f"a multiple of {stride} so the last kept node is x = 1")
-    need = 8 * dimension * (dimension + (order + 1) * n)
-    if need > BASIS_BYTES_CAP:
-        raise ParameterError(
-            f"the candidate basis for dimension {dimension} on {n} nodes "
-            f"needs {need} bytes, above the {BASIS_BYTES_CAP}-byte cap")
+    refuse_above_cap(f"the candidate basis for dimension {dimension} on "
+                     f"{n} nodes", 8 * dimension * (dimension + (order + 1) * n))
     basis = _basis_matrices(dimension, n, order)
 
     def ratio(coeffs: np.ndarray) -> float:

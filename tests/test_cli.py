@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import gnlab.extremal as ex
 from gnlab.cli import main
 
 
@@ -251,10 +252,16 @@ def test_non_finite_or_vacuous_floats_are_refused(tmp_path, argv):
     ["control", "scaling", "--p", "7", "--a", "0.3", "--eps", "1e-4:1e-2:3",
      "--steps", "200000000"],
     ["control", "p1", "--steps", "300000000"],
-], ids=["obstruction-trials", "scaling-steps", "p1-steps"])
+    ["control", "scaling", "--p", "7", "--a", "0.3",
+     "--eps", "1e-4:1e-2:1000000000"],
+    ["check", "special", "--N", "300000001", "--no-fractional"],
+    ["cover", "--preset", "l12", "--N", "300000001"],
+], ids=["obstruction-trials", "scaling-steps", "p1-steps", "scaling-eps-count",
+        "check-N", "cover-N"])
 def test_oversized_control_runs_are_refused_up_front(tmp_path, capsys, argv):
-    """The chain's footprint (gigabytes here) is refused with its cost in
-    bytes before any of it is allocated."""
+    """The footprint of a chain, a sampled corpus or a cover (gigabytes
+    here) is refused with its cost in bytes before any of it is
+    allocated."""
     tracemalloc.start()
     try:
         code = run(tmp_path, *argv, "--deterministic")
@@ -265,6 +272,29 @@ def test_oversized_control_runs_are_refused_up_front(tmp_path, capsys, argv):
     assert peak < 2 ** 24
     assert "bytes" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--preset", "l12", "--N", "8193"],
+    ["check", "generalized", "--preset", "l12", "--N", "8193",
+     "--function", "all"],
+    ["check", "special", "--N", "8193", "--no-fractional", "--function", "all"],
+], ids=["cover", "check-generalized", "check-special"])
+def test_footprint_formulas_bound_the_traced_peak(tmp_path, capsys,
+                                                  monkeypatch, argv):
+    """A run's footprint formula is at least its traced peak: with the cap
+    set to that peak, the same run is refused up front."""
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, *argv, "--deterministic") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    monkeypatch.setattr(ex, "BASIS_BYTES_CAP", peak)
+    assert run(tmp_path / "capped", *argv, "--deterministic") == 2
+    assert "bytes" in capsys.readouterr().err
+    assert not (tmp_path / "capped" / "report.json").exists()
 
 
 class TestDispatch:

@@ -5,6 +5,8 @@ integrator tests into oracle comparisons instead of self-consistency
 checks.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -41,7 +43,10 @@ def stepwise_rk4_chain(w_stages, T, steps, p):
     x4 = np.zeros(batch)
 
     def rhs(w, y1, y2, y3):
-        return w, y1, y2, (y1 * y2 * y3) ** 2 - y1 ** p
+        # y1^p as the sweep evaluates it: |y1|^p, y1's sign for odd p
+        mag = np.abs(y1) ** p
+        return w, y1, y2, (y1 * y2 * y3) ** 2 - (
+            np.copysign(mag, y1) if p % 2 else mag)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(steps):
@@ -170,6 +175,35 @@ class TestIntegrator:
         with pytest.raises(DivergenceError) as err:
             ct._rk4_chain(w, 1.0, steps, 12)
         assert err.value.step == first
+
+
+class TestPowerRule:
+    """x1^p as |x1|^p with the sign restored for odd p."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 12, 13])
+    def test_within_one_ulp_of_exact_power(self, p):
+        rng = np.random.default_rng(p)
+        y = (rng.choice([-1.0, 1.0], 2000)
+             * np.exp(rng.uniform(-8.0, 2.0, 2000)))
+        got = ct._power(y, p)
+        for v, g in zip(y, got):
+            exact = Fraction(float(v)) ** p
+            ulp = Fraction(float(np.spacing(abs(float(exact)))))
+            assert abs(Fraction(float(g)) - exact) <= ulp
+
+    def test_first_power_is_the_identity(self):
+        y = np.random.default_rng(1).standard_normal(1000)
+        y[:2] = [0.0, -0.0]
+        got = ct._power(y, 1)
+        assert np.array_equal(got, y)
+        assert np.array_equal(np.signbit(got), np.signbit(y))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 12, 13])
+    def test_signed_zeros_infinities_and_nan_match_float_power(self, p):
+        y = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        got = ct._power(y, p)
+        assert np.array_equal(got, y ** p, equal_nan=True)
+        assert np.array_equal(np.signbit(got[:4]), np.signbit(y[:4] ** p))
 
 
 class TestSweepMatchesStepwise:
@@ -328,6 +362,18 @@ class TestObstruction:
             ct.obstruction_check(11, 1.0, 0.5)
         with pytest.raises(ParameterError):
             ct.obstruction_check(12, 1.0, 0.5, trials=0)
+
+    def test_projection_product_matches_per_row_simpson(self):
+        T, steps = 1.0, 2 ** 13
+        stage_t = ct._stage_times(T, steps, 100)
+        w = ct._noise_controls(stage_t, T, 100, 7)
+        got = ct._terminal_targets(w, stage_t, T)
+        weights = np.stack([np.ones_like(stage_t), T - stage_t,
+                            0.5 * (T - stage_t) ** 2])[:, :, None]
+        dx = T / (2 * steps)
+        ref = simpson(weights * w, dx=dx, axis=1)
+        scale = simpson(np.abs(weights * w), dx=dx, axis=1)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
     def test_report_serializes(self):
         rep = ct.obstruction_check(12, 1.0, 0.5, trials=4, seed=1, steps=512)
