@@ -172,11 +172,14 @@ def _corpus_selection(name: str):
 
 def _sample_corpus(selection, n: int, order: int):
     """The selected functions' stacks to `order` on n nodes, refused up
-    front when they and 20 working arrays of n values (up to about 16
-    were measured for the norms and ratios) are above the byte cap."""
+    front when they and their working arrays of n values are above the
+    byte cap: 20 (up to about 16 were traced for the norms and ratios), or
+    2 * order + 16 while a stack is sampled (traced: up to 2 * order + 12.4,
+    and fixed allocations of about 0.3 MB), whichever is more."""
+    work = max(20, 2 * order + 16)
     ex.refuse_above_cap(
         f"{len(selection)} sampled stack(s) to order {order} on {n} nodes",
-        8 * n * (len(selection) * (order + 1) + 20))
+        8 * n * (len(selection) * (order + 1) + work))
     return [(name, fs.sample(f, (0.0, 1.0), n, order)) for name, f in selection]
 
 
@@ -366,13 +369,11 @@ def cmd_corpus(args) -> int:
                    for name, f in fs.standard_corpus()]
         return _emit(args, "corpus list", payload, seed=seed)
     if args.kind == "emit":
-        f = fs.corpus_function(args.function)
-        u = fs.sample(f, (0.0, 1.0), args.N, args.m)
+        [(_, u)] = _sample_corpus(
+            [(args.function, fs.corpus_function(args.function))], args.N,
+            args.m)
         header = ["x"] + [f"d{i}" for i in range(args.m + 1)]
-        grid = u.grid
-        rows = [[grid[i]] + [u.stack[k][i] for k in range(args.m + 1)]
-                for i in range(u.n)]
-        path = _write_csv(args, "corpus.csv", header, rows)
+        path = _write_csv(args, "corpus.csv", header, zip(u.grid, *u.stack))
         payload = {"function": args.function, "n": u.n, "m": args.m,
                    "path": str(path)}
         return _emit(args, "corpus emit", payload, grid_n=args.N, seed=seed)

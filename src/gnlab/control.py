@@ -57,6 +57,9 @@ NOISE_MODES = 16
 # steps x batch state entries per block of the RK4 sweep, so each block
 # temporary holds 2 MB whatever the batch
 _BLOCK_ENTRIES = 2 ** 18
+# stage-grid arrays of an integration besides its controls: the grid, and
+# a bump-triple law evaluated on it (chi_stack to order 3: about 21 traced)
+_LAW_STAGE_ARRAYS = 22
 _COEFF_GRID_N = 2 ** 16 + 1
 
 
@@ -181,23 +184,34 @@ def _power(y: np.ndarray, p: int) -> np.ndarray:
     return np.copysign(mag, y, out=mag) if p % 2 else mag
 
 
-def check_chain_size(steps: int, batch: int) -> None:
+def check_chain_size(steps: int, batch: int,
+                     stage_arrays: int = _LAW_STAGE_ARRAYS) -> None:
     """Refuse, before anything is allocated, a chain whose footprint is
-    above the package's byte cap: the states (4, steps+1) and the stage
-    controls (2*steps+1) of each of `batch` runs."""
+    above the package's byte cap.
+
+    Counted in float64 entries: the states (4, steps+1) and the stage
+    controls (2*steps+1) of each of `batch` runs; 16 temporaries of one
+    sweep block (13 traced); and `stage_arrays` arrays on the stage grid
+    that the caller holds besides, such as the grid itself and a control
+    law evaluated on it.
+    """
+    stages = 2 * steps + 1
+    block = min(steps, max(1, _BLOCK_ENTRIES // max(batch, 1))) * batch
     refuse_above_cap(f"the chain for {steps} steps x {batch} runs",
-                     8 * batch * (4 * (steps + 1) + 2 * steps + 1))
+                     8 * (batch * (4 * (steps + 1) + stages) + 16 * block
+                          + stage_arrays * stages))
 
 
-def _stage_times(T: float, steps: int, batch: int = 1) -> np.ndarray:
+def _stage_times(T: float, steps: int, batch: int = 1,
+                 stage_arrays: int = _LAW_STAGE_ARRAYS) -> np.ndarray:
     """Nodes and midpoints of the step grid; the one check of `steps`, of
-    a finite horizon and of the chain's footprint, which every integration
-    passes first."""
+    a finite horizon and of the chain's footprint (`check_chain_size`),
+    which every integration passes first."""
     if steps < 2:
         raise ParameterError(f"steps must be >= 2, got {steps}")
     if not math.isfinite(T):
         raise ParameterError(f"horizon T must be finite, got {T}")
-    check_chain_size(steps, batch)
+    check_chain_size(steps, batch, stage_arrays)
     return np.linspace(0.0, T, 2 * steps + 1)
 
 
@@ -507,7 +521,8 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
         raise ParameterError(
             f"T^(p-12) eta^(p-6) = {budget:g} exceeds 1; outside the regime")
 
-    stage_t = _stage_times(T, steps, trials)
+    # the grid, and the sine matrix with one temporary of its size
+    stage_t = _stage_times(T, steps, trials, 1 + 2 * NOISE_MODES)
     w = _noise_controls(stage_t, T, trials, seed)
     basis = np.stack([np.ones_like(stage_t), stage_t, stage_t ** 2], axis=1)
     correction = np.linalg.solve(_constraint_matrix(T),
@@ -519,6 +534,7 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
     w = w * scale
 
     states = _rk4_chain(w, T, steps, p)
+    del w  # the sums below need only the states
     pos = simpson((states[0] * states[1] * states[2]) ** 2, T / steps)
     neg = simpson(np.abs(states[0]) ** p, T / steps)
     x4t = states[3, -1, :]
@@ -551,7 +567,10 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
 def default_p1_laws(T: float, steps: int, seed: int = 0,
                     random_laws: int = 3) -> list:
     """Zero, a bump triple, and bounded random grid controls."""
-    count = _stage_times(T, steps).size
+    # each random law keeps its samples as floats in a tuple: 32 bytes, or
+    # four arrays' worth, per sample
+    count = _stage_times(T, steps, 1,
+                         _LAW_STAGE_ARRAYS + 4 * random_laws).size
     laws = [Zero(), ScaledBumpTriple(1e-2, 0.0)]
     for i in range(random_laws):
         rng = np.random.default_rng([seed, i])

@@ -21,23 +21,27 @@ vanishing exponential.
 
 Function families (bump, scaled bumps, truncated polynomials, sine bumps,
 spline bumps) return their whole exact derivative stack D^0..D^m, m up to
-MAX_ORDER, in one pass (one chi_stack call, each spline derivative
-evaluated once), and evaluate to exactly zero outside their supports.
-Sine and spline bumps share one Leibniz loop.  `sample` turns any of them
-into a GridFunction carrying that stack for the norm and covering
-machinery.
+MAX_ORDER, in one pass (one chi_stack call; for a spline, one de Boor
+recurrence gives every derivative order), and evaluate to exactly zero
+outside their supports.  Sine and spline bumps share one Leibniz loop.
+`sample` turns any of them into a GridFunction carrying that stack for the
+norm and covering machinery.
+
+Spline derivatives repeat, operation for operation, the reference B-spline
+evaluation and coefficient differencing that the tests compare them with,
+so they are the same floats, and the package needs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import ParameterError, UnsupportedOrderError
 
@@ -368,18 +372,93 @@ def uniform_quintic_knots(dimension: int) -> np.ndarray:
     return np.concatenate([np.zeros(6), interior, np.ones(6)])
 
 
+def _derivative_coeffs(knots: np.ndarray, coeffs: np.ndarray,
+                       degree: int) -> list:
+    """B-spline coefficients of the spline and of its derivatives 1..degree.
+
+    Derivative l lives on knots[l:-l] with degree - l; its coefficients
+    are the differences (c[1:] - c[:-1]) * (degree - l + 1) / dt of the
+    ones before, in that order of operations.  Every dt is positive when
+    no knot repeats inside the span [t_degree, t_n].
+    """
+    n = knots.size - degree - 1
+    out = [coeffs]
+    for l in range(1, degree + 1):
+        dt = knots[degree + 1:knots.size - l] - knots[l:n]
+        dt = dt.reshape(dt.shape + (1,) * (coeffs.ndim - 1))
+        out.append((out[-1][1:] - out[-1][:-1]) * (degree - l + 1) / dt)
+    return out
+
+
+def _spline_rows(knots: np.ndarray, degree: int, coeffs: list,
+                 x: np.ndarray, top: int) -> list:
+    """Values at x of the spline derivatives 0..top, from `coeffs` as
+    `_derivative_coeffs` returns them; 0 off the knot span [t_k, t_n].
+
+    One Cox-de Boor recurrence (C. de Boor, "On calculating with
+    B-splines", J. Approx. Theory 6, 1972) per knot interval
+    t_i <= x < t_{i+1} (the last one closed).  Stage j leaves in h the
+    degree-j B-splines that are nonzero on the interval, which are the
+    basis of the (degree - j)-th derivative on the same knots, so every
+    order reads its values off one stage as sum_a c[i + a - k] * h[a],
+    added in order of a.  The points of an interval share their knots,
+    and each order's coefficient terms are one broadcast product per
+    interval.
+    """
+    k = degree
+    n = knots.size - k - 1
+    perm = np.argsort(x, kind="stable")
+    xs = x[perm]
+    ends = np.searchsorted(xs, knots[k:n + 1])
+    ends[-1] = np.searchsorted(xs, knots[n], side="right")
+    cs = [c.reshape(c.shape[0], -1) for c in coeffs[:top + 1]]
+    rows = [np.zeros((x.size, c.shape[1])) for c in cs]
+    for i in range(k, n):
+        lo, hi = ends[i - k], ends[i - k + 1]
+        if lo == hi:
+            continue
+        xi = xs[lo:hi]
+        h = [np.ones_like(xi)]
+        for j in range(k + 1):
+            if j:
+                hh, h = h, [np.zeros_like(xi)] + [None] * j
+                for a in range(1, j + 1):
+                    right, left = knots[i + a], knots[i + a - j]
+                    if right == left:
+                        h[a] = np.zeros_like(xi)
+                        continue
+                    w = hh[a - 1] / (right - left)
+                    h[a - 1] = h[a - 1] + w * (right - xi)
+                    h[a] = w * (xi - left)
+            if k - j <= top:
+                c = cs[k - j]
+                acc = rows[k - j][lo:hi]
+                np.multiply(h[0][:, None], c[i - k], out=acc)
+                for a in range(1, j + 1):
+                    acc += h[a][:, None] * c[i + a - k]
+    out = []
+    for row, c in zip(rows, coeffs):
+        back = np.empty_like(row)
+        back[perm] = row
+        out.append(back.reshape(x.shape + c.shape[1:]))
+    return out
+
+
 class SplineBump(AnalyticFunction):
     """B-spline times chi: compactly supported, C^{degree-1} smooth.
 
     The chi envelope guarantees flat decay at 0 and 1 regardless of the
     clamped spline's boundary values.  Derivatives use the Leibniz rule
-    with exact spline derivatives from the B-spline recursion; orders
-    above the spline degree drop the spline term entirely.  A (dim, k)
-    coefficient matrix makes k splines at once, and its stack carries one
-    trailing column per spline.
+    with exact spline derivatives from one de Boor recurrence
+    (`_spline_rows`); orders above the spline degree drop the spline term
+    entirely.  A (dim, k) coefficient matrix makes k splines at once, and
+    its stack carries one trailing column per spline.
     """
 
     def __init__(self, coeffs, knots=None, degree: int = 5):
+        if not isinstance(degree, numbers.Integral) or degree < 0:
+            raise ParameterError(
+                f"degree must be an integer >= 0, got {degree!r}")
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim not in (1, 2) or coeffs.shape[0] < degree + 1:
             raise ParameterError("need at least degree+1 spline coefficients")
@@ -388,23 +467,25 @@ class SplineBump(AnalyticFunction):
                 raise ParameterError("default knots are quintic; pass knots")
             knots = uniform_quintic_knots(coeffs.shape[0])
         knots = np.asarray(knots, dtype=float)
-        if knots.size != coeffs.shape[0] + degree + 1:
+        if knots.ndim != 1 or knots.size != coeffs.shape[0] + degree + 1:
             raise ParameterError("knot count must equal coeffs + degree + 1")
+        # a knot repeated inside the span would make a derivative jump
+        if not (np.all(np.isfinite(knots)) and np.all(np.diff(knots) >= 0.0)
+                and np.all(np.diff(knots[degree:knots.size - degree]) > 0.0)):
+            raise ParameterError(
+                "knots must be finite and non-decreasing, with none repeated "
+                f"inside the span [t_{degree}, t_{coeffs.shape[0]}]")
         self.coeffs = coeffs
         self.knots = knots
         self.degree = degree
         self.support = (float(knots[0]), float(knots[-1]))
         self.max_order = MAX_ORDER
-        base = BSpline(knots, coeffs, degree, extrapolate=False)
-        self._splines = [base]
-        for _ in range(degree):
-            self._splines.append(self._splines[-1].derivative())
+        self._coeffs = _derivative_coeffs(knots, coeffs, degree)
 
     def _stack_inside(self, m, x):
         a, b = self.support
-        # extrapolate=False marks points off the knot span as NaN
-        factors = [np.nan_to_num(s(x), nan=0.0, copy=False)
-                   for s in self._splines[:m + 1]]
+        factors = _spline_rows(self.knots, self.degree, self._coeffs, x,
+                               min(m, self.degree))
         return _leibniz(factors, chi_stack((x - a) / (b - a), m),
                         length=b - a)
 

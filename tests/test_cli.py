@@ -1,11 +1,17 @@
 """End-to-end command dispatch, exit codes, and artifact determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import gnlab.cli as cli_module
 import gnlab.extremal as ex
+import gnlab.funcspace as fs
 from gnlab.cli import main
 
 
@@ -203,6 +209,29 @@ class TestCorpus:
         assert lines[0] == "x,d0,d1,d2"
         assert len(lines) == 258
 
+    def test_emit_rows_are_the_sampled_floats(self, tmp_path):
+        assert run(tmp_path, "corpus", "emit", "--function", "splinebump",
+                   "--N", "33", "--m", "3", "--deterministic") == 0
+        u = fs.sample(fs.corpus_function("splinebump"), (0.0, 1.0), 33, 3)
+        want = [",".join(["x", "d0", "d1", "d2", "d3"])] + [
+            ",".join(str(v) for v in [u.grid[i]] + [row[i] for row in u.stack])
+            for i in range(33)]
+        assert (tmp_path / "corpus.csv").read_text().splitlines() == want
+
+    def test_emit_all_is_an_unknown_function(self, tmp_path):
+        assert run(tmp_path, "corpus", "emit", "--function", "all") == 2
+
+    def test_oversized_emit_is_refused_with_its_cost(self, tmp_path, capsys):
+        # the stack to order 3 and 2 * 3 + 16 working arrays of 300000001
+        # values
+        assert run(tmp_path, "corpus", "emit", "--N", "300000001",
+                   "--deterministic") == 2
+        assert capsys.readouterr().err == (
+            "gnlab: 1 sampled stack(s) to order 3 on 300000001 nodes needs "
+            f"{8 * 300000001 * 26} bytes, above the {2 ** 30}-byte cap\n")
+        assert not (tmp_path / "corpus.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["estimate", "--target", "ratio4", "--search-N", "-5"],
@@ -256,8 +285,9 @@ def test_non_finite_or_vacuous_floats_are_refused(tmp_path, argv):
      "--eps", "1e-4:1e-2:1000000000"],
     ["check", "special", "--N", "300000001", "--no-fractional"],
     ["cover", "--preset", "l12", "--N", "300000001"],
+    ["corpus", "emit", "--N", "300000001"],
 ], ids=["obstruction-trials", "scaling-steps", "p1-steps", "scaling-eps-count",
-        "check-N", "cover-N"])
+        "check-N", "cover-N", "emit-N"])
 def test_oversized_control_runs_are_refused_up_front(tmp_path, capsys, argv):
     """The footprint of a chain, a sampled corpus or a cover (gigabytes
     here) is refused with its cost in bytes before any of it is
@@ -279,7 +309,10 @@ def test_oversized_control_runs_are_refused_up_front(tmp_path, capsys, argv):
     ["check", "generalized", "--preset", "l12", "--N", "8193",
      "--function", "all"],
     ["check", "special", "--N", "8193", "--no-fractional", "--function", "all"],
-], ids=["cover", "check-generalized", "check-special"])
+    # the highest order; at 8193 nodes the command's fixed allocations
+    # (about 0.3 MB) are a tenth of its whole footprint
+    ["corpus", "emit", "--function", "sinebump3", "--N", "16385", "--m", "8"],
+], ids=["cover", "check-generalized", "check-special", "corpus-emit"])
 def test_footprint_formulas_bound_the_traced_peak(tmp_path, capsys,
                                                   monkeypatch, argv):
     """A run's footprint formula is at least its traced peak: with the cap
@@ -305,3 +338,21 @@ class TestDispatch:
         # the dispatcher converts argparse's exit into a return code
         assert main(["--version"]) == 0
         assert "gnlab" in capsys.readouterr().out
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: a fresh interpreter imports
+    the command line and runs a command without loading scipy."""
+    script = (
+        "import sys\n"
+        "import gnlab.cli as cli\n"
+        "code = cli.main(['params', '--preset', 'l12', '--deterministic',\n"
+        "                 '--out', sys.argv[1]])\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(code, loaded)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"

@@ -5,6 +5,8 @@ integrator tests into oracle comparisons instead of self-consistency
 checks.
 """
 
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from scipy.integrate import simpson
 
 import gnlab.control as ct
+import gnlab.extremal as ex
 from gnlab.errors import (DivergenceError, InvariantError, ParameterError,
                           PreconditionError)
 
@@ -404,3 +407,34 @@ class TestMonotoneP1:
         ulp_scale = np.finfo(float).eps * np.max(np.abs(traj.states[1]))
         assert np.min(np.diff(seq)) >= -32 * ulp_scale
         assert seq[-1] > 0.0
+
+
+# the control runs of the README, as library calls, and a one-trial one
+_README_CHAINS = {
+    "scaling": lambda: ct.scaling_experiment(7, 0.3,
+                                             np.geomspace(1e-4, 1e-2, 5)),
+    "obstruction": lambda: ct.obstruction_check(12, 1.0, 0.8, 100),
+    # one trial: the noise's sine matrix, not the chain, is the peak
+    "obstruction-1": lambda: ct.obstruction_check(12, 1.0, 0.8, 1),
+    "p1": lambda: ct.monotone_check_p1(),
+}
+
+
+@pytest.mark.parametrize("name", list(_README_CHAINS))
+def test_chain_footprint_is_between_the_traced_peak_and_twice_it(
+        name, monkeypatch):
+    """check_chain_size counts what a run really holds at its peak, and
+    not much more: the bytes it refuses a run for lie between the run's
+    tracemalloc peak and twice that."""
+    run = _README_CHAINS[name]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(ex, "BASIS_BYTES_CAP", 0)
+    with pytest.raises(ParameterError) as refused:
+        run()
+    need = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
+    assert peak <= need <= 2 * peak

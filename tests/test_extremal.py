@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import gnlab.extremal as ex
 import gnlab.funcspace as fs
@@ -35,6 +36,139 @@ def test_basis_matrices_match_spline_bump():
         direct = f.derivative(order, x)
         scale = np.max(np.abs(direct)) or 1.0
         assert np.max(np.abs(via_matrix - direct)) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# the Nelder-Mead port against scipy's adaptive Nelder-Mead, float for float
+# ---------------------------------------------------------------------------
+
+def scipy_nelder_mead(fun, x0, maxfev, xatol, fatol, callback=None):
+    res = minimize(fun, x0, method="Nelder-Mead", callback=callback,
+                   options={"maxfev": maxfev, "xatol": xatol,
+                            "fatol": fatol, "adaptive": True})
+    return res.x, res.fun, res.nfev
+
+
+def _smooth(dim):
+    rng = np.random.default_rng(dim)
+    a, b = rng.uniform(0.5, 2.0, dim), rng.standard_normal(dim)
+    return lambda x: float(a @ (x - b) ** 2 + 0.1 * np.sum(x) ** 4)
+
+
+def _flat(dim):
+    return lambda x: 1.0
+
+
+def _degenerate(dim):
+    # zero (a tie) on half of space, like a degenerate ratio candidate
+    rng = np.random.default_rng(dim + 1)
+    g = rng.standard_normal(dim)
+    return lambda x: -max(0.0, float(np.sin(g @ x)))
+
+
+def _ratio4(dim):
+    ratio, _ = ex._make_objective("ratio4", dim, 129)
+
+    def objective(c):
+        nrm = np.linalg.norm(c)
+        return 0.0 if nrm == 0.0 else -ratio(c / nrm)
+
+    return objective
+
+
+def _overwriting(dim):
+    # the optimizer passes a copy of x, so the simplex never sees this
+    smooth = _smooth(dim)
+
+    def objective(x):
+        value = smooth(x)
+        x[:] = np.nan
+        return value
+
+    return objective
+
+
+_NM_OBJECTIVES = {"smooth": _smooth, "flat": _flat,
+                  "degenerate": _degenerate, "overwriting": _overwriting,
+                  "ratio4": _ratio4}
+
+
+def _x0(dim, zeros):
+    x0 = np.random.default_rng(7 * dim).standard_normal(dim)
+    if zeros:
+        x0[::3] = 0.0
+    return x0
+
+
+def _first_shrink_budget(fun, x0):
+    """An evaluation budget that ends inside scipy's first shrink: the
+    first iteration that spends N + 2 evaluations is a shrink (reflect,
+    contract, N vertices), and the budget stops after its first vertex."""
+    dim = x0.size
+    count = [0]
+    ends = [dim + 1]
+
+    def counted(x):
+        count[0] += 1
+        return fun(x)
+
+    def callback(intermediate_result):
+        if count[0] - ends[-1] == dim + 2:
+            raise StopIteration
+        ends.append(count[0])
+
+    scipy_nelder_mead(counted, x0, 5000, 0.0, 0.0, callback)
+    assert count[0] - ends[-1] == dim + 2, "no shrink in 5000 evaluations"
+    return ends[-1] + 3
+
+
+def _assert_nm_equal(fun, x0, budget, xatol=1e-9, fatol=1e-13):
+    want = scipy_nelder_mead(fun, x0.copy(), budget, xatol, fatol)
+    got = ex._nelder_mead(fun, x0.copy(), budget, xatol, fatol)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+    return got
+
+
+class TestNelderMeadMatchesScipy:
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("name", list(_NM_OBJECTIVES))
+    @pytest.mark.parametrize("dim", [6, 9])
+    def test_budgets_at_the_initial_simplex(self, dim, name, zeros):
+        fun = _NM_OBJECTIVES[name](dim)
+        for budget in (1, dim, dim + 1, dim + 2):
+            _, _, nfev = _assert_nm_equal(fun, _x0(dim, zeros), budget)
+            assert nfev == budget
+
+    # the ratio objective at dimension 9 does not shrink within 5000
+    # evaluations from this start
+    @pytest.mark.parametrize("name, dim", [
+        (name, dim) for name in _NM_OBJECTIVES for dim in (6, 9)
+        if (name, dim) != ("ratio4", 9)])
+    def test_budget_ending_inside_a_shrink(self, dim, name):
+        fun = _NM_OBJECTIVES[name](dim)
+        x0 = _x0(dim, zeros=False)
+        budget = _first_shrink_budget(fun, x0)
+        _, _, nfev = _assert_nm_equal(fun, x0, budget)
+        assert nfev == budget
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("name", list(_NM_OBJECTIVES))
+    @pytest.mark.parametrize("dim", [6, 16])
+    def test_full_runs_and_tolerance_stops(self, dim, name, zeros):
+        fun = _NM_OBJECTIVES[name](dim)
+        for budget, xatol, fatol in ((400, 1e-9, 1e-13), (1500, 1e-4, 1e-8)):
+            _assert_nm_equal(fun, _x0(dim, zeros), budget, xatol, fatol)
+
+    @pytest.mark.parametrize("target", ex.RATIO_TAGS)
+    def test_searches_match_the_scipy_optimizer(self, target, monkeypatch):
+        cfg = ex.SearchConfig(restarts=3, budget=60, tol=1e-13, seed=4,
+                              dimension=8, grid_n=1025, report_grid_n=1025)
+        ours = ex.estimate_constant(target, cfg)
+        monkeypatch.setattr(ex, "_nelder_mead", scipy_nelder_mead)
+        theirs = ex.estimate_constant(target, cfg)
+        assert ours.to_dict() == theirs.to_dict()
 
 
 class TestSearchConfig:

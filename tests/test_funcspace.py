@@ -344,3 +344,107 @@ def test_stack_keeps_the_shape_of_x():
     assert f.stack(2, 0.5).shape == (3,)
     assert f.derivative(1, 0.5) == f.stack(1, np.array([0.5]))[1, 0]
     assert f.derivative(1, 2.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the de Boor recurrence against scipy's BSpline, float for float
+# ---------------------------------------------------------------------------
+
+def bspline_rows(knots, coeffs, degree, x, top):
+    """Derivatives 0..top by BSpline and .derivative(), NaN off the span
+    set to 0."""
+    spline = BSpline(knots, coeffs, degree, extrapolate=False)
+    rows = []
+    for l in range(top + 1):
+        rows.append(np.nan_to_num(spline(x), nan=0.0))
+        if l < top:
+            spline = spline.derivative()
+    return rows
+
+
+def deboor_rows(knots, coeffs, degree, x, top):
+    return fs._spline_rows(knots, degree,
+                           fs._derivative_coeffs(knots, coeffs, degree),
+                           x, top)
+
+
+def _assert_rows_equal(knots, coeffs, degree, x, top):
+    want = bspline_rows(knots, coeffs, degree, x, top)
+    got = deboor_rows(knots, coeffs, degree, x, top)
+    assert len(got) == top + 1
+    for l in range(top + 1):
+        assert got[l].shape == want[l].shape
+        assert np.array_equal(got[l], want[l]), f"order {l}"
+
+
+_COEFF_KINDS = ("vector", "matrix", "identity")
+
+
+def _coeffs(kind, dimension, rng):
+    if kind == "vector":
+        return rng.uniform(-1.0, 1.0, dimension)
+    if kind == "matrix":
+        return rng.standard_normal((dimension, 3))
+    return np.eye(dimension)
+
+
+@pytest.mark.parametrize("kind", _COEFF_KINDS)
+@pytest.mark.parametrize("dimension", [6, 8, 16, 17])
+@pytest.mark.parametrize("n", [65, 4097])
+def test_deboor_matches_bspline_on_clamped_quintic_knots(kind, dimension, n):
+    rng = np.random.default_rng(dimension * n)
+    knots = fs.uniform_quintic_knots(dimension)
+    # past both ends, and through every knot of the span exactly
+    x = np.concatenate([np.linspace(-0.1, 1.1, n), knots])
+    _assert_rows_equal(knots, _coeffs(kind, dimension, rng), 5, x, 5)
+
+
+@pytest.mark.parametrize("kind", _COEFF_KINDS)
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 5])
+def test_deboor_matches_bspline_on_unclamped_knots(kind, degree):
+    # distinct random knots: the span [t_k, t_n] is strictly inside
+    # [t_0, t_last], so points on either side of it read 0
+    rng = np.random.default_rng(degree)
+    knots = np.sort(rng.uniform(-0.3, 1.4, 15))
+    count = knots.size - degree - 1
+    span = knots[degree], knots[count]
+    x = np.concatenate([np.linspace(knots[0] - 0.1, knots[-1] + 0.1, 3001),
+                        knots, [span[0], span[1], np.nextafter(span[0], -1.0),
+                                np.nextafter(span[1], 2.0)]])
+    rng.shuffle(x)
+    _assert_rows_equal(knots, _coeffs(kind, count, rng), degree, x, degree)
+
+
+def test_deboor_reads_the_span_ends_as_bspline_does():
+    # x = t_k opens the first interval, x = t_n closes the last one
+    knots = np.array([0.0, 0.1, 0.25, 0.3, 0.55, 0.6, 0.8, 0.9, 1.0, 1.2])
+    coeffs = np.random.default_rng(3).standard_normal(6)
+    x = np.array([knots[3], knots[6], knots[3], knots[6]])
+    rows = deboor_rows(knots, coeffs, 3, x, 3)
+    assert all(np.any(row != 0.0) for row in rows)
+    _assert_rows_equal(knots, coeffs, 3, x, 3)
+
+
+@pytest.mark.parametrize("knots", [
+    np.concatenate([np.zeros(6), [0.5, 0.4], np.ones(6)]),
+    np.concatenate([np.zeros(6), [0.5, np.nan], np.ones(6)]),
+    np.zeros(14),
+    np.concatenate([np.zeros(6), [0.5, 0.5], np.ones(6)]),
+    np.concatenate([np.zeros(5), [0.2, 0.2, 0.6], np.ones(6)]),
+], ids=["decreasing", "nan", "one-point", "double-knot", "span-start"])
+def test_spline_bump_refuses_knots_bspline_cannot_differentiate(knots):
+    with pytest.raises(ValueError):
+        bspline_rows(knots, np.ones(8), 5, np.array([0.5]), 5)
+    with pytest.raises(ParameterError, match="none repeated inside the span"):
+        fs.SplineBump(np.ones(8), knots)
+
+
+def test_spline_bump_takes_repeated_knots_outside_the_span():
+    # unclamped ends may repeat below t_k and above t_n
+    knots = np.array([0.0, 0.0, 0.1, 0.1, 0.3, 0.4, 0.5, 0.7, 0.8, 1.0, 1.0,
+                      1.0])
+    f = fs.SplineBump(np.linspace(-1.0, 1.0, 8), knots, degree=3)
+    x = np.linspace(0.0, 1.0, 257)
+    stack = f.stack(3, x)
+    want = bspline_rows(knots, f.coeffs, 3, x, 3)
+    assert np.array_equal(stack[0], want[0] * fs.chi_stack(x, 0)[0])
