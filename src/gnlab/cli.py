@@ -358,7 +358,7 @@ def _resolve_law(args):
         except (OSError, ValueError) as exc:
             raise ParameterError(
                 f"bad samples file {args.samples!r}: {exc}") from None
-        return ct.GridSamples(tuple(values), args.T)
+        return ct.GridSamples(values, args.T)
     raise ParameterError(f"unknown law {args.law!r}")
 
 

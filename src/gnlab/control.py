@@ -115,35 +115,37 @@ class ScaledBumpTriple:
                 "epsilon": self.epsilon, "a": self.a}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSamples:
     """Control given by samples at 2K+1 uniform stage points on [0, T].
 
     Linear interpolation between samples; when the integrator runs with
-    steps = K every stage evaluation hits a stored sample exactly.
+    steps = K every stage evaluation hits a stored sample exactly.  The
+    samples are kept as a read-only float64 copy of ``values``.
     """
 
-    values: tuple
+    values: np.ndarray
     horizon: float
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) < 5 or len(vals) % 2 == 0:
+        vals = np.array(self.values, dtype=float)
+        if vals.ndim != 1 or vals.size < 5 or vals.size % 2 == 0:
             raise ParameterError("need an odd sample count >= 5 (2K+1 stages)")
         if not self.horizon > 0:
             raise ParameterError("horizon must be positive")
-        if not all(math.isfinite(v) for v in vals):
+        if not np.all(np.isfinite(vals)):
             raise ParameterError("samples must be finite")
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def __call__(self, t):
-        grid = np.linspace(0.0, self.horizon, len(self.values))
+        grid = np.linspace(0.0, self.horizon, self.values.size)
         return np.interp(np.asarray(t, dtype=float), grid, self.values)
 
     def descriptor(self) -> dict:
-        return {"family": "grid-samples", "count": len(self.values),
+        return {"family": "grid-samples", "count": self.values.size,
                 "horizon": self.horizon,
-                "sup": max(abs(v) for v in self.values)}
+                "sup": float(np.max(np.abs(self.values)))}
 
 
 ControlLaw = Union[Zero, ScaledBumpTriple, GridSamples]
@@ -567,16 +569,14 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
 def default_p1_laws(T: float, steps: int, seed: int = 0,
                     random_laws: int = 3) -> list:
     """Zero, a bump triple, and bounded random grid controls."""
-    # each random law keeps its samples as floats in a tuple: 32 bytes, or
-    # four arrays' worth, per sample
-    count = _stage_times(T, steps, 1,
-                         _LAW_STAGE_ARRAYS + 4 * random_laws).size
+    # each random law keeps its samples: one array on the stage grid
+    count = _stage_times(T, steps, 1, _LAW_STAGE_ARRAYS + random_laws).size
     laws = [Zero(), ScaledBumpTriple(1e-2, 0.0)]
     for i in range(random_laws):
         rng = np.random.default_rng([seed, i])
         vals = rng.standard_normal(count)
         vals /= max(np.max(np.abs(vals)), 1e-30)
-        laws.append(GridSamples(tuple(vals), T))
+        laws.append(GridSamples(vals, T))
     return laws
 
 

@@ -102,6 +102,22 @@ class TestSystemAndLaws:
             ct.GridSamples((0.0, np.nan, 0.0, 1.0, 0.0), 1.0)
         with pytest.raises(ParameterError):
             ct.GridSamples((0.0,) * 5, 0.0)
+        with pytest.raises(ParameterError):
+            ct.GridSamples(np.zeros((5, 1)), 1.0)  # not one row
+
+    def test_grid_samples_keep_a_read_only_float64_copy(self):
+        vals = np.linspace(-1.0, 2.0, 9)
+        law = ct.GridSamples(vals, 1.0)
+        vals[0] = 7.0
+        assert law.values.dtype == np.float64 and law.values[0] == -1.0
+        with pytest.raises(ValueError):
+            law.values[0] = 0.0
+        desc = law.descriptor()
+        assert desc == {"family": "grid-samples", "count": 9,
+                        "horizon": 1.0, "sup": 2.0}
+        assert type(desc["count"]) is int and type(desc["sup"]) is float
+        assert np.array_equal(law(np.linspace(0.0, 1.0, 9)),
+                              np.linspace(-1.0, 2.0, 9))
 
     def test_law_support_preconditions(self):
         sys_half = ct.ControlSystem(3, 0.5)

@@ -114,7 +114,9 @@ class TestCriticalRadius:
 def _plain_scan(ev, xs):
     """The rung-by-rung scan that ``critical_radii`` gallops over: every
     rung h0 q^k from h0 = 2 dx is evaluated until alpha - beta changes
-    sign, then the same bisection."""
+    sign, then at most 60 bisection steps, until each bracket's midpoint
+    rounds onto one of its ends.  Returns the radii and the rung
+    brackets."""
     h0 = 2.0 * ev.u.dx
     hmin = 1e-12 * h0
     hmax = cov.HMAX_FACTOR * (ev.u.b - ev.u.a)
@@ -135,8 +137,9 @@ def _plain_scan(ev, xs):
         hi[todo] = np.where(go_up, nxt, cur)
         d = gap(todo, nxt)
         todo = todo[~np.where(go_up, d <= 0.0, d > 0.0)]
+    rungs = lo.copy(), hi.copy()
     todo = np.arange(xs.size)
-    for _ in range(cov.BISECT_STEPS):
+    for _ in range(60):
         mid = 0.5 * (lo[todo] + hi[todo])
         moves = (mid != lo[todo]) & (mid != hi[todo])
         todo, mid = todo[moves], mid[moves]
@@ -145,7 +148,8 @@ def _plain_scan(ev, xs):
         take_hi = gap(todo, mid) <= 0.0
         hi[todo[take_hi]] = mid[take_hi]
         lo[todo[~take_hi]] = mid[~take_hi]
-    return 0.5 * (lo + hi)
+    assert not todo.size
+    return 0.5 * (lo + hi), rungs
 
 
 def _counted(norm, tally):
@@ -158,17 +162,33 @@ def _counted(norm, tally):
 
 def _both_scans(ev, xs=None):
     """Radii from ``critical_radii`` and from the plain scan, with the
-    window aggregates each evaluated (the whole working set by default)."""
+    window aggregates each evaluated (the whole working set by default),
+    and the plain scan's rung brackets."""
     if xs is None:
         xs = ev.u.grid[ev.working_set()]
     tally = [0]
     for side in (ev._alpha, ev._beta):
         side.norm = _counted(side.norm, tally)
-    out = []
-    for scan in (ev.critical_radii, lambda xs: _plain_scan(ev, xs)):
-        tally[0] = 0
-        out.append((scan(xs), tally[0]))
-    return out
+    got = ev.critical_radii(xs)
+    work, tally[0] = tally[0], 0
+    want, rungs = _plain_scan(ev, xs)
+    return (got, work), (want, tally[0]), rungs
+
+
+def _assert_certified(ev, xs, got, want, rungs):
+    """Radii that may differ from the plain scan's in the last bits: each
+    lies inside the plain scan's rung bracket, at a sign change of
+    g = alpha - beta between adjacent floats (g(r) > 0 >= g(next r), or
+    g(prev r) > 0 >= g(r)), and within rel 1e-12 of the plain scan's."""
+    assert np.all((rungs[0] <= got) & (got <= rungs[1]))
+
+    def g(h):
+        return ev.alpha(xs, h) - ev.beta(xs, h)
+    at = g(got)
+    after = g(np.nextafter(got, np.inf))
+    before = g(np.nextafter(got, 0.0))
+    assert np.all(np.where(at > 0.0, after <= 0.0, before > 0.0))
+    assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +199,10 @@ def corpus_8193():
 
 class TestGallopingScan:
     """``critical_radii`` skips only rungs whose sign it has proved, so it
-    finds the plain scan's brackets and radii, from fewer evaluations."""
+    brackets each crossing as the plain scan does, from fewer evaluations.
+    Illinois steps inside the bracket then reach a sign change between
+    adjacent floats, in real-line mode not always the one bisection
+    reaches."""
 
     @pytest.mark.parametrize("mode", ["real-line", "bounded"])
     @pytest.mark.parametrize("name", [n for n, _ in fs.standard_corpus()])
@@ -187,11 +210,13 @@ class TestGallopingScan:
                                                mode):
         ev = cov.BalanceEvaluator(corpus_8193[name],
                                   dataclasses.replace(SPEC, mode=mode))
-        (got, work), (want, plain_work) = _both_scans(ev)
-        assert np.array_equal(got, want)
-        assert work <= plain_work
-        if name == "bumpchi" and mode == "real-line":
-            assert work <= 0.6 * plain_work
+        xs = ev.u.grid[ev.working_set()]
+        (got, work), (want, plain_work), rungs = _both_scans(ev, xs)
+        _assert_certified(ev, xs, got, want, rungs)
+        if mode == "bounded":
+            assert np.array_equal(got, want)
+        # measured 0.21-0.25
+        assert work <= 0.3 * plain_work
 
     # ks = (0,), q = 2 gives alpha = l^{-1/2} ||u||_{L^2(J)}, whose length
     # exponent is negative, so its low bound takes l from a run's wide
@@ -204,9 +229,60 @@ class TestGallopingScan:
     def test_other_exponents_equal_the_plain_scan(self, corpus_8193, spec):
         ev = cov.BalanceEvaluator(corpus_8193["sinebump3"], spec)
         assert ev._alpha.a == -0.5
-        (got, work), (want, plain_work) = _both_scans(ev)
-        assert np.array_equal(got, want)
+        xs = ev.u.grid[ev.working_set()]
+        (got, work), (want, plain_work), rungs = _both_scans(ev, xs)
+        _assert_certified(ev, xs, got, want, rungs)
+        if spec.mode == "bounded":
+            assert np.array_equal(got, want)
         assert work <= plain_work
+
+    @pytest.mark.parametrize("mode", ["real-line", "bounded"])
+    def test_illinois_steps_per_point(self, corpus_8193, mode):
+        # bisection takes about 48 evaluations per point; the Illinois
+        # steps were measured at 10.5-12.9 on average and 42 at most, so
+        # no bracket is left to the midpoint-only passes
+        spec = dataclasses.replace(SPEC, mode=mode)
+        for name, u in corpus_8193.items():
+            ev = cov.BalanceEvaluator(u, spec)
+            xs = u.grid[ev.working_set()]
+            sizes = []
+            balance = ev._balance
+
+            def counted(side, x, h):
+                if side is ev._alpha:
+                    sizes.append(x.size)
+                return balance(side, x, h)
+            ev._balance = counted
+            ev.critical_radii(xs)
+            assert sum(sizes) <= 13.5 * xs.size, name
+            assert len(sizes) <= cov.ILLINOIS_STEPS, name
+
+    def test_without_illinois_steps_radii_equal_the_plain_scan(
+            self, corpus_8193, monkeypatch):
+        # midpoints from the first pass are the plain scan's bisection
+        monkeypatch.setattr(cov, "ILLINOIS_STEPS", 0)
+        ev = cov.BalanceEvaluator(corpus_8193["sinebump7"], SPEC)
+        (got, _), (want, _), _ = _both_scans(ev)
+        assert np.array_equal(got, want)
+
+    def test_midpoints_after_a_few_illinois_steps_stay_certified(
+            self, corpus_8193, monkeypatch):
+        # about 11 refinement passes per point are measured, so after 3
+        # Illinois passes nearly every bracket finishes on midpoints
+        monkeypatch.setattr(cov, "ILLINOIS_STEPS", 3)
+        ev = cov.BalanceEvaluator(corpus_8193["sinebump7"], SPEC)
+        xs = ev.u.grid[ev.working_set()]
+        (got, _), (want, _), rungs = _both_scans(ev, xs)
+        _assert_certified(ev, xs, got, want, rungs)
+        assert not np.array_equal(got, want)
+
+    def test_a_bracket_open_after_every_pass_is_an_invariant_error(
+            self, corpus_8193, monkeypatch):
+        monkeypatch.setattr(cov, "ILLINOIS_STEPS", 0)
+        monkeypatch.setattr(cov, "BISECT_STEPS", 20)
+        ev = cov.BalanceEvaluator(corpus_8193["bumpchi"], SPEC)
+        with pytest.raises(InvariantError, match="still open"):
+            ev.critical_radii(np.array([0.25]))
 
     def test_second_crossing_just_past_the_first_is_not_skipped(self):
         # a spike of D^3 u at k1 nodes from x lifts beta over alpha, and a
@@ -221,7 +297,7 @@ class TestGallopingScan:
                 rows[3, 512 - k1] = 1e4
                 ev = cov.BalanceEvaluator(fs.GridFunction(0.0, 1.0, rows),
                                           SPEC)
-                (got, _), (want, _) = _both_scans(ev, np.array([0.5]))
+                (got, _), (want, _), _ = _both_scans(ev, np.array([0.5]))
                 assert np.array_equal(got, want), (k1, k2)
 
     @pytest.mark.parametrize("c", [1e2, 1e12])
@@ -230,7 +306,8 @@ class TestGallopingScan:
         rows = np.ones((4, 1025))
         rows[3] = c
         ev = cov.BalanceEvaluator(fs.GridFunction(0.0, 1.0, rows), SPEC)
-        (got, work), (want, plain_work) = _both_scans(ev, np.array([0.5]))
+        (got, work), (want, plain_work), _ = _both_scans(ev,
+                                                         np.array([0.5]))
         assert np.array_equal(got, want)
         assert work <= plain_work
 
