@@ -22,6 +22,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -170,19 +171,6 @@ def _corpus_selection(name: str):
     return [(name, fs.corpus_function(name))]
 
 
-def _sample_corpus(selection, n: int, order: int):
-    """The selected functions' stacks to `order` on n nodes, refused up
-    front when they and their working arrays of n values are above the
-    byte cap: 20 (up to about 16 were traced for the norms and ratios), or
-    2 * order + 16 while a stack is sampled (traced: up to 2 * order + 12.4,
-    and fixed allocations of about 0.3 MB), whichever is more."""
-    work = max(20, 2 * order + 16)
-    ex.refuse_above_cap(
-        f"{len(selection)} sampled stack(s) to order {order} on {n} nodes",
-        8 * n * (len(selection) * (order + 1) + work))
-    return [(name, fs.sample(f, (0.0, 1.0), n, order)) for name, f in selection]
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -202,7 +190,8 @@ def cmd_check(args) -> int:
     n = args.N
     if args.kind in ("generalized", "bounded", "localized"):
         params = _resolve_params(args)
-        corpus = _sample_corpus(_corpus_selection(args.function), n, params.m)
+        corpus = fs.sample_corpus(_corpus_selection(args.function), n,
+                                  params.m)
         rows = []
         for name, u in corpus:
             if args.kind == "generalized":
@@ -215,11 +204,11 @@ def cmd_check(args) -> int:
             else:
                 omega = _parse_interval(args.omega) if args.omega else (0.25, 0.75)
                 rep = gn.evaluate_localized(u, params, omega)
-            rows.append({"function": name, **rep.to_dict()})
+            rows.append({"function": name, **asdict(rep)})
         payload = rows[0] if len(rows) == 1 else rows
         return _emit(args, f"check {args.kind}", payload, grid_n=n, seed=seed)
     if args.kind == "special":
-        corpus = _sample_corpus(_corpus_selection(args.function), n, 2)
+        corpus = fs.sample_corpus(_corpus_selection(args.function), n, 2)
         rows = gn.special_constants(corpus,
                                     include_fractional=not args.no_fractional)
         payload = [{"function": r.name, "ratio4": r.ratio4, "ratio6": r.ratio6,
@@ -229,7 +218,7 @@ def cmd_check(args) -> int:
     if args.kind == "open-problem":
         ks = _parse_ks(args.ks) if args.ks else (0, 1, 2)
         order = max(ks)
-        corpus = _sample_corpus(_corpus_selection(args.function), n, order)
+        corpus = fs.sample_corpus(_corpus_selection(args.function), n, order)
         payload = gn.open_problem_probe(corpus, args.q or "2", ks)
         return _emit(args, "check open-problem", payload, grid_n=n, seed=seed)
     raise ParameterError(f"unknown check kind {args.kind!r}")
@@ -240,7 +229,7 @@ def cmd_cover(args) -> int:
     params = _resolve_params(args)
     spec = cov.BalanceSpec.from_params(params, mode=args.mode)
     selection = _corpus_selection(args.function)
-    ex.refuse_above_cap(f"a cover on {args.N} nodes",
+    fs.refuse_above_cap(f"a cover on {args.N} nodes",
                         cov.cover_bytes(args.N, spec.m))
     reports = []
     for name, f in selection:
@@ -297,7 +286,7 @@ def cmd_estimate(args) -> int:
     else:
         target = _resolve_params(args)
     result = ex.estimate_constant(target, config)
-    payload = result.to_dict()
+    payload = asdict(result)
     if not args.trace:
         payload["trace"] = {"entries": len(result.trace),
                             "final_best": result.search_ratio}
@@ -334,7 +323,7 @@ def cmd_control(args) -> int:
         report = ct.obstruction_check(args.p, args.T, args.eta,
                                       trials=args.trials, seed=seed,
                                       steps=args.steps)
-        _emit(args, "control obstruction", report.to_dict(),
+        _emit(args, "control obstruction", asdict(report),
               grid_n=args.steps, seed=seed)
         return 0 if report.passed else 1
     if args.kind == "p1":
@@ -369,7 +358,7 @@ def cmd_corpus(args) -> int:
                    for name, f in fs.standard_corpus()]
         return _emit(args, "corpus list", payload, seed=seed)
     if args.kind == "emit":
-        [(_, u)] = _sample_corpus(
+        [(_, u)] = fs.sample_corpus(
             [(args.function, fs.corpus_function(args.function))], args.N,
             args.m)
         header = ["x"] + [f"d{i}" for i in range(args.m + 1)]

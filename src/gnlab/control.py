@@ -18,7 +18,8 @@ the result is bit-identical to stepping the scheme one step at a time.
 The power term x1^p is |x1|^p with x1's sign restored for odd p, in the
 sweep and in the quadrature check alike.
 A run whose chain (states and stage controls, times the batch) would take
-more than the package's byte cap is refused before anything is allocated.
+more than the package's byte cap (`funcspace.BYTES_CAP`) is refused before
+anything is allocated.
 It cross-checks the terminal formula by quadrature, fits the
 epsilon-scaling exponents of the bump control family
 w(t) = eps * chi'''(t * eps^{-a}), and probes the p >= 12 sign
@@ -46,7 +47,6 @@ import numpy as np
 from . import funcspace as fs
 from .errors import (ParameterError, PreconditionError, InvariantError,
                      DivergenceError)
-from .extremal import refuse_above_cap
 from .norms import simpson, simpson_weights
 
 DEFAULT_STEPS = 2 ** 14
@@ -153,11 +153,10 @@ ControlLaw = Union[Zero, ScaledBumpTriple, GridSamples]
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step solution: node times, 4 x (steps+1) states, control."""
+    """Fixed-step solution: node times, 4 x (steps+1) states, law."""
 
     times: np.ndarray
     states: np.ndarray
-    control: np.ndarray
     law: dict
 
     def __post_init__(self):
@@ -199,9 +198,9 @@ def check_chain_size(steps: int, batch: int,
     """
     stages = 2 * steps + 1
     block = min(steps, max(1, _BLOCK_ENTRIES // max(batch, 1))) * batch
-    refuse_above_cap(f"the chain for {steps} steps x {batch} runs",
-                     8 * (batch * (4 * (steps + 1) + stages) + 16 * block
-                          + stage_arrays * stages))
+    fs.refuse_above_cap(f"the chain for {steps} steps x {batch} runs",
+                        8 * (batch * (4 * (steps + 1) + stages) + 16 * block
+                             + stage_arrays * stages))
 
 
 def _stage_times(T: float, steps: int, batch: int = 1,
@@ -296,8 +295,7 @@ def integrate(sys: ControlSystem, law: ControlLaw,
     stage_w = np.asarray(law(stage_t), dtype=float)
     states = _rk4_chain(stage_w[:, None], sys.T, steps, sys.p)[:, :, 0]
     return Trajectory(times=np.linspace(0.0, sys.T, steps + 1),
-                      states=states, control=stage_w[::2],
-                      law=law.descriptor())
+                      states=states, law=law.descriptor())
 
 
 def scaled_triple_reference(law: ScaledBumpTriple, times) -> np.ndarray:
@@ -406,8 +404,10 @@ def scaling_experiment(p: int, a: float, eps: Sequence[float], T: float = 1.0,
 
     The epsilon list must be geometric (constant ratio); every scaled
     support [0, eps^a] must fit inside [0, T].  Zero terminal values are
-    dropped from the fit; a single surviving point yields no slope.
+    dropped from the fit; a single surviving point yields no slope.  p and
+    T follow ControlSystem's rule.
     """
+    ControlSystem(p, T)
     stage_t = _stage_times(T, steps, len(eps))
     eps = [float(e) for e in eps]
     if not eps or any(e <= 0 for e in eps):
@@ -491,14 +491,6 @@ class ObstructionReport:
     passed: bool
     skipped: tuple
 
-    def to_dict(self) -> dict:
-        return {"p": self.p, "T": self.T, "eta": self.eta,
-                "trials": self.trials, "seed": self.seed, "steps": self.steps,
-                "tol": self.tol, "margins": list(self.margins),
-                "worst": self.worst, "worst_trial": self.worst_trial,
-                "worst_x4": self.worst_x4, "passed": self.passed,
-                "skipped": list(self.skipped)}
-
 
 def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
                       seed: int = 7, steps: int = DEFAULT_STEPS,
@@ -511,13 +503,15 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
     control whose chain response cancels x1(T), x2(T), x3(T), then scaled
     to sup-norm eta.  The margin is x4(T) divided by the sum of the two
     terminal integrals, so a violation is relative to the terms' size.
+    p and T follow ControlSystem's rule, and p >= 12.
     """
-    if not isinstance(p, int) or p < 12:
-        raise ParameterError("obstruction regime needs integer p >= 12")
+    ControlSystem(p, T)
+    if p < 12:
+        raise ParameterError("obstruction regime needs p >= 12")
     if trials < 1:
         raise ParameterError("need at least one trial")
-    if not (T > 0 and eta > 0):
-        raise ParameterError("T and eta must be positive")
+    if not eta > 0:
+        raise ParameterError("eta must be positive")
     budget = T ** (p - 12) * eta ** (p - 6)
     if budget > 1 + 1e-12:
         raise ParameterError(

@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import InvariantError, NoCrossingError, ParameterError
 from .funcspace import GridFunction
-from .norms import _check_exponent, _order, derivative_product
+from .norms import _check_exponent, _order, _orders, derivative_product
 
 #: relative balance equality tolerance per selected interval
 BALANCE_TOL = 1e-6
@@ -86,10 +86,8 @@ class BalanceSpec:
     mode: str = "real-line"
 
     def __post_init__(self):
-        ks = tuple(_order("ks entry", k) for k in self.ks)
+        ks = _orders("ks", self.ks)
         m = _order("m", self.m)
-        if not ks or list(ks) != sorted(ks) or ks[0] < 0:
-            raise ParameterError("ks must be nonempty, sorted, nonnegative")
         if m <= ks[-1]:
             raise ParameterError("m must exceed every product order")
         if self.mode not in ("real-line", "bounded"):

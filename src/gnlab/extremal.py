@@ -6,8 +6,9 @@ compactly supported candidates: clamped quintic B-spline profiles on
 [0, 1] multiplied by the reference bump, so every derivative vanishes at
 the endpoints and the product rule gives exact derivative stacks.  The
 basis is funcspace's own SplineBump stack of the identity coefficient
-matrix, cached per grid as one (orders, n, dim) array, so a candidate's
-stack is `basis @ c` and the grid objective is one closure over it.
+matrix, cached per grid as one (orders, n, dim) array and refused above
+funcspace's byte cap, so a candidate's stack is `basis @ c` and the grid
+objective is one closure over it.
 
 On the Simpson grid ratio4^4 and ratio6^6 are quotients of two polynomial
 forms in c, so their search objectives (Nelder-Mead and the random
@@ -57,12 +58,6 @@ REPORT_GRID_N = 2 ** 16 + 1
 # either value moves search results, not just roundoff.
 SEMINORM_SEARCH_STRIDE = 8
 SEMINORM_REPORT_N = 4097
-# The package's one byte cap.  The cached candidate basis takes 8 * dimension
-# * (dimension + (order + 1) * n) bytes per grid (16 x 65537 x 3: 25 MB) and
-# building it peaks at about 2.7 times that, so larger bases are refused
-# before allocation; `control` refuses larger RK4 chains, and the command
-# line larger covers and sampled corpora, the same way (`refuse_above_cap`).
-BASIS_BYTES_CAP = 2 ** 30
 CEILING_SLACK = 1e-3
 WARM_START_POWERS = (0.82, 0.85, 0.9, 1.0)
 WARM_START_FREQS = (1, 2, 3)
@@ -88,14 +83,6 @@ FORM_MIN_DIMENSION = SPLINE_DEGREE + 3
 FACTOR_ROWS = SEARCH_GRID_N
 
 Target = Union[str, gn.GNParams]
-
-
-def refuse_above_cap(what: str, need: int) -> None:
-    """ParameterError, with the cost, when ``what`` needs more than
-    BASIS_BYTES_CAP bytes; called before anything of it is allocated."""
-    if need > BASIS_BYTES_CAP:
-        raise ParameterError(
-            f"{what} needs {need} bytes, above the {BASIS_BYTES_CAP}-byte cap")
 
 
 def _check_grid_n(n) -> None:
@@ -129,12 +116,6 @@ class SearchConfig:
                 f"tol must be finite and >= 0, got {self.tol}")
         _check_grid_n(self.grid_n)
         _check_grid_n(self.report_grid_n)
-
-    def echo(self) -> dict:
-        return {"restarts": self.restarts, "budget": self.budget,
-                "tol": self.tol, "seed": self.seed,
-                "dimension": self.dimension, "grid_n": self.grid_n,
-                "report_grid_n": self.report_grid_n}
 
 
 @lru_cache(maxsize=8)
@@ -181,8 +162,10 @@ def _grid_objective(target: Target, dimension: int, n: int, stride: int = 1):
     through the candidate's stack sampled on n nodes, kept at every
     stride-th node, and the norms of `gn`.
 
-    The basis is refused before it is allocated when it would take more
-    than BASIS_BYTES_CAP bytes.
+    The cached basis takes 8 * dimension * (dimension + (order + 1) * n)
+    bytes (16 x 65537 x 3: 25 MB), and building it peaks at about 2.7
+    times that; above the package's byte cap (`funcspace.BYTES_CAP`) it
+    is refused before it is allocated.
     """
     order = _target_order(target)
     fn = _ratio_fn(target)
@@ -190,8 +173,9 @@ def _grid_objective(target: Target, dimension: int, n: int, stride: int = 1):
         raise ParameterError(
             f"ratio-half subsamples {n} nodes by {stride}: n - 1 must be "
             f"a multiple of {stride} so the last kept node is x = 1")
-    refuse_above_cap(f"the candidate basis for dimension {dimension} on "
-                     f"{n} nodes", 8 * dimension * (dimension + (order + 1) * n))
+    fs.refuse_above_cap(f"the candidate basis for dimension {dimension} on "
+                        f"{n} nodes",
+                        8 * dimension * (dimension + (order + 1) * n))
     basis = _basis_matrices(dimension, n, order)
 
     def ratio(coeffs: np.ndarray) -> float:
@@ -329,18 +313,6 @@ class SearchResult:
     report_grid_n: int
     config: SearchConfig
 
-    def to_dict(self) -> dict:
-        return {"target": self.target,
-                "ratio": self.ratio,
-                "search_ratio": self.search_ratio,
-                "candidate": list(self.candidate),
-                "trace": [dict(t) for t in self.trace],
-                "evaluations": self.evaluations,
-                "degenerate": self.degenerate,
-                "grid_n": self.grid_n,
-                "report_grid_n": self.report_grid_n,
-                "config": self.config.echo()}
-
 
 class _BudgetSpent(Exception):
     """The evaluation budget ran out inside a Nelder-Mead step."""
@@ -432,29 +404,6 @@ def _nelder_mead(fun, x0, maxfev: int, xatol: float, fatol: float):
     return sim[0], np.min(fsim), nfev
 
 
-def _run_restart(ratio_fn, start, budget, tol):
-    counter = {"evals": 0, "degenerate": 0}
-
-    def objective(c):
-        counter["evals"] += 1
-        nrm = np.linalg.norm(c)
-        if nrm == 0.0 or not np.isfinite(nrm):
-            counter["degenerate"] += 1
-            return 0.0
-        r = ratio_fn(np.asarray(c, dtype=float) / nrm)
-        if r == 0.0:
-            counter["degenerate"] += 1
-        return -r
-
-    x, fun, _ = _nelder_mead(objective, start, budget, 1e-9, tol)
-    best = -float(fun)
-    vec = np.asarray(x, dtype=float)
-    nrm = np.linalg.norm(vec)
-    if nrm > 0.0:
-        vec = vec / nrm
-    return best, vec, counter
-
-
 def estimate_constant(target: Target,
                       config: Optional[SearchConfig] = None) -> SearchResult:
     """Maximize the target's lhs/rhs ratio over the candidate family.
@@ -477,36 +426,43 @@ def estimate_constant(target: Target,
         rng = np.random.default_rng([config.seed, idx])
         starts.append(rng.standard_normal(config.dimension))
 
-    outcomes = [_run_restart(ratio_fn, start, config.budget, config.tol)
-                for start in starts]
-
     trace = []
-    best = 0.0
-    best_vec = None
-    evals = 0
-    degenerate = 0
-    for idx, (val, vec, counter) in enumerate(outcomes):
-        evals += counter["evals"]
-        degenerate += counter["degenerate"]
+    best, best_vec = 0.0, None
+    evals = degenerate = 0
+
+    def objective(c):
+        nonlocal degenerate
+        nrm = np.linalg.norm(c)
+        if nrm == 0.0 or not np.isfinite(nrm):
+            degenerate += 1
+            return 0.0
+        r = ratio_fn(np.asarray(c, dtype=float) / nrm)
+        if r == 0.0:
+            degenerate += 1
+        return -r
+
+    def run(start, budget, tol, kind):
+        """One Nelder-Mead run from start; its winner is kept as a unit
+        vector when it beats the incumbent, and it is one trace entry."""
+        nonlocal best, best_vec, evals
+        x, fun, nfev = _nelder_mead(objective, start, budget, 1e-9, tol)
+        evals += nfev
+        val = -float(fun)
         if val > best:
-            best, best_vec = val, vec
-        trace.append({"restart": idx,
-                      "kind": "warm" if idx < n_warm else "random",
-                      "ratio": val, "best_so_far": best})
+            nrm = np.linalg.norm(x)
+            best, best_vec = val, x / nrm if nrm > 0.0 else x
+        trace.append({"restart": len(trace), "kind": kind, "ratio": val,
+                      "best_so_far": best})
+
+    for idx, start in enumerate(starts):
+        run(start, config.budget, config.tol,
+            "warm" if idx < n_warm else "random")
     if best_vec is None:
         raise SearchFailureError(
             f"all {evals} evaluations degenerate for target {label} "
             f"({degenerate} zero-ratio candidates)")
-
-    polish_budget = max(config.budget, int(2.5 * config.budget))
-    val, vec, counter = _run_restart(ratio_fn, best_vec, polish_budget,
-                                     config.tol * 1e-2)
-    evals += counter["evals"]
-    degenerate += counter["degenerate"]
-    if val > best:
-        best, best_vec = val, vec
-    trace.append({"restart": len(outcomes), "kind": "polish",
-                  "ratio": val, "best_so_far": best})
+    run(best_vec, max(config.budget, int(2.5 * config.budget)),
+        config.tol * 1e-2, "polish")
 
     fine = report_fn(best_vec)
     ceiling = _TAG_CEILING.get(target if isinstance(target, str) else "")
@@ -583,9 +539,8 @@ def sweep(targets: Sequence, config: Optional[SearchConfig] = None,
                 fn = _ratio_fn(target)
                 if sampled is None or sampled[0] < order:
                     base = corpus if corpus is not None else fs.standard_corpus()
-                    sampled = (order, [(name, fs.sample(f, (0.0, 1.0),
-                                                        config.grid_n, order))
-                                       for name, f in base])
+                    sampled = (order, fs.sample_corpus(base, config.grid_n,
+                                                       order))
                 best_name, best_val = "", 0.0
                 for name, u in sampled[1]:
                     val = fn(u)

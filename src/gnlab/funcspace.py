@@ -19,13 +19,15 @@ Evaluation clamps to zero once the exponent -1/(t(1-t)) drops below
 log(MIN_POSITIVE) + 64, so the rational prefactors can never overflow the
 vanishing exponential.
 
-Function families (bump, scaled bumps, truncated polynomials, sine bumps,
-spline bumps) return their whole exact derivative stack D^0..D^m, m up to
-MAX_ORDER, in one pass (one chi_stack call; for a spline, one de Boor
-recurrence gives every derivative order), and evaluate to exactly zero
-outside their supports.  Sine and spline bumps share one Leibniz loop.
-`sample` turns any of them into a GridFunction carrying that stack for the
-norm and covering machinery.
+Function families (bump, scaled bumps, sine bumps, spline bumps) return
+their whole exact derivative stack D^0..D^m, m up to MAX_ORDER, in one
+pass (one chi_stack call; for a spline, one de Boor recurrence gives every
+derivative order), and evaluate to exactly zero outside their supports.
+Sine and spline bumps share one Leibniz loop.  `sample` turns any of them
+into a GridFunction carrying that stack for the norm and covering
+machinery.  The package's one byte cap lives here too: `refuse_above_cap`
+refuses a run above it before allocating, and `sample_corpus` samples a
+corpus under it.
 
 Spline derivatives repeat, operation for operation, the reference B-spline
 evaluation and coefficient differencing that the tests compare them with,
@@ -46,6 +48,10 @@ import numpy as np
 from .errors import ParameterError, UnsupportedOrderError
 
 MAX_ORDER = 8
+# The package's one byte cap.  Sampled corpora, the extremal search's
+# candidate basis, covers and RK4 chains above it are refused, with their
+# cost, before they are allocated (`refuse_above_cap`).
+BYTES_CAP = 2 ** 30
 
 # chi and all R_i * chi are flat at the support endpoints; below this
 # exponent the exponential factor underflows any polynomial blowup of R_i.
@@ -307,39 +313,6 @@ class ScaledBump(AnalyticFunction):
     def descriptor(self):
         return {"family": "scaledbump", "params": {"a": self.a, "b": self.b},
                 "support": [self.a, self.b]}
-
-
-@dataclass(frozen=True)
-class Polynomial(AnalyticFunction):
-    """A polynomial truncated to a closed support interval.
-
-    Not smooth across the boundary; meant for bounded-domain experiments
-    where the domain equals the support.
-    """
-
-    coeffs: tuple
-    support: tuple = (0.0, 1.0)
-    max_order: int = MAX_ORDER
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        object.__setattr__(self, "support",
-                           (float(self.support[0]), float(self.support[1])))
-        if not self.support[1] > self.support[0]:
-            raise ParameterError("empty support interval")
-
-    def _stack_inside(self, m, x):
-        rows = np.empty((m + 1,) + x.shape)
-        c = self.coeffs
-        for i in range(m + 1):
-            rows[i] = _poly_eval(c, x)
-            c = _poly_derivative(c)
-        return rows
-
-    def descriptor(self):
-        return {"family": "polynomial",
-                "params": {"coeffs": list(map(float, self.coeffs))},
-                "support": list(self.support)}
 
 
 @dataclass(frozen=True)
@@ -610,6 +583,14 @@ class GridFunction:
                    provenance="finite-difference")
 
 
+def refuse_above_cap(what: str, need: int) -> None:
+    """ParameterError, with the cost, when ``what`` needs more than
+    BYTES_CAP bytes; called before anything of it is allocated."""
+    if need > BYTES_CAP:
+        raise ParameterError(
+            f"{what} needs {need} bytes, above the {BYTES_CAP}-byte cap")
+
+
 def sample(f: AnalyticFunction, interval, n: int, m: int = 0) -> GridFunction:
     """Exact-provenance GridFunction of f on a closed uniform grid."""
     if n < 2:
@@ -617,6 +598,20 @@ def sample(f: AnalyticFunction, interval, n: int, m: int = 0) -> GridFunction:
     a, b = float(interval[0]), float(interval[1])
     return GridFunction(a, b, f.stack(m, np.linspace(a, b, n)),
                         provenance="exact")
+
+
+def sample_corpus(selection, n: int, order: int) -> list:
+    """(name, GridFunction) pairs of the selected functions' stacks to
+    `order` on n nodes of [0, 1], refused up front when they and their
+    working arrays of n values are above the byte cap: 20 (up to about 16
+    were traced for the norms and ratios), or 2 * order + 16 while a stack
+    is sampled (traced: up to 2 * order + 12.4, and fixed allocations of
+    about 0.3 MB), whichever is more."""
+    work = max(20, 2 * order + 16)
+    refuse_above_cap(
+        f"{len(selection)} sampled stack(s) to order {order} on {n} nodes",
+        8 * n * (len(selection) * (order + 1) + work))
+    return [(name, sample(f, (0.0, 1.0), n, order)) for name, f in selection]
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ and the two residuals must agree identically.
 All exponent arithmetic is exact (Fractions, with 1/inf = 0) so residuals
 of valid tuples are exactly zero rather than float noise.  Exponents and
 derivative orders are checked by the rules of `norms`: an exponent is
->= 1 or +inf, and an order that is not a whole number is refused, never
-truncated.  `ibp_identities` returns both identity residuals.
+>= 1 or +inf, an order that is not a whole number is refused, never
+truncated, and an order list is nonempty, sorted ascending and
+nonnegative.  `ibp_identities` returns both identity residuals.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .errors import (InfeasibleError, InvariantError, ParameterError,
                      PreconditionError)
 from .funcspace import GridFunction
 from .norms import (INF, NormSpec, ProductSpec, _check_exponent, _order,
-                    gagliardo_seminorm, lebesgue_norm, product_norm, simpson)
+                    _orders, gagliardo_seminorm, lebesgue_norm, product_norm,
+                    simpson)
 
 RESIDUAL_TOL = 1e-12
 
@@ -68,9 +70,9 @@ def _inv(x) -> Fraction:
 
 def theta_star(ks, j: int, m: int) -> Fraction:
     """Critical interpolation weight (j - kbar)/(m - kbar)."""
-    ks = tuple(_order("ks entry", k) for k in ks)
+    ks = _orders("ks", ks)
     j, m = _order("j", j), _order("m", m)
-    if not ks or ks[-1] > j or not j < m:
+    if ks[-1] > j or not j < m:
         raise ParameterError("orders must satisfy k_kappa <= j < m")
     kbar = Fraction(sum(ks), len(ks))
     return (Fraction(j) - kbar) / (Fraction(m) - kbar)
@@ -82,7 +84,8 @@ class GNParams:
 
     Construction validates everything: exponents >= 1, order chain
     k_1 <= ... <= k_kappa <= j < m, theta in [theta*, 1], and a vanishing
-    relation residual.
+    relation residual.  The tuple is frozen, so the evaluators take it as
+    valid and check it no more.
     """
 
     p: object
@@ -98,7 +101,7 @@ class GNParams:
         q = as_exponent(self.q)
         r = as_exponent(self.r)
         th = self.theta if isinstance(self.theta, Fraction) else _fraction(self.theta)
-        ks = tuple(_order("ks entry", k) for k in self.ks)
+        ks = _orders("ks", self.ks)
         object.__setattr__(self, "j", _order("j", self.j))
         object.__setattr__(self, "m", _order("m", self.m))
         object.__setattr__(self, "p", p)
@@ -124,10 +127,6 @@ class GNParams:
         for name, v in (("p", self.p), ("q", self.q), ("r", self.r)):
             if v != INF and v < 1:
                 raise ParameterError(f"{name} must be >= 1 or inf, got {v}")
-        if not self.ks:
-            raise ParameterError("ks must be nonempty")
-        if list(self.ks) != sorted(self.ks) or self.ks[0] < 0:
-            raise ParameterError("ks must be sorted ascending, nonnegative")
         if not (self.ks[-1] <= self.j < self.m):
             raise ParameterError(
                 f"need k_kappa <= j < m, got ks={self.ks} j={self.j} m={self.m}")
@@ -180,9 +179,9 @@ def solve_exponent(p=None, q=None, r=None, ks=(), j=0, m=1, theta=None) -> GNPar
             f"exactly one of p, q, theta must be unknown, got {unknowns}")
     if r is None:
         raise ParameterError("r must be given")
-    ks = tuple(_order("ks entry", k) for k in ks)
+    ks = _orders("ks", ks)
     kappa = len(ks)
-    kbar = Fraction(sum(ks), kappa) if ks else None
+    kbar = Fraction(sum(ks), kappa)
     ts = theta_star(ks, j, m)
     r = as_exponent(r)
 
@@ -245,12 +244,6 @@ class InequalityReport:
     degenerate: bool = False
     violation_candidate: bool = False
 
-    def to_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs_terms": dict(self.rhs_terms),
-                "rhs": self.rhs, "ratio": self.ratio, "params": self.params,
-                "grid": self.grid, "degenerate": self.degenerate,
-                "violation_candidate": self.violation_candidate}
-
 
 def _grid_meta(u: GridFunction) -> dict:
     return {"n": u.n, "a": u.a, "b": u.b, "provenance": u.provenance}
@@ -275,7 +268,6 @@ def _check_compact_support(u: GridFunction):
 
 def evaluate_generalized(u: GridFunction, params: GNParams) -> InequalityReport:
     """Ratio report for the whole-line inequality on a compact support."""
-    params.validate()
     _check_compact_support(u)
     th = float(params.theta)
     lhs = lebesgue_norm(u, NormSpec(float(params.p), params.j))
@@ -313,7 +305,6 @@ def evaluate_bounded(u: GridFunction, params: GNParams,
     report additionally carries the classical decomposition, whose low
     factor is ||u||_q rather than a derivative product.
     """
-    params.validate()
     if extras.k0 > params.ks[0]:
         raise ParameterError("k0 must not exceed k_1")
     dom = extras.omega
@@ -334,7 +325,6 @@ def evaluate_bounded(u: GridFunction, params: GNParams,
 def evaluate_localized(u: GridFunction, params: GNParams,
                        omega: tuple) -> InequalityReport:
     """Additive localized form: the product term is measured on omega only."""
-    params.validate()
     lo, hi = float(omega[0]), float(omega[1])
     if not (u.a <= lo < hi <= u.b):
         raise ParameterError("omega must be a nonempty subinterval of the grid")
@@ -449,9 +439,7 @@ def open_problem_probe(corpus, q, ks) -> list:
     where the fractional seminorm of order 1/2 in L^{q kappa} stands in.
     No pass/fail: exploration output only.
     """
-    ks = tuple(_order("ks entry", k) for k in ks)
-    if not ks:
-        raise ParameterError("ks must be nonempty")
+    ks = _orders("ks", ks)
     kappa = len(ks)
     q = float(q)
     kbar = Fraction(sum(ks), kappa)

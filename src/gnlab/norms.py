@@ -90,6 +90,17 @@ def _order(name: str, k) -> int:
     raise ParameterError(f"{name} must be an integer, got {k!r}")
 
 
+def _orders(name: str, ks) -> tuple:
+    """ks as a tuple of ints: the one order-list rule, so every entry is
+    an order by `_order` and the list is nonempty, sorted ascending and
+    nonnegative."""
+    ks = tuple(_order(f"{name} entry", k) for k in ks)
+    if not ks or list(ks) != sorted(ks) or ks[0] < 0:
+        raise ParameterError(
+            f"{name} must be nonempty, sorted ascending and >= 0, got {ks}")
+    return ks
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """Which norm: L^p of the j-th derivative over a subinterval."""
@@ -115,13 +126,7 @@ class ProductSpec:
     domain: tuple | None = None
 
     def __post_init__(self):
-        ks = tuple(_order("order", k) for k in self.ks)
-        if not ks:
-            raise ParameterError("order list must be nonempty")
-        if list(ks) != sorted(ks):
-            raise ParameterError("order list must be sorted ascending")
-        if ks[0] < 0:
-            raise ParameterError("orders must be >= 0")
+        ks = _orders("order list", self.ks)
         _check_exponent(self.q)
         object.__setattr__(self, "ks", ks)
 

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import gnlab.cli as cli_module
-import gnlab.extremal as ex
 import gnlab.funcspace as fs
 from gnlab.cli import main
 
@@ -264,10 +263,16 @@ def test_out_of_range_sizes_are_refused(tmp_path, argv):
     ["control", "obstruction", "--p", "12", "--T", "inf", "--eta", "0.8",
      "--trials", "2"],
     ["control", "p1", "--T", "inf"],
+    # ControlSystem's rule for p and T holds for scaling and obstruction too
+    ["control", "scaling", "--p", "0", "--a", "0.3", "--eps", "1e-4:1e-2:3"],
+    ["control", "scaling", "--p", "-3", "--a", "0.3", "--eps", "1e-4:1e-2:3"],
+    ["control", "obstruction", "--p", "12", "--T", "0", "--eta", "0.8",
+     "--trials", "2"],
 ], ids=["tol-nan", "tol-inf", "tol-negative", "threshold-nan",
         "threshold-one", "threshold-above-one", "scaling-a-nan",
         "scaling-a-inf", "integrate-T-inf", "formula-T-inf", "scaling-T-inf",
-        "obstruction-T-inf", "p1-T-inf"])
+        "obstruction-T-inf", "p1-T-inf", "scaling-p-zero",
+        "scaling-p-negative", "obstruction-T-zero"])
 def test_non_finite_or_vacuous_floats_are_refused(tmp_path, argv):
     """Refused before a report with bare NaN/Infinity or an empty cover
     can be written."""
@@ -304,6 +309,26 @@ def test_oversized_control_runs_are_refused_up_front(tmp_path, capsys, argv):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_oversized_corpus_sweep_row_is_skipped_with_its_cost(tmp_path):
+    """A corpus-mode sweep samples under the byte cap too: the row of a
+    grid above it is skipped with its cost, and nothing is allocated."""
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, "estimate", "--sweep-l6", "1", "--mode",
+                   "corpus", "--search-N", "300000001", "--deterministic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 ** 24
+    [row] = read_report(tmp_path)["result"]
+    assert row["status"] == "skipped"
+    # 7 stacks to order m = 2 and 20 working arrays of 300000001 values
+    assert row["note"] == (
+        "7 sampled stack(s) to order 2 on 300000001 nodes needs "
+        f"{8 * 300000001 * 41} bytes, above the {2 ** 30}-byte cap")
+
+
 @pytest.mark.parametrize("argv", [
     ["cover", "--preset", "l12", "--N", "8193"],
     ["check", "generalized", "--preset", "l12", "--N", "8193",
@@ -324,7 +349,7 @@ def test_footprint_formulas_bound_the_traced_peak(tmp_path, capsys,
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    monkeypatch.setattr(ex, "BASIS_BYTES_CAP", peak)
+    monkeypatch.setattr(fs, "BYTES_CAP", peak)
     assert run(tmp_path / "capped", *argv, "--deterministic") == 2
     assert "bytes" in capsys.readouterr().err
     assert not (tmp_path / "capped" / "report.json").exists()

@@ -5,6 +5,7 @@ integrator tests into oracle comparisons instead of self-consistency
 checks.
 """
 
+import dataclasses
 import re
 import tracemalloc
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 from scipy.integrate import simpson
 
 import gnlab.control as ct
-import gnlab.extremal as ex
+import gnlab.funcspace as fs
 from gnlab.errors import (DivergenceError, InvariantError, ParameterError,
                           PreconditionError)
 
@@ -396,7 +397,7 @@ class TestObstruction:
 
     def test_report_serializes(self):
         rep = ct.obstruction_check(12, 1.0, 0.5, trials=4, seed=1, steps=512)
-        d = rep.to_dict()
+        d = dataclasses.asdict(rep)
         assert len(d["margins"]) == 4
         assert d["eta"] == 0.5
 
@@ -449,7 +450,7 @@ def test_chain_footprint_is_between_the_traced_peak_and_twice_it(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr(ex, "BASIS_BYTES_CAP", 0)
+    monkeypatch.setattr(fs, "BYTES_CAP", 0)
     with pytest.raises(ParameterError) as refused:
         run()
     need = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))

@@ -105,8 +105,9 @@ class TestCriticalRadius:
     def test_no_crossing_for_vanishing_top_derivative(self):
         # quadratic: the third derivative is identically zero, so the
         # top-order side can never catch the product side
-        quad = fs.Polynomial((0.0, 0.0, 1.0))
-        g = fs.sample(quad, (0.0, 1.0), 2049, 3)
+        x = np.linspace(0.0, 1.0, 2049)
+        g = fs.GridFunction(0.0, 1.0, np.stack(
+            [x * x, 2.0 * x, np.full_like(x, 2.0), np.zeros_like(x)]))
         with pytest.raises(NoCrossingError):
             cov.critical_radius(g, 0.5, SPEC)
 

@@ -1,5 +1,7 @@
 """Candidate basis, ratio objectives, and the restart search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -168,7 +170,7 @@ class TestNelderMeadMatchesScipy:
         ours = ex.estimate_constant(target, cfg)
         monkeypatch.setattr(ex, "_nelder_mead", scipy_nelder_mead)
         theirs = ex.estimate_constant(target, cfg)
-        assert ours.to_dict() == theirs.to_dict()
+        assert dataclasses.asdict(ours) == dataclasses.asdict(theirs)
 
 
 class TestSearchConfig:
@@ -189,7 +191,7 @@ class TestSearchConfig:
 
     def test_echo_round_trip(self):
         cfg = ex.SearchConfig(restarts=2, budget=10)
-        echo = cfg.echo()
+        echo = dataclasses.asdict(cfg)
         assert echo["restarts"] == 2
         assert echo["budget"] == 10
 

@@ -197,24 +197,12 @@ def test_standard_corpus_names_and_orders():
 # oracle: the per-order derivative bodies that the one-pass stacks replaced
 # ---------------------------------------------------------------------------
 
-def _ref_horner(c, x):
-    acc = np.zeros_like(x)
-    for coef in reversed(c):
-        acc = acc * x + float(coef)
-    return acc
-
-
 def _ref_inside(f, i, x):
     if isinstance(f, fs.BumpChi):
         return fs.chi_stack(x, i)[i]
     if isinstance(f, fs.ScaledBump):
         s = (x - f.a) / (f.b - f.a)
         return fs.chi_stack(s, i)[i] / (f.b - f.a) ** i
-    if isinstance(f, fs.Polynomial):
-        c = f.coeffs
-        for _ in range(i):
-            c = fs._poly_derivative(c)
-        return _ref_horner(c, x) * np.ones_like(x)
     if isinstance(f, fs.SineBump):
         ch = fs.chi_stack(x, i)
         w = math.pi * f.frequency
@@ -286,9 +274,7 @@ def _oracle_functions():
     seeded = [(f"seeded{d}", fs.SplineBump(rng.uniform(-1.0, 1.0, d)))
               for d in (6, 11, 16)]
     return (fs.standard_corpus() + seeded
-            + [("polynomial", fs.Polynomial((0.5, -1.0, 2.0, 0.25, -3.0),
-                                            (0.2, 0.9))),
-               ("rescaled_spline", fs.Rescaled(fs.SplineBump(
+            + [("rescaled_spline", fs.Rescaled(fs.SplineBump(
                    (0.6, -1.0, 0.8, 0.4, -0.9, 1.0, -0.3, 0.7)), 0.1, 0.7)),
                # support [0.2, 0.9]: the chi rows carry powers of 1/0.7
                ("knotted_spline", fs.SplineBump(

@@ -12,7 +12,7 @@ import gnlab.covering as cov
 import gnlab.funcspace as fs
 import gnlab.gn as gn
 import gnlab.norms as nm
-from gnlab.errors import ParameterError, PreconditionError
+from gnlab.errors import InfeasibleError, ParameterError, PreconditionError
 
 # frozen inequality ratios for the standard bump, computed once by the
 # quadrature pipeline at two resolutions and cross-checked by Richardson
@@ -55,6 +55,23 @@ class TestExponentAlgebra:
     def test_solve_for_theta(self):
         solved = gn.solve_exponent(p=12, q=2, r="inf", ks=(0, 1, 2), j=2, m=3)
         assert solved.theta == Fraction(1, 2)
+
+    def test_solve_for_q(self):
+        solved = gn.solve_exponent(p=12, r="inf", ks=(0, 1, 2), j=2, m=3,
+                                   theta=Fraction(1, 2))
+        assert solved.q == 2
+
+    @pytest.mark.parametrize("kwargs", [
+        # q drops out of the relation at theta = 1
+        dict(p=12, r="inf", ks=(0, 1, 2), j=2, m=3, theta=1),
+        # solves to 1/q = 3
+        dict(p=2, r="inf", ks=(0, 1, 2), j=2, m=3, theta=Fraction(1, 2)),
+        # (1/r - m) - (1/(q kappa) - kbar) = (1 - 2) - (0 - 1) = 0
+        dict(p=2, q="inf", r=1, ks=(1, 1), j=1, m=2),
+    ], ids=["q-at-theta-one", "q-below-one", "theta-coefficient-zero"])
+    def test_solve_without_a_legal_solution_is_infeasible(self, kwargs):
+        with pytest.raises(InfeasibleError):
+            gn.solve_exponent(**kwargs)
 
     def test_solve_rejects_wrong_unknown_count(self):
         with pytest.raises(ParameterError):
