@@ -47,7 +47,7 @@ import numpy as np
 from . import funcspace as fs
 from .errors import (ParameterError, PreconditionError, InvariantError,
                      DivergenceError)
-from .norms import simpson, simpson_weights
+from .norms import _order, simpson, simpson_weights
 
 DEFAULT_STEPS = 2 ** 14
 TERMINAL_TOL = 1e-8
@@ -71,8 +71,10 @@ class ControlSystem:
     T: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 1:
-            raise ParameterError("p must be an integer >= 1")
+        # a bool is an int to Python, not an exponent
+        if isinstance(self.p, (bool, np.bool_)) or _order("p", self.p) < 1:
+            raise ParameterError(f"p must be an integer >= 1, got {self.p!r}")
+        object.__setattr__(self, "p", _order("p", self.p))
         if not self.T > 0:
             raise ParameterError("horizon T must be positive")
 
@@ -407,7 +409,7 @@ def scaling_experiment(p: int, a: float, eps: Sequence[float], T: float = 1.0,
     dropped from the fit; a single surviving point yields no slope.  p and
     T follow ControlSystem's rule.
     """
-    ControlSystem(p, T)
+    p = ControlSystem(p, T).p
     stage_t = _stage_times(T, steps, len(eps))
     eps = [float(e) for e in eps]
     if not eps or any(e <= 0 for e in eps):
@@ -505,7 +507,7 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
     terminal integrals, so a violation is relative to the terms' size.
     p and T follow ControlSystem's rule, and p >= 12.
     """
-    ControlSystem(p, T)
+    p = ControlSystem(p, T).p
     if p < 12:
         raise ParameterError("obstruction regime needs p >= 12")
     if trials < 1:

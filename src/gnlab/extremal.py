@@ -51,7 +51,8 @@ from .errors import ParameterError, InvariantError, SearchFailureError
 
 SEARCH_GRID_N = 4097
 REPORT_GRID_N = 2 ** 16 + 1
-# The seminorm is O(n^2) time: 6 ms at 513 nodes, 0.3 s at 8193 (2 vCPU,
+# The seminorm at p = 4 (a direct near band plus an FFT far field) takes
+# 0.5-0.7 ms at 513 nodes, 10-11 ms at 4097 and 35 ms at 8193 (2 vCPU,
 # numpy 2.4), against 14 us for a ratio4 search objective at 4097 nodes and
 # dimension 16 (polynomial form; 0.23 ms through the grid).  So ratio-half
 # searches on a subsampled grid and reports on a moderate one; changing
@@ -81,6 +82,9 @@ FORM_MIN_DIMENSION = SPLINE_DEGREE + 3
 # grid rows factored at a time: the default search grid is one block, and a
 # finer grid builds its factors in O(P * FACTOR_ROWS) memory, not O(P * n)
 FACTOR_ROWS = SEARCH_GRID_N
+# candidates of a random batch evaluated at a time: a block's monomials
+# and factor products stay a few MB, not O(count * P)
+BATCH_ROWS = 2048
 
 Target = Union[str, gn.GNParams]
 
@@ -258,6 +262,29 @@ def _form_objective(target: str, dimension: int, n: int):
     return ratio
 
 
+def _form_values(target: str, dimension: int, n: int,
+                 coeffs: np.ndarray) -> np.ndarray:
+    """`_form_objective`'s ratio for every row of coeffs, through one
+    product per factor for each block of BATCH_ROWS rows: the same forms
+    summed in another order, so only roundoff differs."""
+    monos, r_num, r_den = _ratio_factors(target, dimension, n)
+    power = 0.5 / monos.shape[0]
+    first, *rest = monos
+    values = np.zeros(len(coeffs))
+    for lo in range(0, len(coeffs), BATCH_ROWS):
+        block = coeffs[lo:lo + BATCH_ROWS]
+        y = block[:, first]
+        for idx in rest:
+            y *= block[:, idx]
+        num = y @ r_num.T
+        den = y @ r_den.T
+        num2 = np.einsum("ij,ij->i", num, num)
+        den2 = np.einsum("ij,ij->i", den, den)
+        live = den2 != 0.0
+        values[lo:lo + BATCH_ROWS][live] = (num2[live] / den2[live]) ** power
+    return values
+
+
 def _make_objective(target: Target, dimension: int, n: int):
     """Returns (ratio_fn, basis) for a search: many calls on one grid.
 
@@ -270,11 +297,18 @@ def _make_objective(target: Target, dimension: int, n: int):
     """
     stride = SEMINORM_SEARCH_STRIDE if target == "ratio-half" and n > 1024 else 1
     ratio, basis = _grid_objective(target, dimension, n, stride)
-    if target in _TAG_FORMS and dimension >= FORM_MIN_DIMENSION:
-        size = _monomials(dimension, len(_TAG_FORMS[target][0])).shape[1]
-        if 2 * size ** 2 <= (_TAG_ORDER[target] + 1) * n * dimension:
-            ratio = _form_objective(target, dimension, n)
+    if _uses_forms(target, dimension, n):
+        ratio = _form_objective(target, dimension, n)
     return ratio, basis
+
+
+def _uses_forms(target: Target, dimension: int, n: int) -> bool:
+    """Whether a search on n nodes evaluates the target as forms: ratio4
+    or ratio6 with local splines and factors no larger than the stack."""
+    if target not in _TAG_FORMS or dimension < FORM_MIN_DIMENSION:
+        return False
+    size = _monomials(dimension, len(_TAG_FORMS[target][0])).shape[1]
+    return 2 * size ** 2 <= (_TAG_ORDER[target] + 1) * n * dimension
 
 
 def warm_starts(value_matrix: np.ndarray) -> list:
@@ -480,7 +514,11 @@ def estimate_constant(target: Target,
 def random_ratio_batch(target: Target, count: int = 10_000,
                        dimension: int = 8, seed: int = 0,
                        grid_n: int = SEARCH_GRID_N) -> dict:
-    """Ratios of seeded random unit candidates, one objective call each.
+    """Ratios of seeded random unit candidates.
+
+    Where the search would evaluate forms (`_uses_forms`) the candidates
+    go through `_form_values` in blocks; every other target makes one
+    objective call each.
 
     This is the coarse random-search oracle used to sanity-check the
     proof ceilings and to lower-bound the optimizer: the max over many
@@ -496,7 +534,10 @@ def random_ratio_batch(target: Target, count: int = 10_000,
     lengths = np.linalg.norm(coeffs, axis=1)
     lengths[lengths == 0.0] = 1.0
     coeffs /= lengths[:, None]
-    values = np.array([ratio_fn(c) for c in coeffs])
+    if _uses_forms(target, dimension, grid_n):
+        values = _form_values(target, dimension, grid_n, coeffs)
+    else:
+        values = np.array([ratio_fn(c) for c in coeffs])
     idx = int(np.argmax(values))
     best = max(float(values[idx]), 0.0)
     return {"target": _target_label(target), "count": count,

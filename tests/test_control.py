@@ -83,6 +83,24 @@ class TestSystemAndLaws:
         with pytest.raises(ParameterError):
             ct.ControlSystem(3, 0.0)
 
+    def test_p_is_an_order_not_a_bool(self):
+        """A numpy integer is an exponent, a bool is not, through the
+        system and both experiments that take p."""
+        sys_ = ct.ControlSystem(np.int64(3), 1.0)
+        assert sys_.p == 3 and type(sys_.p) is int
+        rep = ct.scaling_experiment(np.int64(7), 0.0, [1e-3], steps=64)
+        assert type(rep.p) is int
+        rep = ct.obstruction_check(np.int64(12), 1.0, 0.5, trials=2,
+                                   steps=64)
+        assert type(rep.p) is int
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(ParameterError):
+                ct.ControlSystem(flag, 1.0)
+            with pytest.raises(ParameterError):
+                ct.scaling_experiment(flag, 0.0, [1e-3], steps=64)
+            with pytest.raises(ParameterError):
+                ct.obstruction_check(flag, 1.0, 0.5, trials=2, steps=64)
+
     def test_bump_triple_support(self):
         law = ct.ScaledBumpTriple(1e-4, 0.5)
         assert law.support_end == pytest.approx(1e-2)

@@ -261,6 +261,21 @@ class TestRandomBatch:
         assert BATCH6_MAX <= gn.RATIO6_BOUND + ex.CEILING_SLACK
         assert b6["max"] <= gn.RATIO6_BOUND + 1e-3
 
+    @pytest.mark.parametrize("target", ["ratio4", "ratio6"])
+    def test_batched_forms_match_the_search_objective(self, target):
+        """Blocks of candidates through one product per factor give the
+        single-candidate form's values up to roundoff, zero rows 0.0."""
+        ratio, _ = ex._make_objective(target, 8, 1025)
+        coeffs = np.random.default_rng(4).standard_normal(
+            (2 * ex.BATCH_ROWS + 5, 8))
+        coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
+        coeffs[ex.BATCH_ROWS] = 0.0
+        got = ex._form_values(target, 8, 1025, coeffs)
+        want = np.array([ratio(c) for c in coeffs])
+        assert got[ex.BATCH_ROWS] == want[ex.BATCH_ROWS] == 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.argmax(got) == np.argmax(want)
+
     def test_batch_is_deterministic(self):
         a = ex.random_ratio_batch("ratio4", count=64, seed=9, grid_n=513)
         b = ex.random_ratio_batch("ratio4", count=64, seed=9, grid_n=513)

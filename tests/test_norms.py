@@ -2,8 +2,9 @@
 
 Closed forms on monomials pin the quadrature; hypothesis properties pin
 homogeneity and domain monotonicity, which the inequality evaluations
-lean on.  The offset sweep of the seminorm is checked against the direct
-blocked double sum over the padded grid.
+lean on.  The seminorm, its direct offset sweep and its FFT far field
+alike, is checked against the direct blocked double sum over the padded
+grid.
 """
 
 import math
@@ -205,6 +206,58 @@ def test_seminorm_matches_blocked_double_sum(n):
         for p in (1.0, 2.5, 4.0, 6.0):
             assert nm.gagliardo_seminorm(g, s, p) == pytest.approx(
                 blocked_seminorm(g, s, p), rel=1e-13)
+
+
+CORPUS_NAMES = [name for name, _ in fs.standard_corpus()]
+FAR_FIELD_CASES = [(n, s, p) for n in (1025, 2049) for s in (0.1, 0.5, 0.9)
+                   for p in (2.0, 4.0, 6.0)]
+
+
+@pytest.mark.parametrize("n,s,p,name", [
+    case + (CORPUS_NAMES[i % len(CORPUS_NAMES)],)
+    for i, case in enumerate(FAR_FIELD_CASES)])
+def test_far_field_matches_blocked_double_sum_on_the_corpus(n, s, p, name):
+    """Compactly supported samples keep the pad term small, so an error in
+    the FFT far field shows; each case takes the next corpus function."""
+    g = fs.sample(fs.corpus_function(name), (0.0, 1.0), n, 0)
+    # abs=0: approx's default absolute 1e-12 is 1e-11 relative here
+    assert nm.gagliardo_seminorm(g, s, p) == pytest.approx(
+        blocked_seminorm(g, s, p), rel=1e-13, abs=0.0)
+
+
+def sweep_seminorm(g, s, p):
+    """Reference: the seminorm's direct sweep over every offset, with no
+    far field."""
+    u = g.stack[0]
+    ncell = g.n - 1
+    mid_u = 0.5 * (u[1:] + u[:-1])
+    w = np.zeros(2 * ncell + 1)
+    w[1:-1] = (np.arange(1, 2 * ncell) * g.dx) ** -(1.0 + s * p)
+    tail = np.cumsum(w[::-1])[::-1]
+    near = tail[1:ncell + 1] - tail[ncell + 1:]
+    pad = near + near[::-1]
+    inner = sum(w[k] * float(np.sum(np.abs(mid_u[k:] - mid_u[:-k]) ** p))
+                for k in range(1, ncell))
+    total = 2.0 * (inner + float(np.sum(np.abs(mid_u) ** p * pad))) * g.dx ** 2
+    return max(total, 0.0) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("n", [2, 3, 18, 257, 1025])
+def test_seminorm_without_far_field_is_the_sweep(n, monkeypatch):
+    """Odd and fractional p, and even p with the band set to every offset,
+    run the sweep float for float."""
+    x = np.linspace(0.0, 1.0, n)
+    gs = [fs.sample(fs.BumpChi(), (0.0, 1.0), n, 0),
+          fs.GridFunction(0.0, 1.0, np.stack([1.0 + x + np.sin(7 * x)]))]
+    for g in gs:
+        for s in (0.1, 0.5, 0.9):
+            for p in (1.0, 2.5, 3.0):
+                assert nm.gagliardo_seminorm(g, s, p) == sweep_seminorm(g, s, p)
+    monkeypatch.setattr(nm, "SEMINORM_NEAR_BAND", 1.0)
+    for g in gs:
+        for s in (0.1, 0.5, 0.9):
+            for p in (2.0, 4.0, 6.0):
+                assert nm.gagliardo_seminorm(g, s, p) == sweep_seminorm(g, s, p)
 
 
 def test_seminorm_memory_is_linear_in_n():
