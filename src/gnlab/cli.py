@@ -71,9 +71,10 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _emit(args, command: str, payload, grid_n=None, seed=None) -> int:
+def _emit(args, command: str, payload, grid_n=None) -> int:
     report = {"tool": "gnlab", "version": __version__, "command": command,
-              "config": _config_echo(args), "grid_n": grid_n, "seed": seed,
+              "config": _config_echo(args), "grid_n": grid_n,
+              "seed": _resolve_seed(args),
               "tolerances": _TOLERANCES, "result": payload}
     if not args.deterministic:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -139,9 +140,17 @@ def _parse_eps_range(text: str, steps: int) -> np.ndarray:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("GNLAB_SEED", "0"))
+    """The one seed rule: --seed, else $GNLAB_SEED, else 0, and an
+    integer >= 0."""
+    seed = args.seed
+    if seed is None:
+        seed = os.environ.get("GNLAB_SEED", "0")
+    try:
+        if int(seed) >= 0:
+            return int(seed)
+    except ValueError:
+        pass
+    raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _resolve_params(args) -> gn.GNParams:
@@ -182,11 +191,10 @@ def cmd_params(args) -> int:
                "theta_star": str(params.theta_star),
                "p": params.echo()["p"],
                "residual": str(residual)}
-    return _emit(args, "params", payload, seed=_resolve_seed(args))
+    return _emit(args, "params", payload)
 
 
 def cmd_check(args) -> int:
-    seed = _resolve_seed(args)
     n = args.N
     if args.kind in ("generalized", "bounded", "localized"):
         params = _resolve_params(args)
@@ -206,7 +214,7 @@ def cmd_check(args) -> int:
                 rep = gn.evaluate_localized(u, params, omega)
             rows.append({"function": name, **asdict(rep)})
         payload = rows[0] if len(rows) == 1 else rows
-        return _emit(args, f"check {args.kind}", payload, grid_n=n, seed=seed)
+        return _emit(args, f"check {args.kind}", payload, grid_n=n)
     if args.kind == "special":
         corpus = fs.sample_corpus(_corpus_selection(args.function), n, 2)
         rows = gn.special_constants(corpus,
@@ -214,18 +222,17 @@ def cmd_check(args) -> int:
         payload = [{"function": r.name, "ratio4": r.ratio4, "ratio6": r.ratio6,
                     "ratio_half": r.ratio_half, "skipped": list(r.skipped)}
                    for r in rows]
-        return _emit(args, "check special", payload, grid_n=n, seed=seed)
+        return _emit(args, "check special", payload, grid_n=n)
     if args.kind == "open-problem":
         ks = _parse_ks(args.ks) if args.ks else (0, 1, 2)
         order = max(ks)
         corpus = fs.sample_corpus(_corpus_selection(args.function), n, order)
         payload = gn.open_problem_probe(corpus, args.q or "2", ks)
-        return _emit(args, "check open-problem", payload, grid_n=n, seed=seed)
+        return _emit(args, "check open-problem", payload, grid_n=n)
     raise ParameterError(f"unknown check kind {args.kind!r}")
 
 
 def cmd_cover(args) -> int:
-    seed = _resolve_seed(args)
     params = _resolve_params(args)
     spec = cov.BalanceSpec.from_params(params, mode=args.mode)
     selection = _corpus_selection(args.function)
@@ -249,13 +256,12 @@ def cmd_cover(args) -> int:
         payload.append({"function": name, **d})
     if len(payload) == 1:
         payload = payload[0]
-    return _emit(args, "cover", payload, grid_n=args.N, seed=seed)
+    return _emit(args, "cover", payload, grid_n=args.N)
 
 
 def cmd_estimate(args) -> int:
-    seed = _resolve_seed(args)
     config = ex.SearchConfig(restarts=args.restarts, budget=args.budget,
-                             tol=args.tol, seed=seed,
+                             tol=args.tol, seed=_resolve_seed(args),
                              dimension=args.dimension,
                              grid_n=args.search_N,
                              report_grid_n=args.report_N)
@@ -275,8 +281,7 @@ def cmd_estimate(args) -> int:
                    [[r[k] for k in ("target", "mode", "status", "ratio",
                                     "argmax", "grid_n", "seed", "note")]
                     for r in rows])
-        return _emit(args, "estimate sweep", rows,
-                     grid_n=config.grid_n, seed=seed)
+        return _emit(args, "estimate sweep", rows, grid_n=config.grid_n)
     if args.target in ex.RATIO_TAGS:
         target = args.target
     elif args.target is not None:
@@ -290,25 +295,22 @@ def cmd_estimate(args) -> int:
     if not args.trace:
         payload["trace"] = {"entries": len(result.trace),
                             "final_best": result.search_ratio}
-    return _emit(args, "estimate", payload, grid_n=config.grid_n, seed=seed)
+    return _emit(args, "estimate", payload, grid_n=config.grid_n)
 
 
 def cmd_control(args) -> int:
-    seed = _resolve_seed(args)
     if args.kind == "integrate":
         sys_ = ct.ControlSystem(args.p, args.T)
         law = _resolve_law(args)
         traj = ct.integrate(sys_, law, steps=args.steps)
         payload = {"terminal": traj.terminal.tolist(), "steps": traj.steps,
                    "law": traj.law, "p": args.p, "T": args.T}
-        return _emit(args, "control integrate", payload,
-                     grid_n=args.steps, seed=seed)
+        return _emit(args, "control integrate", payload, grid_n=args.steps)
     if args.kind == "formula":
         sys_ = ct.ControlSystem(args.p, args.T)
         law = _resolve_law(args)
         payload = ct.terminal_formula_check(sys_, law, steps=args.steps)
-        return _emit(args, "control formula", payload,
-                     grid_n=args.steps, seed=seed)
+        return _emit(args, "control formula", payload, grid_n=args.steps)
     if args.kind == "scaling":
         if not args.eps:
             raise ParameterError("scaling needs --eps start:end:count")
@@ -318,17 +320,16 @@ def cmd_control(args) -> int:
         _write_csv(args, "scaling.csv", ["eps", "x4", "sign"],
                    report.csv_rows())
         return _emit(args, "control scaling", report.to_dict(),
-                     grid_n=args.steps, seed=seed)
+                     grid_n=args.steps)
     if args.kind == "obstruction":
-        report = ct.obstruction_check(args.p, args.T, args.eta,
-                                      trials=args.trials, seed=seed,
-                                      steps=args.steps)
-        _emit(args, "control obstruction", asdict(report),
-              grid_n=args.steps, seed=seed)
+        report = ct.obstruction_check(args.p, args.T, args.eta, args.trials,
+                                      _resolve_seed(args), args.steps)
+        _emit(args, "control obstruction", asdict(report), grid_n=args.steps)
         return 0 if report.passed else 1
     if args.kind == "p1":
-        payload = ct.monotone_check_p1(args.T, steps=args.steps, seed=seed)
-        _emit(args, "control p1", payload, grid_n=args.steps, seed=seed)
+        payload = ct.monotone_check_p1(args.T, steps=args.steps,
+                                       seed=_resolve_seed(args))
+        _emit(args, "control p1", payload, grid_n=args.steps)
         return 0 if payload["passed"] else 1
     raise ParameterError(f"unknown control kind {args.kind!r}")
 
@@ -352,11 +353,10 @@ def _resolve_law(args):
 
 
 def cmd_corpus(args) -> int:
-    seed = _resolve_seed(args)
     if args.kind == "list":
         payload = [{"name": name, **f.descriptor()}
                    for name, f in fs.standard_corpus()]
-        return _emit(args, "corpus list", payload, seed=seed)
+        return _emit(args, "corpus list", payload)
     if args.kind == "emit":
         [(_, u)] = fs.sample_corpus(
             [(args.function, fs.corpus_function(args.function))], args.N,
@@ -365,7 +365,7 @@ def cmd_corpus(args) -> int:
         path = _write_csv(args, "corpus.csv", header, zip(u.grid, *u.stack))
         payload = {"function": args.function, "n": u.n, "m": args.m,
                    "path": str(path)}
-        return _emit(args, "corpus emit", payload, grid_n=args.N, seed=seed)
+        return _emit(args, "corpus emit", payload, grid_n=args.N)
     raise ParameterError(f"unknown corpus kind {args.kind!r}")
 
 
@@ -432,10 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", parents=[common, tuple_flags],
                        help="maximize an inequality ratio over candidates")
     p.add_argument("--target", help=f"one of {', '.join(ex.RATIO_TAGS)}")
-    p.add_argument("--restarts", type=int, default=28)
-    p.add_argument("--budget", type=int, default=8000)
-    p.add_argument("--tol", type=float, default=1e-13)
-    p.add_argument("--dimension", type=int, default=16)
+    p.add_argument("--restarts", type=int, default=ex.SearchConfig.restarts)
+    p.add_argument("--budget", type=int, default=ex.SearchConfig.budget)
+    p.add_argument("--tol", type=float, default=ex.SearchConfig.tol)
+    p.add_argument("--dimension", type=int, default=ex.SearchConfig.dimension)
     p.add_argument("--search-N", type=int, default=ex.SEARCH_GRID_N)
     p.add_argument("--report-N", type=int, default=ex.REPORT_GRID_N)
     p.add_argument("--trace", action="store_true",
@@ -481,6 +481,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        _resolve_seed(args)  # a bad seed is refused before any work
         return args.func(args)
     except (ParameterError, PreconditionError) as exc:
         print(f"gnlab: {exc}", file=sys.stderr)

@@ -53,6 +53,7 @@ DEFAULT_STEPS = 2 ** 14
 TERMINAL_TOL = 1e-8
 OBSTRUCTION_TOL = 1e-10
 MONOTONE_TOL = 1e-10
+P1_RANDOM_LAWS = 3
 NOISE_MODES = 16
 # steps x batch state entries per block of the RK4 sweep, so each block
 # temporary holds 2 MB whatever the batch
@@ -315,19 +316,18 @@ def scaled_triple_reference(law: ScaledBumpTriple, times) -> np.ndarray:
 
 
 def terminal_formula_check(sys: ControlSystem, law: ControlLaw,
-                           steps: int = DEFAULT_STEPS,
-                           terminal_tol: float = TERMINAL_TOL) -> dict:
+                           steps: int = DEFAULT_STEPS) -> dict:
     """Relative gap between x4(T) and its quadrature form on the grid.
 
-    Requires the chain to have returned: |x_i(T)| <= terminal_tol for
+    Requires the chain to have returned: |x_i(T)| <= TERMINAL_TOL for
     i = 1, 2, 3 (the formula only holds on the constraint set).
     """
     traj = integrate(sys, law, steps)
     x1, x2, x3, x4 = traj.states
     triple = np.abs(traj.terminal[:3])
-    if np.any(triple > terminal_tol):
+    if np.any(triple > TERMINAL_TOL):
         raise PreconditionError(
-            f"terminal chain state {triple} exceeds {terminal_tol:g}; "
+            f"terminal chain state {triple} exceeds {TERMINAL_TOL:g}; "
             "the quadrature identity needs x1(T)=x2(T)=x3(T)=0")
     h = sys.T / steps
     quad = simpson((x3 * x2 * x1) ** 2, h) - simpson(_power(x1, sys.p), h)
@@ -495,8 +495,8 @@ class ObstructionReport:
 
 
 def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
-                      seed: int = 7, steps: int = DEFAULT_STEPS,
-                      tol: float = OBSTRUCTION_TOL) -> ObstructionReport:
+                      seed: int = 7, steps: int = DEFAULT_STEPS
+                      ) -> ObstructionReport:
     """Random constrained controls and the normalized sign of x4(T).
 
     Controls are low-pass Fourier noise sum c_k sin(pi k t / T) with
@@ -555,20 +555,20 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
     worst_trial = kept_idx[worst_pos]
     worst = margins[worst_pos]
     return ObstructionReport(p=p, T=T, eta=eta, trials=trials, seed=seed,
-                             steps=steps, tol=tol, margins=tuple(margins),
-                             worst=worst, worst_trial=worst_trial,
+                             steps=steps, tol=OBSTRUCTION_TOL,
+                             margins=tuple(margins), worst=worst,
+                             worst_trial=worst_trial,
                              worst_x4=float(x4t[worst_trial]),
-                             passed=bool(worst >= -tol),
+                             passed=bool(worst >= -OBSTRUCTION_TOL),
                              skipped=tuple(skipped))
 
 
-def default_p1_laws(T: float, steps: int, seed: int = 0,
-                    random_laws: int = 3) -> list:
-    """Zero, a bump triple, and bounded random grid controls."""
+def default_p1_laws(T: float, steps: int, seed: int = 0) -> list:
+    """Zero, a bump triple, and P1_RANDOM_LAWS bounded random controls."""
     # each random law keeps its samples: one array on the stage grid
-    count = _stage_times(T, steps, 1, _LAW_STAGE_ARRAYS + random_laws).size
+    count = _stage_times(T, steps, 1, _LAW_STAGE_ARRAYS + P1_RANDOM_LAWS).size
     laws = [Zero(), ScaledBumpTriple(1e-2, 0.0)]
-    for i in range(random_laws):
+    for i in range(P1_RANDOM_LAWS):
         rng = np.random.default_rng([seed, i])
         vals = rng.standard_normal(count)
         vals /= max(np.max(np.abs(vals)), 1e-30)
@@ -577,8 +577,7 @@ def default_p1_laws(T: float, steps: int, seed: int = 0,
 
 
 def monotone_check_p1(T: float = 1.0, laws: Optional[Sequence] = None,
-                      steps: int = 2 ** 12, seed: int = 0,
-                      tol: float = MONOTONE_TOL) -> dict:
+                      steps: int = 2 ** 12, seed: int = 0) -> dict:
     """x2 + x4 must be non-decreasing along every p=1 trajectory.
 
     For p = 1 the sum satisfies (x2+x4)' = (x1 x2 x3)^2 >= 0; each RK4
@@ -598,5 +597,6 @@ def monotone_check_p1(T: float = 1.0, laws: Optional[Sequence] = None,
         worst_drop = float(min(0.0, drops.min()) / scale)
         rows.append({"law": law.descriptor(), "worst_drop": worst_drop})
         worst = min(worst, worst_drop)
-    return {"passed": bool(worst >= -tol), "worst_drop": worst,
-            "rows": rows, "T": T, "steps": steps, "tol": tol, "seed": seed}
+    return {"passed": bool(worst >= -MONOTONE_TOL), "worst_drop": worst,
+            "rows": rows, "T": T, "steps": steps, "tol": MONOTONE_TOL,
+            "seed": seed}

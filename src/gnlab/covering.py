@@ -456,8 +456,7 @@ class BalanceEvaluator:
             f"x={xs[todo[0]]}")
 
 
-def critical_radius(u: GridFunction, x: float, spec: BalanceSpec,
-                    threshold: float = DEFAULT_THRESHOLD) -> float:
+def critical_radius(u: GridFunction, x: float, spec: BalanceSpec) -> float:
     """Smallest h with alpha_x(h) = beta_x(h), located by geometric scan
     plus Illinois steps (``BalanceEvaluator.critical_radii``).  Requires x
     in the working set E."""
@@ -471,7 +470,7 @@ def critical_radius(u: GridFunction, x: float, spec: BalanceSpec,
     i = int(round(pos))
     if not (0 <= i < u.n):
         raise ParameterError(f"x={x} outside the grid")
-    if i not in ev.working_set(threshold=threshold):
+    if i not in ev.working_set():
         raise ParameterError(
             f"x={x} is not in the working set E (u or v vanishes there)")
     r = float(ev.critical_radii(xi)[0])

@@ -42,9 +42,9 @@ class NoCrossingError(PreconditionError):
 class DivergenceError(InvariantError):
     """The integrator produced a non-finite state."""
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"non-finite state at step {step}")
+        super().__init__(f"non-finite state at step {step}")
 
 
 class SearchFailureError(InvariantError):

@@ -548,7 +548,7 @@ def random_ratio_batch(target: Target, count: int = 10_000,
 
 
 def sweep(targets: Sequence, config: Optional[SearchConfig] = None,
-          mode: str = "search", corpus=None) -> list:
+          mode: str = "search") -> list:
     """One row per target: best ratio with grid and seed, or a skip note.
 
     `targets` entries may be GNParams, a ratio tag string, or a dict of
@@ -579,9 +579,8 @@ def sweep(targets: Sequence, config: Optional[SearchConfig] = None,
                 order = _target_order(target)
                 fn = _ratio_fn(target)
                 if sampled is None or sampled[0] < order:
-                    base = corpus if corpus is not None else fs.standard_corpus()
-                    sampled = (order, fs.sample_corpus(base, config.grid_n,
-                                                       order))
+                    sampled = (order, fs.sample_corpus(
+                        fs.standard_corpus(), config.grid_n, order))
                 best_name, best_val = "", 0.0
                 for name, u in sampled[1]:
                     val = fn(u)

@@ -23,6 +23,9 @@ Function families (bump, scaled bumps, sine bumps, spline bumps) return
 their whole exact derivative stack D^0..D^m, m up to MAX_ORDER, in one
 pass (one chi_stack call; for a spline, one de Boor recurrence gives every
 derivative order), and evaluate to exactly zero outside their supports.
+A support follows from the family's own parameters (the bump and the sine
+bumps live on [0, 1]) and is never a constructor option, and
+`AnalyticFunction.stack` alone checks the order against MAX_ORDER.
 Sine and spline bumps share one Leibniz loop.  `sample` turns any of them
 into a GridFunction carrying that stack for the norm and covering
 machinery.  The package's one byte cap lives here too: `refuse_above_cap`
@@ -111,8 +114,8 @@ _D_POLY = (0, 1, -1)  # t(1-t)
 class RationalFunction:
     """Quotient of two polynomials in t, ascending coefficients.
 
-    Arithmetic is evaluation oriented: products and sums cross-multiply
-    without gcd reduction, which keeps coefficients exact (integers stay
+    Arithmetic is evaluation oriented: products and derivatives multiply
+    out without gcd reduction, which keeps coefficients exact (integers stay
     integers, Fractions stay Fractions) at the cost of degree growth.
     """
 
@@ -127,10 +130,6 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @property
-    def degree(self):
-        return (len(self.num) - 1, len(self.den) - 1)
-
     def __call__(self, t):
         return _poly_eval(self.num, t) / _poly_eval(self.den, t)
 
@@ -143,11 +142,6 @@ class RationalFunction:
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(_poly_mul(self.num, other.num),
                                 _poly_mul(self.den, other.den))
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        num = _poly_add(_poly_mul(self.num, other.den),
-                        _poly_mul(other.num, self.den))
-        return RationalFunction(num, _poly_mul(self.den, other.den))
 
 
 @lru_cache(maxsize=None)
@@ -238,20 +232,20 @@ class AnalyticFunction:
     Every family produces its whole derivative stack D^0..D^m in one pass:
     subclasses implement `_stack_inside(m, x)` for a flat array of points
     already known to lie inside the closed support, and the base class
-    handles the outside-is-zero convention, the order check and shapes.
+    handles the outside-is-zero convention, the order check against
+    MAX_ORDER and shapes.
     `derivative(i, x)` is row i of `stack(i, x)`.
     """
 
     support: tuple
-    max_order: int = MAX_ORDER
 
     def stack(self, m: int, x) -> np.ndarray:
         """Rows D^0 u, ..., D^m u at x, shape (m+1,) + shape(x)."""
         if m < 0:
             raise ParameterError("derivative order must be >= 0")
-        if m > self.max_order:
+        if m > MAX_ORDER:
             raise UnsupportedOrderError(
-                f"order {m} exceeds max_order={self.max_order}")
+                f"order {m} exceeds max_order={MAX_ORDER}")
         xa = np.asarray(x, dtype=float).ravel()
         a, b = self.support
         inside = (xa >= a) & (xa <= b)
@@ -281,8 +275,7 @@ class AnalyticFunction:
 class BumpChi(AnalyticFunction):
     """chi itself: support [0,1], strictly positive inside."""
 
-    support: tuple = (0.0, 1.0)
-    max_order: int = MAX_ORDER
+    support = (0.0, 1.0)
 
     def _stack_inside(self, m, x):
         return chi_stack(x, m)
@@ -297,7 +290,6 @@ class ScaledBump(AnalyticFunction):
 
     a: float
     b: float
-    max_order: int = MAX_ORDER
 
     def __post_init__(self):
         if not self.b > self.a:
@@ -320,8 +312,7 @@ class SineBump(AnalyticFunction):
     """sin(pi f t) modulated by chi; support [0,1]."""
 
     frequency: int
-    support: tuple = (0.0, 1.0)
-    max_order: int = MAX_ORDER
+    support = (0.0, 1.0)
 
     def __post_init__(self):
         if self.frequency < 1:
@@ -452,7 +443,6 @@ class SplineBump(AnalyticFunction):
         self.knots = knots
         self.degree = degree
         self.support = (float(knots[0]), float(knots[-1]))
-        self.max_order = MAX_ORDER
         self._coeffs = _derivative_coeffs(knots, coeffs, degree)
 
     def _stack_inside(self, m, x):
@@ -478,7 +468,6 @@ class Rescaled(AnalyticFunction):
             raise ParameterError("need b > a")
         self.base = base
         self.support = (float(a), float(b))
-        self.max_order = base.max_order
         c, d = base.support
         self._scale = (d - c) / (b - a)
         self._shift = c
@@ -507,7 +496,6 @@ class Sum(AnalyticFunction):
         self.terms = terms
         self.support = (min(f.support[0] for _, f in terms),
                         max(f.support[1] for _, f in terms))
-        self.max_order = min(f.max_order for _, f in terms)
 
     def _stack_inside(self, m, x):
         out = np.zeros((m + 1,) + x.shape)
@@ -623,7 +611,7 @@ def perturb_nowhere_polynomial(u: AnalyticFunction, eps: float) -> Sum:
 
     Requires supp u compactly inside (0,1) so that such a psi exists with
     support still inside (0,1).  As eps -> 0 the sum converges to u
-    uniformly together with all derivatives up to max_order.
+    uniformly together with all derivatives up to MAX_ORDER.
     """
     if eps <= 0:
         raise ParameterError("eps must be positive")

@@ -14,7 +14,9 @@ the relation collapses to the dual form 1/p = theta/r + (1-theta)/(q kappa)
 and the two residuals must agree identically.
 
 All exponent arithmetic is exact (Fractions, with 1/inf = 0) so residuals
-of valid tuples are exactly zero rather than float noise.  Exponents and
+of valid tuples are exactly zero rather than float noise.  The relation is
+written once, affine in each of 1/p, 1/q and theta, and `solve_exponent`
+finds the missing unknown from its values at 0 and 1.  Exponents and
 derivative orders are checked by the rules of `norms`: an exponent is
 >= 1 or +inf, an order that is not a whole number is refused, never
 truncated, and an order list is nonempty, sorted ascending and
@@ -69,11 +71,13 @@ def _inv(x) -> Fraction:
 
 
 def theta_star(ks, j: int, m: int) -> Fraction:
-    """Critical interpolation weight (j - kbar)/(m - kbar)."""
+    """Critical interpolation weight (j - kbar)/(m - kbar); the one check
+    of the order chain k_kappa <= j < m."""
     ks = _orders("ks", ks)
     j, m = _order("j", j), _order("m", m)
-    if ks[-1] > j or not j < m:
-        raise ParameterError("orders must satisfy k_kappa <= j < m")
+    if not ks[-1] <= j < m:
+        raise ParameterError(
+            f"need k_kappa <= j < m, got ks={ks} j={j} m={m}")
     kbar = Fraction(sum(ks), len(ks))
     return (Fraction(j) - kbar) / (Fraction(m) - kbar)
 
@@ -97,19 +101,24 @@ class GNParams:
     theta: object
 
     def __post_init__(self):
-        p = as_exponent(self.p)
-        q = as_exponent(self.q)
-        r = as_exponent(self.r)
-        th = self.theta if isinstance(self.theta, Fraction) else _fraction(self.theta)
-        ks = _orders("ks", self.ks)
-        object.__setattr__(self, "j", _order("j", self.j))
-        object.__setattr__(self, "m", _order("m", self.m))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "ks", ks)
-        self.validate()
+        for name, value in (("p", as_exponent(self.p)),
+                            ("q", as_exponent(self.q)),
+                            ("r", as_exponent(self.r)),
+                            ("theta", _fraction(self.theta)),
+                            ("ks", _orders("ks", self.ks)),
+                            ("j", _order("j", self.j)),
+                            ("m", _order("m", self.m))):
+            object.__setattr__(self, name, value)
+        for name, v in (("p", self.p), ("q", self.q), ("r", self.r)):
+            if v != INF and v < 1:
+                raise ParameterError(f"{name} must be >= 1 or inf, got {v}")
+        ts = self.theta_star
+        if not (ts <= self.theta <= 1):
+            raise ParameterError(
+                f"theta={self.theta} outside [theta*={ts}, 1]")
+        res = relation_residual(self)
+        if abs(res) > RESIDUAL_TOL:
+            raise ParameterError(f"relation residual {res} exceeds tolerance")
 
     @property
     def kappa(self) -> int:
@@ -123,21 +132,6 @@ class GNParams:
     def theta_star(self) -> Fraction:
         return theta_star(self.ks, self.j, self.m)
 
-    def validate(self):
-        for name, v in (("p", self.p), ("q", self.q), ("r", self.r)):
-            if v != INF and v < 1:
-                raise ParameterError(f"{name} must be >= 1 or inf, got {v}")
-        if not (self.ks[-1] <= self.j < self.m):
-            raise ParameterError(
-                f"need k_kappa <= j < m, got ks={self.ks} j={self.j} m={self.m}")
-        ts = self.theta_star
-        if not (ts <= self.theta <= 1):
-            raise ParameterError(
-                f"theta={self.theta} outside [theta*={ts}, 1]")
-        res = relation_residual(self)
-        if abs(res) > RESIDUAL_TOL:
-            raise ParameterError(f"relation residual {res} exceeds tolerance")
-
     def echo(self) -> dict:
         def enc(x):
             return "inf" if x == INF else str(x)
@@ -147,6 +141,15 @@ class GNParams:
                 "kbar": str(self.kbar), "theta_star": str(self.theta_star)}
 
 
+def _relation(inv_p, inv_q, inv_r, ks, j, m, theta) -> Fraction:
+    """1/p - j - theta (1/r - m) - (1 - theta) (1/(q kappa) - kbar): the
+    relation's one transcription, affine in each of 1/p, 1/q and theta."""
+    kappa = len(ks)
+    kbar = Fraction(sum(ks), kappa)
+    return ((inv_p - j) - theta * (inv_r - m)
+            - (1 - theta) * (inv_q / kappa - kbar))
+
+
 def relation_residual(params: GNParams):
     """Signed residual of the exponent relation; exactly 0 for valid tuples.
 
@@ -154,9 +157,8 @@ def relation_residual(params: GNParams):
     is computed as well and must agree with the primary residual.
     """
     th = params.theta
-    res = ((_inv(params.p) - params.j)
-           - th * (_inv(params.r) - params.m)
-           - (1 - th) * (_inv(params.q) / params.kappa - params.kbar))
+    res = _relation(_inv(params.p), _inv(params.q), _inv(params.r),
+                    params.ks, params.j, params.m, th)
     if th == params.theta_star:
         res_dual = (_inv(params.p) - th * _inv(params.r)
                     - (1 - th) * _inv(params.q) / params.kappa)
@@ -169,52 +171,41 @@ def relation_residual(params: GNParams):
 def solve_exponent(p=None, q=None, r=None, ks=(), j=0, m=1, theta=None) -> GNParams:
     """Complete a tuple with exactly one of {p, q, theta} unknown (None).
 
-    Solves the exponent relation exactly and returns a validated GNParams;
-    raises InfeasibleError when no solution lies in the legal range.
+    The relation is affine in the unknown x (1/p, 1/q or theta), so its
+    values at x = 0 and x = 1 give the root exactly.  A vanishing slope, a
+    1/p or 1/q outside [0, 1] or a theta outside [theta*, 1] is an
+    InfeasibleError; otherwise the validated GNParams is returned.
     """
-    unknowns = [name for name, v in (("p", p), ("q", q), ("theta", theta))
-                if v is None]
+    tup = {"p": p, "q": q, "theta": theta}
+    unknowns = [name for name, v in tup.items() if v is None]
     if len(unknowns) != 1:
         raise ParameterError(
             f"exactly one of p, q, theta must be unknown, got {unknowns}")
     if r is None:
         raise ParameterError("r must be given")
-    ks = _orders("ks", ks)
-    kappa = len(ks)
-    kbar = Fraction(sum(ks), kappa)
+    [name] = unknowns
+    ks, j, m = _orders("ks", ks), _order("j", j), _order("m", m)
     ts = theta_star(ks, j, m)
-    r = as_exponent(r)
+    lo = ts if name == "theta" else 0
+    inv = {k: _fraction(v) if k == "theta" else _inv(as_exponent(v))
+           for k, v in tup.items() if v is not None}
 
-    if p is None:
-        th = _fraction(theta)
-        qf = as_exponent(q)
-        inv_p = (Fraction(j) + th * (_inv(r) - m)
-                 + (1 - th) * (_inv(qf) / kappa - kbar))
-        if inv_p < 0 or inv_p > 1:
-            raise InfeasibleError(f"solved 1/p = {inv_p} outside [0, 1]")
-        p = INF if inv_p == 0 else Fraction(1) / inv_p
-        return GNParams(p, qf, r, ks, j, m, th)
+    def residual(x):
+        inv[name] = Fraction(x)
+        return _relation(inv["p"], inv["q"], _inv(as_exponent(r)), ks, j, m,
+                         inv["theta"])
 
-    if q is None:
-        th = _fraction(theta)
-        pf = as_exponent(p)
-        if th == 1:
-            raise InfeasibleError("q is undetermined at theta = 1")
-        inv_q = ((_inv(pf) - j - th * (_inv(r) - m)) / (1 - th) + kbar) * kappa
-        if inv_q < 0 or inv_q > 1:
-            raise InfeasibleError(f"solved 1/q = {inv_q} outside [0, 1]")
-        qf = INF if inv_q == 0 else Fraction(1) / inv_q
-        return GNParams(pf, qf, r, ks, j, m, th)
-
-    pf = as_exponent(p)
-    qf = as_exponent(q)
-    denom = (_inv(r) - m) - (_inv(qf) / kappa - kbar)
-    if denom == 0:
-        raise InfeasibleError("theta coefficient vanishes; cannot solve")
-    th = ((_inv(pf) - j) - (_inv(qf) / kappa - kbar)) / denom
-    if not (ts <= th <= 1):
-        raise InfeasibleError(f"solved theta = {th} outside [theta*={ts}, 1]")
-    return GNParams(pf, qf, r, ks, j, m, th)
+    at0 = residual(0)
+    slope = residual(1) - at0
+    if slope == 0:
+        raise InfeasibleError(
+            f"{name} drops out of the relation; cannot solve for it")
+    x = -at0 / slope
+    if not lo <= x <= 1:
+        what = name if name == "theta" else f"1/{name}"
+        raise InfeasibleError(f"solved {what} = {x} outside [{lo}, 1]")
+    tup[name] = x if name == "theta" else INF if x == 0 else 1 / x
+    return GNParams(tup["p"], tup["q"], r, ks, j, m, tup["theta"])
 
 
 def l12_params() -> GNParams:
@@ -245,16 +236,13 @@ class InequalityReport:
     violation_candidate: bool = False
 
 
-def _grid_meta(u: GridFunction) -> dict:
-    return {"n": u.n, "a": u.a, "b": u.b, "provenance": u.provenance}
-
-
 def _finish_report(lhs, rhs_terms, rhs, params, u) -> InequalityReport:
     degenerate = rhs == 0.0 and lhs == 0.0
     violation = rhs == 0.0 and lhs > 0.0
     ratio = 0.0 if rhs == 0.0 else lhs / rhs
+    grid = {"n": u.n, "a": u.a, "b": u.b, "provenance": u.provenance}
     return InequalityReport(lhs=lhs, rhs_terms=rhs_terms, rhs=rhs,
-                            ratio=ratio, params=params, grid=_grid_meta(u),
+                            ratio=ratio, params=params, grid=grid,
                             degenerate=degenerate,
                             violation_candidate=violation)
 
@@ -266,16 +254,23 @@ def _check_compact_support(u: GridFunction):
             "function is not compactly supported inside the grid interval")
 
 
+def _multiplicative(u: GridFunction, params: GNParams, omega=None):
+    """||D^j u||_p, and top^theta * prod^((1-theta)/kappa) with its terms,
+    the product measured on omega (None: the whole grid)."""
+    th = float(params.theta)
+    power = (1.0 - th) / params.kappa
+    lhs = lebesgue_norm(u, NormSpec(float(params.p), params.j))
+    top = lebesgue_norm(u, NormSpec(float(params.r), params.m))
+    prod = product_norm(u, ProductSpec(params.ks, float(params.q), omega))
+    terms = {"top": top, "product": prod,
+             "top_power": th, "product_power": power}
+    return lhs, top ** th * prod ** power, terms
+
+
 def evaluate_generalized(u: GridFunction, params: GNParams) -> InequalityReport:
     """Ratio report for the whole-line inequality on a compact support."""
     _check_compact_support(u)
-    th = float(params.theta)
-    lhs = lebesgue_norm(u, NormSpec(float(params.p), params.j))
-    top = lebesgue_norm(u, NormSpec(float(params.r), params.m))
-    prod = product_norm(u, ProductSpec(params.ks, float(params.q)))
-    rhs = top ** th * prod ** ((1.0 - th) / params.kappa)
-    terms = {"top": top, "product": prod,
-             "top_power": th, "product_power": (1.0 - th) / params.kappa}
+    lhs, rhs, terms = _multiplicative(u, params)
     return _finish_report(lhs, terms, rhs, params.echo(), u)
 
 
@@ -307,18 +302,14 @@ def evaluate_bounded(u: GridFunction, params: GNParams,
     """
     if extras.k0 > params.ks[0]:
         raise ParameterError("k0 must not exceed k_1")
-    dom = extras.omega
-    th = float(params.theta)
-    lhs = lebesgue_norm(u, NormSpec(float(params.p), params.j))
-    top = lebesgue_norm(u, NormSpec(float(params.r), params.m))
-    prod = product_norm(u, ProductSpec(params.ks, float(params.q), dom))
+    lhs, rhs, terms = _multiplicative(u, params, extras.omega)
     low = lebesgue_norm(u, NormSpec(float(extras.s), extras.k0))
-    rhs = top ** th * prod ** ((1.0 - th) / params.kappa) + low
-    terms = {"top": top, "product": prod, "low_order": low,
-             "top_power": th, "product_power": (1.0 - th) / params.kappa}
+    rhs += low
+    terms["low_order"] = low
     if params.kappa == 1:
+        th = terms["top_power"]
         base = lebesgue_norm(u, NormSpec(float(params.q), 0))
-        terms["classical_rhs"] = top ** th * base ** (1.0 - th) + low
+        terms["classical_rhs"] = terms["top"] ** th * base ** (1.0 - th) + low
     return _finish_report(lhs, terms, rhs, params.echo(), u)
 
 
@@ -410,24 +401,18 @@ def special_constants(corpus, include_fractional: bool = True) -> list:
 
     Rows with vanishing denominators are kept but marked in `skipped`.
     """
+    checks = [("ratio4", ratio4, NormSpec(4.0, 1)),
+              ("ratio6", ratio6, NormSpec(6.0, 1)),
+              ("ratio_half", ratio_half, NormSpec(4.0, 0))]
     rows = []
     for name, u in corpus:
-        skipped = []
-        r4 = ratio4(u)
-        if r4 == 0.0 and lebesgue_norm(u, NormSpec(4.0, 1)) > 0:
-            skipped.append("ratio4")
-            r4 = None
-        r6 = ratio6(u)
-        if r6 == 0.0 and lebesgue_norm(u, NormSpec(6.0, 1)) > 0:
-            skipped.append("ratio6")
-            r6 = None
-        rh = None
-        if include_fractional:
-            rh = ratio_half(u)
-            if rh == 0.0 and lebesgue_norm(u, NormSpec(4.0, 0)) > 0:
-                skipped.append("ratio_half")
-                rh = None
-        rows.append(SpecialRow(name, r4, r6, rh, tuple(skipped)))
+        values, skipped = {"ratio_half": None}, []
+        for tag, ratio, spec in checks[:3 if include_fractional else 2]:
+            values[tag] = ratio(u)
+            if values[tag] == 0.0 and lebesgue_norm(u, spec) > 0:
+                skipped.append(tag)
+                values[tag] = None
+        rows.append(SpecialRow(name, skipped=tuple(skipped), **values))
     return rows
 
 

@@ -280,6 +280,28 @@ def test_non_finite_or_vacuous_floats_are_refused(tmp_path, argv):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("env,argv", [
+    ("abc", ["params", "--preset", "l12"]),
+    ("1.5", ["params", "--preset", "l12"]),
+    ("-5", ["control", "p1", "--steps", "64"]),
+    (None, ["control", "p1", "--steps", "64", "--seed", "-5"]),
+    (None, ["estimate", "--target", "ratio4", "--restarts", "1",
+            "--budget", "5", "--seed", "-5"]),
+    (None, ["control", "obstruction", "--p", "12", "--trials", "2",
+            "--steps", "64", "--seed", "-5"]),
+], ids=["env-text", "env-fraction", "env-negative", "p1-negative",
+        "estimate-negative", "obstruction-negative"])
+def test_seed_that_is_not_a_nonnegative_integer_is_refused(
+        tmp_path, monkeypatch, env, argv):
+    """--seed and $GNLAB_SEED follow one rule: an integer >= 0."""
+    if env is None:
+        monkeypatch.delenv("GNLAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GNLAB_SEED", env)
+    assert run(tmp_path, *argv, "--deterministic") == 2
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["control", "obstruction", "--p", "12", "--T", "1", "--eta", "0.8",
      "--trials", "100000"],

@@ -29,7 +29,7 @@ class TestBalanceFunctions:
         h = 1e-4
         predicted = (2 * h) * abs(v[ix]) ** (1 / 3)
         actual = cov.BalanceEvaluator(u, SPEC).alpha(0.25, h)
-        assert actual == pytest.approx(predicted, rel=1e-4)
+        assert actual == pytest.approx(predicted, rel=1e-4, abs=0.0)
 
     def test_beta_small_window_asymptotic(self, bump_4097):
         u = bump_4097
@@ -39,7 +39,7 @@ class TestBalanceFunctions:
         local_sup = np.max(np.abs(u.stack[3][ix - pad:ix + pad]))
         predicted = (2 * h) ** 3 * local_sup
         actual = cov.BalanceEvaluator(u, SPEC).beta(0.25, h)
-        assert actual == pytest.approx(predicted, rel=1e-2)
+        assert actual == pytest.approx(predicted, rel=1e-2, abs=0.0)
 
     def test_alpha_monotone_in_window(self, bump_4097):
         hs = np.geomspace(1e-4, 0.2, 24)
@@ -62,7 +62,7 @@ class TestBalanceFunctions:
 class TestCriticalRadius:
     def test_frozen_value_with_sign_bracket(self, bump_4097):
         r = cov.critical_radius(bump_4097, 0.25, SPEC)
-        assert r == pytest.approx(RADIUS_AT_QUARTER, rel=1e-12)
+        assert r == pytest.approx(RADIUS_AT_QUARTER, rel=1e-12, abs=0.0)
         ev = cov.BalanceEvaluator(bump_4097, SPEC)
         below = ev.alpha(0.25, r * 0.9999) - ev.beta(0.25, r * 0.9999)
         above = ev.alpha(0.25, r * 1.0001) - ev.beta(0.25, r * 1.0001)
@@ -73,7 +73,7 @@ class TestCriticalRadius:
                          4097, 3)
         r = cov.critical_radius(bump_4097, 0.25, SPEC)
         rd = cov.critical_radius(half, 0.125, SPEC)
-        assert rd == pytest.approx(r / 2.0, rel=5e-8)
+        assert rd == pytest.approx(r / 2.0, rel=5e-8, abs=0.0)
 
     def test_rejects_points_outside_working_set(self, bump_4097):
         # the product u u' u'' vanishes at the symmetry point
@@ -93,7 +93,7 @@ class TestCriticalRadius:
         g = fs.GridFunction(0.0, 1.0, rows)
         r = cov.critical_radius(g, 0.5, SPEC)
         assert (r < 2 * g.dx) == (c > 1e6)
-        assert r == pytest.approx(0.5 / np.sqrt(c), rel=rel)
+        assert r == pytest.approx(0.5 / np.sqrt(c), rel=rel, abs=0.0)
 
     def test_no_crossing_above_the_scan_floor(self):
         # r = 5e-21 lies below the scan floor 1e-12 * 2 dx

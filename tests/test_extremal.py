@@ -199,7 +199,7 @@ class TestSearchConfig:
 class TestEstimateConstant:
     def test_tiny_search_frozen_value(self):
         res = ex.estimate_constant("ratio4", TINY)
-        assert res.ratio == pytest.approx(TINY_RATIO4, rel=1e-12)
+        assert res.ratio == pytest.approx(TINY_RATIO4, rel=1e-12, abs=0.0)
         cap = gn.RATIO4_BOUND + ex.CEILING_SLACK
         assert TINY_RATIO4_PREVIOUS <= TINY_RATIO4 <= cap
         assert res.degenerate == 0
@@ -244,20 +244,20 @@ class TestEstimateConstant:
         stack = fs.SplineBump(res.candidate).stack(1, x)
         want = gn.ratio_half(fs.GridFunction(0.0, 1.0, stack))
         assert res.report_grid_n == 2049
-        assert res.ratio == pytest.approx(want, rel=1e-12)
+        assert res.ratio == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestRandomBatch:
     def test_frozen_maxima_and_ceilings(self):
         b4 = ex.random_ratio_batch("ratio4", count=2000, dimension=8,
                                    seed=5, grid_n=1025)
-        assert b4["max"] == pytest.approx(BATCH4_MAX, rel=1e-12)
+        assert b4["max"] == pytest.approx(BATCH4_MAX, rel=1e-12, abs=0.0)
         assert BATCH4_MAX <= gn.RATIO4_BOUND + ex.CEILING_SLACK
         assert b4["max"] <= gn.RATIO4_BOUND + 1e-3
         assert b4["degenerate"] == 0
         b6 = ex.random_ratio_batch("ratio6", count=2000, dimension=8,
                                    seed=5, grid_n=1025)
-        assert b6["max"] == pytest.approx(BATCH6_MAX, rel=1e-12)
+        assert b6["max"] == pytest.approx(BATCH6_MAX, rel=1e-12, abs=0.0)
         assert BATCH6_MAX <= gn.RATIO6_BOUND + ex.CEILING_SLACK
         assert b6["max"] <= gn.RATIO6_BOUND + 1e-3
 
@@ -308,8 +308,9 @@ class TestRandomBatch:
         fine = ex.random_ratio_batch("ratio-half", count=4, seed=3, grid_n=4097)
         coarse = ex.random_ratio_batch("ratio-half", count=4, seed=3,
                                        grid_n=513)
-        assert fine["max"] == pytest.approx(coarse["max"], rel=1e-12)
-        assert fine["mean"] == pytest.approx(coarse["mean"], rel=1e-12)
+        assert fine["max"] == pytest.approx(coarse["max"], rel=1e-12, abs=0.0)
+        assert fine["mean"] == pytest.approx(coarse["mean"],
+                                             rel=1e-12, abs=0.0)
 
 
 class TestPolynomialForms:

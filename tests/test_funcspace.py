@@ -25,7 +25,7 @@ _E_PRIME = fs.chi_derivative(1)
 
 
 def test_chi_midpoint_value():
-    assert fs.chi(0.5) == pytest.approx(math.exp(-4.0), rel=1e-15)
+    assert fs.chi(0.5) == pytest.approx(math.exp(-4.0), rel=1e-15, abs=0.0)
 
 
 def test_second_prefactor_at_midpoint_is_minus_32():
@@ -37,7 +37,8 @@ def test_second_prefactor_at_midpoint_is_minus_32():
 
 def test_second_derivative_midpoint_value():
     st_ = fs.chi_stack(np.array([0.5]), 2)
-    assert st_[2, 0] == pytest.approx(-32.0 * math.exp(-4.0), rel=1e-15)
+    assert st_[2, 0] == pytest.approx(-32.0 * math.exp(-4.0),
+                                      rel=1e-15, abs=0.0)
 
 
 @given(num=st.integers(min_value=1, max_value=30),
@@ -126,7 +127,7 @@ def test_sum_derivatives_are_linear():
 
 def test_sample_rejects_orders_beyond_stack():
     with pytest.raises(UnsupportedOrderError):
-        fs.sample(fs.BumpChi(), (0.0, 1.0), 65, fs.BumpChi().max_order + 1)
+        fs.sample(fs.BumpChi(), (0.0, 1.0), 65, fs.MAX_ORDER + 1)
     with pytest.raises(ParameterError):
         fs.sample(fs.BumpChi(), (0.0, 1.0), 1, 0)
 
@@ -187,7 +188,7 @@ def test_standard_corpus_names_and_orders():
     assert names == ["bumpchi", "sinebump1", "sinebump3", "sinebump7",
                      "splinebump", "perturbed_scaled", "perturbed_sine"]
     for _, f in fs.standard_corpus():
-        assert f.max_order >= 3
+        assert np.all(np.isfinite(f.stack(3, np.linspace(0.0, 1.0, 9))))
     assert isinstance(fs.corpus_function("splinebump"), fs.SplineBump)
     with pytest.raises(ParameterError):
         fs.corpus_function("nosuch")
@@ -301,10 +302,14 @@ def test_sampled_stack_matches_per_order_oracle(name, n):
 def test_stack_rows_do_not_depend_on_the_top_order(name):
     f = _ORACLE[name]
     x = np.linspace(-0.25, 1.25, 1029)
-    top = f.stack(f.max_order, x)
-    for i in range(f.max_order + 1):
+    top = f.stack(fs.MAX_ORDER, x)
+    for i in range(fs.MAX_ORDER + 1):
         assert np.array_equal(top[i], f.stack(i, x)[i])
         assert np.array_equal(f.derivative(i, x), top[i])
+    # one cap for every family, Rescaled (rescaled_spline) and Sum
+    # (the perturbed corpus functions) included
+    with pytest.raises(UnsupportedOrderError):
+        f.stack(fs.MAX_ORDER + 1, x)
 
 
 @pytest.mark.parametrize("n", [65, 1025, 65537])
@@ -320,7 +325,22 @@ def test_stack_rejects_orders_outside_range():
     with pytest.raises(ParameterError):
         f.stack(-1, np.linspace(0.0, 1.0, 9))
     with pytest.raises(UnsupportedOrderError):
-        f.stack(f.max_order + 1, np.linspace(0.0, 1.0, 9))
+        f.stack(fs.MAX_ORDER + 1, np.linspace(0.0, 1.0, 9))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fs.BumpChi(support=(0.2, 0.4)),
+    lambda: fs.SineBump(1, support=(0.0, 0.5)),
+    lambda: fs.BumpChi(max_order=3),
+    lambda: fs.ScaledBump(0.2, 0.4, max_order=3),
+    lambda: fs.SineBump(1, max_order=3),
+], ids=["bump-support", "sine-support", "bump-max-order",
+        "scaled-max-order", "sine-max-order"])
+def test_support_and_order_cap_are_not_options(build):
+    # a support option kept chi's [0, 1] formula and cut it off at the
+    # new ends; a family on another interval is ScaledBump or Rescaled
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_stack_keeps_the_shape_of_x():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gnlab.covering as cov
@@ -21,6 +21,25 @@ GENERALIZED_4097 = 0.7542580993240234
 GENERALIZED_65537 = 0.7542579169623419
 RATIO4_65537 = 0.8245385859249609
 RATIO6_65537 = 1.0995155366240774
+
+
+_EXPONENT = st.one_of(
+    st.fractions(min_value=1, max_value=24, max_denominator=12),
+    st.just(nm.INF))
+
+
+@st.composite
+def _valid_tuples(draw):
+    """q, r, ks, j < m and theta in [theta*, 1]; p is left to solve for."""
+    kappa = draw(st.integers(1, 3))
+    ks = tuple(sorted(draw(st.lists(st.integers(0, 4), min_size=kappa,
+                                    max_size=kappa))))
+    j = draw(st.integers(ks[-1], ks[-1] + 3))
+    m = draw(st.integers(j + 1, j + 4))
+    ts = gn.theta_star(ks, j, m)
+    theta = ts + (1 - ts) * draw(st.fractions(0, 1, max_denominator=12))
+    return dict(q=draw(_EXPONENT), r=draw(_EXPONENT), ks=ks, j=j, m=m,
+                theta=theta)
 
 
 class TestExponentAlgebra:
@@ -72,6 +91,31 @@ class TestExponentAlgebra:
     def test_solve_without_a_legal_solution_is_infeasible(self, kwargs):
         with pytest.raises(InfeasibleError):
             gn.solve_exponent(**kwargs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tup=_valid_tuples())
+    def test_solve_round_trips_each_unknown(self, tup):
+        # complete the tuple for p, then drop p, q and theta in turn: each
+        # solves back to the same exact value, unless it drops out of the
+        # relation (q at theta = 1, theta when its coefficient vanishes)
+        try:
+            full = gn.solve_exponent(**tup)
+        except InfeasibleError:
+            assume(False)
+        drops_out = {
+            "p": False,
+            "q": full.theta == 1,
+            "theta": (gn._inv(full.r) - full.m
+                      == gn._inv(full.q) / full.kappa - full.kbar)}
+        for name, vanishes in drops_out.items():
+            args = dict(p=full.p, q=full.q, r=full.r, ks=full.ks, j=full.j,
+                        m=full.m, theta=full.theta)
+            args[name] = None
+            if vanishes:
+                with pytest.raises(InfeasibleError):
+                    gn.solve_exponent(**args)
+            else:
+                assert gn.solve_exponent(**args) == full
 
     def test_solve_rejects_wrong_unknown_count(self):
         with pytest.raises(ParameterError):
@@ -146,9 +190,10 @@ class TestSharedRules:
 class TestGeneralized:
     def test_frozen_bump_ratio(self, bump_4097, bump_65537, l12):
         rep = gn.evaluate_generalized(bump_4097, l12)
-        assert rep.ratio == pytest.approx(GENERALIZED_4097, rel=1e-12)
+        assert rep.ratio == pytest.approx(GENERALIZED_4097, rel=1e-12, abs=0.0)
         rep2 = gn.evaluate_generalized(bump_65537, l12)
-        assert rep2.ratio == pytest.approx(GENERALIZED_65537, rel=1e-12)
+        assert rep2.ratio == pytest.approx(GENERALIZED_65537,
+                                           rel=1e-12, abs=0.0)
         assert not rep.degenerate
         assert not rep.violation_candidate
         assert rep.rhs_terms["top_power"] == 0.5
@@ -167,7 +212,7 @@ class TestGeneralized:
         uc = fs.GridFunction(0.0, 1.0, c * u.stack)
         r1 = gn.evaluate_generalized(u, l12).ratio
         r2 = gn.evaluate_generalized(uc, l12).ratio
-        assert r2 == pytest.approx(r1, rel=1e-12)
+        assert r2 == pytest.approx(r1, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("lam", [0.25, 0.5, 2.0, 4.0])
     def test_ratio_invariant_under_dilation_at_critical_theta(self, lam, l12):
@@ -176,7 +221,7 @@ class TestGeneralized:
         ud = fs.sample(fs.Rescaled(fs.BumpChi(), 0.0, 1.0 / lam),
                        (0.0, 1.0 / lam), 4097, 3)
         scaled = gn.evaluate_generalized(ud, l12).ratio
-        assert scaled == pytest.approx(base, rel=1e-2)
+        assert scaled == pytest.approx(base, rel=1e-2, abs=0.0)
 
     def test_degenerate_zero_function(self, l12):
         g = fs.GridFunction(0.0, 1.0, np.zeros((4, 513)))
@@ -230,8 +275,10 @@ class TestIbpAndSpecialRatios:
         assert worst <= 1e-6
 
     def test_frozen_special_ratios(self, bump_65537):
-        assert gn.ratio4(bump_65537) == pytest.approx(RATIO4_65537, rel=1e-12)
-        assert gn.ratio6(bump_65537) == pytest.approx(RATIO6_65537, rel=1e-12)
+        assert gn.ratio4(bump_65537) == pytest.approx(RATIO4_65537,
+                                                      rel=1e-12, abs=0.0)
+        assert gn.ratio6(bump_65537) == pytest.approx(RATIO6_65537,
+                                                      rel=1e-12, abs=0.0)
 
     def test_ceilings_hold_on_corpus(self, corpus_65537):
         rows = gn.special_constants(corpus_65537, include_fractional=False)

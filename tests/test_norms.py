@@ -33,9 +33,9 @@ def test_closed_form_lebesgue_norms():
     g = _monomial()
     # ||x||_p on [0,1] equals (p+1)^{-1/p}
     assert nm.lebesgue_norm(g, nm.NormSpec(2.0, 0)) == pytest.approx(
-        3.0 ** -0.5, rel=1e-12)
+        3.0 ** -0.5, rel=1e-12, abs=0.0)
     assert nm.lebesgue_norm(g, nm.NormSpec(5.0, 0)) == pytest.approx(
-        6.0 ** -0.2, rel=1e-12)
+        6.0 ** -0.2, rel=1e-12, abs=0.0)
     assert nm.lebesgue_norm(g, nm.NormSpec("inf", 0)) == 1.0
     assert nm.lebesgue_norm(g, nm.NormSpec(2.0, 1)) == pytest.approx(1.0)
 
@@ -44,7 +44,7 @@ def test_domain_restriction_closed_form():
     g = _monomial()
     # integral of x^2 over [0, 1/2] is 1/24
     half = nm.lebesgue_norm(g, nm.NormSpec(2.0, 0, domain=(0.0, 0.5)))
-    assert half == pytest.approx((1.0 / 24.0) ** 0.5, rel=1e-10)
+    assert half == pytest.approx((1.0 / 24.0) ** 0.5, rel=1e-10, abs=0.0)
     with pytest.raises(ParameterError):
         nm.lebesgue_norm(g, nm.NormSpec(2.0, 0, domain=(0.5, 0.2)))
     with pytest.raises(ParameterError):
@@ -68,7 +68,7 @@ def test_lebesgue_homogeneity(c, p, ):
     gc = fs.GridFunction(0.0, 1.0, np.stack([c * base]))
     spec = nm.NormSpec(p, 0)
     assert nm.lebesgue_norm(gc, spec) == pytest.approx(
-        abs(c) * nm.lebesgue_norm(g, spec), rel=1e-12)
+        abs(c) * nm.lebesgue_norm(g, spec), rel=1e-12, abs=0.0)
 
 
 @given(c=NONZERO)
@@ -78,7 +78,7 @@ def test_product_norm_homogeneity_degree_kappa(c):
     uc = fs.GridFunction(0.0, 1.0, c * u.stack)
     spec = nm.ProductSpec((0, 1, 2), 2.0)
     assert nm.product_norm(uc, spec) == pytest.approx(
-        abs(c) ** 3 * nm.product_norm(u, spec), rel=1e-11)
+        abs(c) ** 3 * nm.product_norm(u, spec), rel=1e-11, abs=0.0)
 
 
 def test_product_matches_manual_pointwise_product(bump_4097):
@@ -162,8 +162,8 @@ def test_seminorm_refinement_stability():
     u2 = fs.sample(fs.BumpChi(), (0.0, 1.0), 2049, 0)
     a = nm.gagliardo_seminorm(u1, 0.5, 4.0)
     b = nm.gagliardo_seminorm(u2, 0.5, 4.0)
-    assert a == pytest.approx(SEMINORM_1025, rel=1e-12)
-    assert b == pytest.approx(SEMINORM_2049, rel=1e-12)
+    assert a == pytest.approx(SEMINORM_1025, rel=1e-12, abs=0.0)
+    assert b == pytest.approx(SEMINORM_2049, rel=1e-12, abs=0.0)
     assert abs(a - b) / b < 1e-5
 
 
@@ -173,7 +173,7 @@ def test_seminorm_dilation_exponent():
     u = fs.sample(fs.BumpChi(), (0.0, 1.0), 2049, 0)
     ud = fs.sample(fs.Rescaled(fs.BumpChi(), 0.0, 0.5), (0.0, 0.5), 1025, 0)
     ratio = nm.gagliardo_seminorm(ud, s, p) / nm.gagliardo_seminorm(u, s, p)
-    assert ratio == pytest.approx(lam ** (s - 1.0 / p), rel=1e-4)
+    assert ratio == pytest.approx(lam ** (s - 1.0 / p), rel=1e-4, abs=0.0)
 
 
 @given(c=NONZERO)
@@ -182,7 +182,7 @@ def test_seminorm_homogeneity(c):
     u = fs.sample(fs.BumpChi(), (0.0, 1.0), 257, 0)
     uc = fs.GridFunction(0.0, 1.0, c * u.stack)
     assert nm.gagliardo_seminorm(uc, 0.5, 4.0) == pytest.approx(
-        abs(c) * nm.gagliardo_seminorm(u, 0.5, 4.0), rel=1e-11)
+        abs(c) * nm.gagliardo_seminorm(u, 0.5, 4.0), rel=1e-11, abs=0.0)
 
 
 def test_seminorm_parameter_validation():
@@ -205,7 +205,7 @@ def test_seminorm_matches_blocked_double_sum(n):
     for s in (0.1, 0.5, 0.9):
         for p in (1.0, 2.5, 4.0, 6.0):
             assert nm.gagliardo_seminorm(g, s, p) == pytest.approx(
-                blocked_seminorm(g, s, p), rel=1e-13)
+                blocked_seminorm(g, s, p), rel=1e-13, abs=0.0)
 
 
 CORPUS_NAMES = [name for name, _ in fs.standard_corpus()]
@@ -279,7 +279,7 @@ def test_simpson_weights_dot_matches_simpson(n):
     w = nm.simpson_weights(n, dx)
     for scale in (1e-3, 1.0, 1e5):
         y = scale * rng.random(n)
-        assert w @ y == pytest.approx(nm.simpson(y, dx), rel=1e-15)
+        assert w @ y == pytest.approx(nm.simpson(y, dx), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 1024])
