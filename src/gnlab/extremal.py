@@ -23,12 +23,15 @@ every other target.
 The ratio is 0-homogeneous in the coefficient vector, so candidates are
 normalized to unit Euclidean length before evaluation; the optimizer
 never sees the scale direction.  Search is derivative-free adaptive
-Nelder-Mead (`_nelder_mead`, the package's own: it takes step for step
-the reference implementation that the tests compare it with) from a
-fixed list of arch-shaped warm starts (least-squares fits of
-|sin(n pi x)|^b profiles onto the candidate basis, with sign-alternating
-variants) plus seeded random starts, followed by one longer polishing
-run from the incumbent.  The search runs on a coarse grid and the final
+Nelder-Mead, the package's own step generator (`_simplex_steps`: it
+takes step for step the reference implementation that the tests compare
+it with), from a fixed list of arch-shaped warm starts (least-squares
+fits of |sin(n pi x)|^b profiles onto the candidate basis, with
+sign-alternating variants) plus seeded random starts, followed by one
+longer polishing run from the incumbent.  The restarts run in lockstep
+(`_lockstep`): each round, the points that every live run asks for go to
+one objective call on rows, and each row's value is the float a call on
+that row alone gives.  The search runs on a coarse grid and the final
 ratio is re-evaluated on a fine one; both values are reported so grid
 artifacts are visible.
 """
@@ -39,7 +42,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -53,8 +56,9 @@ SEARCH_GRID_N = 4097
 REPORT_GRID_N = 2 ** 16 + 1
 # The seminorm at p = 4 (a direct near band plus an FFT far field) takes
 # 0.5-0.7 ms at 513 nodes, 10-11 ms at 4097 and 35 ms at 8193 (2 vCPU,
-# numpy 2.4), against 14 us for a ratio4 search objective at 4097 nodes and
-# dimension 16 (polynomial form; 0.23 ms through the grid).  So ratio-half
+# numpy 2.4), against 3.5-4.2 us per candidate for a ratio4 search objective
+# at 4097 nodes and dimension 16 in a round of 22 or more rows, 27 us alone
+# (polynomial form; 0.23 ms through the grid).  So ratio-half
 # searches on a subsampled grid and reports on a moderate one; changing
 # either value moves search results, not just roundoff.
 SEMINORM_SEARCH_STRIDE = 8
@@ -109,12 +113,14 @@ class SearchConfig:
     report_grid_n: int = REPORT_GRID_N
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ParameterError("budget must be >= 1")
-        if self.restarts < 1:
-            raise ParameterError("restarts must be >= 1")
-        if self.dimension < 6:
-            raise ParameterError("dimension must be >= 6 for quintic splines")
+        # dimension >= 6 for quintic splines; a bool is not a count
+        for name, low in (("restarts", 1), ("budget", 1), ("seed", 0),
+                          ("dimension", 6)):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or norms._order(name, value) < low:
+                raise ParameterError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, norms._order(name, value))
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ParameterError(
                 f"tol must be finite and >= 0, got {self.tol}")
@@ -240,33 +246,41 @@ def _ratio_factors(target: str, dimension: int, n: int):
     return monos, factor(num_orders), factor(den_orders)
 
 
-def _form_objective(target: str, dimension: int, n: int):
-    """ratio_fn of a ratio4/ratio6 target as (|R_num y| / |R_den y|)^(1/d):
-    the grid objective's Simpson sums in another order, so only roundoff
-    differs from it."""
+def _form_ratios(target: str, dimension: int, n: int):
+    """Ratios of unit coefficient rows for a ratio4/ratio6 target as
+    (|R_num y| / |R_den y|)^(1/d): the grid objective's Simpson sums in
+    another order, so only roundoff differs from it.  Each row takes its
+    own matrix-vector products and dots and its power as a Python float, so
+    its value does not depend on the rows beside it (a matrix product or a
+    power over an array moves last bits); blocks of BATCH_ROWS rows keep
+    the temporaries a few MB."""
     monos, r_num, r_den = _ratio_factors(target, dimension, n)
     power = 0.5 / monos.shape[0]
     first, *rest = monos
 
-    def ratio(coeffs: np.ndarray) -> float:
-        y = coeffs[first]
-        for idx in rest:
-            y = y * coeffs[idx]
-        num = r_num @ y
-        den = r_den @ y
-        den2 = den @ den
-        if den2 == 0.0:
-            return 0.0
-        return float((num @ num / den2) ** power)
+    def ratios(unit: np.ndarray) -> list:
+        out = []
+        for lo in range(0, len(unit), BATCH_ROWS):
+            block = unit[lo:lo + BATCH_ROWS]
+            y = block[:, first]
+            for idx in rest:
+                y *= block[:, idx]
+            num = r_num @ y[:, :, None]
+            den = r_den @ y[:, :, None]
+            num2 = (num.transpose(0, 2, 1) @ num).ravel().tolist()
+            den2 = (den.transpose(0, 2, 1) @ den).ravel().tolist()
+            out += [(a / b) ** power if b != 0.0 else 0.0
+                    for a, b in zip(num2, den2)]
+        return out
 
-    return ratio
+    return ratios
 
 
 def _form_values(target: str, dimension: int, n: int,
                  coeffs: np.ndarray) -> np.ndarray:
-    """`_form_objective`'s ratio for every row of coeffs, through one
-    product per factor for each block of BATCH_ROWS rows: the same forms
-    summed in another order, so only roundoff differs."""
+    """`_form_ratios` of every row of coeffs, through one matrix product
+    per factor for each block of BATCH_ROWS rows: the same forms summed in
+    another order, so only roundoff differs."""
     monos, r_num, r_den = _ratio_factors(target, dimension, n)
     power = 0.5 / monos.shape[0]
     first, *rest = monos
@@ -286,20 +300,22 @@ def _form_values(target: str, dimension: int, n: int,
 
 
 def _make_objective(target: Target, dimension: int, n: int):
-    """Returns (ratio_fn, basis) for a search: many calls on one grid.
+    """Returns (ratios, basis) for a search: many calls on one grid.
 
-    ratio4 and ratio6 evaluate as polynomial forms whenever their two
-    factors hold no more entries than the derivative stack they replace
-    and the splines are local (FORM_MIN_DIMENSION); every other target
-    and size keeps the grid objective, which stays the oracle and the
-    single report evaluation.  A ratio-half search on more than 1024
-    nodes keeps every SEMINORM_SEARCH_STRIDE-th node.
+    ratios maps unit coefficient rows, a (rows, dimension) array, to their
+    ratios as a list of floats.  ratio4 and ratio6 evaluate as polynomial
+    forms whenever their two factors hold no more entries than the
+    derivative stack they replace and the splines are local
+    (FORM_MIN_DIMENSION); every other target and size calls the grid
+    objective once per row, which stays the oracle and the single report
+    evaluation.  A ratio-half search on more than 1024 nodes keeps every
+    SEMINORM_SEARCH_STRIDE-th node.
     """
     stride = SEMINORM_SEARCH_STRIDE if target == "ratio-half" and n > 1024 else 1
     ratio, basis = _grid_objective(target, dimension, n, stride)
     if _uses_forms(target, dimension, n):
-        ratio = _form_objective(target, dimension, n)
-    return ratio, basis
+        return _form_ratios(target, dimension, n), basis
+    return (lambda unit: [ratio(c) for c in unit]), basis
 
 
 def _uses_forms(target: Target, dimension: int, n: int) -> bool:
@@ -348,12 +364,9 @@ class SearchResult:
     config: SearchConfig
 
 
-class _BudgetSpent(Exception):
-    """The evaluation budget ran out inside a Nelder-Mead step."""
-
-
-def _nelder_mead(fun, x0, maxfev: int, xatol: float, fatol: float):
-    """Minimize fun from x0 by the adaptive Nelder-Mead simplex.
+def _simplex_steps(x0, maxfev: int, xatol: float, fatol: float):
+    """The adaptive Nelder-Mead simplex from x0, as a generator that yields
+    each (k, N) array of points it needs and is sent their k values.
 
     Gao & Han, "Implementing the Nelder-Mead simplex algorithm with
     adaptive parameters" (Comput. Optim. Appl. 51, 2012): reflection 1,
@@ -363,11 +376,11 @@ def _nelder_mead(fun, x0, maxfev: int, xatol: float, fatol: float):
     np.argsort of their values after the initial simplex and after every
     step.  The search stops when every vertex is within xatol of the best
     in each coordinate and within fatol of it in value, or when maxfev
-    evaluations are spent.  No evaluation is made past the budget: a step
-    it cuts short is abandoned where it stands, and a vertex of the
-    initial simplex never evaluated keeps +inf.  fun receives a copy of x.
-    Returns (x, f, evaluations) with x the best vertex and f the least
-    vertex value.
+    evaluations are spent.  No point is asked for past the budget: a step
+    it cuts short is abandoned where it stands (a shrink keeps the one
+    vertex it moved past the budget, with its old value), and a vertex of
+    the initial simplex never evaluated keeps +inf.  Returns (x, f,
+    evaluations) with x the best vertex and f the least vertex value.
     """
     x0 = np.array(x0, dtype=float).ravel()
     dim = x0.size
@@ -376,66 +389,98 @@ def _nelder_mead(fun, x0, maxfev: int, xatol: float, fatol: float):
     diag = np.arange(dim)
     sim[diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
     fsim = np.full(dim + 1, np.inf)
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
+    nfev = min(dim + 1, maxfev)
+    fsim[:nfev] = yield sim[:nfev]
+    # sorted twice at first: argsort need not keep ties in place
+    ind = fsim.argsort()
+    sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+    while True:
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+        # fsim is sorted (nan last), so its widest spread is the last gap
+        if nfev >= maxfev or (fsim[-1] - fsim[0] <= fatol and
+                              np.abs(sim[1:] - sim[0]).max() <= xatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / dim
+        xr = 2 * xbar - sim[-1]
+        [fxr] = yield xr[None]
         nfev += 1
-        return fun(np.copy(x))
-
-    try:
-        for k in range(dim + 1):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
-    # sorted twice: argsort need not keep ties in place
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    while nfev < maxfev:
-        try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / dim
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
-            shrink = False
+        if not fxr < fsim[0] and fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev < maxfev:
+            # expansion, outside or inside contraction
             if fxr < fsim[0]:
-                xe = (1 + chi) * xbar - chi * sim[-1]
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+                x2 = (1 + chi) * xbar - chi * sim[-1]
             elif fxr < fsim[-1]:
-                xc = (1 + psi) * xbar - psi * sim[-1]
-                fxc = f(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
+                x2 = (1 + psi) * xbar - psi * sim[-1]
             else:
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc = f(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, dim + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        except _BudgetSpent:
-            pass
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim), nfev
+                x2 = (1 - psi) * xbar + psi * sim[-1]
+            [f2] = yield x2[None]
+            nfev += 1
+            if fxr < fsim[0]:
+                sim[-1], fsim[-1] = (x2, f2) if f2 < fxr else (xr, fxr)
+            elif (f2 <= fxr) if fxr < fsim[-1] else (f2 < fsim[-1]):
+                sim[-1], fsim[-1] = x2, f2
+            else:
+                moved = sim[0] + sigma * (sim[1:] - sim[0])
+                count = min(dim, maxfev - nfev)
+                sim[1:count + 2] = moved[:count + 1]
+                if count:
+                    fsim[1:count + 1] = yield moved[:count]
+                nfev += count
+    return sim[0], fsim.min(), nfev
+
+
+def _lockstep(objective, starts, maxfev: int, xatol: float, fatol: float):
+    """Runs `_simplex_steps` from every start at once: each round makes
+    one objective call (rows to a list of floats) on a copy of the points
+    that every live run asks for and sends each run its values, so a run
+    takes the steps it would take alone.  Returns ([(x, f, evaluations) per start],
+    the number of values that were 0.0)."""
+    runs = [_simplex_steps(x0, maxfev, xatol, fatol) for x0 in starts]
+    asks = [next(run) for run in runs]
+    results = [None] * len(runs)
+    live = list(range(len(runs)))
+    zeros = 0
+    while live:
+        values = objective(np.concatenate([asks[i] for i in live]))
+        zeros += values.count(0.0)
+        lo, still = 0, []
+        for i in live:
+            hi = lo + len(asks[i])
+            try:
+                asks[i] = runs[i].send(values[lo:hi])
+                still.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+            lo = hi
+        live = still
+    return results, zeros
+
+
+def _lockstep_bytes(restarts: int, dimension: int) -> int:
+    """`_lockstep`'s bytes for `restarts` starts in dimension d, most in
+    the first round: per run its start, its simplex, its d + 1 points twice
+    (concatenated, then unit), 13 words per point for its length and value,
+    and 320 for the generator and array headers.  At d = 8 to 49 this is
+    1.2 to 1.02 times the traced growth of the peak per run."""
+    return 8 * restarts * ((dimension + 1) * (3 * dimension + 16) + 320)
+
+
+def _search_values(ratios, rows: np.ndarray) -> list:
+    """What a search minimizes: minus the ratio of each row scaled to unit
+    length, 0.0 for a row of zero or non-finite length (both degenerate,
+    as is a ratio of 0.0).  The length is the square root of a row-by-
+    column product, the float np.linalg.norm gives for that row."""
+    lengths = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
+    live = [i for i, length in enumerate(lengths.ravel().tolist())
+            if 0.0 < length < math.inf]
+    values = [0.0] * len(rows)
+    if len(live) < len(rows):
+        rows, lengths = rows[live], lengths[live]
+    for i, r in zip(live, ratios(rows / lengths)):
+        values[i] = -r
+    return values
 
 
 def estimate_constant(target: Target,
@@ -444,12 +489,18 @@ def estimate_constant(target: Target,
 
     Runs `config.restarts` Nelder-Mead starts (warm starts first, then
     random vectors drawn from per-restart streams seeded by
-    (config.seed, restart index)), polishes the incumbent with a longer
-    run, and re-evaluates the winner on the report grid.
+    (config.seed, restart index)) in lockstep, polishes the incumbent with
+    a longer run, and re-evaluates the winner on the report grid.  The
+    trace and the incumbent follow restart order.
     """
     config = config or SearchConfig()
+    fs.refuse_above_cap(
+        f"{config.restarts} Nelder-Mead restarts in dimension "
+        f"{config.dimension}",
+        _lockstep_bytes(config.restarts, config.dimension))
     label = _target_label(target)
-    ratio_fn, basis = _make_objective(target, config.dimension, config.grid_n)
+    ratios, basis = _make_objective(target, config.dimension, config.grid_n)
+    objective = partial(_search_values, ratios)
     report_n = (min(config.report_grid_n, SEMINORM_REPORT_N)
                 if target == "ratio-half" else config.report_grid_n)
     report_fn, _ = _grid_objective(target, config.dimension, report_n)
@@ -460,43 +511,29 @@ def estimate_constant(target: Target,
         rng = np.random.default_rng([config.seed, idx])
         starts.append(rng.standard_normal(config.dimension))
 
-    trace = []
-    best, best_vec = 0.0, None
-    evals = degenerate = 0
-
-    def objective(c):
-        nonlocal degenerate
-        nrm = np.linalg.norm(c)
-        if nrm == 0.0 or not np.isfinite(nrm):
-            degenerate += 1
-            return 0.0
-        r = ratio_fn(np.asarray(c, dtype=float) / nrm)
-        if r == 0.0:
-            degenerate += 1
-        return -r
-
-    def run(start, budget, tol, kind):
-        """One Nelder-Mead run from start; its winner is kept as a unit
-        vector when it beats the incumbent, and it is one trace entry."""
-        nonlocal best, best_vec, evals
-        x, fun, nfev = _nelder_mead(objective, start, budget, 1e-9, tol)
-        evals += nfev
-        val = -float(fun)
-        if val > best:
-            nrm = np.linalg.norm(x)
-            best, best_vec = val, x / nrm if nrm > 0.0 else x
-        trace.append({"restart": len(trace), "kind": kind, "ratio": val,
-                      "best_so_far": best})
-
-    for idx, start in enumerate(starts):
-        run(start, config.budget, config.tol,
-            "warm" if idx < n_warm else "random")
-    if best_vec is None:
-        raise SearchFailureError(
-            f"all {evals} evaluations degenerate for target {label} "
-            f"({degenerate} zero-ratio candidates)")
-    run(best_vec, max(config.budget, int(2.5 * config.budget)),
-        config.tol * 1e-2, "polish")
+    # the restarts, then one longer polishing run from the incumbent; each
+    # run is one trace entry, in order, and a winner that beats the
+    # incumbent is kept as a unit vector
+    kinds = ["warm"] * n_warm + ["random"] * (config.restarts - n_warm)
+    budget, tol = config.budget, config.tol
+    trace, best, best_vec, evals, degenerate = [], 0.0, None, 0, 0
+    for _ in range(2):
+        runs, zeros = _lockstep(objective, starts, budget, 1e-9, tol)
+        degenerate += zeros
+        for (x, fun, nfev), kind in zip(runs, kinds):
+            evals += nfev
+            val = -float(fun)
+            if val > best:
+                nrm = np.linalg.norm(x)
+                best, best_vec = val, x / nrm if nrm > 0.0 else x
+            trace.append({"restart": len(trace), "kind": kind, "ratio": val,
+                          "best_so_far": best})
+        if best_vec is None:
+            raise SearchFailureError(
+                f"all {evals} evaluations degenerate for target {label} "
+                f"({degenerate} zero-ratio candidates)")
+        starts, kinds = [best_vec], ["polish"]
+        budget, tol = max(budget, int(2.5 * budget)), tol * 1e-2
 
     fine = report_fn(best_vec)
     ceiling = _TAG_CEILING.get(target if isinstance(target, str) else "")
@@ -529,7 +566,7 @@ def random_ratio_batch(target: Target, count: int = 10_000,
     if not isinstance(count, numbers.Integral) or count < 1:
         raise ParameterError(f"count must be an integer >= 1, got {count!r}")
     _check_grid_n(grid_n)
-    ratio_fn, _ = _make_objective(target, dimension, grid_n)
+    ratios, _ = _make_objective(target, dimension, grid_n)
     coeffs = np.random.default_rng(seed).standard_normal((count, dimension))
     lengths = np.linalg.norm(coeffs, axis=1)
     lengths[lengths == 0.0] = 1.0
@@ -537,7 +574,7 @@ def random_ratio_batch(target: Target, count: int = 10_000,
     if _uses_forms(target, dimension, grid_n):
         values = _form_values(target, dimension, grid_n, coeffs)
     else:
-        values = np.array([ratio_fn(c) for c in coeffs])
+        values = np.array(ratios(coeffs))
     idx = int(np.argmax(values))
     best = max(float(values[idx]), 0.0)
     return {"target": _target_label(target), "count": count,

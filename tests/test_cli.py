@@ -351,6 +351,26 @@ def test_oversized_corpus_sweep_row_is_skipped_with_its_cost(tmp_path):
         f"{8 * 300000001 * 41} bytes, above the {2 ** 30}-byte cap")
 
 
+def test_oversized_restart_count_is_refused_with_its_cost(tmp_path, capsys):
+    """The restarts run in lockstep, every simplex held at once: a count
+    above the byte cap is refused with its cost before any start is
+    built."""
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, "estimate", "--target", "ratio4", "--restarts",
+                   "300000000", "--budget", "1", "--deterministic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2 ** 24
+    # dimension 16: 17 points of 3 * 16 + 16 words, and 320 words, per run
+    assert (f"300000000 Nelder-Mead restarts in dimension 16 needs "
+            f"{8 * 300000000 * (17 * 64 + 320)} bytes, above the "
+            f"{2 ** 30}-byte cap") in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["cover", "--preset", "l12", "--N", "8193"],
     ["check", "generalized", "--preset", "l12", "--N", "8193",

@@ -1,6 +1,7 @@
 """Candidate basis, ratio objectives, and the restart search."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,13 +70,8 @@ def _degenerate(dim):
 
 
 def _ratio4(dim):
-    ratio, _ = ex._make_objective("ratio4", dim, 129)
-
-    def objective(c):
-        nrm = np.linalg.norm(c)
-        return 0.0 if nrm == 0.0 else -ratio(c / nrm)
-
-    return objective
+    ratios, _ = ex._make_objective("ratio4", dim, 129)
+    return lambda c: ex._search_values(ratios, c[None])[0]
 
 
 def _overwriting(dim):
@@ -124,13 +120,36 @@ def _first_shrink_budget(fun, x0):
     return ends[-1] + 3
 
 
-def _assert_nm_equal(fun, x0, budget, xatol=1e-9, fatol=1e-13):
-    want = scipy_nelder_mead(fun, x0.copy(), budget, xatol, fatol)
-    got = ex._nelder_mead(fun, x0.copy(), budget, xatol, fatol)
+def _rows(fun):
+    """fun of one point as an objective of rows, for `ex._lockstep`."""
+    return lambda rows: [fun(x) for x in rows]
+
+
+def _assert_run_equal(got, want):
     assert np.array_equal(got[0], want[0])
     assert got[1] == want[1]
     assert got[2] == want[2]
+
+
+def _assert_nm_equal(fun, x0, budget, xatol=1e-9, fatol=1e-13):
+    want = scipy_nelder_mead(fun, x0.copy(), budget, xatol, fatol)
+    [got], _ = ex._lockstep(_rows(fun), [x0.copy()], budget, xatol, fatol)
+    _assert_run_equal(got, want)
     return got
+
+
+def scipy_lockstep(objective, starts, maxfev, xatol, fatol):
+    """`ex._lockstep` as scipy's optimizer run once per start."""
+    zeros = 0
+
+    def fun(x):
+        nonlocal zeros
+        [value] = objective(x[None])
+        zeros += value == 0.0
+        return value
+
+    return [scipy_nelder_mead(fun, x0, maxfev, xatol, fatol)
+            for x0 in starts], zeros
 
 
 class TestNelderMeadMatchesScipy:
@@ -163,13 +182,56 @@ class TestNelderMeadMatchesScipy:
         for budget, xatol, fatol in ((400, 1e-9, 1e-13), (1500, 1e-4, 1e-8)):
             _assert_nm_equal(fun, _x0(dim, zeros), budget, xatol, fatol)
 
-    @pytest.mark.parametrize("target", ex.RATIO_TAGS)
-    def test_searches_match_the_scipy_optimizer(self, target, monkeypatch):
-        cfg = ex.SearchConfig(restarts=3, budget=60, tol=1e-13, seed=4,
-                              dimension=8, grid_n=1025, report_grid_n=1025)
+    # the smooth objective under the overwriting one does not shrink
+    # within 5000 evaluations from every start at dimension 9
+    @pytest.mark.parametrize("name, dim", [
+        ("flat", 6), ("flat", 9), ("degenerate", 6), ("degenerate", 9),
+        ("overwriting", 6)])
+    def test_lockstep_runs_match_scipy_start_by_start(self, name, dim):
+        """Runs in lockstep end where each would alone: some budgets end
+        in the initial simplex, each start's first-shrink budget ends
+        inside a shrink for that start, and the loose tolerances stop the
+        starts (of different scales) in different rounds."""
+        fun = _NM_OBJECTIVES[name](dim)
+        starts = [scale * _x0(dim, zeros) for zeros in (False, True)
+                  for scale in (1.0, 40.0)]
+        budgets = {_first_shrink_budget(fun, x0) for x0 in starts}
+        for budget in sorted(budgets | {1, dim, dim + 2, 1500}):
+            for xatol, fatol in ((1e-9, 1e-13), (1e-4, 1e-8)):
+                got, zeros = ex._lockstep(_rows(fun), [x.copy() for x in starts],
+                                          budget, xatol, fatol)
+                want, want_zeros = scipy_lockstep(_rows(fun), starts, budget,
+                                                  xatol, fatol)
+                for run, ref in zip(got, want):
+                    _assert_run_equal(run, ref)
+                assert zeros == want_zeros
+        # the loose-tolerance runs of the last budget stopped apart
+        assert len({nfev for _, _, nfev in got}) > 1
+
+    @pytest.mark.parametrize("target, dimension, grid_n, restarts", [
+        pytest.param("ratio4", 8, 1025, 3, id="ratio4"),
+        pytest.param("ratio6", 8, 1025, 3, id="ratio6"),
+        pytest.param("ratio-half", 8, 1025, 3, id="ratio-half"),
+        # past the 20 warm starts, so random starts run too
+        pytest.param("ratio4", 16, 4097, 24, id="ratio4-random-starts")])
+    def test_searches_match_the_scipy_optimizer(self, target, dimension,
+                                                grid_n, restarts, monkeypatch):
+        cfg = ex.SearchConfig(restarts=restarts, budget=60, tol=1e-13, seed=4,
+                              dimension=dimension, grid_n=grid_n,
+                              report_grid_n=1025)
         ours = ex.estimate_constant(target, cfg)
-        monkeypatch.setattr(ex, "_nelder_mead", scipy_nelder_mead)
+        calls = []
+
+        def shim(*args):
+            calls.append(len(args[1]))
+            return scipy_lockstep(*args)
+
+        monkeypatch.setattr(ex, "_lockstep", shim)
         theirs = ex.estimate_constant(target, cfg)
+        # the restarts and the polish went through scipy, not our steps
+        assert calls == [restarts, 1]
+        kinds = [t["kind"] for t in ours.trace]
+        assert kinds.count("random") == max(0, restarts - 20)
         assert dataclasses.asdict(ours) == dataclasses.asdict(theirs)
 
 
@@ -188,6 +250,17 @@ class TestSearchConfig:
     def test_tol_must_be_finite_and_nonnegative(self, tol):
         with pytest.raises(ParameterError):
             ex.SearchConfig(tol=tol)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"restarts": 2.5}, {"budget": 10.5}, {"restarts": True},
+        {"budget": True}, {"seed": -1}, {"seed": 1.5}])
+    def test_integer_fields_refuse_other_values(self, kwargs):
+        with pytest.raises(ParameterError):
+            ex.SearchConfig(**kwargs)
+
+    def test_whole_float_integer_field_is_stored_as_int(self):
+        cfg = ex.SearchConfig(dimension=8.0)
+        assert cfg.dimension == 8 and type(cfg.dimension) is int
 
     def test_echo_round_trip(self):
         cfg = ex.SearchConfig(restarts=2, budget=10)
@@ -265,13 +338,13 @@ class TestRandomBatch:
     def test_batched_forms_match_the_search_objective(self, target):
         """Blocks of candidates through one product per factor give the
         single-candidate form's values up to roundoff, zero rows 0.0."""
-        ratio, _ = ex._make_objective(target, 8, 1025)
+        ratios, _ = ex._make_objective(target, 8, 1025)
         coeffs = np.random.default_rng(4).standard_normal(
             (2 * ex.BATCH_ROWS + 5, 8))
         coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
         coeffs[ex.BATCH_ROWS] = 0.0
         got = ex._form_values(target, 8, 1025, coeffs)
-        want = np.array([ratio(c) for c in coeffs])
+        want = np.array(ratios(coeffs))
         assert got[ex.BATCH_ROWS] == want[ex.BATCH_ROWS] == 0.0
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         assert np.argmax(got) == np.argmax(want)
@@ -320,14 +393,14 @@ class TestPolynomialForms:
     @staticmethod
     def assert_forms_match_grid(target, dimension, n, count):
         grid, basis = ex._grid_objective(target, dimension, n)
-        form = ex._form_objective(target, dimension, n)
+        form = ex._form_ratios(target, dimension, n)
         rng = np.random.default_rng([dimension, n])
         coeffs = rng.standard_normal((count, dimension))
         coeffs = list(coeffs / np.linalg.norm(coeffs, axis=1)[:, None])
         coeffs += [c / np.linalg.norm(c) for c in ex.warm_starts(basis[0])]
         want = np.array([grid(c) for c in coeffs])
         assert np.all(want > 0.0)
-        np.testing.assert_allclose([form(c) for c in coeffs], want,
+        np.testing.assert_allclose(form(np.array(coeffs)), want,
                                    rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("n", [65, 1025, 4097])
@@ -358,8 +431,76 @@ class TestPolynomialForms:
         ("ratio-half", 8, 4097, False)])
     def test_forms_run_where_factors_are_no_larger_than_the_stack(
             self, target, dimension, n, forms):
-        ratio, _ = ex._make_objective(target, dimension, n)
-        assert ("_form_objective" in ratio.__qualname__) == forms
+        ratios, _ = ex._make_objective(target, dimension, n)
+        assert ("_form_ratios" in ratios.__qualname__) == forms
+
+
+def _reference_search_value(target, dimension, n):
+    """The search objective one candidate at a time, as it was before it
+    took rows: the single-candidate form behind the np.linalg.norm
+    wrapper.  Kept as the reference for the floats of `_search_values`."""
+    monos, r_num, r_den = ex._ratio_factors(target, dimension, n)
+    power = 0.5 / monos.shape[0]
+    first, *rest = monos
+
+    def ratio(coeffs):
+        y = coeffs[first]
+        for idx in rest:
+            y = y * coeffs[idx]
+        num = r_num @ y
+        den = r_den @ y
+        den2 = den @ den
+        if den2 == 0.0:
+            return 0.0
+        return float((num @ num / den2) ** power)
+
+    def objective(c):
+        nrm = np.linalg.norm(c)
+        if nrm == 0.0 or not np.isfinite(nrm):
+            return 0.0
+        return -ratio(np.asarray(c, dtype=float) / nrm)
+
+    return objective
+
+
+class TestSearchValues:
+    @pytest.mark.parametrize("dimension", [8, 16])
+    @pytest.mark.parametrize("target", ["ratio4", "ratio6"])
+    def test_rows_give_the_one_candidate_floats(self, target, dimension):
+        """Rows evaluated together, across a block boundary, equal one-row
+        calls and the one-candidate reference float for float, and a zero
+        or non-finite row reads 0.0 as before: a matrix product or an
+        array power in their place moves last bits, and so every search."""
+        ratios, basis = ex._make_objective(target, dimension, 4097)
+        assert "_form_ratios" in ratios.__qualname__
+        reference = _reference_search_value(target, dimension, 4097)
+        rows = np.random.default_rng([dimension, 17]).standard_normal(
+            (ex.BATCH_ROWS + 50, dimension))
+        rows = np.vstack([rows, *ex.warm_starts(basis[0]),
+                          np.zeros(dimension), np.full(dimension, np.inf)])
+        rows[-3, 1] = np.nan
+        got = ex._search_values(ratios, rows)
+        one = [ex._search_values(ratios, row[None])[0] for row in rows]
+        want = [reference(row) for row in rows]
+        assert got == one == want
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got.count(0.0) == want.count(0.0) == 3
+
+
+class TestLockstepFootprint:
+    def test_formula_is_between_the_traced_peak_and_twice_it(self):
+        cfg = ex.SearchConfig(restarts=3000, budget=9, dimension=8,
+                              grid_n=1025, report_grid_n=1025)
+        # the basis, the factors and numpy's lazy state, before tracing
+        ex.estimate_constant("ratio4", dataclasses.replace(cfg, restarts=1))
+        tracemalloc.start()
+        try:
+            ex.estimate_constant("ratio4", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = ex._lockstep_bytes(cfg.restarts, cfg.dimension)
+        assert peak <= need <= 2 * peak
 
 
 class TestSweep:
