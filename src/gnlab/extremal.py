@@ -17,23 +17,23 @@ splines are local and the factors are no larger than the stack: y holds the
 products of d coefficients whose splines overlap, and each R is a cached
 triangular QR factor of the weighted monomial coefficients.  That is the
 grid's discrete sum in another order.  The grid objective stays the oracle
-for the forms, the single report-grid evaluation, and the objective of
-every other target.
+for the forms and the objective of every other target.
 
 The ratio is 0-homogeneous in the coefficient vector, so candidates are
 normalized to unit Euclidean length before evaluation; the optimizer
 never sees the scale direction.  Search is derivative-free adaptive
-Nelder-Mead, the package's own step generator (`_simplex_steps`: it
-takes step for step the reference implementation that the tests compare
-it with), from a fixed list of arch-shaped warm starts (least-squares
-fits of |sin(n pi x)|^b profiles onto the candidate basis, with
-sign-alternating variants) plus seeded random starts, followed by one
-longer polishing run from the incumbent.  The restarts run in lockstep
-(`_lockstep`): each round, the points that every live run asks for go to
-one objective call on rows, and each row's value is the float a call on
-that row alone gives.  The search runs on a coarse grid and the final
-ratio is re-evaluated on a fine one; both values are reported so grid
-artifacts are visible.
+Nelder-Mead, the package's own (`_lockstep`: each run takes step for step
+the reference implementation that the tests compare it with), from a
+fixed list of arch-shaped warm starts (least-squares fits of
+|sin(n pi x)|^b profiles onto the candidate basis, with sign-alternating
+variants) plus seeded random starts, followed by one longer polishing run
+from the incumbent.  The restarts run in lockstep: their simplices are
+one stacked array, each round sorts and steps them with array operations
+and sends the points that every live run asks for to one objective call
+on rows, and each row's value is the float a call on that row alone
+gives.  The search runs on a coarse grid; the winner's own stack is then
+sampled on a fine one and its ratio reported, next to the search value,
+so grid artifacts are visible.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ REPORT_GRID_N = 2 ** 16 + 1
 # The seminorm at p = 4 (a direct near band plus an FFT far field) takes
 # 0.5-0.7 ms at 513 nodes, 10-11 ms at 4097 and 35 ms at 8193 (2 vCPU,
 # numpy 2.4), against 3.5-4.2 us per candidate for a ratio4 search objective
-# at 4097 nodes and dimension 16 in a round of 22 or more rows, 27 us alone
+# at 4097 nodes and dimension 16 in a round of 22 or more rows, 21 us alone
 # (polynomial form; 0.23 ms through the grid).  So ratio-half
 # searches on a subsampled grid and reports on a moderate one; changing
 # either value moves search results, not just roundoff.
@@ -172,10 +172,9 @@ def _grid_objective(target: Target, dimension: int, n: int, stride: int = 1):
     through the candidate's stack sampled on n nodes, kept at every
     stride-th node, and the norms of `gn`.
 
-    The cached basis takes 8 * dimension * (dimension + (order + 1) * n)
-    bytes (16 x 65537 x 3: 25 MB), and building it peaks at about 2.7
-    times that; above the package's byte cap (`funcspace.BYTES_CAP`) it
-    is refused before it is allocated.
+    The cached basis takes `_basis_bytes` (16 x 4097 x 3: 1.6 MB), and
+    building it peaks at about 2.7 times that; above the package's byte
+    cap (`funcspace.BYTES_CAP`) it is refused before it is allocated.
     """
     order = _target_order(target)
     fn = _ratio_fn(target)
@@ -184,14 +183,18 @@ def _grid_objective(target: Target, dimension: int, n: int, stride: int = 1):
             f"ratio-half subsamples {n} nodes by {stride}: n - 1 must be "
             f"a multiple of {stride} so the last kept node is x = 1")
     fs.refuse_above_cap(f"the candidate basis for dimension {dimension} on "
-                        f"{n} nodes",
-                        8 * dimension * (dimension + (order + 1) * n))
+                        f"{n} nodes", _basis_bytes(dimension, n, order))
     basis = _basis_matrices(dimension, n, order)
 
     def ratio(coeffs: np.ndarray) -> float:
         return fn(fs.GridFunction(0.0, 1.0, (basis @ coeffs)[:, ::stride]))
 
     return ratio, basis
+
+
+def _basis_bytes(dimension: int, n: int, order: int) -> int:
+    """Bytes of the cached candidate basis and its identity matrix."""
+    return 8 * dimension * (dimension + (order + 1) * n)
 
 
 def _monomials(dimension: int, degree: int) -> np.ndarray:
@@ -221,29 +224,86 @@ def _ratio_factors(target: str, dimension: int, n: int):
     basis = _basis_matrices(dimension, n, _TAG_ORDER[target])
     sqrt_w = np.sqrt(norms.simpson_weights(n, 1.0 / (n - 1)))
     monos = _monomials(dimension, len(_TAG_FORMS[target][0]))
+    # the coefficient of c_{i_1}..c_{i_d} has one term per distinct
+    # assignment of the indices to the derivative orders; columns with as
+    # many assignments are built together, one assignment at a time, from
+    # an (assignments, d, columns) array of basis indices, at most a
+    # quarter of the columns at once so the three temporaries stay within
+    # the size of the block
     perms = [sorted(set(itertools.permutations(mono))) for mono in monos.T]
+    by_count = {}
+    for col, assignments in enumerate(perms):
+        by_count.setdefault(len(assignments), []).append(col)
+    width = max(1, monos.shape[1] // 4)
+    groups = []
+    for cols in by_count.values():
+        for lo in range(0, len(cols), width):
+            part = cols[lo:lo + width]
+            groups.append(
+                (part, np.array([perms[c] for c in part]).transpose(1, 2, 0)))
+
+    def fill(k, orders, rows):
+        """Writes the rows' columns, scaled by sqrt(w), into k (one row per
+        column); its temporaries are gone when it returns."""
+        factors = [basis[o][rows].T.copy() for o in orders]
+        for cols, assignments in groups:
+            # 0 + t_1 + t_2 + ..., each product taken left to right
+            total = 0
+            for idx in assignments:
+                term = factors[0][idx[0]]
+                for f, i in zip(factors[1:], idx[1:]):
+                    term *= f[i]
+                total = total + term
+            k[cols] = total
+        k *= sqrt_w[rows]
 
     def factor(orders):
         r = np.empty((0, monos.shape[1]))
         for lo in range(0, n, FACTOR_ROWS):
             rows = slice(lo, min(lo + FACTOR_ROWS, n))
-            # [R; next rows] has the same R^T R as all rows so far
-            stacked = np.empty((len(r) + rows.stop - lo, monos.shape[1]))
+            # [R; next rows] has the same R^T R as all rows so far; built
+            # column by column (Fortran order), as QR reads it
+            stacked = np.empty((len(r) + rows.stop - lo, monos.shape[1]),
+                               order="F")
             stacked[:len(r)] = r
-            k = stacked[len(r):]
-            for col, assignments in enumerate(perms):
-                # the coefficient of c_{i_1}..c_{i_d}: one term per distinct
-                # assignment of the indices to the derivative orders
-                k[:, col] = sum(
-                    np.prod([basis[o][rows, i] for o, i in zip(orders, perm)],
-                            axis=0)
-                    for perm in assignments)
-            k *= sqrt_w[rows, None]
+            fill(stacked[len(r):].T, orders, rows)
             r = np.linalg.qr(stacked, mode="r")
         return r
 
     num_orders, den_orders = _TAG_FORMS[target]
     return monos, factor(num_orders), factor(den_orders)
+
+
+def _form_size(target: str, dimension: int) -> int:
+    """P, the number of monomials (and of factor columns) of a form."""
+    return _monomials(dimension, len(_TAG_FORMS[target][0])).shape[1]
+
+
+def _factor_bytes(target: str, dimension: int, n: int) -> int:
+    """The most `_ratio_factors` holds at once on n nodes: the basis it
+    reads, the weights, R_num, and 2.25 blocks of (rows + P) x P for the
+    block and its QR (QR copies its input; the column temporaries take at
+    most three quarters of a block), and 512 bytes per monomial for the
+    index lists.  Traced: 1.01 to 1.14 times the peak, for dimensions 8
+    to 30 on 129 to 12289 nodes."""
+    size = _form_size(target, dimension)
+    rows = min(n, FACTOR_ROWS)
+    return (_basis_bytes(dimension, n, _TAG_ORDER[target])
+            + 8 * (2 * n + size * size + 9 * (rows + size) * size // 4
+                   + 64 * size))
+
+
+def _report_bytes(target: Target, dimension: int, grid_n: int,
+                  report_n: int) -> int:
+    """The winner's stack on report_n nodes with its working arrays
+    (`funcspace.sampled_bytes`), next to what the search objective on
+    grid_n nodes still holds: the cached basis and, for forms, the two
+    factors."""
+    order = _target_order(target)
+    held = _basis_bytes(dimension, grid_n, order)
+    if _uses_forms(target, dimension, grid_n):
+        held += 16 * _form_size(target, dimension) ** 2
+    return fs.sampled_bytes(1, report_n, order) + held
 
 
 def _form_ratios(target: str, dimension: int, n: int):
@@ -252,26 +312,25 @@ def _form_ratios(target: str, dimension: int, n: int):
     another order, so only roundoff differs from it.  Each row takes its
     own matrix-vector products and dots and its power as a Python float, so
     its value does not depend on the rows beside it (a matrix product or a
-    power over an array moves last bits); blocks of BATCH_ROWS rows keep
-    the temporaries a few MB."""
+    power over an array moves last bits); more than BATCH_ROWS rows go in
+    blocks of that many, which keeps the temporaries a few MB."""
     monos, r_num, r_den = _ratio_factors(target, dimension, n)
     power = 0.5 / monos.shape[0]
     first, *rest = monos
 
     def ratios(unit: np.ndarray) -> list:
-        out = []
-        for lo in range(0, len(unit), BATCH_ROWS):
-            block = unit[lo:lo + BATCH_ROWS]
-            y = block[:, first]
-            for idx in rest:
-                y *= block[:, idx]
-            num = r_num @ y[:, :, None]
-            den = r_den @ y[:, :, None]
-            num2 = (num.transpose(0, 2, 1) @ num).ravel().tolist()
-            den2 = (den.transpose(0, 2, 1) @ den).ravel().tolist()
-            out += [(a / b) ** power if b != 0.0 else 0.0
-                    for a, b in zip(num2, den2)]
-        return out
+        if len(unit) > BATCH_ROWS:
+            return [r for lo in range(0, len(unit), BATCH_ROWS)
+                    for r in ratios(unit[lo:lo + BATCH_ROWS])]
+        y = unit[:, first]
+        for idx in rest:
+            y *= unit[:, idx]
+        num = r_num @ y[:, :, None]
+        den = r_den @ y[:, :, None]
+        num2 = (num.transpose(0, 2, 1) @ num).ravel().tolist()
+        den2 = (den.transpose(0, 2, 1) @ den).ravel().tolist()
+        return [(a / b) ** power if b != 0.0 else 0.0
+                for a, b in zip(num2, den2)]
 
     return ratios
 
@@ -306,14 +365,20 @@ def _make_objective(target: Target, dimension: int, n: int):
     ratios as a list of floats.  ratio4 and ratio6 evaluate as polynomial
     forms whenever their two factors hold no more entries than the
     derivative stack they replace and the splines are local
-    (FORM_MIN_DIMENSION); every other target and size calls the grid
-    objective once per row, which stays the oracle and the single report
-    evaluation.  A ratio-half search on more than 1024 nodes keeps every
+    (FORM_MIN_DIMENSION), and their build (`_factor_bytes`) is refused
+    above the byte cap before it starts; every other target and size calls
+    the grid objective, which stays the oracle, once per row.  A
+    ratio-half search on more than 1024 nodes keeps every
     SEMINORM_SEARCH_STRIDE-th node.
     """
     stride = SEMINORM_SEARCH_STRIDE if target == "ratio-half" and n > 1024 else 1
+    forms = _uses_forms(target, dimension, n)
+    if forms:
+        fs.refuse_above_cap(
+            f"the {target} factors for dimension {dimension} on {n} nodes",
+            _factor_bytes(target, dimension, n))
     ratio, basis = _grid_objective(target, dimension, n, stride)
-    if _uses_forms(target, dimension, n):
+    if forms:
         return _form_ratios(target, dimension, n), basis
     return (lambda unit: [ratio(c) for c in unit]), basis
 
@@ -323,8 +388,8 @@ def _uses_forms(target: Target, dimension: int, n: int) -> bool:
     or ratio6 with local splines and factors no larger than the stack."""
     if target not in _TAG_FORMS or dimension < FORM_MIN_DIMENSION:
         return False
-    size = _monomials(dimension, len(_TAG_FORMS[target][0])).shape[1]
-    return 2 * size ** 2 <= (_TAG_ORDER[target] + 1) * n * dimension
+    return 2 * _form_size(target, dimension) ** 2 <= (
+        (_TAG_ORDER[target] + 1) * n * dimension)
 
 
 def warm_starts(value_matrix: np.ndarray) -> list:
@@ -364,106 +429,169 @@ class SearchResult:
     config: SearchConfig
 
 
-def _simplex_steps(x0, maxfev: int, xatol: float, fatol: float):
-    """The adaptive Nelder-Mead simplex from x0, as a generator that yields
-    each (k, N) array of points it needs and is sent their k values.
+def _lockstep(objective, starts, maxfev: int, xatol: float, fatol: float):
+    """The adaptive Nelder-Mead simplex from every start at once, each run
+    taking the steps it would take alone.
 
     Gao & Han, "Implementing the Nelder-Mead simplex algorithm with
     adaptive parameters" (Comput. Optim. Appl. 51, 2012): reflection 1,
     expansion 1 + 2/N, contraction 3/4 - 1/(2N), shrink 1 - 1/N in N
     dimensions.  The initial simplex moves one entry of x0 at a time by
-    5%, or to 0.00025 where it is zero; vertices are ordered by
-    np.argsort of their values after the initial simplex and after every
-    step.  The search stops when every vertex is within xatol of the best
-    in each coordinate and within fatol of it in value, or when maxfev
-    evaluations are spent.  No point is asked for past the budget: a step
-    it cuts short is abandoned where it stands (a shrink keeps the one
-    vertex it moved past the budget, with its old value), and a vertex of
-    the initial simplex never evaluated keeps +inf.  Returns (x, f,
-    evaluations) with x the best vertex and f the least vertex value.
+    5%, or to 0.00025 where it is zero; vertices are ordered by argsort of
+    their values after the initial simplex and at the top of every step.
+    A run stops when every vertex is within xatol of the best in each
+    coordinate and within fatol of it in value, or when maxfev evaluations
+    are spent.  No point is asked for past the budget: a step it cuts
+    short is abandoned where it stands (a shrink keeps the one vertex it
+    moved past the budget, with its old value), and a vertex of the
+    initial simplex never evaluated keeps +inf.
+
+    The simplices are one (N + 1, runs, N) array, vertex first, and their
+    values one (runs, N + 1) array.  Each round sorts the runs at the top
+    of a step by a row-wise argsort (each row ordered as argsort orders it
+    alone), takes every run's centroid and its point as array operations,
+    makes one objective call (rows to a list of floats) on a copy of the
+    points, and writes back what each run keeps.  The accept, stop and
+    shrink rules read each run's floats as Python floats: at a few dozen
+    runs that costs less than the two dozen array operations their masks
+    take.  Returns ([(x, f, evaluations) per start], the number of values
+    that were 0.0), with x a run's best vertex and f its least value.
     """
-    x0 = np.array(x0, dtype=float).ravel()
-    dim = x0.size
+    x0 = np.array(starts, dtype=float)
+    runs, dim = x0.shape
     chi, psi, sigma = 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
-    sim = np.tile(x0, (dim + 1, 1))
+    # a run's phase is the row of its point's coefficients, c1 * xbar -
+    # c2 * worst: the reflection at the top of a step, then the expansion,
+    # outside or inside contraction (c2 = -psi gives the floats of
+    # + psi * worst, as IEEE negation is exact); a shrinking run asks its
+    # moved vertices instead and does not use its row
+    coeffs = np.array([[2.0, 1.0], [1 + chi, chi], [1 + psi, psi],
+                       [1 - psi, -psi], [2.0, 1.0]])
+    shrinking = len(coeffs) - 1
+    sim = np.repeat(x0[None], dim + 1, axis=0)
     diag = np.arange(dim)
-    sim[diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = np.full(dim + 1, np.inf)
-    nfev = min(dim + 1, maxfev)
-    fsim[:nfev] = yield sim[:nfev]
-    # sorted twice at first: argsort need not keep ties in place
-    ind = fsim.argsort()
-    sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+    sim[diag + 1, :, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025).T
+    first = min(dim + 1, maxfev)
+    points = np.array(sim[:first].transpose(1, 0, 2)).reshape(-1, dim)
+    values = objective(points)
+    zeros = values.count(0.0)
+    fsim = np.full((runs, dim + 1), np.inf)
+    fsim[:, :first] = np.reshape(values, (runs, first))
+    # sorted here and at the top of the first step: argsort need not keep
+    # ties in place
+    ind = fsim.argsort(1)
+    rows, cols = np.arange(runs)[:, None], np.arange(runs)
+    sim, fsim = sim[ind.T, cols], fsim[rows, ind]
+    ids = list(range(runs))
+    nfev, phase = [first] * runs, [0] * runs
+    fxr, count = [0.0] * runs, [0] * runs
+    xr = np.zeros((runs, dim))
+    results = [None] * runs
     while True:
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
-        # fsim is sorted (nan last), so its widest spread is the last gap
-        if nfev >= maxfev or (fsim[-1] - fsim[0] <= fatol and
-                              np.abs(sim[1:] - sim[0]).max() <= xatol):
-            break
+        if 0 in phase:
+            ind = fsim.argsort(1)
+            mid = [i for i, p in enumerate(phase) if p]
+            if mid:
+                ind[mid] = np.arange(dim + 1)
+            sim, fsim = sim[ind.T, cols], fsim[rows, ind]
+            lows, highs = fsim[:, 0].tolist(), fsim[:, -1].tolist()
+            # a sorted run's widest spread in value is its last gap (nan
+            # last); its spread in x is read only when that gap is small
+            done = [i for i, p in enumerate(phase)
+                    if not p and nfev[i] >= maxfev]
+            near = [i for i, p in enumerate(phase) if not p and
+                    nfev[i] < maxfev and highs[i] - lows[i] <= fatol]
+            if near:
+                spread = np.abs(sim[1:, near] - sim[0, near]).max((0, 2))
+                done = sorted(done + [i for i, s in zip(near, spread.tolist())
+                                      if s <= xatol])
+            if done:
+                for i in done:
+                    results[ids[i]] = (sim[0, i].copy(), fsim[i].min(),
+                                       nfev[i])
+                if len(done) == len(ids):
+                    return results, zeros
+                live = [i for i in range(len(ids)) if i not in done]
+                sim, fsim, xr = sim[:, live], fsim[live], xr[live]
+                ids, nfev, phase, fxr, count = (
+                    [a[i] for i in live]
+                    for a in (ids, nfev, phase, fxr, count))
+                cols = np.arange(len(ids))
+                rows = cols[:, None]
         xbar = np.add.reduce(sim[:-1], 0) / dim
-        xr = 2 * xbar - sim[-1]
-        [fxr] = yield xr[None]
-        nfev += 1
-        if not fxr < fsim[0] and fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif nfev < maxfev:
-            # expansion, outside or inside contraction
-            if fxr < fsim[0]:
-                x2 = (1 + chi) * xbar - chi * sim[-1]
-            elif fxr < fsim[-1]:
-                x2 = (1 + psi) * xbar - psi * sim[-1]
-            else:
-                x2 = (1 - psi) * xbar + psi * sim[-1]
-            [f2] = yield x2[None]
-            nfev += 1
-            if fxr < fsim[0]:
-                sim[-1], fsim[-1] = (x2, f2) if f2 < fxr else (xr, fxr)
-            elif (f2 <= fxr) if fxr < fsim[-1] else (f2 < fsim[-1]):
-                sim[-1], fsim[-1] = x2, f2
-            else:
-                moved = sim[0] + sigma * (sim[1:] - sim[0])
-                count = min(dim, maxfev - nfev)
-                sim[1:count + 2] = moved[:count + 1]
-                if count:
-                    fsim[1:count + 1] = yield moved[:count]
-                nfev += count
-    return sim[0], fsim.min(), nfev
-
-
-def _lockstep(objective, starts, maxfev: int, xatol: float, fatol: float):
-    """Runs `_simplex_steps` from every start at once: each round makes
-    one objective call (rows to a list of floats) on a copy of the points
-    that every live run asks for and sends each run its values, so a run
-    takes the steps it would take alone.  Returns ([(x, f, evaluations) per start],
-    the number of values that were 0.0)."""
-    runs = [_simplex_steps(x0, maxfev, xatol, fatol) for x0 in starts]
-    asks = [next(run) for run in runs]
-    results = [None] * len(runs)
-    live = list(range(len(runs)))
-    zeros = 0
-    while live:
-        values = objective(np.concatenate([asks[i] for i in live]))
+        c = coeffs[phase]
+        trial = c[:, :1] * xbar - c[:, 1:] * sim[-1]
+        if shrinking in phase:
+            one = [i for i, p in enumerate(phase) if p != shrinking]
+            run = [i for i, p in enumerate(phase) if p == shrinking
+                   for _ in range(count[i])]
+            at = [j for i, p in enumerate(phase) if p == shrinking
+                  for j in range(1, count[i] + 1)]
+            values = objective(np.concatenate([trial[one], sim[at, run]]))
+            fsim[run, at] = values[len(one):]
+        else:
+            values = objective(trial.copy())
         zeros += values.count(0.0)
-        lo, still = 0, []
-        for i in live:
-            hi = lo + len(asks[i])
-            try:
-                asks[i] = runs[i].send(values[lo:hi])
-                still.append(i)
-            except StopIteration as stop:
-                results[i] = stop.value
-            lo = hi
-        live = still
-    return results, zeros
+        lows, seconds = fsim[:, 0].tolist(), fsim[:, -2].tolist()
+        highs = fsim[:, -1].tolist()
+        new, newf, back, ask, shrink = [], [], [], [], []
+        k = 0
+        for i, p in enumerate(phase):
+            if p == shrinking:
+                nfev[i] += count[i]
+                phase[i] = 0
+                continue
+            f = values[k]
+            k += 1
+            nfev[i] += 1
+            if not p:
+                # a reflection is kept, or a second point is asked while
+                # the budget lasts
+                if not f < lows[i] and f < seconds[i]:
+                    new.append(i)
+                    newf.append(f)
+                elif nfev[i] < maxfev:
+                    ask.append(i)
+                    fxr[i] = f
+                    phase[i] = 1 if f < lows[i] else 2 if f < highs[i] else 3
+                continue
+            # an expansion keeps the better of it and the reflection; a
+            # contraction is kept, or the simplex shrinks
+            phase[i] = 0
+            if fxr[i] < lows[i] and not f < fxr[i]:
+                back.append(i)
+            elif fxr[i] < lows[i] or ((f <= fxr[i]) if fxr[i] < highs[i]
+                                      else (f < highs[i])):
+                new.append(i)
+                newf.append(f)
+            else:
+                shrink.append(i)
+        if new:
+            sim[-1, new] = trial[new]
+            fsim[new, -1] = newf
+        if back:
+            sim[-1, back] = xr[back]
+            fsim[back, -1] = [fxr[i] for i in back]
+        if ask:
+            xr[ask] = trial[ask]
+        if shrink:
+            low = sim[0, shrink]
+            moved = low + sigma * (sim[1:, shrink] - low)
+            for j, i in enumerate(shrink):
+                count[i] = min(dim, maxfev - nfev[i])
+                phase[i] = shrinking if count[i] else 0
+                # vertices 1..count + 1 move; vertex count + 1 keeps its
+                # old value
+                sim[1:count[i] + 2, i] = moved[:count[i] + 1, j]
 
 
 def _lockstep_bytes(restarts: int, dimension: int) -> int:
     """`_lockstep`'s bytes for `restarts` starts in dimension d, most in
     the first round: per run its start, its simplex, its d + 1 points twice
-    (concatenated, then unit), 13 words per point for its length and value,
-    and 320 for the generator and array headers.  At d = 8 to 49 this is
-    1.2 to 1.02 times the traced growth of the peak per run."""
+    (copied, then unit), 13 words per point for its length and value, and
+    320 words for the start's header and headroom.  At d = 8, 16, 30 and
+    49 this is 2.1, 1.3, 1.1 and 1.04 times the traced growth of the peak
+    per run."""
     return 8 * restarts * ((dimension + 1) * (3 * dimension + 16) + 320)
 
 
@@ -473,12 +601,12 @@ def _search_values(ratios, rows: np.ndarray) -> list:
     as is a ratio of 0.0).  The length is the square root of a row-by-
     column product, the float np.linalg.norm gives for that row."""
     lengths = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
-    live = [i for i, length in enumerate(lengths.ravel().tolist())
-            if 0.0 < length < math.inf]
+    flat = lengths.ravel().tolist()
+    live = [i for i, length in enumerate(flat) if 0.0 < length < math.inf]
+    if len(live) == len(rows):
+        return [-r for r in ratios(rows / lengths)]
     values = [0.0] * len(rows)
-    if len(live) < len(rows):
-        rows, lengths = rows[live], lengths[live]
-    for i, r in zip(live, ratios(rows / lengths)):
+    for i, r in zip(live, ratios(rows[live] / lengths[live])):
         values[i] = -r
     return values
 
@@ -490,8 +618,10 @@ def estimate_constant(target: Target,
     Runs `config.restarts` Nelder-Mead starts (warm starts first, then
     random vectors drawn from per-restart streams seeded by
     (config.seed, restart index)) in lockstep, polishes the incumbent with
-    a longer run, and re-evaluates the winner on the report grid.  The
-    trace and the incumbent follow restart order.
+    a longer run, and reports the winner's ratio on its own stack sampled
+    on the report grid.  The trace and the incumbent follow restart order.
+    The restarts, the winner's stack and the factors are refused up front
+    when their formulas put them above the byte cap.
     """
     config = config or SearchConfig()
     fs.refuse_above_cap(
@@ -499,11 +629,14 @@ def estimate_constant(target: Target,
         f"{config.dimension}",
         _lockstep_bytes(config.restarts, config.dimension))
     label = _target_label(target)
-    ratios, basis = _make_objective(target, config.dimension, config.grid_n)
-    objective = partial(_search_values, ratios)
+    order = _target_order(target)
     report_n = (min(config.report_grid_n, SEMINORM_REPORT_N)
                 if target == "ratio-half" else config.report_grid_n)
-    report_fn, _ = _grid_objective(target, config.dimension, report_n)
+    fs.refuse_above_cap(
+        f"the winner's stack to order {order} on {report_n} nodes",
+        _report_bytes(target, config.dimension, config.grid_n, report_n))
+    ratios, basis = _make_objective(target, config.dimension, config.grid_n)
+    objective = partial(_search_values, ratios)
     starts = warm_starts(basis[0])
     n_warm = min(len(starts), config.restarts)
     starts = starts[:n_warm]
@@ -535,7 +668,8 @@ def estimate_constant(target: Target,
         starts, kinds = [best_vec], ["polish"]
         budget, tol = max(budget, int(2.5 * budget)), tol * 1e-2
 
-    fine = report_fn(best_vec)
+    fine = _ratio_fn(target)(fs.sample(fs.SplineBump(best_vec), (0.0, 1.0),
+                                       report_n, order))
     ceiling = _TAG_CEILING.get(target if isinstance(target, str) else "")
     if ceiling is not None and fine > ceiling + CEILING_SLACK:
         raise InvariantError(

@@ -52,8 +52,9 @@ from .errors import ParameterError, UnsupportedOrderError
 
 MAX_ORDER = 8
 # The package's one byte cap.  Sampled corpora, the extremal search's
-# candidate basis, covers and RK4 chains above it are refused, with their
-# cost, before they are allocated (`refuse_above_cap`).
+# candidate basis, factors, restarts and reported stack, covers and RK4
+# chains above it are refused, with their cost, before they are allocated
+# (`refuse_above_cap`).
 BYTES_CAP = 2 ** 30
 
 # chi and all R_i * chi are flat at the support endpoints; below this
@@ -588,17 +589,22 @@ def sample(f: AnalyticFunction, interval, n: int, m: int = 0) -> GridFunction:
                         provenance="exact")
 
 
+def sampled_bytes(count: int, n: int, order: int) -> int:
+    """Bytes of `count` sampled stacks to `order` on n nodes and their
+    working arrays of n values: 20 (up to about 16 were traced for the
+    norms and ratios), or 2 * order + 16 while a stack is sampled (traced:
+    up to 2 * order + 12.4, and fixed allocations of about 0.3 MB),
+    whichever is more."""
+    return 8 * n * (count * (order + 1) + max(20, 2 * order + 16))
+
+
 def sample_corpus(selection, n: int, order: int) -> list:
     """(name, GridFunction) pairs of the selected functions' stacks to
-    `order` on n nodes of [0, 1], refused up front when they and their
-    working arrays of n values are above the byte cap: 20 (up to about 16
-    were traced for the norms and ratios), or 2 * order + 16 while a stack
-    is sampled (traced: up to 2 * order + 12.4, and fixed allocations of
-    about 0.3 MB), whichever is more."""
-    work = max(20, 2 * order + 16)
+    `order` on n nodes of [0, 1], refused up front when `sampled_bytes`
+    puts them above the byte cap."""
     refuse_above_cap(
         f"{len(selection)} sampled stack(s) to order {order} on {n} nodes",
-        8 * n * (len(selection) * (order + 1) + work))
+        sampled_bytes(len(selection), n, order))
     return [(name, sample(f, (0.0, 1.0), n, order)) for name, f in selection]
 
 

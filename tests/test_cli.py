@@ -379,7 +379,11 @@ def test_oversized_restart_count_is_refused_with_its_cost(tmp_path, capsys):
     # the highest order; at 8193 nodes the command's fixed allocations
     # (about 0.3 MB) are a tenth of its whole footprint
     ["corpus", "emit", "--function", "sinebump3", "--N", "16385", "--m", "8"],
-], ids=["cover", "check-generalized", "check-special", "corpus-emit"])
+    # README's 65537-node report grid: the winner's stack, and the factors
+    ["estimate", "--target", "ratio4", "--restarts", "2", "--budget", "20"],
+    ["estimate", "--target", "ratio6", "--restarts", "2", "--budget", "20"],
+], ids=["cover", "check-generalized", "check-special", "corpus-emit",
+        "estimate-ratio4", "estimate-ratio6"])
 def test_footprint_formulas_bound_the_traced_peak(tmp_path, capsys,
                                                   monkeypatch, argv):
     """A run's footprint formula is at least its traced peak: with the cap

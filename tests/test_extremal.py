@@ -1,6 +1,7 @@
 """Candidate basis, ratio objectives, and the restart search."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -319,6 +320,33 @@ class TestEstimateConstant:
         assert res.report_grid_n == 2049
         assert res.ratio == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("target", ["ratio4", "ratio6", "l12",
+                                        "ratio-half"])
+    def test_report_is_the_winners_own_stack(self, target, l12):
+        """The reported ratio is the target's function of the winner's own
+        stack, sampled on every report node: no report-grid basis."""
+        target = l12 if target == "l12" else target
+        cfg = ex.SearchConfig(restarts=2, budget=30, dimension=8,
+                              grid_n=1025, report_grid_n=4097)
+        res = ex.estimate_constant(target, cfg)
+        order = ex._target_order(target)
+        u = fs.sample(fs.SplineBump(res.candidate), (0, 1),
+                      res.report_grid_n, order)
+        assert res.report_grid_n == 4097
+        assert res.ratio > 0.0
+        assert res.ratio == ex._ratio_fn(target)(u)
+
+    def test_oversized_report_grid_is_refused_before_any_build(
+            self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("built an objective for a refused report")
+
+        monkeypatch.setattr(ex, "_make_objective", no_build)
+        cfg = ex.SearchConfig(restarts=1, budget=1, dimension=8,
+                              grid_n=1025, report_grid_n=2 ** 27 + 1)
+        with pytest.raises(ParameterError, match="the winner's stack"):
+            ex.estimate_constant("ratio4", cfg)
+
 
 class TestRandomBatch:
     def test_frozen_maxima_and_ceilings(self):
@@ -414,6 +442,35 @@ class TestPolynomialForms:
         # two full row blocks and a shorter one
         self.assert_forms_match_grid(target, 8, 3 * ex.FACTOR_ROWS - 2, 100)
 
+    @pytest.mark.parametrize("target, dimension, n", [
+        ("ratio4", 16, ex.SEARCH_GRID_N), ("ratio6", 8, ex.SEARCH_GRID_N),
+        ("ratio6", 16, 1025), ("ratio4", 8, 3 * ex.FACTOR_ROWS - 2)])
+    def test_factors_match_the_per_column_build(self, target, dimension, n):
+        """Columns built together, one assignment at a time, give the
+        factors of the column-by-column build float for float."""
+        got = ex._ratio_factors(target, dimension, n)
+        want = _per_column_factors(target, dimension, n)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("target, dimension, n", [
+        ("ratio4", 16, ex.SEARCH_GRID_N), ("ratio6", 11, 2049),
+        ("ratio4", 8, 3 * ex.FACTOR_ROWS - 2)])
+    def test_factor_formula_is_between_the_traced_peak_and_twice_it(
+            self, target, dimension, n):
+        # the basis is built and counted, QR's lazy state loaded, and the
+        # factors built past the cache
+        basis = ex._basis_matrices(dimension, n, ex._TAG_ORDER[target])
+        np.linalg.qr(np.eye(3), mode="r")
+        tracemalloc.start()
+        try:
+            ex._ratio_factors.__wrapped__(target, dimension, n)
+            peak = tracemalloc.get_traced_memory()[1] + basis.nbytes
+        finally:
+            tracemalloc.stop()
+        need = ex._factor_bytes(target, dimension, n)
+        assert peak <= need <= 2 * peak
+
     @pytest.mark.parametrize("target,dimension,size", [
         ("ratio4", 16, 81), ("ratio6", 8, 98), ("ratio6", 16, 266)])
     def test_only_overlapping_monomials_are_kept(self, target, dimension,
@@ -433,6 +490,35 @@ class TestPolynomialForms:
             self, target, dimension, n, forms):
         ratios, _ = ex._make_objective(target, dimension, n)
         assert ("_form_ratios" in ratios.__qualname__) == forms
+
+
+def _per_column_factors(target, dimension, n):
+    """`ex._ratio_factors` as it was built one column at a time, each column
+    a Python sum over its assignments of np.prod of basis columns.  Kept as
+    the reference for the factors' floats."""
+    basis = ex._basis_matrices(dimension, n, ex._TAG_ORDER[target])
+    sqrt_w = np.sqrt(ex.norms.simpson_weights(n, 1.0 / (n - 1)))
+    monos = ex._monomials(dimension, len(ex._TAG_FORMS[target][0]))
+    perms = [sorted(set(itertools.permutations(mono))) for mono in monos.T]
+
+    def factor(orders):
+        r = np.empty((0, monos.shape[1]))
+        for lo in range(0, n, ex.FACTOR_ROWS):
+            rows = slice(lo, min(lo + ex.FACTOR_ROWS, n))
+            stacked = np.empty((len(r) + rows.stop - lo, monos.shape[1]))
+            stacked[:len(r)] = r
+            k = stacked[len(r):]
+            for col, assignments in enumerate(perms):
+                k[:, col] = sum(
+                    np.prod([basis[o][rows, i] for o, i in zip(orders, perm)],
+                            axis=0)
+                    for perm in assignments)
+            k *= sqrt_w[rows, None]
+            r = np.linalg.qr(stacked, mode="r")
+        return r
+
+    num_orders, den_orders = ex._TAG_FORMS[target]
+    return monos, factor(num_orders), factor(den_orders)
 
 
 def _reference_search_value(target, dimension, n):
