@@ -15,11 +15,16 @@ fourth-order scheme.  Because the chain is triangular and x4 feeds back
 into nothing, the steps are swept in blocks one state at a time, each
 state an elementwise increment array and a cumulative sum along time;
 the result is bit-identical to stepping the scheme one step at a time.
+The sweep yields its blocks one at a time: `integrate` collects every
+state into a trajectory, while the scaling experiment keeps only the
+terminal row and the obstruction probe reduces each block as it is swept
+(Simpson sums, the chain's largest value, the terminal states), so those
+two hold one block of states whatever the number of steps.
 The power term x1^p is |x1|^p with x1's sign restored for odd p, in the
 sweep and in the quadrature check alike.
-A run whose chain (states and stage controls, times the batch) would take
-more than the package's byte cap (`funcspace.BYTES_CAP`) is refused before
-anything is allocated.
+A run whose chain (stage controls times the batch, the states it holds
+and one sweep block) would take more than the package's byte cap
+(`funcspace.BYTES_CAP`) is refused before anything is allocated.
 It cross-checks the terminal formula by quadrature, fits the
 epsilon-scaling exponents of the bump control family
 w(t) = eps * chi'''(t * eps^{-a}), and probes the p >= 12 sign
@@ -47,7 +52,8 @@ import numpy as np
 from . import funcspace as fs
 from .errors import (ParameterError, PreconditionError, InvariantError,
                      DivergenceError)
-from .norms import _order, simpson, simpson_weights
+from .norms import (_order, _simpson_last_interval, _simpson_pairs, simpson,
+                    simpson_weights)
 
 DEFAULT_STEPS = 2 ** 14
 TERMINAL_TOL = 1e-8
@@ -56,8 +62,10 @@ MONOTONE_TOL = 1e-10
 P1_RANDOM_LAWS = 3
 NOISE_MODES = 16
 # steps x batch state entries per block of the RK4 sweep, so each block
-# temporary holds 2 MB whatever the batch
-_BLOCK_ENTRIES = 2 ** 18
+# temporary holds 512 KB whatever the batch; a streamed run holds about 20
+# of them.  Of 2^15 to 2^18, 2^16 and 2^17 swept the obstruction batch
+# fastest (the block stays in cache), and 2^16 holds the least of the two
+_BLOCK_ENTRIES = 2 ** 16
 # stage-grid arrays of an integration besides its controls: the grid, and
 # a bump-triple law evaluated on it (chi_stack to order 3: about 21 traced)
 _LAW_STAGE_ARRAYS = 22
@@ -188,26 +196,39 @@ def _power(y: np.ndarray, p: int) -> np.ndarray:
     return np.copysign(mag, y, out=mag) if p % 2 else mag
 
 
+def _block_rows(batch: int) -> int:
+    """Steps per sweep block: `_BLOCK_ENTRIES` state entries, rounded down
+    to an even count so that no Simpson pair straddles two blocks."""
+    return max(2, _BLOCK_ENTRIES // max(batch, 1) // 2 * 2)
+
+
 def check_chain_size(steps: int, batch: int,
-                     stage_arrays: int = _LAW_STAGE_ARRAYS) -> None:
+                     stage_arrays: int = _LAW_STAGE_ARRAYS,
+                     keeps_states: bool = False) -> None:
     """Refuse, before anything is allocated, a chain whose footprint is
     above the package's byte cap.
 
-    Counted in float64 entries: the states (4, steps+1) and the stage
-    controls (2*steps+1) of each of `batch` runs; 16 temporaries of one
-    sweep block (13 traced); and `stage_arrays` arrays on the stage grid
-    that the caller holds besides, such as the grid itself and a control
-    law evaluated on it.
+    Counted in float64 entries: the stage controls (2*steps+1) of each of
+    `batch` runs; one sweep block, its four states and 16 temporaries of
+    one state's size (13 traced, the streamed callers' reductions
+    included); `stage_arrays` arrays on the stage grid that the caller
+    holds besides, such as the grid itself and a control law evaluated on
+    it; every state (4, steps+1) of each run when the caller
+    `keeps_states`, as `integrate` does; and, for one run whose states are
+    not kept, its Simpson pair terms (`_SimpsonSweep`).
     """
     stages = 2 * steps + 1
-    block = min(steps, max(1, _BLOCK_ENTRIES // max(batch, 1))) * batch
+    block = (min(steps, _block_rows(batch) + 1) + 1) * batch
+    held = (4 * (steps + 1) * batch if keeps_states
+            else steps if batch == 1 else 0)
     fs.refuse_above_cap(f"the chain for {steps} steps x {batch} runs",
-                        8 * (batch * (4 * (steps + 1) + stages) + 16 * block
+                        8 * (batch * stages + 20 * block + held
                              + stage_arrays * stages))
 
 
 def _stage_times(T: float, steps: int, batch: int = 1,
-                 stage_arrays: int = _LAW_STAGE_ARRAYS) -> np.ndarray:
+                 stage_arrays: int = _LAW_STAGE_ARRAYS,
+                 keeps_states: bool = False) -> np.ndarray:
     """Nodes and midpoints of the step grid; the one check of `steps`, of
     a finite horizon and of the chain's footprint (`check_chain_size`),
     which every integration passes first."""
@@ -215,71 +236,133 @@ def _stage_times(T: float, steps: int, batch: int = 1,
         raise ParameterError(f"steps must be >= 2, got {steps}")
     if not math.isfinite(T):
         raise ParameterError(f"horizon T must be finite, got {T}")
-    check_chain_size(steps, batch, stage_arrays)
+    check_chain_size(steps, batch, stage_arrays, keeps_states)
     return np.linspace(0.0, T, 2 * steps + 1)
 
 
-def _rk4_chain(w_stages: np.ndarray, T: float, steps: int, p: int) -> np.ndarray:
-    """Batched classical RK4 for the chain; returns (4, steps+1, batch).
+def _rk4_blocks(w_stages: np.ndarray, T: float, steps: int, p: int):
+    """Batched classical RK4 for the chain, swept in blocks of steps;
+    yields (lo, block) with block the (4, m+1, batch) states at nodes
+    lo, ..., lo + m.
 
     `w_stages` holds the control at nodes and midpoints, shape
     (2*steps+1, batch); the stage grid makes every RK4 substep land on a
     stored control value, preserving the scheme's fourth order.
 
+    Every block is a view of one buffer that the next block overwrites,
+    so a caller reduces it before asking for the next.  Its row 0 is the
+    state carried in from the block before (the origin for the first).
+    Blocks are an even number of steps, `_block_rows`, except the last,
+    which takes the rest: at least two steps, one more than an even
+    block when a single step would be left over.
+
     The chain is triangular: x1's stage values depend only on w, x2's on
     x1 and w, x3's on x2, x1 and w, and x4 feeds back into nothing.  So
-    the steps are swept in blocks of rows, state by state: each state's
-    increments over a block are one elementwise expression in the node
-    values of the states before it, written with the stepwise scheme's
-    operands in the stepwise order, and a cumulative sum along time turns
-    them into node values.  The block's starting state is added into the
-    first increment, and the cumulative sum is sequential, so every state
-    is the same float the step-by-step loop produces.
+    each block is swept state by state: each state's increments over the
+    block are one elementwise expression in the node values of the states
+    before it, written with the stepwise scheme's operands in the
+    stepwise order, and a cumulative sum along time turns them into node
+    values.  The carried state is added into the first increment, and the
+    cumulative sum is sequential, so every state is the same float the
+    step-by-step loop produces.
     """
     if w_stages.ndim != 2 or w_stages.shape[0] != 2 * steps + 1:
         raise ParameterError("w_stages must be (2*steps+1, batch)")
     batch = w_stages.shape[1]
     h = T / steps
-    out = np.zeros((4, steps + 1, batch))
-    rows = max(1, _BLOCK_ENTRIES // max(batch, 1))
+    rows = _block_rows(batch)
+    buf = np.zeros((4, min(steps, rows + 1) + 1, batch))
 
     def power_term(y1, y2, y3):
         return (y1 * y2 * y3) ** 2 - _power(y1, p)
 
-    def advance(state, lo, hi, a, b, c, d):
+    def advance(block, state, a, b, c, d):
         inc = (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        inc[0] += out[state, lo]
-        np.cumsum(inc, axis=0, out=out[state, lo + 1:hi + 1])
+        inc[0] += block[state, 0]
+        np.cumsum(inc, axis=0, out=block[state, 1:])
 
-    # overflow is the divergence signal here: let it produce inf/nan
-    # silently and trip the per-block finiteness check instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, steps, rows):
-            hi = min(lo + rows, steps)
+    lo = m = 0
+    while lo < steps:
+        buf[:, 0] = buf[:, m]  # the last node of the block before
+        m = rows if steps - lo - rows >= 2 else steps - lo
+        hi = lo + m
+        block = buf[:, :m + 1]
+        # overflow is the divergence signal here: let it produce inf/nan
+        # silently and trip the per-block finiteness check instead
+        with np.errstate(over="ignore", invalid="ignore"):
             wa = w_stages[2 * lo:2 * hi:2]
             wm = w_stages[2 * lo + 1:2 * hi + 1:2]
             wb = w_stages[2 * lo + 2:2 * hi + 2:2]
-            advance(0, lo, hi, wa, wm, wm, wb)
-            x1 = out[0, lo:hi]
+            advance(block, 0, wa, wm, wm, wb)
+            x1 = block[0, :-1]
             b2 = x1 + 0.5 * h * wa
             c2 = x1 + 0.5 * h * wm
             d2 = x1 + h * wm
-            advance(1, lo, hi, x1, b2, c2, d2)
-            x2 = out[1, lo:hi]
+            advance(block, 1, x1, b2, c2, d2)
+            x2 = block[1, :-1]
             b3 = x2 + 0.5 * h * x1
             c3 = x2 + 0.5 * h * b2
             d3 = x2 + h * c2
-            advance(2, lo, hi, x2, b3, c3, d3)
-            x3 = out[2, lo:hi]
-            advance(3, lo, hi, power_term(x1, x2, x3),
+            advance(block, 2, x2, b3, c3, d3)
+            x3 = block[2, :-1]
+            advance(block, 3, power_term(x1, x2, x3),
                     power_term(b2, b3, x3 + 0.5 * h * x2),
                     power_term(c2, c3, x3 + 0.5 * h * b3),
                     power_term(d2, d3, x3 + h * c3))
-            finite = (np.isfinite(out[0, lo + 1:hi + 1])
-                      & np.isfinite(out[3, lo + 1:hi + 1])).all(axis=1)
-            if not finite.all():
-                raise DivergenceError(lo + 1 + int(np.argmin(finite)))
+            finite = (np.isfinite(block[0, 1:])
+                      & np.isfinite(block[3, 1:])).all(axis=1)
+        if not finite.all():
+            raise DivergenceError(lo + 1 + int(np.argmin(finite)))
+        del b2, c2, d2, b3, c3, d3  # the caller's reductions reuse the room
+        yield lo, block
+        lo = hi
+
+
+def _rk4_chain(w_stages: np.ndarray, T: float, steps: int, p: int) -> np.ndarray:
+    """Every state of the `_rk4_blocks` sweep, (4, steps+1, batch)."""
+    out = None
+    for lo, block in _rk4_blocks(w_stages, T, steps, p):
+        if out is None:
+            out = np.empty((4, steps + 1, block.shape[2]))
+        out[:, lo:lo + block.shape[1]] = block
     return out
+
+
+class _SimpsonSweep:
+    """`norms.simpson` of a column of node values that arrives block by
+    block from `_rk4_blocks`, float for float.
+
+    Each block's pair terms are added into a carried row, as numpy's
+    axis-0 sum of two or more columns adds one row at a time; one column
+    numpy sums pairwise, so its terms are kept and summed once.
+    """
+
+    def __init__(self, steps: int, batch: int, dx: float):
+        self.dx = dx
+        self.kept = np.empty((steps // 2, 1)) if batch == 1 else None
+        self.total = None
+        self.last_interval = None
+
+    def add(self, lo: int, y: np.ndarray) -> None:
+        """Takes y at the nodes lo, lo + 1, ... of one block."""
+        odd = (y.shape[0] - 1) % 2  # only the last block can be odd
+        pairs = _simpson_pairs(y[:-1] if odd else y)
+        if self.kept is not None:
+            self.kept[lo // 2:lo // 2 + pairs.shape[0]] = pairs
+        else:
+            if self.total is not None:
+                pairs[0] += self.total
+            self.total = np.sum(pairs, axis=0)
+        if odd:
+            self.last_interval = _simpson_last_interval(y, self.dx)
+
+    def result(self) -> np.ndarray:
+        total = (np.sum(self.kept, axis=0) if self.kept is not None
+                 else self.total)
+        total *= self.dx / 3.0
+        if self.last_interval is not None:
+            total += self.last_interval
+        return total
 
 
 def _law_support_check(law: ControlLaw, T: float) -> None:
@@ -293,7 +376,7 @@ def _law_support_check(law: ControlLaw, T: float) -> None:
 def integrate(sys: ControlSystem, law: ControlLaw,
               steps: int = DEFAULT_STEPS) -> Trajectory:
     """Fixed-step fourth-order solution of the chain from the origin."""
-    stage_t = _stage_times(sys.T, steps)
+    stage_t = _stage_times(sys.T, steps, keeps_states=True)
     _law_support_check(law, sys.T)
     stage_w = np.asarray(law(stage_t), dtype=float)
     states = _rk4_chain(stage_w[:, None], sys.T, steps, sys.p)[:, :, 0]
@@ -421,9 +504,12 @@ def scaling_experiment(p: int, a: float, eps: Sequence[float], T: float = 1.0,
     laws = [ScaledBumpTriple(e, a) for e in eps]
     for law in laws:
         _law_support_check(law, T)
-    w = np.stack([law(stage_t) for law in laws], axis=1)
-    states = _rk4_chain(w, T, steps, p)
-    x4 = states[3, -1, :]
+    w = np.empty((stage_t.size, len(laws)))
+    for col, law in enumerate(laws):
+        w[:, col] = law(stage_t)
+    for _, block in _rk4_blocks(w, T, steps, p):
+        pass  # only the last block's terminal row is read
+    x4 = block[3, -1]
     rows = tuple((e, float(v), int(np.sign(v))) for e, v in zip(eps, x4))
     kept = [(e, abs(v)) for e, v, _ in rows if v != 0.0]
     slope = None
@@ -473,6 +559,25 @@ def _terminal_targets(w: np.ndarray, stage_t: np.ndarray,
                         0.5 * (T - stage_t) ** 2])
     rule = simpson_weights(stage_t.size, T / (stage_t.size - 1))
     return (weights * rule) @ w
+
+
+def _obstruction_sums(w: np.ndarray, T: float, steps: int, p: int) -> tuple:
+    """(pos, neg, chain_scale, terminal) of the chains driven by the
+    columns of w: the Simpson integrals of (x1 x2 x3)^2 and |x1|^p, the
+    largest of 1 and |x1|, |x2|, |x3| along the chain, and the (4, batch)
+    terminal states, each reduced from a block of `_rk4_blocks` as it is
+    swept and equal to its value from the stored states."""
+    batch = w.shape[1]
+    pos = _SimpsonSweep(steps, batch, T / steps)
+    neg = _SimpsonSweep(steps, batch, T / steps)
+    chain_scale = np.ones(batch)
+    for lo, block in _rk4_blocks(w, T, steps, p):
+        pos.add(lo, (block[0] * block[1] * block[2]) ** 2)
+        neg.add(lo, np.abs(block[0]) ** p)
+        for state in block[:3]:
+            np.maximum(chain_scale, np.max(np.abs(state), axis=0),
+                       out=chain_scale)
+    return pos.result(), neg.result(), chain_scale, block[:, -1]
 
 
 @dataclass(frozen=True)
@@ -525,23 +630,23 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
     basis = np.stack([np.ones_like(stage_t), stage_t, stage_t ** 2], axis=1)
     correction = np.linalg.solve(_constraint_matrix(T),
                                  _terminal_targets(w, stage_t, T))
-    w = w - basis @ correction
-
-    sup = np.max(np.abs(w), axis=0)
+    # projected and scaled in place, a block of stage rows at a time, so
+    # no temporary of the controls' size is made
+    rows = 2 * _block_rows(trials)
+    sup = np.zeros(trials)
+    for lo in range(0, stage_t.size, rows):
+        w[lo:lo + rows] -= basis[lo:lo + rows] @ correction
+        np.maximum(sup, np.max(np.abs(w[lo:lo + rows]), axis=0), out=sup)
     scale = np.where(sup > 0, eta / np.where(sup > 0, sup, 1.0), 0.0)
-    w = w * scale
+    w *= scale
 
-    states = _rk4_chain(w, T, steps, p)
-    del w  # the sums below need only the states
-    pos = simpson((states[0] * states[1] * states[2]) ** 2, T / steps)
-    neg = simpson(np.abs(states[0]) ** p, T / steps)
-    x4t = states[3, -1, :]
+    pos, neg, chain_scale, terminal = _obstruction_sums(w, T, steps, p)
+    x4t = terminal[3]
 
     margins = []
     skipped = []
-    chain_scale = np.maximum(np.max(np.abs(states[:3]), axis=(0, 1)), 1.0)
     for idx in range(trials):
-        triple = np.abs(states[:3, -1, idx])
+        triple = np.abs(terminal[:3, idx])
         if np.any(triple > 1e-6 * chain_scale[idx]):
             skipped.append((idx, "terminal constraint violated after projection"))
             continue
@@ -566,7 +671,8 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
 def default_p1_laws(T: float, steps: int, seed: int = 0) -> list:
     """Zero, a bump triple, and P1_RANDOM_LAWS bounded random controls."""
     # each random law keeps its samples: one array on the stage grid
-    count = _stage_times(T, steps, 1, _LAW_STAGE_ARRAYS + P1_RANDOM_LAWS).size
+    count = _stage_times(T, steps, 1, _LAW_STAGE_ARRAYS + P1_RANDOM_LAWS,
+                         keeps_states=True).size
     laws = [Zero(), ScaledBumpTriple(1e-2, 0.0)]
     for i in range(P1_RANDOM_LAWS):
         rng = np.random.default_rng([seed, i])

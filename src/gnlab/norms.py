@@ -46,17 +46,26 @@ def simpson(y, dx: float):
     n = y.shape[0] if y.ndim else 0
     if n < 3:
         raise ParameterError(f"Simpson quadrature needs >= 3 nodes, got {n}")
-    stop = n - 2 if n % 2 else n - 3
-    result = np.sum(y[0:stop:2] + 4.0 * y[1:stop + 1:2] + y[2:stop + 2:2],
-                    axis=0)
+    result = np.sum(_simpson_pairs(y if n % 2 else y[:-1]), axis=0)
     result *= dx / 3.0
     if n % 2 == 0:
-        # SciPy's last-interval weights 5dx/12, 2dx/3, -dx/12, same operations
-        alpha = (2 * dx ** 2 + 3 * dx * dx) / (6 * (dx + dx))
-        beta = (dx ** 2 + 3.0 * dx * dx) / (6 * dx)
-        eta = dx ** 3 / (6 * dx * (dx + dx))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+        result += _simpson_last_interval(y, dx)
     return result
+
+
+def _simpson_pairs(y):
+    """The terms y[2k] + 4 y[2k+1] + y[2k+2] of Simpson's rule on an odd
+    node count along axis 0; `simpson` sums them and scales by dx/3."""
+    return y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]
+
+
+def _simpson_last_interval(y, dx: float):
+    """SciPy's equal-spacing correction for the last interval of an even
+    node count: weights 5dx/12, 2dx/3, -dx/12, same operations."""
+    alpha = (2 * dx ** 2 + 3 * dx * dx) / (6 * (dx + dx))
+    beta = (dx ** 2 + 3.0 * dx * dx) / (6 * dx)
+    eta = dx ** 3 / (6 * dx * (dx + dx))
+    return alpha * y[-1] + beta * y[-2] - eta * y[-3]
 
 
 def simpson_weights(n: int, dx: float) -> np.ndarray:

@@ -382,8 +382,15 @@ def test_oversized_restart_count_is_refused_with_its_cost(tmp_path, capsys):
     # README's 65537-node report grid: the winner's stack, and the factors
     ["estimate", "--target", "ratio4", "--restarts", "2", "--budget", "20"],
     ["estimate", "--target", "ratio6", "--restarts", "2", "--budget", "20"],
+    # the search basis's build is the peak: a large l12 grid with a small
+    # report grid, and a ratio-half grid
+    ["estimate", "--preset", "l12", "--restarts", "1", "--budget", "5",
+     "--search-N", "16385", "--report-N", "257"],
+    ["estimate", "--target", "ratio-half", "--dimension", "8",
+     "--search-N", "4097", "--restarts", "1", "--budget", "5"],
 ], ids=["cover", "check-generalized", "check-special", "corpus-emit",
-        "estimate-ratio4", "estimate-ratio6"])
+        "estimate-ratio4", "estimate-ratio6", "estimate-l12-basis",
+        "estimate-ratio-half-basis"])
 def test_footprint_formulas_bound_the_traced_peak(tmp_path, capsys,
                                                   monkeypatch, argv):
     """A run's footprint formula is at least its traced peak: with the cap

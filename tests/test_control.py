@@ -16,6 +16,7 @@ from scipy.integrate import simpson
 
 import gnlab.control as ct
 import gnlab.funcspace as fs
+from gnlab import norms
 from gnlab.errors import (DivergenceError, InvariantError, ParameterError,
                           PreconditionError)
 
@@ -268,6 +269,57 @@ class TestSweepMatchesStepwise:
                                   stepwise_rk4_chain(w, 1.0, steps, 12))
 
 
+class TestStreamedReductions:
+    """What the obstruction and the scaling experiment reduce from each
+    block as it is swept equals its value from the stored states."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 5, 100])
+    @pytest.mark.parametrize("steps", [11, 96, 97, 99, 1000, 1001])
+    @pytest.mark.parametrize("rows", [16, 15])
+    def test_obstruction_sums_match_stored_states(self, monkeypatch, batch,
+                                                  steps, rows):
+        # blocks of 16 or 14 steps (an odd count rounds down), so every
+        # run of more than 17 steps spans several
+        monkeypatch.setattr(ct, "_BLOCK_ENTRIES", rows * batch)
+        rng = np.random.default_rng([batch, steps])
+        w = 0.5 * rng.standard_normal((2 * steps + 1, batch))
+        states = ct._rk4_chain(w, 1.0, steps, 12)
+        pos, neg, scale, terminal = ct._obstruction_sums(w, 1.0, steps, 12)
+        h = 1.0 / steps
+        assert np.array_equal(
+            pos, norms.simpson((states[0] * states[1] * states[2]) ** 2, h))
+        assert np.array_equal(neg, norms.simpson(np.abs(states[0]) ** 12, h))
+        assert np.array_equal(
+            scale, np.maximum(np.max(np.abs(states[:3]), axis=(0, 1)), 1.0))
+        assert np.array_equal(terminal, states[:, -1])
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    @pytest.mark.parametrize("steps", [1000, 1001])
+    def test_scaling_terminal_row_matches_stored_states(self, monkeypatch,
+                                                       count, steps):
+        monkeypatch.setattr(ct, "_BLOCK_ENTRIES", 16 * count)
+        eps = np.geomspace(1e-2, 1e-1, count)
+        rep = ct.scaling_experiment(7, 0.3, eps, steps=steps)
+        stage_t = ct._stage_times(1.0, steps)
+        w = np.stack([ct.ScaledBumpTriple(e, 0.3)(stage_t) for e in eps],
+                     axis=1)
+        x4 = ct._rk4_chain(w, 1.0, steps, 7)[3, -1]
+        assert [v for _, v, _ in rep.rows] == x4.tolist()
+
+    @pytest.mark.parametrize("steps", [2, 3, 16, 17, 18, 33, 48, 49])
+    def test_blocks_cover_the_steps_in_even_runs(self, monkeypatch, steps):
+        # 17 rows round down to 16, so that no Simpson pair straddles two
+        monkeypatch.setattr(ct, "_BLOCK_ENTRIES", 17)
+        w = np.zeros((2 * steps + 1, 1))
+        spans = [(lo, block.shape[1] - 1)
+                 for lo, block in ct._rk4_blocks(w, 1.0, steps, 3)]
+        starts = [lo for lo, _ in spans]
+        assert starts == [0] + [lo + m for lo, m in spans[:-1]]
+        assert sum(m for _, m in spans) == steps
+        assert all(m == 16 for _, m in spans[:-1])
+        assert 2 <= spans[-1][1] <= 17
+
+
 class TestTerminalFormula:
     def test_p3_residual_and_value(self):
         chk = ct.terminal_formula_check(ct.ControlSystem(3, 1.0), BUMP_LAW,
@@ -449,10 +501,14 @@ class TestMonotoneP1:
         assert seq[-1] > 0.0
 
 
-# the control runs of the README, as library calls, and a one-trial one
+# the control runs of the README, as library calls, a one-trial one and
+# a wide scaling batch
 _README_CHAINS = {
     "scaling": lambda: ct.scaling_experiment(7, 0.3,
                                              np.geomspace(1e-4, 1e-2, 5)),
+    # 40 controls: the batch, not one law's evaluation, is the peak
+    "scaling-40": lambda: ct.scaling_experiment(7, 0.3,
+                                                np.geomspace(1e-4, 1e-2, 40)),
     "obstruction": lambda: ct.obstruction_check(12, 1.0, 0.8, 100),
     # one trial: the noise's sine matrix, not the chain, is the peak
     "obstruction-1": lambda: ct.obstruction_check(12, 1.0, 0.8, 1),
