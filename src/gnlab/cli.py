@@ -133,24 +133,23 @@ def _parse_eps_range(text: str, steps: int) -> np.ndarray:
         count = int(parts[2])
     except ValueError as exc:
         raise ParameterError(f"bad epsilon range {text!r}: {exc}") from None
-    if start <= 0 or end <= 0 or count < 1:
-        raise ParameterError("epsilon range needs positive bounds, count >= 1")
+    if start <= 0 or end <= 0:
+        raise ParameterError("epsilon range needs positive bounds")
+    count = norms._count("epsilon range count", count, 1)
     ct.check_chain_size(steps, count)
     return np.geomspace(start, end, count)
 
 
 def _resolve_seed(args) -> int:
-    """The one seed rule: --seed, else $GNLAB_SEED, else 0, and an
-    integer >= 0."""
+    """--seed, else $GNLAB_SEED, else 0, as a count >= 0."""
     seed = args.seed
     if seed is None:
         seed = os.environ.get("GNLAB_SEED", "0")
     try:
-        if int(seed) >= 0:
-            return int(seed)
+        seed = int(seed)
     except ValueError:
         pass
-    raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+    return norms._count("seed", seed, 0)
 
 
 def _resolve_params(args) -> gn.GNParams:

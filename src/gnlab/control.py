@@ -52,8 +52,7 @@ import numpy as np
 from . import funcspace as fs
 from .errors import (ParameterError, PreconditionError, InvariantError,
                      DivergenceError)
-from .norms import (_order, _simpson_last_interval, _simpson_pairs, simpson,
-                    simpson_weights)
+from .norms import _count, _SimpsonSweep, simpson, simpson_weights
 
 DEFAULT_STEPS = 2 ** 14
 TERMINAL_TOL = 1e-8
@@ -80,12 +79,14 @@ class ControlSystem:
     T: float = 1.0
 
     def __post_init__(self):
-        # a bool is an int to Python, not an exponent
-        if isinstance(self.p, (bool, np.bool_)) or _order("p", self.p) < 1:
-            raise ParameterError(f"p must be an integer >= 1, got {self.p!r}")
-        object.__setattr__(self, "p", _order("p", self.p))
-        if not self.T > 0:
-            raise ParameterError("horizon T must be positive")
+        object.__setattr__(self, "p", _count("p", self.p, 1))
+        _check_horizon(self.T)
+
+
+def _check_horizon(T) -> None:
+    """The one horizon rule, of the system and of grid samples alike."""
+    if not (math.isfinite(T) and T > 0):
+        raise ParameterError(f"horizon must be finite and positive, got {T!r}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,7 @@ class GridSamples:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 5 or vals.size % 2 == 0:
             raise ParameterError("need an odd sample count >= 5 (2K+1 stages)")
-        if not self.horizon > 0:
-            raise ParameterError("horizon must be positive")
+        _check_horizon(self.horizon)
         if not np.all(np.isfinite(vals)):
             raise ParameterError("samples must be finite")
         vals.setflags(write=False)
@@ -229,13 +229,8 @@ def check_chain_size(steps: int, batch: int,
 def _stage_times(T: float, steps: int, batch: int = 1,
                  stage_arrays: int = _LAW_STAGE_ARRAYS,
                  keeps_states: bool = False) -> np.ndarray:
-    """Nodes and midpoints of the step grid; the one check of `steps`, of
-    a finite horizon and of the chain's footprint (`check_chain_size`),
-    which every integration passes first."""
-    if steps < 2:
-        raise ParameterError(f"steps must be >= 2, got {steps}")
-    if not math.isfinite(T):
-        raise ParameterError(f"horizon T must be finite, got {T}")
+    """Nodes and midpoints of the step grid, after the check of the chain's
+    footprint (`check_chain_size`) that every integration passes first."""
     check_chain_size(steps, batch, stage_arrays, keeps_states)
     return np.linspace(0.0, T, 2 * steps + 1)
 
@@ -328,43 +323,6 @@ def _rk4_chain(w_stages: np.ndarray, T: float, steps: int, p: int) -> np.ndarray
     return out
 
 
-class _SimpsonSweep:
-    """`norms.simpson` of a column of node values that arrives block by
-    block from `_rk4_blocks`, float for float.
-
-    Each block's pair terms are added into a carried row, as numpy's
-    axis-0 sum of two or more columns adds one row at a time; one column
-    numpy sums pairwise, so its terms are kept and summed once.
-    """
-
-    def __init__(self, steps: int, batch: int, dx: float):
-        self.dx = dx
-        self.kept = np.empty((steps // 2, 1)) if batch == 1 else None
-        self.total = None
-        self.last_interval = None
-
-    def add(self, lo: int, y: np.ndarray) -> None:
-        """Takes y at the nodes lo, lo + 1, ... of one block."""
-        odd = (y.shape[0] - 1) % 2  # only the last block can be odd
-        pairs = _simpson_pairs(y[:-1] if odd else y)
-        if self.kept is not None:
-            self.kept[lo // 2:lo // 2 + pairs.shape[0]] = pairs
-        else:
-            if self.total is not None:
-                pairs[0] += self.total
-            self.total = np.sum(pairs, axis=0)
-        if odd:
-            self.last_interval = _simpson_last_interval(y, self.dx)
-
-    def result(self) -> np.ndarray:
-        total = (np.sum(self.kept, axis=0) if self.kept is not None
-                 else self.total)
-        total *= self.dx / 3.0
-        if self.last_interval is not None:
-            total += self.last_interval
-        return total
-
-
 def _law_support_check(law: ControlLaw, T: float) -> None:
     if isinstance(law, ScaledBumpTriple) and law.support_end > T * (1 + 1e-12):
         raise PreconditionError(
@@ -376,6 +334,7 @@ def _law_support_check(law: ControlLaw, T: float) -> None:
 def integrate(sys: ControlSystem, law: ControlLaw,
               steps: int = DEFAULT_STEPS) -> Trajectory:
     """Fixed-step fourth-order solution of the chain from the origin."""
+    steps = _count("steps", steps, 2)
     stage_t = _stage_times(sys.T, steps, keeps_states=True)
     _law_support_check(law, sys.T)
     stage_w = np.asarray(law(stage_t), dtype=float)
@@ -412,13 +371,13 @@ def terminal_formula_check(sys: ControlSystem, law: ControlLaw,
         raise PreconditionError(
             f"terminal chain state {triple} exceeds {TERMINAL_TOL:g}; "
             "the quadrature identity needs x1(T)=x2(T)=x3(T)=0")
-    h = sys.T / steps
+    h = sys.T / traj.steps
     quad = simpson((x3 * x2 * x1) ** 2, h) - simpson(_power(x1, sys.p), h)
     x4t = float(x4[-1])
     residual = abs(x4t - quad) / max(abs(x4t), 1e-30)
     return {"x4_terminal": x4t, "quadrature": float(quad),
             "residual": float(residual), "terminal_triple": triple.tolist(),
-            "steps": steps, "p": sys.p, "T": sys.T}
+            "steps": traj.steps, "p": sys.p, "T": sys.T}
 
 
 @lru_cache(maxsize=None)
@@ -493,6 +452,7 @@ def scaling_experiment(p: int, a: float, eps: Sequence[float], T: float = 1.0,
     T follow ControlSystem's rule.
     """
     p = ControlSystem(p, T).p
+    steps = _count("steps", steps, 2)
     stage_t = _stage_times(T, steps, len(eps))
     eps = [float(e) for e in eps]
     if not eps or any(e <= 0 for e in eps):
@@ -567,10 +527,9 @@ def _obstruction_sums(w: np.ndarray, T: float, steps: int, p: int) -> tuple:
     largest of 1 and |x1|, |x2|, |x3| along the chain, and the (4, batch)
     terminal states, each reduced from a block of `_rk4_blocks` as it is
     swept and equal to its value from the stored states."""
-    batch = w.shape[1]
-    pos = _SimpsonSweep(steps, batch, T / steps)
-    neg = _SimpsonSweep(steps, batch, T / steps)
-    chain_scale = np.ones(batch)
+    pos = _SimpsonSweep(steps + 1, T / steps)
+    neg = _SimpsonSweep(steps + 1, T / steps)
+    chain_scale = np.ones(w.shape[1])
     for lo, block in _rk4_blocks(w, T, steps, p):
         pos.add(lo, (block[0] * block[1] * block[2]) ** 2)
         neg.add(lo, np.abs(block[0]) ** p)
@@ -612,11 +571,9 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
     terminal integrals, so a violation is relative to the terms' size.
     p and T follow ControlSystem's rule, and p >= 12.
     """
-    p = ControlSystem(p, T).p
-    if p < 12:
-        raise ParameterError("obstruction regime needs p >= 12")
-    if trials < 1:
-        raise ParameterError("need at least one trial")
+    p = _count("obstruction regime p", ControlSystem(p, T).p, 12)
+    trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
+    steps = _count("steps", steps, 2)
     if not eta > 0:
         raise ParameterError("eta must be positive")
     budget = T ** (p - 12) * eta ** (p - 6)
@@ -670,13 +627,14 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
 
 def default_p1_laws(T: float, steps: int, seed: int = 0) -> list:
     """Zero, a bump triple, and P1_RANDOM_LAWS bounded random controls."""
+    steps, seed = _count("steps", steps, 2), _count("seed", seed, 0)
     # each random law keeps its samples: one array on the stage grid
-    count = _stage_times(T, steps, 1, _LAW_STAGE_ARRAYS + P1_RANDOM_LAWS,
-                         keeps_states=True).size
+    check_chain_size(steps, 1, _LAW_STAGE_ARRAYS + P1_RANDOM_LAWS,
+                     keeps_states=True)
     laws = [Zero(), ScaledBumpTriple(1e-2, 0.0)]
     for i in range(P1_RANDOM_LAWS):
         rng = np.random.default_rng([seed, i])
-        vals = rng.standard_normal(count)
+        vals = rng.standard_normal(2 * steps + 1)
         vals /= max(np.max(np.abs(vals)), 1e-30)
         laws.append(GridSamples(vals, T))
     return laws
@@ -691,6 +649,7 @@ def monotone_check_p1(T: float = 1.0, laws: Optional[Sequence] = None,
     discrete sequence is non-decreasing up to roundoff.
     """
     sys = ControlSystem(1, T)
+    steps, seed = _count("steps", steps, 2), _count("seed", seed, 0)
     if laws is None:
         laws = default_p1_laws(T, steps, seed)
     rows = []

@@ -60,7 +60,8 @@ import numpy as np
 
 from .errors import InvariantError, NoCrossingError, ParameterError
 from .funcspace import GridFunction
-from .norms import _check_exponent, _order, _orders, derivative_product
+from .norms import (_check_exponent, _count, _order, _orders,
+                    derivative_product)
 
 #: relative balance equality tolerance per selected interval
 BALANCE_TOL = 1e-6
@@ -299,6 +300,7 @@ class BalanceEvaluator:
         """Indices (into the grid) of E = {|u| and |v| above threshold},
         subsampled by stride.  The threshold lies in [0, 1): at 1 no
         point clears it and the cover would be vacuous."""
+        stride = _count("stride", stride, 1)
         if not 0.0 <= threshold < 1.0:
             raise ParameterError(
                 f"working-set threshold must be finite and in [0, 1), "
@@ -456,15 +458,23 @@ class BalanceEvaluator:
             f"x={xs[todo[0]]}")
 
 
+def _check_crossing(spec: BalanceSpec) -> None:
+    """The real-line crossing precondition kbar < m - 1, which guarantees
+    that alpha - beta changes sign; the boundary case kbar = m - 1 reduces
+    to a single-norm inequality and is refused."""
+    if spec.mode == "real-line" and not spec.kbar < spec.m - 1:
+        raise ParameterError(
+            "real-line mode needs kbar < m-1 for a guaranteed crossing; the "
+            "boundary case reduces to a single-norm inequality")
+
+
 def critical_radius(u: GridFunction, x: float, spec: BalanceSpec) -> float:
     """Smallest h with alpha_x(h) = beta_x(h), located by geometric scan
     plus Illinois steps (``BalanceEvaluator.critical_radii``).  Requires x
     in the working set E."""
     _finite("x", x)
+    _check_crossing(spec)
     ev = BalanceEvaluator(u, spec)
-    if spec.mode == "real-line" and not spec.kbar < spec.m - 1:
-        raise ParameterError(
-            "real-line mode needs kbar < m-1 for a guaranteed crossing")
     xi = np.array([x], dtype=float)
     pos = (x - u.a) / u.dx
     i = int(round(pos))
@@ -590,14 +600,11 @@ def build_cover(u: GridFunction, spec: BalanceSpec,
     subgrid but the coverage deficit is always measured against the full
     grid, so refining e_resolution can only help coverage.
     """
-    if spec.mode == "real-line" and not spec.kbar < spec.m - 1:
-        raise ParameterError(
-            "real-line mode needs kbar < m-1; the boundary case reduces to "
-            "a single-norm inequality and is rejected here")
+    _check_crossing(spec)
     ev = BalanceEvaluator(u, spec)
-    if e_resolution is None:
-        e_resolution = u.n
-    if e_resolution < 2 or e_resolution > u.n:
+    e_resolution = _count("e_resolution",
+                          u.n if e_resolution is None else e_resolution, 2)
+    if e_resolution > u.n:
         raise ParameterError("e_resolution must be in [2, grid size]")
     stride = max(1, round((u.n - 1) / (e_resolution - 1)))
     idx = ev.working_set(stride=stride, threshold=threshold)

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional, Sequence, Union
@@ -93,13 +92,6 @@ BATCH_ROWS = 2048
 Target = Union[str, gn.GNParams]
 
 
-def _check_grid_n(n) -> None:
-    """Simpson grids of [0, 1] need an odd integer node count >= 3."""
-    if not isinstance(n, numbers.Integral) or n < 3 or n % 2 == 0:
-        raise ParameterError(
-            f"grids need an odd integer node count >= 3, got {n!r}")
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Budget and reproducibility knobs for the ratio maximization."""
@@ -113,19 +105,18 @@ class SearchConfig:
     report_grid_n: int = REPORT_GRID_N
 
     def __post_init__(self):
-        # dimension >= 6 for quintic splines; a bool is not a count
-        for name, low in (("restarts", 1), ("budget", 1), ("seed", 0),
-                          ("dimension", 6)):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or norms._order(name, value) < low:
-                raise ParameterError(
-                    f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, norms._order(name, value))
+        count = norms._count
+        object.__setattr__(self, "restarts", count("restarts", self.restarts, 1))
+        object.__setattr__(self, "budget", count("budget", self.budget, 1))
+        object.__setattr__(self, "seed", count("seed", self.seed, 0))
+        # >= 6 for quintic splines
+        object.__setattr__(self, "dimension",
+                           count("dimension", self.dimension, 6))
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ParameterError(
                 f"tol must be finite and >= 0, got {self.tol}")
-        _check_grid_n(self.grid_n)
-        _check_grid_n(self.report_grid_n)
+        norms._check_grid_n(self.grid_n)
+        norms._check_grid_n(self.report_grid_n)
 
 
 @lru_cache(maxsize=8)
@@ -602,10 +593,10 @@ def _lockstep_bytes(restarts: int, dimension: int) -> int:
     """`_lockstep`'s bytes for `restarts` starts in dimension d, most in
     the first round: per run its start, its simplex, its d + 1 points twice
     (copied, then unit), 13 words per point for its length and value, and
-    320 words for the start's header and headroom.  At d = 8, 16, 30 and
-    49 this is 2.1, 1.3, 1.1 and 1.04 times the traced growth of the peak
-    per run."""
-    return 8 * restarts * ((dimension + 1) * (3 * dimension + 16) + 320)
+    128 words for the start's array header, its entries in the per-run
+    lists and headroom.  At d = 8, 16, 30 and 49 this is 1.31, 1.11, 1.04
+    and 1.015 times the traced growth of the peak per run."""
+    return 8 * restarts * ((dimension + 1) * (3 * dimension + 16) + 128)
 
 
 def _search_values(ratios, rows: np.ndarray) -> list:
@@ -710,9 +701,10 @@ def random_ratio_batch(target: Target, count: int = 10_000,
     optimizer must beat this max.  All normals come from one draw, so
     the candidates depend only on (seed, count, dimension).
     """
-    if not isinstance(count, numbers.Integral) or count < 1:
-        raise ParameterError(f"count must be an integer >= 1, got {count!r}")
-    _check_grid_n(grid_n)
+    count = norms._count("count", count, 1)
+    dimension = norms._count("dimension", dimension, 6)
+    seed = norms._count("seed", seed, 0)
+    norms._check_grid_n(grid_n)
     ratios, _ = _make_objective(target, dimension, grid_n)
     coeffs = np.random.default_rng(seed).standard_normal((count, dimension))
     lengths = np.linalg.norm(coeffs, axis=1)

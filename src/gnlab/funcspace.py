@@ -40,7 +40,6 @@ so they are the same floats, and the package needs numpy alone.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,6 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, UnsupportedOrderError
+from .norms import _count
 
 MAX_ORDER = 8
 # The package's one byte cap.  Sampled corpora, the extremal search's
@@ -168,8 +168,7 @@ def _d_power(i: int) -> tuple:
 
 def chi_derivative(i: int) -> RationalFunction:
     """The rational factor R_i with D^i chi = R_i * chi on (0,1)."""
-    if i < 1:
-        raise ParameterError("order must be >= 1")
+    i = _count("order", i, 1)
     if i > MAX_ORDER:
         raise UnsupportedOrderError(f"order {i} exceeds MAX_ORDER={MAX_ORDER}")
     return RationalFunction(_p_polynomial(i), _d_power(2 * i))
@@ -242,8 +241,7 @@ class AnalyticFunction:
 
     def stack(self, m: int, x) -> np.ndarray:
         """Rows D^0 u, ..., D^m u at x, shape (m+1,) + shape(x)."""
-        if m < 0:
-            raise ParameterError("derivative order must be >= 0")
+        m = _count("derivative order", m, 0)
         if m > MAX_ORDER:
             raise UnsupportedOrderError(
                 f"order {m} exceeds max_order={MAX_ORDER}")
@@ -316,8 +314,8 @@ class SineBump(AnalyticFunction):
     support = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.frequency < 1:
-            raise ParameterError("frequency must be a positive integer")
+        object.__setattr__(self, "frequency",
+                           _count("frequency", self.frequency, 1))
 
     def _stack_inside(self, m, x):
         w = math.pi * self.frequency
@@ -330,9 +328,9 @@ class SineBump(AnalyticFunction):
 
 
 def uniform_quintic_knots(dimension: int) -> np.ndarray:
-    """Clamped quintic knot vector on [0,1] for a given coefficient count."""
-    if dimension < 6:
-        raise ParameterError("quintic spline needs at least 6 coefficients")
+    """Clamped quintic knot vector on [0,1] for a given coefficient count,
+    at least 6."""
+    dimension = _count("quintic spline coefficient count", dimension, 6)
     interior = np.linspace(0.0, 1.0, dimension - 4)[1:-1]
     return np.concatenate([np.zeros(6), interior, np.ones(6)])
 
@@ -421,9 +419,7 @@ class SplineBump(AnalyticFunction):
     """
 
     def __init__(self, coeffs, knots=None, degree: int = 5):
-        if not isinstance(degree, numbers.Integral) or degree < 0:
-            raise ParameterError(
-                f"degree must be an integer >= 0, got {degree!r}")
+        degree = _count("degree", degree, 0)
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim not in (1, 2) or coeffs.shape[0] < degree + 1:
             raise ParameterError("need at least degree+1 spline coefficients")
@@ -581,9 +577,9 @@ def refuse_above_cap(what: str, need: int) -> None:
 
 
 def sample(f: AnalyticFunction, interval, n: int, m: int = 0) -> GridFunction:
-    """Exact-provenance GridFunction of f on a closed uniform grid."""
-    if n < 2:
-        raise ParameterError("need at least 2 nodes")
+    """Exact-provenance GridFunction of f on a closed uniform grid of n >= 2
+    nodes."""
+    n = _count("node count", n, 2)
     a, b = float(interval[0]), float(interval[1])
     return GridFunction(a, b, f.stack(m, np.linspace(a, b, n)),
                         provenance="exact")

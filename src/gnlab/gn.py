@@ -34,9 +34,9 @@ import numpy as np
 from .errors import (InfeasibleError, InvariantError, ParameterError,
                      PreconditionError)
 from .funcspace import GridFunction
-from .norms import (INF, NormSpec, ProductSpec, _check_exponent, _order,
-                    _orders, gagliardo_seminorm, lebesgue_norm, product_norm,
-                    simpson)
+from .norms import (INF, NormSpec, ProductSpec, _check_exponent, _count,
+                    _order, _orders, gagliardo_seminorm, lebesgue_norm,
+                    product_norm, simpson)
 
 RESIDUAL_TOL = 1e-12
 
@@ -215,8 +215,7 @@ def l12_params() -> GNParams:
 
 def l6_params(k: int) -> GNParams:
     """kappa=2 worked tuple: ks=(0,k), j=k, m=2k, q=2, r=inf, theta=1/3, p=6."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    k = _count("k", k, 1)
     return GNParams(6, 2, INF, (0, k), k, 2 * k, Fraction(1, 3))
 
 
@@ -283,8 +282,7 @@ class BoundedExtras:
     omega: tuple | None = None
 
     def __post_init__(self):
-        if self.k0 < 0:
-            raise ParameterError("k0 must be >= 0")
+        object.__setattr__(self, "k0", _count("k0", self.k0, 0))
         _check_exponent(self.s)
         if self.omega is not None:
             lo, hi = self.omega

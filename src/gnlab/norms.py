@@ -2,9 +2,11 @@
 
 Finite-exponent norms use composite Simpson on the uniform grid, so the
 node count over the integration domain must be odd.  `simpson` is the one
-quadrature rule of the package: `gn` and `control` integrate with it too,
-and `simpson_weights` gives its weights for callers that fold the rule
-into a precomputed form.
+quadrature rule of the package: `gn` integrates with it too, `control`
+sums it block by block as the chain is swept (`_SimpsonSweep`), and
+`simpson_weights` gives its weights for callers that fold the rule into a
+precomputed form.  The package's input rules live here as well: the
+exponent, order, count and Simpson-grid rules.
 The infinity norm is the grid maximum.  The fractional seminorm is the
 standard double-integral Gagliardo form discretized by midpoint double
 summation over the grid domain padded by one support length on each side,
@@ -17,12 +19,16 @@ is n^2/16 pair terms plus O(n log n).  Other p sweep every offset: O(n^2).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParameterError
-from .funcspace import GridFunction
+
+if TYPE_CHECKING:
+    from .funcspace import GridFunction
 
 INF = float("inf")
 
@@ -35,7 +41,8 @@ SEMINORM_NEAR_BAND = 1 / 16
 
 
 def simpson(y, dx: float):
-    """Composite Simpson integral of y along axis 0 on nodes spaced dx.
+    """Composite Simpson integral of y along axis 0 on nodes spaced dx:
+    the one-block case of `_SimpsonSweep`.
 
     Performs the floating-point operations of SciPy's
     `simpson(y, dx=dx, axis=0)`, so results match it bit for bit: an even
@@ -46,26 +53,60 @@ def simpson(y, dx: float):
     n = y.shape[0] if y.ndim else 0
     if n < 3:
         raise ParameterError(f"Simpson quadrature needs >= 3 nodes, got {n}")
-    result = np.sum(_simpson_pairs(y if n % 2 else y[:-1]), axis=0)
-    result *= dx / 3.0
-    if n % 2 == 0:
-        result += _simpson_last_interval(y, dx)
-    return result
+    sweep = _SimpsonSweep(n, dx)
+    sweep.add(0, y)
+    return sweep.result()
 
 
-def _simpson_pairs(y):
-    """The terms y[2k] + 4 y[2k+1] + y[2k+2] of Simpson's rule on an odd
-    node count along axis 0; `simpson` sums them and scales by dx/3."""
-    return y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]
+class _SimpsonSweep:
+    """`simpson` of n nodes of values that arrive along axis 0 in blocks,
+    each starting at the last node of the one before and spanning an even
+    number of intervals but the last, float for float.
+
+    A block's pair terms y[2k] + 4 y[2k+1] + y[2k+2] are added into a
+    carried row, as numpy's axis-0 sum of two or more columns adds one row
+    at a time; one column numpy sums pairwise, so the terms of several
+    blocks are kept and summed once.  The last interval of an even node
+    count takes SciPy's weights 5dx/12, 2dx/3, -dx/12, same operations.
+    """
+
+    def __init__(self, n: int, dx: float):
+        self.n, self.dx = n, dx
+        self.kept = self.total = self.last_interval = None
+
+    def add(self, lo: int, y: np.ndarray) -> None:
+        """Takes y at the nodes lo, lo + 1, ... of one block."""
+        odd = (y.shape[0] - 1) % 2  # only the last block can be odd
+        z = y[:-1] if odd else y
+        pairs = z[0:-2:2] + 4.0 * z[1:-1:2] + z[2::2]
+        if y.shape[0] < self.n and y[0].size == 1:  # one column, in blocks
+            if self.kept is None:
+                self.kept = np.empty(((self.n - 1) // 2,) + y.shape[1:])
+            self.kept[lo // 2:lo // 2 + len(pairs)] = pairs
+        else:
+            if self.total is not None:
+                pairs[0] += self.total
+            self.total = np.sum(pairs, axis=0)
+        if odd:
+            dx = self.dx
+            alpha = (2 * dx ** 2 + 3 * dx * dx) / (6 * (dx + dx))
+            beta = (dx ** 2 + 3.0 * dx * dx) / (6 * dx)
+            eta = dx ** 3 / (6 * dx * (dx + dx))
+            self.last_interval = alpha * y[-1] + beta * y[-2] - eta * y[-3]
+
+    def result(self):
+        total = self.total if self.kept is None else np.sum(self.kept, 0)
+        total *= self.dx / 3.0
+        if self.last_interval is not None:
+            total += self.last_interval
+        return total
 
 
-def _simpson_last_interval(y, dx: float):
-    """SciPy's equal-spacing correction for the last interval of an even
-    node count: weights 5dx/12, 2dx/3, -dx/12, same operations."""
-    alpha = (2 * dx ** 2 + 3 * dx * dx) / (6 * (dx + dx))
-    beta = (dx ** 2 + 3.0 * dx * dx) / (6 * dx)
-    eta = dx ** 3 / (6 * dx * (dx + dx))
-    return alpha * y[-1] + beta * y[-2] - eta * y[-3]
+def _check_grid_n(n) -> None:
+    """The one Simpson-grid rule: an odd integer node count >= 3."""
+    if not isinstance(n, numbers.Integral) or n < 3 or n % 2 == 0:
+        raise ParameterError(
+            f"grids need an odd integer node count >= 3, got {n!r}")
 
 
 def simpson_weights(n: int, dx: float) -> np.ndarray:
@@ -74,9 +115,7 @@ def simpson_weights(n: int, dx: float) -> np.ndarray:
     `w @ y` is `simpson(y, dx)` summed in another order, so the two agree
     up to roundoff.
     """
-    if n < 3 or n % 2 == 0:
-        raise ParameterError(
-            f"Simpson weights need an odd node count >= 3, got {n}")
+    _check_grid_n(n)
     w = np.full(n, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
@@ -105,6 +144,19 @@ def _order(name: str, k) -> int:
     raise ParameterError(f"{name} must be an integer, got {k!r}")
 
 
+def _count(name: str, k, minimum: int) -> int:
+    """k as an int: the one count rule, a whole number by `_order` that is
+    not a bool (a flag is not a count) and is at least `minimum`."""
+    try:
+        count = _order(name, k)
+    except ParameterError:
+        count = None
+    if isinstance(k, (bool, np.bool_)) or count is None or count < minimum:
+        raise ParameterError(
+            f"{name} must be an integer >= {minimum}, got {k!r}")
+    return count
+
+
 def _orders(name: str, ks) -> tuple:
     """ks as a tuple of ints: the one order-list rule, so every entry is
     an order by `_order` and the list is nonempty, sorted ascending and
@@ -126,10 +178,7 @@ class NormSpec:
 
     def __post_init__(self):
         _check_exponent(self.p)
-        j = _order("derivative order", self.j)
-        if j < 0:
-            raise ParameterError("derivative order must be >= 0")
-        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "j", _count("derivative order", self.j, 0))
 
 
 @dataclass(frozen=True)
@@ -178,8 +227,6 @@ def _domain_slice(g: GridFunction, domain) -> slice:
 def _lp_of_values(vals: np.ndarray, p: float, dx: float) -> float:
     if math.isinf(p):
         return float(np.max(np.abs(vals))) if vals.size else 0.0
-    if vals.size % 2 == 0:
-        raise ParameterError("Simpson quadrature needs an odd node count")
     integral = float(simpson(np.abs(vals) ** p, dx))
     return max(integral, 0.0) ** (1.0 / p)
 

@@ -364,9 +364,9 @@ def test_oversized_restart_count_is_refused_with_its_cost(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 2
     assert peak < 2 ** 24
-    # dimension 16: 17 points of 3 * 16 + 16 words, and 320 words, per run
+    # dimension 16: 17 points of 3 * 16 + 16 words, and 128 words, per run
     assert (f"300000000 Nelder-Mead restarts in dimension 16 needs "
-            f"{8 * 300000000 * (17 * 64 + 320)} bytes, above the "
+            f"{8 * 300000000 * (17 * 64 + 128)} bytes, above the "
             f"{2 ** 30}-byte cap") in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 

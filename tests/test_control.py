@@ -83,6 +83,8 @@ class TestSystemAndLaws:
             ct.ControlSystem(2.5, 1.0)
         with pytest.raises(ParameterError):
             ct.ControlSystem(3, 0.0)
+        with pytest.raises(ParameterError):
+            ct.ControlSystem(3, float("inf"))
 
     def test_p_is_an_order_not_a_bool(self):
         """A numpy integer is an exponent, a bool is not, through the
@@ -122,6 +124,8 @@ class TestSystemAndLaws:
             ct.GridSamples((0.0, np.nan, 0.0, 1.0, 0.0), 1.0)
         with pytest.raises(ParameterError):
             ct.GridSamples((0.0,) * 5, 0.0)
+        with pytest.raises(ParameterError):
+            ct.GridSamples((0.0,) * 5, float("inf"))
         with pytest.raises(ParameterError):
             ct.GridSamples(np.zeros((5, 1)), 1.0)  # not one row
 

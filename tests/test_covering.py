@@ -565,6 +565,16 @@ class TestBuildCover:
         with pytest.raises(ParameterError):
             cov.build_cover(u, bad)
 
+    def test_critical_radius_needs_room_below_top_order(self):
+        """The same precondition, with the same message, as build_cover's."""
+        u = fs.sample(fs.BumpChi(), (0.0, 1.0), 1025, 3)
+        bad = cov.BalanceSpec(ks=(2, 2), q=2, m=3, r="inf")
+        with pytest.raises(ParameterError) as radius:
+            cov.critical_radius(u, 0.5, bad)
+        with pytest.raises(ParameterError) as cover:
+            cov.build_cover(u, bad)
+        assert str(radius.value) == str(cover.value)
+
     def test_resolution_bounds(self, bump_4097):
         with pytest.raises(ParameterError):
             cov.build_cover(bump_4097, SPEC, e_resolution=1)

@@ -588,6 +588,31 @@ class TestLockstepFootprint:
         need = ex._lockstep_bytes(cfg.restarts, cfg.dimension)
         assert peak <= need <= 2 * peak
 
+    @pytest.mark.parametrize("dimension, restarts",
+                             [(8, 300), (16, 150), (30, 100), (49, 40)])
+    def test_formula_per_run_is_between_the_traced_growth_and_twice_it(
+            self, dimension, restarts):
+        """The growth of the traced peak per run, between `restarts` and
+        three times as many, with a budget of d + 1 so that the first round
+        asks every vertex of every simplex, as a full search does."""
+        cfg = ex.SearchConfig(restarts=restarts, budget=dimension + 1,
+                              dimension=dimension, grid_n=1025,
+                              report_grid_n=1025)
+        # the basis, the factors and numpy's lazy state (the random starts
+        # import numpy.random's helpers), before tracing
+        ex.estimate_constant("ratio4", cfg)
+        peaks = []
+        for runs in (restarts, 3 * restarts):
+            tracemalloc.start()
+            try:
+                ex.estimate_constant("ratio4",
+                                     dataclasses.replace(cfg, restarts=runs))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        growth = (peaks[1] - peaks[0]) / (2 * restarts)
+        assert growth <= ex._lockstep_bytes(1, dimension) <= 2 * growth
+
 
 class TestSweep:
     CFG = ex.SearchConfig(restarts=2, budget=60, tol=1e-10, seed=1,

@@ -16,7 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson as scipy_simpson
 
+import gnlab.control as ct
+import gnlab.covering as cov
+import gnlab.extremal as ex
 import gnlab.funcspace as fs
+import gnlab.gn as gn
 import gnlab.norms as nm
 from gnlab.errors import ParameterError
 
@@ -111,6 +115,27 @@ def test_simpson_matches_scipy_bit_for_bit(n, cols):
     for dx in (1.0 / (n - 1), 0.37, 2.0 ** -14):
         got = nm.simpson(y, dx)
         want = scipy_simpson(y, dx=dx, axis=0)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 17, 18, 33, 34, 1000, 1001])
+@pytest.mark.parametrize("cols", [None, 1, 2, 5])
+@pytest.mark.parametrize("intervals", [2, 4, 16])
+def test_sweep_in_blocks_equals_simpson(n, cols, intervals):
+    """Blocks of an even number of intervals, each starting at the last
+    node of the one before, the last taking the rest (one more when a
+    single interval would be left over), sum to `simpson`'s floats."""
+    rng = np.random.default_rng([n, intervals])
+    y = rng.standard_normal(n if cols is None else (n, cols))
+    for dx in (1.0 / (n - 1), 0.37):
+        sweep = nm._SimpsonSweep(n, dx)
+        lo = 0
+        while lo < n - 1:
+            m = intervals if n - 1 - lo - intervals >= 2 else n - 1 - lo
+            sweep.add(lo, y[lo:lo + m + 1].copy())
+            lo += m
+        got, want = sweep.result(), nm.simpson(y, dx)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
 
@@ -286,3 +311,78 @@ def test_simpson_weights_dot_matches_simpson(n):
 def test_simpson_weights_need_an_odd_node_count(n):
     with pytest.raises(ParameterError):
         nm.simpson_weights(n, 0.1)
+
+
+def _bump_cover(**kwargs):
+    u = fs.sample(fs.BumpChi(), (0.0, 1.0), 257, 3)
+    return cov.build_cover(u, cov.BalanceSpec(ks=(0, 1, 2), q=2, m=3, r="inf"),
+                           **kwargs)
+
+
+def _working_set(stride):
+    u = fs.sample(fs.BumpChi(), (0.0, 1.0), 257, 3)
+    ev = cov.BalanceEvaluator(u, cov.BalanceSpec(ks=(0, 1, 2), q=2, m=3,
+                                                 r="inf"))
+    return ev.working_set(stride=stride)
+
+
+SYSTEM = ct.ControlSystem(3, 1.0)
+#: (entry point, its count argument as a call, the minimum, a whole float)
+COUNTS = {
+    "SearchConfig-restarts": (lambda v: ex.SearchConfig(restarts=v), 1, 8.0),
+    "SearchConfig-budget": (lambda v: ex.SearchConfig(budget=v), 1, 8.0),
+    "SearchConfig-seed": (lambda v: ex.SearchConfig(seed=v), 0, 8.0),
+    "SearchConfig-dimension": (lambda v: ex.SearchConfig(dimension=v), 6,
+                               8.0),
+    "random_ratio_batch-count": (lambda v: ex.random_ratio_batch(
+        "ratio4", count=v, grid_n=513), 1, 8.0),
+    "random_ratio_batch-dimension": (lambda v: ex.random_ratio_batch(
+        "ratio4", count=4, dimension=v, grid_n=513), 6, 8.0),
+    "random_ratio_batch-seed": (lambda v: ex.random_ratio_batch(
+        "ratio4", count=4, seed=v, grid_n=513), 0, 8.0),
+    "ControlSystem-p": (lambda v: ct.ControlSystem(v, 1.0), 1, 3.0),
+    "integrate-steps": (lambda v: ct.integrate(SYSTEM, ct.Zero(), v), 2,
+                        64.0),
+    "terminal_formula_check-steps": (lambda v: ct.terminal_formula_check(
+        SYSTEM, ct.Zero(), v), 2, 64.0),
+    "scaling_experiment-steps": (lambda v: ct.scaling_experiment(
+        7, 0.0, [1e-2], steps=v), 2, 64.0),
+    "obstruction_check-trials": (lambda v: ct.obstruction_check(
+        12, 1.0, 0.5, trials=v, steps=64), 1, 2.0),
+    "obstruction_check-seed": (lambda v: ct.obstruction_check(
+        12, 1.0, 0.5, trials=2, seed=v, steps=64), 0, 8.0),
+    "obstruction_check-steps": (lambda v: ct.obstruction_check(
+        12, 1.0, 0.5, trials=2, steps=v), 2, 64.0),
+    "monotone_check_p1-steps": (lambda v: ct.monotone_check_p1(steps=v), 2,
+                                64.0),
+    "monotone_check_p1-seed": (lambda v: ct.monotone_check_p1(
+        steps=64, seed=v), 0, 8.0),
+    "default_p1_laws-steps": (lambda v: ct.default_p1_laws(1.0, v), 2, 64.0),
+    "default_p1_laws-seed": (lambda v: ct.default_p1_laws(1.0, 64, v), 0,
+                             8.0),
+    "sample-n": (lambda v: fs.sample(fs.BumpChi(), (0.0, 1.0), v), 2, 9.0),
+    "stack-order": (lambda v: fs.BumpChi().stack(v, 0.5), 0, 2.0),
+    "chi_derivative-order": (fs.chi_derivative, 1, 2.0),
+    "SineBump-frequency": (fs.SineBump, 1, 2.0),
+    "uniform_quintic_knots-dimension": (fs.uniform_quintic_knots, 6, 8.0),
+    "SplineBump-degree": (lambda v: fs.SplineBump(np.ones(8), degree=v), 0,
+                          5.0),
+    "build_cover-e_resolution": (lambda v: _bump_cover(e_resolution=v), 2,
+                                 9.0),
+    "working_set-stride": (_working_set, 1, 8.0),
+    "NormSpec-j": (lambda v: nm.NormSpec(2.0, v), 0, 1.0),
+    "l6_params-k": (gn.l6_params, 1, 2.0),
+    "BoundedExtras-k0": (lambda v: gn.BoundedExtras(k0=v), 0, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+def test_counts_are_whole_numbers_not_flags_and_at_least_a_minimum(entry):
+    """Every count of the package goes through the one count rule: 2.5, a
+    bool and a value below the minimum are refused with a ParameterError,
+    and a whole float is the count it equals."""
+    call, minimum, whole = COUNTS[entry]
+    for bad in (2.5, True, np.bool_(True), minimum - 1):
+        with pytest.raises(ParameterError):
+            call(bad)
+    call(whole)
