@@ -110,33 +110,26 @@ def _parse_ks(text: str) -> tuple:
         raise ParameterError(f"bad ks list {text!r}: {exc}") from None
 
 
-def _parse_interval(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParameterError(f"expected lo,hi interval, got {text!r}")
+def _parse_reals(text: str, sep: str, fields: str) -> list:
+    """The floats of text split at sep, one per field of fields (such as
+    lo,hi for --omega), or a ParameterError."""
+    parts = text.split(sep)
     try:
-        return float(parts[0]), float(parts[1])
+        if len(parts) != len(fields.split(sep)):
+            raise ValueError(f"expected {fields}")
+        return [float(part) for part in parts]
     except ValueError as exc:
-        raise ParameterError(f"bad interval {text!r}: {exc}") from None
+        raise ParameterError(f"bad {fields} {text!r}: {exc}") from None
 
 
 def _parse_eps_range(text: str, steps: int) -> np.ndarray:
     """start:end:count geometric range, e.g. 1e-2:1e-4:5; a count whose
-    chain of `steps` steps is above the byte cap is refused before the
-    range is built."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ParameterError(
-            f"epsilon range must be start:end:count, got {text!r}")
-    try:
-        start, end = float(parts[0]), float(parts[1])
-        count = int(parts[2])
-    except ValueError as exc:
-        raise ParameterError(f"bad epsilon range {text!r}: {exc}") from None
-    if start <= 0 or end <= 0:
-        raise ParameterError("epsilon range needs positive bounds")
+    chain of `steps` steps is above the byte cap for any law is refused
+    before the range is built."""
+    start, end, count = _parse_reals(text, ":", "start:end:count")
+    norms._finite("epsilon range bound", (start, end), positive=True)
     count = norms._count("epsilon range count", count, 1)
-    ct.check_chain_size(steps, count)
+    ct.check_chain_size(steps, count, ct._LAW_GRID_ARRAYS)
     return np.geomspace(start, end, count)
 
 
@@ -197,6 +190,9 @@ def cmd_check(args) -> int:
     n = args.N
     if args.kind in ("generalized", "bounded", "localized"):
         params = _resolve_params(args)
+        omega = _parse_reals(args.omega, ",", "lo,hi") if args.omega else None
+        if args.kind == "bounded":
+            extras = gn.BoundedExtras(k0=args.k0, s=args.s, omega=omega)
         corpus = fs.sample_corpus(_corpus_selection(args.function), n,
                                   params.m)
         rows = []
@@ -204,13 +200,9 @@ def cmd_check(args) -> int:
             if args.kind == "generalized":
                 rep = gn.evaluate_generalized(u, params)
             elif args.kind == "bounded":
-                extras = gn.BoundedExtras(
-                    k0=args.k0, s=args.s,
-                    omega=_parse_interval(args.omega) if args.omega else None)
                 rep = gn.evaluate_bounded(u, params, extras)
             else:
-                omega = _parse_interval(args.omega) if args.omega else (0.25, 0.75)
-                rep = gn.evaluate_localized(u, params, omega)
+                rep = gn.evaluate_localized(u, params, omega or (0.25, 0.75))
             rows.append({"function": name, **asdict(rep)})
         payload = rows[0] if len(rows) == 1 else rows
         return _emit(args, f"check {args.kind}", payload, grid_n=n)

@@ -52,7 +52,7 @@ import numpy as np
 from . import funcspace as fs
 from .errors import (ParameterError, PreconditionError, InvariantError,
                      DivergenceError)
-from .norms import _count, _SimpsonSweep, simpson, simpson_weights
+from .norms import _count, _finite, _SimpsonSweep, simpson, simpson_weights
 
 DEFAULT_STEPS = 2 ** 14
 TERMINAL_TOL = 1e-8
@@ -66,8 +66,10 @@ NOISE_MODES = 16
 # fastest (the block stays in cache), and 2^16 holds the least of the two
 _BLOCK_ENTRIES = 2 ** 16
 # stage-grid arrays of an integration besides its controls: the grid, and
-# a bump-triple law evaluated on it (chi_stack to order 3: about 21 traced)
-_LAW_STAGE_ARRAYS = 22
+# a bump-triple law evaluated on it (traced: 1.4 on the whole grid and 18
+# on its support's share, chi_stack to order 3)
+_LAW_GRID_ARRAYS, _LAW_SUPPORT_ARRAYS = 3, 19
+_LAW_STAGE_ARRAYS = _LAW_GRID_ARRAYS + _LAW_SUPPORT_ARRAYS
 _COEFF_GRID_N = 2 ** 16 + 1
 
 
@@ -80,13 +82,7 @@ class ControlSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _count("p", self.p, 1))
-        _check_horizon(self.T)
-
-
-def _check_horizon(T) -> None:
-    """The one horizon rule, of the system and of grid samples alike."""
-    if not (math.isfinite(T) and T > 0):
-        raise ParameterError(f"horizon must be finite and positive, got {T!r}")
+        _finite("horizon", self.T, positive=True)
 
 
 @dataclass(frozen=True)
@@ -108,19 +104,21 @@ class ScaledBumpTriple:
     a: float = 0.0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ParameterError("epsilon must be positive")
-        if not (math.isfinite(self.a) and self.a >= 0):
-            raise ParameterError(
-                f"scaling exponent a must be finite and >= 0, got {self.a}")
+        _finite("epsilon", self.epsilon, positive=True)
+        if _finite("scaling exponent a", self.a) < 0:
+            raise ParameterError(f"a must be >= 0, got {self.a}")
 
     @property
     def support_end(self) -> float:
         return self.epsilon ** self.a
 
     def __call__(self, t):
-        s = np.asarray(t, dtype=float) * self.epsilon ** (-self.a)
-        return self.epsilon * fs.chi_stack(s, 3)[3]
+        w = np.array(t, dtype=float)  # the scaled times, then the control
+        w *= self.epsilon ** (-self.a)
+        inside = (w > 0.0) & (w < 1.0)  # chi_stack only on the support
+        w[inside] = self.epsilon * fs.chi_stack(w[inside], 3)[3]
+        w[~inside] = 0.0
+        return w
 
     def descriptor(self) -> dict:
         return {"family": "scaled-bump-triple",
@@ -140,12 +138,10 @@ class GridSamples:
     horizon: float
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = np.array(_finite("samples", self.values))
         if vals.ndim != 1 or vals.size < 5 or vals.size % 2 == 0:
             raise ParameterError("need an odd sample count >= 5 (2K+1 stages)")
-        _check_horizon(self.horizon)
-        if not np.all(np.isfinite(vals)):
-            raise ParameterError("samples must be finite")
+        _finite("horizon", self.horizon, positive=True)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -203,7 +199,7 @@ def _block_rows(batch: int) -> int:
 
 
 def check_chain_size(steps: int, batch: int,
-                     stage_arrays: int = _LAW_STAGE_ARRAYS,
+                     stage_arrays: float = _LAW_STAGE_ARRAYS,
                      keeps_states: bool = False) -> None:
     """Refuse, before anything is allocated, a chain whose footprint is
     above the package's byte cap.
@@ -212,22 +208,22 @@ def check_chain_size(steps: int, batch: int,
     `batch` runs; one sweep block, its four states and 16 temporaries of
     one state's size (13 traced, the streamed callers' reductions
     included); `stage_arrays` arrays on the stage grid that the caller
-    holds besides, such as the grid itself and a control law evaluated on
-    it; every state (4, steps+1) of each run when the caller
-    `keeps_states`, as `integrate` does; and, for one run whose states are
-    not kept, its Simpson pair terms (`_SimpsonSweep`).
+    holds besides, such as the grid and a control law evaluated on it (a
+    fraction of one for a law's share); every state (4, steps+1) of each
+    run when the caller `keeps_states`, as `integrate` does; and, for one
+    run whose states are not kept, its Simpson pair terms.
     """
     stages = 2 * steps + 1
     block = (min(steps, _block_rows(batch) + 1) + 1) * batch
     held = (4 * (steps + 1) * batch if keeps_states
             else steps if batch == 1 else 0)
     fs.refuse_above_cap(f"the chain for {steps} steps x {batch} runs",
-                        8 * (batch * stages + 20 * block + held
-                             + stage_arrays * stages))
+                        8 * math.ceil(batch * stages + 20 * block + held
+                                      + stage_arrays * stages))
 
 
 def _stage_times(T: float, steps: int, batch: int = 1,
-                 stage_arrays: int = _LAW_STAGE_ARRAYS,
+                 stage_arrays: float = _LAW_STAGE_ARRAYS,
                  keeps_states: bool = False) -> np.ndarray:
     """Nodes and midpoints of the step grid, after the check of the chain's
     footprint (`check_chain_size`) that every integration passes first."""
@@ -453,17 +449,20 @@ def scaling_experiment(p: int, a: float, eps: Sequence[float], T: float = 1.0,
     """
     p = ControlSystem(p, T).p
     steps = _count("steps", steps, 2)
-    stage_t = _stage_times(T, steps, len(eps))
-    eps = [float(e) for e in eps]
-    if not eps or any(e <= 0 for e in eps):
-        raise ParameterError("epsilon list must be nonempty and positive")
+    eps = _finite("epsilon list", eps, positive=True)
+    if eps.ndim != 1 or not eps.size:
+        raise ParameterError("epsilon list must be nonempty and flat")
+    eps = eps.tolist()
     if len(eps) >= 3:
         ratios = [eps[i + 1] / eps[i] for i in range(len(eps) - 1)]
         if any(abs(r / ratios[0] - 1.0) > 1e-9 for r in ratios):
             raise ParameterError("epsilon list must be geometric")
+    # eps^a grows with eps: the largest epsilon has the widest support
+    widest = ScaledBumpTriple(max(eps), a)
+    _law_support_check(widest, T)
+    stage_t = _stage_times(T, steps, len(eps), _LAW_GRID_ARRAYS
+                           + _LAW_SUPPORT_ARRAYS * widest.support_end / T)
     laws = [ScaledBumpTriple(e, a) for e in eps]
-    for law in laws:
-        _law_support_check(law, T)
     w = np.empty((stage_t.size, len(laws)))
     for col, law in enumerate(laws):
         w[:, col] = law(stage_t)
@@ -574,8 +573,7 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
     p = _count("obstruction regime p", ControlSystem(p, T).p, 12)
     trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
     steps = _count("steps", steps, 2)
-    if not eta > 0:
-        raise ParameterError("eta must be positive")
+    _finite("eta", eta, positive=True)
     budget = T ** (p - 12) * eta ** (p - 6)
     if budget > 1 + 1e-12:
         raise ParameterError(

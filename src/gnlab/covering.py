@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import InvariantError, NoCrossingError, ParameterError
 from .funcspace import GridFunction
-from .norms import (_check_exponent, _count, _order, _orders,
+from .norms import (_count, _finite, _float_exponent, _order, _orders,
                     derivative_product)
 
 #: relative balance equality tolerance per selected interval
@@ -95,8 +95,8 @@ class BalanceSpec:
             raise ParameterError("mode must be real-line|bounded")
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "q", _check_exponent(self.q))
-        object.__setattr__(self, "r", _check_exponent(self.r))
+        object.__setattr__(self, "q", _float_exponent("q", self.q))
+        object.__setattr__(self, "r", _float_exponent("r", self.r))
 
     @property
     def kappa(self) -> int:
@@ -239,17 +239,6 @@ class _Side:
         return self(np.where(high == (self.a >= 0), l_wide, l_narrow), s)
 
 
-def _finite(name: str, a, positive: bool = False) -> np.ndarray:
-    """a as a float array; an entry that is not finite (or, if
-    ``positive``, not above 0) is a ParameterError."""
-    a = np.asarray(a, dtype=float)
-    bad = ~np.isfinite(a) | (positive & (a <= 0.0))
-    if np.any(bad):
-        need = "finite and positive" if positive else "finite"
-        raise ParameterError(f"{name} must be {need}, got {a[bad].flat[0]}")
-    return a
-
-
 class BalanceEvaluator:
     """Vectorized alpha/beta over many (x, h) pairs for one grid function."""
 
@@ -301,10 +290,9 @@ class BalanceEvaluator:
         subsampled by stride.  The threshold lies in [0, 1): at 1 no
         point clears it and the cover would be vacuous."""
         stride = _count("stride", stride, 1)
-        if not 0.0 <= threshold < 1.0:
+        if not 0.0 <= _finite("working-set threshold", threshold) < 1.0:
             raise ParameterError(
-                f"working-set threshold must be finite and in [0, 1), "
-                f"got {threshold}")
+                f"working-set threshold must be in [0, 1), got {threshold}")
         u0 = np.abs(self.u.stack[0])
         va = np.abs(self.v)
         mask = (u0 > threshold * u0.max()) & (va > threshold * va.max())
@@ -472,10 +460,9 @@ def critical_radius(u: GridFunction, x: float, spec: BalanceSpec) -> float:
     """Smallest h with alpha_x(h) = beta_x(h), located by geometric scan
     plus Illinois steps (``BalanceEvaluator.critical_radii``).  Requires x
     in the working set E."""
-    _finite("x", x)
+    xi = _finite("x", [x])
     _check_crossing(spec)
     ev = BalanceEvaluator(u, spec)
-    xi = np.array([x], dtype=float)
     pos = (x - u.a) / u.dx
     i = int(round(pos))
     if not (0 <= i < u.n):

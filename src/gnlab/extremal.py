@@ -112,9 +112,8 @@ class SearchConfig:
         # >= 6 for quintic splines
         object.__setattr__(self, "dimension",
                            count("dimension", self.dimension, 6))
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise ParameterError(
-                f"tol must be finite and >= 0, got {self.tol}")
+        if norms._finite("tol", self.tol) < 0.0:
+            raise ParameterError(f"tol must be >= 0, got {self.tol}")
         norms._check_grid_n(self.grid_n)
         norms._check_grid_n(self.report_grid_n)
 
@@ -174,6 +173,7 @@ def _grid_objective(target: Target, dimension: int, n: int, stride: int = 1):
         raise ParameterError(
             f"ratio-half subsamples {n} nodes by {stride}: n - 1 must be "
             f"a multiple of {stride} so the last kept node is x = 1")
+    norms._check_grid_n((n - 1) // stride + 1)  # the nodes it keeps
     fs.refuse_above_cap(f"the candidate basis for dimension {dimension} on "
                         f"{n} nodes", _basis_build_bytes(dimension, n, order))
     basis = _basis_matrices(dimension, n, order)
@@ -599,6 +599,12 @@ def _lockstep_bytes(restarts: int, dimension: int) -> int:
     return 8 * restarts * ((dimension + 1) * (3 * dimension + 16) + 128)
 
 
+def _batch_bytes(count: int, dimension: int) -> int:
+    """`random_ratio_batch`'s bytes: per candidate its normals, their
+    squares, its length and value (traced: 1.0 to 1.5 times the growth)."""
+    return 8 * count * (2 * dimension + 2)
+
+
 def _search_values(ratios, rows: np.ndarray) -> list:
     """What a search minimizes: minus the ratio of each row scaled to unit
     length, 0.0 for a row of zero or non-finite length (both degenerate,
@@ -705,6 +711,8 @@ def random_ratio_batch(target: Target, count: int = 10_000,
     dimension = norms._count("dimension", dimension, 6)
     seed = norms._count("seed", seed, 0)
     norms._check_grid_n(grid_n)
+    fs.refuse_above_cap(f"{count} random candidates in dimension {dimension}",
+                        _batch_bytes(count, dimension))
     ratios, _ = _make_objective(target, dimension, grid_n)
     coeffs = np.random.default_rng(seed).standard_normal((count, dimension))
     lengths = np.linalg.norm(coeffs, axis=1)

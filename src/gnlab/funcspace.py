@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, UnsupportedOrderError
-from .norms import _count
+from .norms import _count, _finite
 
 MAX_ORDER = 8
 # The package's one byte cap.  Sampled corpora, the extremal search's
@@ -283,6 +283,12 @@ class BumpChi(AnalyticFunction):
         return {"family": "bumpchi", "params": {}, "support": [0.0, 1.0]}
 
 
+def _check_interval(a, b) -> None:
+    """The one interval rule: finite ends, b > a."""
+    if not _finite("interval end b", b) > _finite("interval end a", a):
+        raise ParameterError(f"need b > a, got [{a}, {b}]")
+
+
 @dataclass(frozen=True)
 class ScaledBump(AnalyticFunction):
     """chi((t-a)/(b-a)): the bump carried onto [a,b]."""
@@ -291,8 +297,7 @@ class ScaledBump(AnalyticFunction):
     b: float
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ParameterError("need b > a")
+        _check_interval(self.a, self.b)
         object.__setattr__(self, "support", (float(self.a), float(self.b)))
 
     def _stack_inside(self, m, x):
@@ -461,8 +466,7 @@ class Rescaled(AnalyticFunction):
     """Affine pullback of another family onto a new support interval."""
 
     def __init__(self, base: AnalyticFunction, a: float, b: float):
-        if not b > a:
-            raise ParameterError("need b > a")
+        _check_interval(a, b)
         self.base = base
         self.support = (float(a), float(b))
         c, d = base.support
@@ -531,8 +535,7 @@ class GridFunction:
             raise ParameterError("stack must be (m+1, n) with n >= 2")
         if self.provenance not in ("exact", "finite-difference"):
             raise ParameterError("provenance must be exact|finite-difference")
-        if not self.b > self.a:
-            raise ParameterError("need b > a")
+        _check_interval(self.a, self.b)
         object.__setattr__(self, "stack", st)
 
     @property
@@ -560,6 +563,7 @@ class GridFunction:
                 f"got {values.size} samples; need 2, and 3 for m >= 1 "
                 "(second-order differences)")
         a, b = interval
+        _check_interval(a, b)
         dx = (b - a) / (values.size - 1)
         rows = [values]
         for _ in range(m):
@@ -580,6 +584,7 @@ def sample(f: AnalyticFunction, interval, n: int, m: int = 0) -> GridFunction:
     """Exact-provenance GridFunction of f on a closed uniform grid of n >= 2
     nodes."""
     n = _count("node count", n, 2)
+    _check_interval(interval[0], interval[1])
     a, b = float(interval[0]), float(interval[1])
     return GridFunction(a, b, f.stack(m, np.linspace(a, b, n)),
                         provenance="exact")
@@ -615,8 +620,7 @@ def perturb_nowhere_polynomial(u: AnalyticFunction, eps: float) -> Sum:
     support still inside (0,1).  As eps -> 0 the sum converges to u
     uniformly together with all derivatives up to MAX_ORDER.
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    _finite("eps", eps, positive=True)
     a, b = u.support
     if not (0.0 < a and b < 1.0):
         raise ParameterError("support of u must be compactly inside (0,1)")

@@ -16,11 +16,9 @@ and the two residuals must agree identically.
 All exponent arithmetic is exact (Fractions, with 1/inf = 0) so residuals
 of valid tuples are exactly zero rather than float noise.  The relation is
 written once, affine in each of 1/p, 1/q and theta, and `solve_exponent`
-finds the missing unknown from its values at 0 and 1.  Exponents and
-derivative orders are checked by the rules of `norms`: an exponent is
->= 1 or +inf, an order that is not a whole number is refused, never
-truncated, and an order list is nonempty, sorted ascending and
-nonnegative.  `ibp_identities` returns both identity residuals.
+finds the missing unknown from its values at 0 and 1.  Exponents (exact,
+from 3/2, '3/2', 1.5 or 'inf' alike), theta and derivative orders are
+checked by the rules of `norms`.  `ibp_identities` returns both residuals.
 """
 
 from __future__ import annotations
@@ -34,33 +32,11 @@ import numpy as np
 from .errors import (InfeasibleError, InvariantError, ParameterError,
                      PreconditionError)
 from .funcspace import GridFunction
-from .norms import (INF, NormSpec, ProductSpec, _check_exponent, _count,
-                    _order, _orders, gagliardo_seminorm, lebesgue_norm,
-                    product_norm, simpson)
+from .norms import (INF, NormSpec, ProductSpec, _count, _exact, _exponent,
+                    _float_exponent, _order, _orders, gagliardo_seminorm,
+                    lebesgue_norm, product_norm, simpson)
 
 RESIDUAL_TOL = 1e-12
-
-
-def _fraction(x) -> Fraction:
-    """Fraction(x); malformed text or a non-finite float is a
-    ParameterError."""
-    try:
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ParameterError(f"bad number {x!r}: {exc}") from None
-
-
-def as_exponent(x):
-    """Normalize an exponent to Fraction, or INF for +inf only."""
-    if x is None:
-        return None
-    if isinstance(x, str):
-        if x.strip().lower() in ("inf", "infinity"):
-            return INF
-        return _fraction(x)
-    if isinstance(x, float) and x == INF:
-        return INF
-    return _fraction(x)
 
 
 def _inv(x) -> Fraction:
@@ -101,17 +77,14 @@ class GNParams:
     theta: object
 
     def __post_init__(self):
-        for name, value in (("p", as_exponent(self.p)),
-                            ("q", as_exponent(self.q)),
-                            ("r", as_exponent(self.r)),
-                            ("theta", _fraction(self.theta)),
+        for name, value in (("p", _exponent("p", self.p)),
+                            ("q", _exponent("q", self.q)),
+                            ("r", _exponent("r", self.r)),
+                            ("theta", _exact("theta", self.theta)),
                             ("ks", _orders("ks", self.ks)),
                             ("j", _order("j", self.j)),
                             ("m", _order("m", self.m))):
             object.__setattr__(self, name, value)
-        for name, v in (("p", self.p), ("q", self.q), ("r", self.r)):
-            if v != INF and v < 1:
-                raise ParameterError(f"{name} must be >= 1 or inf, got {v}")
         ts = self.theta_star
         if not (ts <= self.theta <= 1):
             raise ParameterError(
@@ -181,19 +154,17 @@ def solve_exponent(p=None, q=None, r=None, ks=(), j=0, m=1, theta=None) -> GNPar
     if len(unknowns) != 1:
         raise ParameterError(
             f"exactly one of p, q, theta must be unknown, got {unknowns}")
-    if r is None:
-        raise ParameterError("r must be given")
     [name] = unknowns
     ks, j, m = _orders("ks", ks), _order("j", j), _order("m", m)
     ts = theta_star(ks, j, m)
     lo = ts if name == "theta" else 0
-    inv = {k: _fraction(v) if k == "theta" else _inv(as_exponent(v))
+    inv = {k: _exact(k, v) if k == "theta" else _inv(_exponent(k, v))
            for k, v in tup.items() if v is not None}
+    inv_r = _inv(_exponent("r", r))
 
     def residual(x):
         inv[name] = Fraction(x)
-        return _relation(inv["p"], inv["q"], _inv(as_exponent(r)), ks, j, m,
-                         inv["theta"])
+        return _relation(inv["p"], inv["q"], inv_r, ks, j, m, inv["theta"])
 
     at0 = residual(0)
     slope = residual(1) - at0
@@ -283,7 +254,7 @@ class BoundedExtras:
 
     def __post_init__(self):
         object.__setattr__(self, "k0", _count("k0", self.k0, 0))
-        _check_exponent(self.s)
+        object.__setattr__(self, "s", _float_exponent("s", self.s))
         if self.omega is not None:
             lo, hi = self.omega
             if not (0.0 <= lo < hi <= 1.0):
@@ -301,7 +272,7 @@ def evaluate_bounded(u: GridFunction, params: GNParams,
     if extras.k0 > params.ks[0]:
         raise ParameterError("k0 must not exceed k_1")
     lhs, rhs, terms = _multiplicative(u, params, extras.omega)
-    low = lebesgue_norm(u, NormSpec(float(extras.s), extras.k0))
+    low = lebesgue_norm(u, NormSpec(extras.s, extras.k0))
     rhs += low
     terms["low_order"] = low
     if params.kappa == 1:
@@ -317,11 +288,9 @@ def evaluate_localized(u: GridFunction, params: GNParams,
     lo, hi = float(omega[0]), float(omega[1])
     if not (u.a <= lo < hi <= u.b):
         raise ParameterError("omega must be a nonempty subinterval of the grid")
-    lhs = lebesgue_norm(u, NormSpec(float(params.p), params.j))
-    top = lebesgue_norm(u, NormSpec(float(params.r), params.m))
-    prod = product_norm(u, ProductSpec(params.ks, float(params.q), (lo, hi)))
-    rhs = top + prod ** (1.0 / params.kappa)
-    terms = {"top": top, "product_on_omega": prod,
+    lhs, _, terms = _multiplicative(u, params, (lo, hi))
+    rhs = terms["top"] + terms["product"] ** (1.0 / params.kappa)
+    terms = {"top": terms["top"], "product_on_omega": terms["product"],
              "product_power": 1.0 / params.kappa, "omega": [lo, hi]}
     return _finish_report(lhs, terms, rhs, params.echo(), u)
 
@@ -424,7 +393,7 @@ def open_problem_probe(corpus, q, ks) -> list:
     """
     ks = _orders("ks", ks)
     kappa = len(ks)
-    q = float(q)
+    q = _float_exponent("q", q)
     kbar = Fraction(sum(ks), kappa)
     fractional = kbar.denominator != 1
     if fractional and ks != (0, 1):

@@ -6,7 +6,7 @@ quadrature rule of the package: `gn` integrates with it too, `control`
 sums it block by block as the chain is swept (`_SimpsonSweep`), and
 `simpson_weights` gives its weights for callers that fold the rule into a
 precomputed form.  The package's input rules live here as well: the
-exponent, order, count and Simpson-grid rules.
+exact-number, exponent, finite-real, order, count and Simpson-grid rules.
 The infinity norm is the grid maximum.  The fractional seminorm is the
 standard double-integral Gagliardo form discretized by midpoint double
 summation over the grid domain padded by one support length on each side,
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,6 +32,7 @@ if TYPE_CHECKING:
     from .funcspace import GridFunction
 
 INF = float("inf")
+_MAX_EXPONENT = Fraction(np.finfo(float).max)
 
 #: relative accuracy target of the Simpson rule at the reference resolution
 QUADRATURE_RTOL = 1e-6
@@ -122,15 +124,53 @@ def simpson_weights(n: int, dx: float) -> np.ndarray:
     return w * (dx / 3.0)
 
 
-def _check_exponent(p) -> float:
-    """p as a float: the one exponent rule, p >= 1 or p = +inf."""
+def _exact(name: str, x):
+    """x as an exact Fraction, or INF: an int, Fraction, float, numpy
+    number or text such as '3/2', '1.5' or 'inf'.  A bool (a flag is not a
+    number), NaN, -inf or malformed text is a ParameterError."""
     try:
-        p = float(p)
+        if isinstance(x, (bool, np.bool_)):
+            raise TypeError
+        if str(x).strip().lower() in ("inf", "infinity"):
+            return INF
+        return Fraction(float(x) if isinstance(x, np.floating) else x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ParameterError(f"{name} must be a number, got {x!r}") from None
+
+
+def _exponent(name: str, p):
+    """p by `_exact`, if it is >= 1 and within the float range, or INF:
+    the one exponent rule."""
+    value = _exact(name, p)
+    if value != INF and not 1 <= value <= _MAX_EXPONENT:
+        raise ParameterError(f"{name} must be >= 1 or inf, got {p!r}")
+    return value
+
+
+def _float_exponent(name: str, p) -> float:
+    """float() of `_exponent`; a float >= 1 is its own value, since
+    float(Fraction(x)) == x, so it skips the Fraction."""
+    return p if type(p) is float and p >= 1.0 else float(_exponent(name, p))
+
+
+def _finite(name: str, a, positive: bool = False) -> np.ndarray:
+    """a as a float array (a valid Python float cheaply, as np.float64):
+    the one finite-real rule.  A bool (a flag is not a number), an entry
+    not finite or, if ``positive``, not above 0 is a ParameterError."""
+    if type(a) is float and math.isfinite(a) and (a > 0.0 or not positive):
+        return np.float64(a)
+    need = "finite and positive" if positive else "finite"
+    try:
+        x = np.asarray(a)
+        if x.dtype == bool:
+            raise TypeError
+        x = x.astype(float, copy=False)
     except (TypeError, ValueError):
-        raise ParameterError(f"exponent must be a number, got {p!r}") from None
-    if not (p >= 1.0):
-        raise ParameterError(f"exponent must be >= 1 or inf, got {p}")
-    return p
+        raise ParameterError(f"{name} must be {need}, got {a!r}") from None
+    ok = np.isfinite(x) & (x > 0.0) if positive else np.isfinite(x)
+    if not ok.all():
+        raise ParameterError(f"{name} must be {need}, got {x[~ok].flat[0]}")
+    return x
 
 
 def _order(name: str, k) -> int:
@@ -177,7 +217,7 @@ class NormSpec:
     domain: tuple | None = None
 
     def __post_init__(self):
-        _check_exponent(self.p)
+        object.__setattr__(self, "p", _float_exponent("p", self.p))
         object.__setattr__(self, "j", _count("derivative order", self.j, 0))
 
 
@@ -190,9 +230,8 @@ class ProductSpec:
     domain: tuple | None = None
 
     def __post_init__(self):
-        ks = _orders("order list", self.ks)
-        _check_exponent(self.q)
-        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "ks", _orders("order list", self.ks))
+        object.__setattr__(self, "q", _float_exponent("q", self.q))
 
     @property
     def kappa(self) -> int:
@@ -237,7 +276,7 @@ def lebesgue_norm(g: GridFunction, spec: NormSpec) -> float:
         raise ParameterError(
             f"derivative {spec.j} not available (stack holds {g.max_derivative})")
     sl = _domain_slice(g, spec.domain)
-    return _lp_of_values(g.stack[spec.j][sl], float(spec.p), g.dx)
+    return _lp_of_values(g.stack[spec.j][sl], spec.p, g.dx)
 
 
 def derivative_product(g: GridFunction, ks) -> np.ndarray:
@@ -256,7 +295,7 @@ def product_norm(g: GridFunction, spec: ProductSpec) -> float:
     """L^q norm of the derivative product over spec.domain."""
     v = derivative_product(g, spec.ks)
     sl = _domain_slice(g, spec.domain)
-    return _lp_of_values(v[sl], float(spec.q), g.dx)
+    return _lp_of_values(v[sl], spec.q, g.dx)
 
 
 def _far_field(mid_u: np.ndarray, p: int, w: np.ndarray, band: int) -> float:
@@ -309,7 +348,7 @@ def gagliardo_seminorm(g: GridFunction, s: float, p: float) -> float:
     """
     if not 0.0 < s < 1.0:
         raise ParameterError("s must lie in (0,1)")
-    p = _check_exponent(p)
+    p = _float_exponent("p", p)
     if math.isinf(p):
         raise ParameterError("p must be finite for the seminorm")
     u = g.stack[0]

@@ -111,6 +111,18 @@ class TestCheckKinds:
                    "--ks", "0,1", "--q", "2", "--N", "513",
                    "--deterministic") == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["open-problem", "--N", "513", "--q"],
+        ["bounded", "--preset", "l12", "--N", "513", "--s"],
+    ], ids=["open-problem-q", "bounded-s"])
+    def test_exponent_flags_take_text_and_floats_alike(self, tmp_path, argv):
+        results = []
+        for value in ("3/2", "1.5"):
+            out = tmp_path / value.replace("/", "_")
+            assert run(out, "check", *argv, value, "--deterministic") == 0
+            results.append(read_report(out)["result"])
+        assert results[0] == results[1]
+
 
 class TestCover:
     def test_writes_csv(self, tmp_path):
@@ -268,14 +280,20 @@ def test_out_of_range_sizes_are_refused(tmp_path, argv):
     ["control", "scaling", "--p", "-3", "--a", "0.3", "--eps", "1e-4:1e-2:3"],
     ["control", "obstruction", "--p", "12", "--T", "0", "--eta", "0.8",
      "--trials", "2"],
+    # the law's epsilon and the --eps bounds follow the finite-real rule
+    ["control", "integrate", "--eps-value", "inf"],
+    ["control", "formula", "--eps-value", "inf"],
+    ["control", "scaling", "--p", "7", "--a", "0.3", "--eps", "1e-2:inf:3"],
 ], ids=["tol-nan", "tol-inf", "tol-negative", "threshold-nan",
         "threshold-one", "threshold-above-one", "scaling-a-nan",
         "scaling-a-inf", "integrate-T-inf", "formula-T-inf", "scaling-T-inf",
         "obstruction-T-inf", "p1-T-inf", "scaling-p-zero",
-        "scaling-p-negative", "obstruction-T-zero"])
+        "scaling-p-negative", "obstruction-T-zero", "integrate-eps-inf",
+        "formula-eps-inf", "scaling-eps-bound-inf"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_or_vacuous_floats_are_refused(tmp_path, argv):
     """Refused before a report with bare NaN/Infinity or an empty cover
-    can be written."""
+    can be written, and before any arithmetic on the value warns."""
     assert run(tmp_path, *argv, "--deterministic") == 2
     assert not (tmp_path / "report.json").exists()
 

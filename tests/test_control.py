@@ -513,6 +513,9 @@ _README_CHAINS = {
     # 40 controls: the batch, not one law's evaluation, is the peak
     "scaling-40": lambda: ct.scaling_experiment(7, 0.3,
                                                 np.geomspace(1e-4, 1e-2, 40)),
+    # one control whose support [0, eps^a] is a quarter of the horizon: the
+    # law is counted on that share of the grid only
+    "scaling-1": lambda: ct.scaling_experiment(7, 0.3, [1e-2]),
     "obstruction": lambda: ct.obstruction_check(12, 1.0, 0.8, 100),
     # one trial: the noise's sine matrix, not the chain, is the peak
     "obstruction-1": lambda: ct.obstruction_check(12, 1.0, 0.8, 1),
@@ -527,9 +530,11 @@ def test_chain_footprint_is_between_the_traced_peak_and_twice_it(
     not much more: the bytes it refuses a run for lie between the run's
     tracemalloc peak and twice that."""
     run = _README_CHAINS[name]
-    # the first generator imports secrets and hashlib; they are module
-    # objects, not the run's arrays, so they are loaded before tracing
+    # the first generator imports secrets and hashlib, and the scaling
+    # runs' coefficient integrals are cached on first use; they are module
+    # state, not the run's arrays, so they are loaded before tracing
     np.random.default_rng(0)
+    ct.expected_terms(7, 0.3)
     tracemalloc.start()
     try:
         run()

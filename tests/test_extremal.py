@@ -399,10 +399,30 @@ class TestRandomBatch:
         with pytest.raises(ParameterError):
             ex.random_ratio_batch("ratio4", **{"count": 4, **kwargs})
 
-    @pytest.mark.parametrize("grid_n", [2051, 4095])
-    def test_ratio_half_stride_must_keep_the_end_node(self, grid_n):
+    @pytest.mark.parametrize("grid_n", [2051, 4095, 1033])
+    def test_ratio_half_stride_must_keep_the_end_node(self, grid_n,
+                                                      monkeypatch):
+        """The kept nodes pass the one grid rule before the basis is built:
+        1033 nodes keep 130, an even count."""
+        def no_build(*args):
+            raise AssertionError("built a basis for a refused grid")
+
+        monkeypatch.setattr(ex, "_basis_matrices", no_build)
         with pytest.raises(ParameterError):
             ex.random_ratio_batch("ratio-half", count=4, grid_n=grid_n)
+
+    def test_count_above_the_byte_cap_is_refused_before_the_draw(
+            self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew the candidates")
+
+        monkeypatch.setattr(ex, "_make_objective", lambda *args: (None, None))
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        most = fs.BYTES_CAP // ex._batch_bytes(1, 8)
+        with pytest.raises(ParameterError, match=f"{most + 1} random"):
+            ex.random_ratio_batch("ratio4", count=most + 1)
+        with pytest.raises(AssertionError, match="drew the candidates"):
+            ex.random_ratio_batch("ratio4", count=most)
 
     def test_ratio_half_strided_grid_is_the_coarse_grid(self):
         """4097 nodes subsampled by 8 are the 513-node grid of [0, 1]."""

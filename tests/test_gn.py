@@ -172,7 +172,7 @@ class TestSharedRules:
         lambda: cov.BalanceSpec(ks=(0, 1, 2), q=2, m=3, r=-math.inf),
         lambda: gn.BoundedExtras(s=-math.inf),
         lambda: gn.BoundedExtras(s="banana"),
-        lambda: gn.as_exponent(-math.inf),
+        lambda: nm._exponent("p", -math.inf),
         lambda: gn.GNParams(12, 2, -math.inf, (0, 1, 2), 2, 3,
                             Fraction(1, 2)),
     ], ids=["balancespec-q", "balancespec-r", "bounded-s", "bounded-s-text",
@@ -182,7 +182,7 @@ class TestSharedRules:
             build()
 
     def test_plus_inf_stays_an_exponent(self):
-        assert gn.as_exponent(math.inf) == gn.INF
+        assert nm._exponent("p", math.inf) == gn.INF
         assert gn.BoundedExtras(s=math.inf).s == math.inf
         assert cov.BalanceSpec(ks=(0, 1, 2), q=2, m=3, r=math.inf).r == math.inf
 

@@ -9,6 +9,7 @@ grid.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson as scipy_simpson
 
+import gnlab.cli as cli
 import gnlab.control as ct
 import gnlab.covering as cov
 import gnlab.extremal as ex
@@ -386,3 +388,116 @@ def test_counts_are_whole_numbers_not_flags_and_at_least_a_minimum(entry):
         with pytest.raises(ParameterError):
             call(bad)
     call(whole)
+
+
+BUMP_65 = fs.sample(fs.BumpChi(), (0.0, 1.0), 65, 2)
+#: (entry point, its exponent argument as a call, what it gives at inf:
+#: the exponent itself (math.inf), a value computed with it (None), or a
+#: refusal (ParameterError))
+EXPONENTS = {
+    "GNParams-p": (lambda v: gn.GNParams(v, v, 2, (0,), 0, 1, 0).p,
+                   math.inf),
+    "GNParams-q": (lambda v: gn.GNParams(v, v, 2, (0,), 0, 1, 0).q,
+                   math.inf),
+    # at theta = theta* = 0 the relation leaves r free
+    "GNParams-r": (lambda v: gn.GNParams(2, 2, v, (0,), 0, 1, 0).r,
+                   math.inf),
+    "solve_exponent-q": (lambda v: gn.solve_exponent(
+        q=v, r="inf", ks=(0,), j=0, m=1, theta=0).p, math.inf),
+    "solve_exponent-r": (lambda v: gn.solve_exponent(
+        q=2, r=v, ks=(0,), j=0, m=1, theta=0).r, math.inf),
+    "NormSpec-p": (lambda v: nm.NormSpec(v, 0).p, math.inf),
+    "ProductSpec-q": (lambda v: nm.ProductSpec((0, 1), v).q, math.inf),
+    "BalanceSpec-q": (lambda v: cov.BalanceSpec(ks=(0, 1, 2), q=v, m=3,
+                                                r="inf").q, math.inf),
+    "BalanceSpec-r": (lambda v: cov.BalanceSpec(ks=(0, 1, 2), q=2, m=3,
+                                                r=v).r, math.inf),
+    "BoundedExtras-s": (lambda v: gn.BoundedExtras(s=v).s, math.inf),
+    "gagliardo_seminorm-p": (lambda v: nm.gagliardo_seminorm(BUMP_65, 0.5, v),
+                             ParameterError),
+    "open_problem_probe-q": (lambda v: gn.open_problem_probe(
+        [("bumpchi", BUMP_65)], v, (0, 1, 2))[0]["lhs"], None),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EXPONENTS))
+def test_exponents_are_one_rule_exact_text_and_numpy_alike(entry):
+    """Every exponent of the package goes through the one exponent rule:
+    1.5, '3/2', Fraction(3, 2) and np.float64(1.5) give one value, 'inf'
+    and math.inf give +inf, and a bool, a value below 1, NaN, -inf or
+    malformed text is refused with a ParameterError."""
+    call, at_inf = EXPONENTS[entry]
+    values = [call(v) for v in (1.5, "3/2", Fraction(3, 2), np.float64(1.5))]
+    assert all(v == values[0] and type(v) is type(values[0]) for v in values)
+    if at_inf is ParameterError:
+        for inf in ("inf", math.inf):
+            with pytest.raises(ParameterError):
+                call(inf)
+    else:
+        assert call("inf") == call(math.inf)
+        if at_inf is not None:
+            assert call("inf") == at_inf
+    for bad in (True, np.bool_(True), 0.5, math.nan, -math.inf, "banana"):
+        with pytest.raises(ParameterError):
+            call(bad)
+
+
+def _balance():
+    return cov.BalanceEvaluator(fs.sample(fs.BumpChi(), (0.0, 1.0), 257, 3),
+                                cov.BalanceSpec(ks=(0, 1, 2), q=2, m=3,
+                                                r="inf"))
+
+
+#: (entry point, its real argument as a call, whether it must be positive);
+#: an array argument is v in every entry
+REALS = {
+    "ControlSystem-T": (lambda v: ct.ControlSystem(3, v), True),
+    "GridSamples-horizon": (lambda v: ct.GridSamples(np.zeros(5), v), True),
+    "GridSamples-values": (lambda v: ct.GridSamples(np.full(5, v), 1.0),
+                           False),
+    "ScaledBumpTriple-epsilon": (lambda v: ct.ScaledBumpTriple(v), True),
+    "ScaledBumpTriple-a": (lambda v: ct.ScaledBumpTriple(1e-2, v), False),
+    "scaling_experiment-eps": (lambda v: ct.scaling_experiment(
+        7, 0.0, [v], steps=64), True),
+    "obstruction_check-eta": (lambda v: ct.obstruction_check(
+        12, 1.0, v, trials=2, steps=64), True),
+    "SearchConfig-tol": (lambda v: ex.SearchConfig(tol=v), False),
+    "ScaledBump-a": (lambda v: fs.ScaledBump(v, 2.0), False),
+    "ScaledBump-b": (lambda v: fs.ScaledBump(0.0, v), False),
+    "Rescaled-b": (lambda v: fs.Rescaled(fs.BumpChi(), 0.0, v), False),
+    "GridFunction-b": (lambda v: fs.GridFunction(0.0, v, np.zeros((1, 5))),
+                       False),
+    "sample-interval": (lambda v: fs.sample(fs.BumpChi(), (0.0, v), 9),
+                        False),
+    "from_samples-interval": (lambda v: fs.GridFunction.from_samples(
+        np.zeros(5), (0.0, v), 1), False),
+    "perturb_nowhere_polynomial-eps": (lambda v: fs.perturb_nowhere_polynomial(
+        fs.ScaledBump(0.2, 0.8), v), True),
+    "alpha-x": (lambda v: _balance().alpha(v, 0.1), False),
+    "alpha-h": (lambda v: _balance().alpha(0.5, v), True),
+    "beta-x": (lambda v: _balance().beta(v, 0.1), False),
+    "beta-h": (lambda v: _balance().beta(0.5, v), True),
+    "critical_radii-xs": (lambda v: _balance().critical_radii(
+        np.full(2, v)), False),
+    "critical_radius-x": (lambda v: cov.critical_radius(
+        fs.sample(fs.BumpChi(), (0.0, 1.0), 257, 3), v,
+        cov.BalanceSpec(ks=(0, 1, 2), q=2, m=3, r="inf")), False),
+    "besicovitch_select-centers": (lambda v: cov.besicovitch_select(
+        np.full(2, v), [0.1, 0.1]), False),
+    "besicovitch_select-radii": (lambda v: cov.besicovitch_select(
+        [0.3, 0.6], np.full(2, v)), True),
+    "working_set-threshold": (lambda v: _balance().working_set(threshold=v),
+                              False),
+    "cli-eps-bound": (lambda v: cli._parse_eps_range(f"1e-2:{v}:3", 64), True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REALS))
+def test_reals_are_finite_numbers_not_flags(entry):
+    """Every real parameter of the package goes through the one finite-real
+    rule: inf, NaN and a bool are refused with a ParameterError, and so
+    are 0 and -1 where the value must be positive."""
+    call, positive = REALS[entry]
+    for bad in (math.inf, math.nan, True) + ((0, -1) if positive else ()):
+        with pytest.raises(ParameterError):
+            call(bad)
