@@ -151,8 +151,6 @@ def _resolve_params(args) -> gn.GNParams:
         return gn.l12_params()
     if preset == "l6":
         return gn.l6_params(args.k)
-    if preset is not None:
-        raise ParameterError(f"unknown preset {preset!r}")
     if args.ks is None or args.j is None or args.m is None:
         raise ParameterError("give --preset or the full tuple --ks/--j/--m ...")
     kwargs = {"ks": _parse_ks(args.ks), "j": args.j, "m": args.m,
@@ -188,9 +186,11 @@ def cmd_params(args) -> int:
 
 def cmd_check(args) -> int:
     n = args.N
+    norms._check_grid_n(n)  # every kind integrates over the whole grid
     if args.kind in ("generalized", "bounded", "localized"):
         params = _resolve_params(args)
-        omega = _parse_reals(args.omega, ",", "lo,hi") if args.omega else None
+        omega = None if args.omega is None else norms._interval(
+            "omega", _parse_reals(args.omega, ",", "lo,hi"), (0.0, 1.0))
         if args.kind == "bounded":
             extras = gn.BoundedExtras(k0=args.k0, s=args.s, omega=omega)
         corpus = fs.sample_corpus(_corpus_selection(args.function), n,
@@ -214,13 +214,11 @@ def cmd_check(args) -> int:
                     "ratio_half": r.ratio_half, "skipped": list(r.skipped)}
                    for r in rows]
         return _emit(args, "check special", payload, grid_n=n)
-    if args.kind == "open-problem":
-        ks = _parse_ks(args.ks) if args.ks else (0, 1, 2)
-        order = max(ks)
-        corpus = fs.sample_corpus(_corpus_selection(args.function), n, order)
-        payload = gn.open_problem_probe(corpus, args.q or "2", ks)
-        return _emit(args, "check open-problem", payload, grid_n=n)
-    raise ParameterError(f"unknown check kind {args.kind!r}")
+    ks = _parse_ks(args.ks) if args.ks else (0, 1, 2)
+    order = max(ks)
+    corpus = fs.sample_corpus(_corpus_selection(args.function), n, order)
+    payload = gn.open_problem_probe(corpus, args.q or "2", ks)
+    return _emit(args, "check open-problem", payload, grid_n=n)
 
 
 def cmd_cover(args) -> int:
@@ -317,12 +315,10 @@ def cmd_control(args) -> int:
                                       _resolve_seed(args), args.steps)
         _emit(args, "control obstruction", asdict(report), grid_n=args.steps)
         return 0 if report.passed else 1
-    if args.kind == "p1":
-        payload = ct.monotone_check_p1(args.T, steps=args.steps,
-                                       seed=_resolve_seed(args))
-        _emit(args, "control p1", payload, grid_n=args.steps)
-        return 0 if payload["passed"] else 1
-    raise ParameterError(f"unknown control kind {args.kind!r}")
+    payload = ct.monotone_check_p1(args.T, steps=args.steps,
+                                   seed=_resolve_seed(args))
+    _emit(args, "control p1", payload, grid_n=args.steps)
+    return 0 if payload["passed"] else 1
 
 
 def _resolve_law(args):
@@ -330,17 +326,15 @@ def _resolve_law(args):
         return ct.Zero()
     if args.law == "triple":
         return ct.ScaledBumpTriple(args.eps_value, args.a)
-    if args.law == "grid":
-        if not args.samples:
-            raise ParameterError("law grid needs --samples FILE")
-        try:
-            values = [float(line) for line in
-                      Path(args.samples).read_text().split()]
-        except (OSError, ValueError) as exc:
-            raise ParameterError(
-                f"bad samples file {args.samples!r}: {exc}") from None
-        return ct.GridSamples(values, args.T)
-    raise ParameterError(f"unknown law {args.law!r}")
+    if not args.samples:
+        raise ParameterError("law grid needs --samples FILE")
+    try:
+        values = [float(line) for line in
+                  Path(args.samples).read_text().split()]
+    except (OSError, ValueError) as exc:
+        raise ParameterError(
+            f"bad samples file {args.samples!r}: {exc}") from None
+    return ct.GridSamples(values, args.T)
 
 
 def cmd_corpus(args) -> int:
@@ -348,16 +342,13 @@ def cmd_corpus(args) -> int:
         payload = [{"name": name, **f.descriptor()}
                    for name, f in fs.standard_corpus()]
         return _emit(args, "corpus list", payload)
-    if args.kind == "emit":
-        [(_, u)] = fs.sample_corpus(
-            [(args.function, fs.corpus_function(args.function))], args.N,
-            args.m)
-        header = ["x"] + [f"d{i}" for i in range(args.m + 1)]
-        path = _write_csv(args, "corpus.csv", header, zip(u.grid, *u.stack))
-        payload = {"function": args.function, "n": u.n, "m": args.m,
-                   "path": str(path)}
-        return _emit(args, "corpus emit", payload, grid_n=args.N)
-    raise ParameterError(f"unknown corpus kind {args.kind!r}")
+    [(_, u)] = fs.sample_corpus(
+        [(args.function, fs.corpus_function(args.function))], args.N, args.m)
+    header = ["x"] + [f"d{i}" for i in range(args.m + 1)]
+    path = _write_csv(args, "corpus.csv", header, zip(u.grid, *u.stack))
+    payload = {"function": args.function, "n": u.n, "m": args.m,
+               "path": str(path)}
+    return _emit(args, "corpus emit", payload, grid_n=args.N)
 
 
 # ---------------------------------------------------------------------------

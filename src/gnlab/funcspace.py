@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, UnsupportedOrderError
-from .norms import _count, _finite
+from .norms import _count, _finite, _interval
 
 MAX_ORDER = 8
 # The package's one byte cap.  Sampled corpora, the extremal search's
@@ -283,12 +283,6 @@ class BumpChi(AnalyticFunction):
         return {"family": "bumpchi", "params": {}, "support": [0.0, 1.0]}
 
 
-def _check_interval(a, b) -> None:
-    """The one interval rule: finite ends, b > a."""
-    if not _finite("interval end b", b) > _finite("interval end a", a):
-        raise ParameterError(f"need b > a, got [{a}, {b}]")
-
-
 @dataclass(frozen=True)
 class ScaledBump(AnalyticFunction):
     """chi((t-a)/(b-a)): the bump carried onto [a,b]."""
@@ -297,8 +291,9 @@ class ScaledBump(AnalyticFunction):
     b: float
 
     def __post_init__(self):
-        _check_interval(self.a, self.b)
-        object.__setattr__(self, "support", (float(self.a), float(self.b)))
+        a, b = _interval("support", (self.a, self.b))
+        for name, value in (("a", a), ("b", b), ("support", (a, b))):
+            object.__setattr__(self, name, value)
 
     def _stack_inside(self, m, x):
         rows = chi_stack((x - self.a) / (self.b - self.a), m)
@@ -425,22 +420,22 @@ class SplineBump(AnalyticFunction):
 
     def __init__(self, coeffs, knots=None, degree: int = 5):
         degree = _count("degree", degree, 0)
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = _finite("spline coefficients", coeffs)
         if coeffs.ndim not in (1, 2) or coeffs.shape[0] < degree + 1:
             raise ParameterError("need at least degree+1 spline coefficients")
         if knots is None:
             if degree != 5:
                 raise ParameterError("default knots are quintic; pass knots")
             knots = uniform_quintic_knots(coeffs.shape[0])
-        knots = np.asarray(knots, dtype=float)
+        knots = _finite("knots", knots)
         if knots.ndim != 1 or knots.size != coeffs.shape[0] + degree + 1:
             raise ParameterError("knot count must equal coeffs + degree + 1")
         # a knot repeated inside the span would make a derivative jump
-        if not (np.all(np.isfinite(knots)) and np.all(np.diff(knots) >= 0.0)
+        if not (np.all(np.diff(knots) >= 0.0)
                 and np.all(np.diff(knots[degree:knots.size - degree]) > 0.0)):
             raise ParameterError(
-                "knots must be finite and non-decreasing, with none repeated "
-                f"inside the span [t_{degree}, t_{coeffs.shape[0]}]")
+                "knots must be non-decreasing, with none repeated inside "
+                f"the span [t_{degree}, t_{coeffs.shape[0]}]")
         self.coeffs = coeffs
         self.knots = knots
         self.degree = degree
@@ -466,9 +461,8 @@ class Rescaled(AnalyticFunction):
     """Affine pullback of another family onto a new support interval."""
 
     def __init__(self, base: AnalyticFunction, a: float, b: float):
-        _check_interval(a, b)
         self.base = base
-        self.support = (float(a), float(b))
+        a, b = self.support = _interval("support", (a, b))
         c, d = base.support
         self._scale = (d - c) / (b - a)
         self._shift = c
@@ -491,7 +485,7 @@ class Sum(AnalyticFunction):
     """Finite linear combination sum_k c_k f_k."""
 
     def __init__(self, terms: Sequence[tuple]):
-        terms = [(float(c), f) for c, f in terms]
+        terms = [(float(_finite("sum coefficient", c)), f) for c, f in terms]
         if not terms:
             raise ParameterError("empty sum")
         self.terms = terms
@@ -535,8 +529,9 @@ class GridFunction:
             raise ParameterError("stack must be (m+1, n) with n >= 2")
         if self.provenance not in ("exact", "finite-difference"):
             raise ParameterError("provenance must be exact|finite-difference")
-        _check_interval(self.a, self.b)
-        object.__setattr__(self, "stack", st)
+        a, b = _interval("grid interval", (self.a, self.b))
+        for name, value in (("a", a), ("b", b), ("stack", st)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -562,14 +557,12 @@ class GridFunction:
             raise ParameterError(
                 f"got {values.size} samples; need 2, and 3 for m >= 1 "
                 "(second-order differences)")
-        a, b = interval
-        _check_interval(a, b)
+        a, b = _interval("interval", interval)
         dx = (b - a) / (values.size - 1)
         rows = [values]
         for _ in range(m):
             rows.append(np.gradient(rows[-1], dx, edge_order=2))
-        return cls(float(a), float(b), np.stack(rows),
-                   provenance="finite-difference")
+        return cls(a, b, np.stack(rows), provenance="finite-difference")
 
 
 def refuse_above_cap(what: str, need: int) -> None:
@@ -584,8 +577,7 @@ def sample(f: AnalyticFunction, interval, n: int, m: int = 0) -> GridFunction:
     """Exact-provenance GridFunction of f on a closed uniform grid of n >= 2
     nodes."""
     n = _count("node count", n, 2)
-    _check_interval(interval[0], interval[1])
-    a, b = float(interval[0]), float(interval[1])
+    a, b = _interval("interval", interval)
     return GridFunction(a, b, f.stack(m, np.linspace(a, b, n)),
                         provenance="exact")
 

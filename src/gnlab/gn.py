@@ -32,9 +32,9 @@ import numpy as np
 from .errors import (InfeasibleError, InvariantError, ParameterError,
                      PreconditionError)
 from .funcspace import GridFunction
-from .norms import (INF, NormSpec, ProductSpec, _count, _exact, _exponent,
-                    _float_exponent, _order, _orders, gagliardo_seminorm,
-                    lebesgue_norm, product_norm, simpson)
+from .norms import (INF, NormSpec, ProductSpec, _check_held, _count, _exact,
+                    _exponent, _float_exponent, _interval, _order, _orders,
+                    gagliardo_seminorm, lebesgue_norm, product_norm, simpson)
 
 RESIDUAL_TOL = 1e-12
 
@@ -256,9 +256,7 @@ class BoundedExtras:
         object.__setattr__(self, "k0", _count("k0", self.k0, 0))
         object.__setattr__(self, "s", _float_exponent("s", self.s))
         if self.omega is not None:
-            lo, hi = self.omega
-            if not (0.0 <= lo < hi <= 1.0):
-                raise ParameterError("omega must be a nonempty subinterval")
+            object.__setattr__(self, "omega", _interval("omega", self.omega))
 
 
 def evaluate_bounded(u: GridFunction, params: GNParams,
@@ -285,9 +283,7 @@ def evaluate_bounded(u: GridFunction, params: GNParams,
 def evaluate_localized(u: GridFunction, params: GNParams,
                        omega: tuple) -> InequalityReport:
     """Additive localized form: the product term is measured on omega only."""
-    lo, hi = float(omega[0]), float(omega[1])
-    if not (u.a <= lo < hi <= u.b):
-        raise ParameterError("omega must be a nonempty subinterval of the grid")
+    lo, hi = _interval("omega", omega)
     lhs, _, terms = _multiplicative(u, params, (lo, hi))
     rhs = terms["top"] + terms["product"] ** (1.0 / params.kappa)
     terms = {"top": terms["top"], "product_on_omega": terms["product"],
@@ -312,6 +308,7 @@ def ibp_identities(u: GridFunction) -> IbpResiduals:
     L6: integral (u')^6 + 5 integral u (u')^4 u''
     Each residual is normalized by its positive term; zero functions give 0.
     """
+    _check_held(u, 2)
     u0, u1, u2 = u.stack[0], u.stack[1], u.stack[2]
     dx = u.dx
 

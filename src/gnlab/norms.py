@@ -5,8 +5,8 @@ node count over the integration domain must be odd.  `simpson` is the one
 quadrature rule of the package: `gn` integrates with it too, `control`
 sums it block by block as the chain is swept (`_SimpsonSweep`), and
 `simpson_weights` gives its weights for callers that fold the rule into a
-precomputed form.  The package's input rules live here as well: the
-exact-number, exponent, finite-real, order, count and Simpson-grid rules.
+precomputed form.  The input rules live here too: the exact-number,
+exponent, finite-real, interval, order, count and Simpson-grid rules.
 The infinity norm is the grid maximum.  The fractional seminorm is the
 standard double-integral Gagliardo form discretized by midpoint double
 summation over the grid domain padded by one support length on each side,
@@ -173,6 +173,25 @@ def _finite(name: str, a, positive: bool = False) -> np.ndarray:
     return x
 
 
+def _interval(name: str, ends, within=None) -> tuple:
+    """ends as a (lo, hi) pair of floats: the one interval rule.  Exactly
+    two ends, each finite by `_finite`, with lo < hi; given the enclosing
+    interval ``within`` = (a, b), [lo, hi] must lie in it up to a slack of
+    1e-9 (b - a)."""
+    try:
+        lo, hi = ends
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"{name} must be a pair lo, hi, got {ends!r}") from None
+    lo, hi = float(_finite(name, lo)), float(_finite(name, hi))
+    a, b = within or (-INF, INF)
+    slack = 1e-9 * (b - a)
+    if not a - slack <= lo < hi <= b + slack:
+        raise ParameterError(
+            f"{name} [{lo}, {hi}] must have lo < hi and lie in [{a}, {b}]")
+    return lo, hi
+
+
 def _order(name: str, k) -> int:
     """k as an int: the one derivative-order rule, so an order that is not
     a whole number is refused rather than truncated."""
@@ -219,6 +238,8 @@ class NormSpec:
     def __post_init__(self):
         object.__setattr__(self, "p", _float_exponent("p", self.p))
         object.__setattr__(self, "j", _count("derivative order", self.j, 0))
+        if self.domain is not None:
+            object.__setattr__(self, "domain", _interval("domain", self.domain))
 
 
 @dataclass(frozen=True)
@@ -232,6 +253,8 @@ class ProductSpec:
     def __post_init__(self):
         object.__setattr__(self, "ks", _orders("order list", self.ks))
         object.__setattr__(self, "q", _float_exponent("q", self.q))
+        if self.domain is not None:
+            object.__setattr__(self, "domain", _interval("domain", self.domain))
 
     @property
     def kappa(self) -> int:
@@ -239,20 +262,14 @@ class ProductSpec:
 
 
 def _domain_slice(g: GridFunction, domain) -> slice:
-    """Snap a subinterval to grid nodes; widen by one node if the count
-    comes out even so Simpson stays applicable."""
+    """The whole grid, or a subinterval snapped to grid nodes and widened
+    by one node if the count comes out even, so Simpson stays applicable."""
     if domain is None:
-        i0, i1 = 0, g.n - 1
-    else:
-        lo, hi = float(domain[0]), float(domain[1])
-        tol = 1e-9 * (g.b - g.a)
-        if lo < g.a - tol or hi > g.b + tol or hi <= lo:
-            raise ParameterError(
-                f"domain [{lo}, {hi}] not inside grid [{g.a}, {g.b}]")
-        i0 = int(round((lo - g.a) / g.dx))
-        i1 = int(round((hi - g.a) / g.dx))
-        i0 = max(0, min(i0, g.n - 2))
-        i1 = max(i0 + 1, min(i1, g.n - 1))
+        _check_grid_n(g.n)
+        return slice(0, g.n)
+    lo, hi = _interval("domain", domain, (g.a, g.b))
+    i0 = max(0, min(int(round((lo - g.a) / g.dx)), g.n - 2))
+    i1 = max(i0 + 1, min(int(round((hi - g.a) / g.dx)), g.n - 1))
     if (i1 - i0 + 1) % 2 == 0:
         if i1 < g.n - 1:
             i1 += 1
@@ -270,11 +287,16 @@ def _lp_of_values(vals: np.ndarray, p: float, dx: float) -> float:
     return max(integral, 0.0) ** (1.0 / p)
 
 
+def _check_held(g: GridFunction, k: int) -> None:
+    """The stack of g must hold D^k u."""
+    if k > g.max_derivative:
+        raise ParameterError(
+            f"derivative {k} not available (stack holds {g.max_derivative})")
+
+
 def lebesgue_norm(g: GridFunction, spec: NormSpec) -> float:
     """(integral |D^j u|^p)^{1/p} over spec.domain; grid max for p = inf."""
-    if spec.j > g.max_derivative:
-        raise ParameterError(
-            f"derivative {spec.j} not available (stack holds {g.max_derivative})")
+    _check_held(g, spec.j)
     sl = _domain_slice(g, spec.domain)
     return _lp_of_values(g.stack[spec.j][sl], spec.p, g.dx)
 
@@ -282,9 +304,7 @@ def lebesgue_norm(g: GridFunction, spec: NormSpec) -> float:
 def derivative_product(g: GridFunction, ks) -> np.ndarray:
     """Pointwise product D^{k_1}u * ... * D^{k_kappa}u on the full grid."""
     ks = tuple(ks)
-    if max(ks) > g.max_derivative:
-        raise ParameterError(
-            f"derivative {max(ks)} not available (stack holds {g.max_derivative})")
+    _check_held(g, max(ks))
     v = np.ones(g.n)
     for k in ks:
         v = v * g.stack[k]

@@ -106,6 +106,28 @@ class TestCheckKinds:
         assert run(tmp_path, "check", "localized", "--preset", "l12",
                    "--N", "257", "--omega", "a,b") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["generalized", "--preset", "l12", "--N", "4096"],
+        ["special", "--N", "1024"],
+        ["open-problem", "--N", "2"],
+        ["localized", "--preset", "l12", "--N", "257", "--omega", "0.2,nan"],
+        ["localized", "--preset", "l12", "--N", "257", "--omega", "0.5,1.5"],
+        ["localized", "--preset", "l12", "--N", "257", "--omega", "0.6,0.4"],
+        ["bounded", "--preset", "l12", "--N", "257", "--omega",
+         "0.1,0.2,0.3"],
+        ["bounded", "--preset", "l12", "--N", "257", "--omega", "-0.1,0.5"],
+    ], ids=["generalized-even-N", "special-even-N", "open-problem-N-two",
+            "localized-omega-nan", "localized-omega-past-grid",
+            "localized-omega-reversed", "bounded-omega-three-ends",
+            "bounded-omega-below-grid"])
+    def test_grid_and_omega_are_refused_before_sampling(self, tmp_path,
+                                                        monkeypatch, argv):
+        def sample_corpus(*args):
+            raise AssertionError("the corpus was sampled")
+        monkeypatch.setattr(fs, "sample_corpus", sample_corpus)
+        assert run(tmp_path, "check", *argv, "--deterministic") == 2
+        assert not (tmp_path / "report.json").exists()
+
     def test_open_problem(self, tmp_path):
         assert run(tmp_path, "check", "open-problem", "--function", "all",
                    "--ks", "0,1", "--q", "2", "--N", "513",

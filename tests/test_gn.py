@@ -259,6 +259,15 @@ class TestBoundedAndLocalized:
         assert all(r > 0 for r in ratios)
         assert all(a >= b * (1 - 1e-12) for a, b in zip(ratios, ratios[1:]))
 
+    def test_bounded_omega_is_checked_against_the_grid(self, l12):
+        # a grid on [0, 2]: omega is inside it, though not inside [0, 1]
+        u = fs.sample(fs.ScaledBump(0.0, 2.0), (0.0, 2.0), 513, 3)
+        rep = gn.evaluate_bounded(u, l12, gn.BoundedExtras(omega=(1.2, 1.8)))
+        on_omega = nm.product_norm(u, nm.ProductSpec((0, 1, 2), 2, (1.2, 1.8)))
+        assert rep.rhs_terms["product"] == on_omega > 0.0
+        with pytest.raises(ParameterError, match=r"lie in \[0.0, 2.0\]"):
+            gn.evaluate_bounded(u, l12, gn.BoundedExtras(omega=(1.2, 2.5)))
+
     def test_localized_window_validation(self, bump_4097, l12):
         with pytest.raises(ParameterError):
             gn.evaluate_localized(bump_4097, l12, (0.5, 0.4))
@@ -293,6 +302,12 @@ class TestIbpAndSpecialRatios:
         rows = gn.special_constants(corpus_2049[:1], include_fractional=True)
         assert rows[0].ratio_half is not None
         assert rows[0].ratio_half > 0
+
+    def test_identities_need_the_second_derivative(self, bump_4097):
+        u = fs.GridFunction(0.0, 1.0, bump_4097.stack[:2])
+        with pytest.raises(ParameterError,
+                           match=r"derivative 2 not available \(stack holds 1\)"):
+            gn.ibp_identities(u)
 
     def test_zero_function_ratios_are_zero(self):
         g = fs.GridFunction(0.0, 1.0, np.zeros((3, 513)))

@@ -7,8 +7,10 @@ alike, is checked against the direct blocked double sum over the padded
 grid.
 """
 
+import json
 import math
 import tracemalloc
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -488,6 +490,10 @@ REALS = {
         [0.3, 0.6], np.full(2, v)), True),
     "working_set-threshold": (lambda v: _balance().working_set(threshold=v),
                               False),
+    "SplineBump-coeffs": (lambda v: fs.SplineBump(np.full(8, v)), False),
+    "SplineBump-knots": (lambda v: fs.SplineBump(np.ones(8), np.full(14, v)),
+                         False),
+    "Sum-coefficient": (lambda v: fs.Sum([(v, fs.BumpChi())]), False),
     "cli-eps-bound": (lambda v: cli._parse_eps_range(f"1e-2:{v}:3", 64), True),
 }
 
@@ -501,3 +507,61 @@ def test_reals_are_finite_numbers_not_flags(entry):
     for bad in (math.inf, math.nan, True) + ((0, -1) if positive else ()):
         with pytest.raises(ParameterError):
             call(bad)
+
+
+BUMP3_65 = fs.sample(fs.BumpChi(), (0.0, 1.0), 65, 3)
+#: (entry point, its interval as a call, whether the interval is a pair
+#: argument, whether the call checks it against the [0, 1] grid); the
+#: calls return a report, a spec or a function, compared through JSON
+INTERVALS = {
+    "ScaledBump": (lambda v: fs.ScaledBump(*v).descriptor(), False, False),
+    "Rescaled": (lambda v: fs.Rescaled(fs.BumpChi(), *v).descriptor(), False,
+                 False),
+    "GridFunction": (lambda v: asdict(fs.GridFunction(
+        *v, stack=np.ones((1, 5)))), False, False),
+    "sample": (lambda v: asdict(fs.sample(fs.BumpChi(), v, 9)), True, False),
+    "from_samples": (lambda v: asdict(fs.GridFunction.from_samples(
+        np.arange(5.0), v, 1)), True, False),
+    "NormSpec": (lambda v: asdict(nm.NormSpec(2, 0, v)), True, False),
+    "ProductSpec": (lambda v: asdict(nm.ProductSpec((0, 1), 2, v)), True,
+                    False),
+    "lebesgue_norm": (lambda v: nm.lebesgue_norm(
+        BUMP3_65, nm.NormSpec(2, 0, v)), True, True),
+    "product_norm": (lambda v: nm.product_norm(
+        BUMP3_65, nm.ProductSpec((0, 1), 2, v)), True, True),
+    "BoundedExtras": (lambda v: asdict(gn.BoundedExtras(omega=v)), True,
+                      False),
+    "evaluate_bounded": (lambda v: asdict(gn.evaluate_bounded(
+        BUMP3_65, gn.l12_params(), gn.BoundedExtras(omega=v))), True, True),
+    "evaluate_localized": (lambda v: asdict(gn.evaluate_localized(
+        BUMP3_65, gn.l12_params(), v)), True, True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTERVALS))
+def test_intervals_are_one_rule_ordered_finite_pairs(entry):
+    """Every interval of the package goes through the one interval rule:
+    ends written as ints or numpy floats give what (0.0, 1.0) gives, and a
+    NaN, infinite, bool or text end, a count of ends other than two or an
+    empty interval is refused with a ParameterError; so is an interval
+    past the grid where the call measures on one.  Ends given as two
+    arguments take their count from the call, so a wrong count is
+    Python's TypeError there."""
+    call, pair, contained = INTERVALS[entry]
+
+    def result(v):
+        return json.dumps(call(v), default=cli._json_default, sort_keys=True)
+
+    assert result((0, 1)) == result((0.0, 1.0))
+    assert result((np.float64(0.0), np.float64(1.0))) == result((0.0, 1.0))
+    bad = [(math.nan, 0.5), (0.0, True), (0.0, np.bool_(True)), ("a", "b"),
+           (0.5, 0.5), (0.6, 0.4), (0.0, math.inf)]
+    if contained:
+        bad.append((0.5, 1.5))
+    for ends in bad + [(0.2,), (0.1, 0.2, 0.3)] * pair:
+        with pytest.raises(ParameterError):
+            call(ends)
+    if not pair:
+        for ends in [(0.2,), (0.1, 0.2, 0.3)]:
+            with pytest.raises(TypeError):
+                call(ends)
