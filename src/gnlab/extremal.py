@@ -163,7 +163,7 @@ def _grid_objective(target: Target, dimension: int, n: int, stride: int = 1):
     stride-th node, and the norms of `gn`.
 
     The cached basis takes `_basis_bytes` (16 x 4097 x 3: 1.6 MB), and
-    building it peaks at about 2.7 times that (`_basis_build_bytes`);
+    building it peaks at about 3.8 times that (`_basis_build_bytes`);
     above the package's byte cap (`funcspace.BYTES_CAP`) the build is
     refused before anything of it is allocated.
     """
@@ -190,15 +190,21 @@ def _basis_bytes(dimension: int, n: int, order: int) -> int:
 
 
 def _basis_build_bytes(dimension: int, n: int, order: int) -> int:
-    """The most `_basis_matrices` holds at once: per order, n x dimension
-    for the stack it returns, for SplineBump's spline factors (orders up
-    to its degree) and for two Leibniz products; order + 16 arrays of n
-    values (chi's stack, the sorted nodes, small-grid overheads); and ten
-    dimension x dimension matrices (the identity and its derivative
-    coefficients).  Traced: 1.00 to 1.34 times the peak, for orders 1 to
-    8 and dimensions 6 to 49 on 129 to 16385 nodes."""
-    per_node = (order + min(order, SPLINE_DEGREE) + 4) * dimension
-    return 8 * (10 * dimension * dimension + n * (per_node + order + 16))
+    """The most `_basis_matrices` holds at once: SplineBump's stack (per
+    order, n x dimension) with one block of `funcspace.STACK_BLOCK` nodes
+    being built, or, on a grid of one block, that block alone.  A block
+    takes, per node, order + min(order, SPLINE_DEGREE) + 4 rows of
+    dimension values (spline factors, Leibniz products, its rows) and
+    order + 8 values (chi's stack).  Also ten dimension x dimension
+    matrices, the nodes twice and 8 KB.  Traced: 1.00 to 1.11 times the
+    peak, for orders 1 to 8 and dimensions 6 to 49 on 129 to 32769
+    nodes."""
+    work = (order + min(order, SPLINE_DEGREE) + 4) * dimension + order + 8
+    if n > fs.STACK_BLOCK:
+        work = (order + 1) * n * dimension + work * fs.STACK_BLOCK
+    else:
+        work *= n
+    return 8 * (10 * dimension * dimension + 2 * n + 1024 + work)
 
 
 def _monomials(dimension: int, degree: int) -> np.ndarray:
@@ -302,12 +308,15 @@ def _report_bytes(target: Target, dimension: int, grid_n: int,
     """The winner's stack on report_n nodes with its working arrays
     (`funcspace.sampled_bytes`), next to what the search objective on
     grid_n nodes still holds: the cached basis and, for forms, the two
-    factors."""
+    factors.  Traced: 1.02 to 1.16 times the report's peak on 1025 to
+    131073 nodes; 0.99 to 1.00 on 257, where the search's fixed
+    allocations (72 KB of interpreter free lists) are most of it."""
     order = _target_order(target)
     held = _basis_bytes(dimension, grid_n, order)
     if _uses_forms(target, dimension, grid_n):
         held += 16 * _form_size(target, dimension) ** 2
-    return fs.sampled_bytes(1, report_n, order) + held
+    arrays = 20 if target == "ratio-half" else 4  # seminorm or Simpson
+    return fs.sampled_bytes(1, report_n, order, arrays) + held
 
 
 def _form_ratios(target: str, dimension: int, n: int):
@@ -763,8 +772,13 @@ def sweep(targets: Sequence, config: Optional[SearchConfig] = None,
                 order = _target_order(target)
                 fn = _ratio_fn(target)
                 if sampled is None or sampled[0] < order:
-                    sampled = (order, fs.sample_corpus(
-                        fs.standard_corpus(), config.grid_n, order))
+                    corpus = fs.standard_corpus()  # held: read per target
+                    fs.refuse_above_cap(
+                        f"{len(corpus)} sampled stack(s) to order {order} "
+                        f"on {config.grid_n} nodes",
+                        fs.sampled_bytes(len(corpus), config.grid_n, order))
+                    sampled = (order, list(fs.sample_corpus(
+                        corpus, config.grid_n, order)))
                 best_name, best_val = "", 0.0
                 for name, u in sampled[1]:
                     val = fn(u)

@@ -25,12 +25,14 @@ pass (one chi_stack call; for a spline, one de Boor recurrence gives every
 derivative order), and evaluate to exactly zero outside their supports.
 A support follows from the family's own parameters (the bump and the sine
 bumps live on [0, 1]) and is never a constructor option, and
-`AnalyticFunction.stack` alone checks the order against MAX_ORDER.
+`AnalyticFunction.stack` alone checks the order against MAX_ORDER and
+builds a stack in blocks of STACK_BLOCK nodes: the rows are elementwise in
+the node, so blocks give the same floats, and only the stack is O(n).
 Sine and spline bumps share one Leibniz loop.  `sample` turns any of them
 into a GridFunction carrying that stack for the norm and covering
 machinery.  The package's one byte cap lives here too: `refuse_above_cap`
 refuses a run above it before allocating, and `sample_corpus` samples a
-corpus under it.
+corpus under it, one function at a time.
 
 Spline derivatives repeat, operation for operation, the reference B-spline
 evaluation and coefficient differencing that the tests compare them with,
@@ -56,6 +58,12 @@ MAX_ORDER = 8
 # chains above it are refused, with their cost, before they are allocated
 # (`refuse_above_cap`).
 BYTES_CAP = 2 ** 30
+# nodes of a stack computed at a time (`AnalyticFunction.stack`): a
+# stack's working arrays stay O(STACK_BLOCK) while only the stack itself
+# is O(n).  Blocks of 8193, which hold the default 4097-node search grid
+# whole, put perfbench `search` on its upper peak-RSS level (+3.3 MB, from
+# malloc's heap reuse) for some checkout paths (CHANGES.md)
+STACK_BLOCK = 4096
 
 # chi and all R_i * chi are flat at the support endpoints; below this
 # exponent the exponential factor underflows any polynomial blowup of R_i.
@@ -232,8 +240,8 @@ class AnalyticFunction:
     Every family produces its whole derivative stack D^0..D^m in one pass:
     subclasses implement `_stack_inside(m, x)` for a flat array of points
     already known to lie inside the closed support, and the base class
-    handles the outside-is-zero convention, the order check against
-    MAX_ORDER and shapes.
+    handles the blocks of STACK_BLOCK nodes, the outside-is-zero
+    convention, the order check against MAX_ORDER and shapes.
     `derivative(i, x)` is row i of `stack(i, x)`.
     """
 
@@ -248,12 +256,15 @@ class AnalyticFunction:
         xa = np.asarray(x, dtype=float).ravel()
         a, b = self.support
         inside = (xa >= a) & (xa <= b)
-        if inside.all():
-            out = self._stack_inside(m, xa)
+        if xa.size <= STACK_BLOCK and inside.all():
+            out = self._stack_inside(m, xa)  # one block: the stack itself
         else:
-            rows = self._stack_inside(m, xa[inside])
-            out = np.zeros((m + 1, xa.size) + rows.shape[2:])
-            out[:, inside] = rows
+            out = np.zeros((m + 1, xa.size)
+                           + self._stack_inside(m, xa[:0]).shape[2:])
+            for lo in range(0, xa.size, STACK_BLOCK):
+                keep = inside[lo:lo + STACK_BLOCK]
+                out[:, lo:lo + STACK_BLOCK][:, keep] = self._stack_inside(
+                    m, xa[lo:lo + STACK_BLOCK][keep])
         return out.reshape((m + 1,) + np.shape(x) + out.shape[2:])
 
     def derivative(self, i: int, x):
@@ -582,23 +593,28 @@ def sample(f: AnalyticFunction, interval, n: int, m: int = 0) -> GridFunction:
                         provenance="exact")
 
 
-def sampled_bytes(count: int, n: int, order: int) -> int:
-    """Bytes of `count` sampled stacks to `order` on n nodes and their
-    working arrays of n values: 20 (up to about 16 were traced for the
-    norms and ratios), or 2 * order + 16 while a stack is sampled (traced:
-    up to 2 * order + 12.4, and fixed allocations of about 0.3 MB),
-    whichever is more."""
-    return 8 * n * (count * (order + 1) + max(20, 2 * order + 16))
+def sampled_bytes(count: int, n: int, order: int, arrays: int = 20) -> int:
+    """Bytes of `count` sampled stacks to `order` on n nodes held at once,
+    and the larger of two working sets: `arrays` arrays of n values while
+    they are evaluated (20 bounds every norm: up to 19 were traced, for the
+    fractional seminorm; the Simpson norms take 3 to 4.6), or, while a
+    stack is sampled, its nodes, their mask and one block's arrays
+    (traced: up to 4 * order + 17.8 arrays of min(n, STACK_BLOCK)
+    values)."""
+    sampling = n + n // 8 + min(n, STACK_BLOCK) * (4 * order + 18)
+    return 8 * (count * (order + 1) * n + max(arrays * n, sampling))
 
 
-def sample_corpus(selection, n: int, order: int) -> list:
+def sample_corpus(selection, n: int, order: int):
     """(name, GridFunction) pairs of the selected functions' stacks to
-    `order` on n nodes of [0, 1], refused up front when `sampled_bytes`
-    puts them above the byte cap."""
+    `order` on n nodes of [0, 1], each sampled as it is read, so at most
+    two stacks are held (the one read and the next); refused up front,
+    before the first is sampled, when `sampled_bytes` puts those above the
+    byte cap."""
     refuse_above_cap(
         f"{len(selection)} sampled stack(s) to order {order} on {n} nodes",
-        sampled_bytes(len(selection), n, order))
-    return [(name, sample(f, (0.0, 1.0), n, order)) for name, f in selection]
+        sampled_bytes(min(len(selection), 2), n, order))
+    return ((name, sample(f, (0.0, 1.0), n, order)) for name, f in selection)
 
 
 # ---------------------------------------------------------------------------

@@ -175,15 +175,18 @@ def _finite(name: str, a, positive: bool = False) -> np.ndarray:
 
 def _interval(name: str, ends, within=None) -> tuple:
     """ends as a (lo, hi) pair of floats: the one interval rule.  Exactly
-    two ends, each finite by `_finite`, with lo < hi; given the enclosing
-    interval ``within`` = (a, b), [lo, hi] must lie in it up to a slack of
-    1e-9 (b - a)."""
+    two ends, each a number (not an array) finite by `_finite`, with
+    lo < hi; given the enclosing interval ``within`` = (a, b), [lo, hi]
+    must lie in it up to a slack of 1e-9 (b - a)."""
     try:
         lo, hi = ends
     except (TypeError, ValueError):
         raise ParameterError(
             f"{name} must be a pair lo, hi, got {ends!r}") from None
-    lo, hi = float(_finite(name, lo)), float(_finite(name, hi))
+    lo, hi = _finite(name, lo), _finite(name, hi)
+    if lo.ndim or hi.ndim:
+        raise ParameterError(f"{name} ends must be numbers, got {ends!r}")
+    lo, hi = float(lo), float(hi)
     a, b = within or (-INF, INF)
     slack = 1e-9 * (b - a)
     if not a - slack <= lo < hi <= b + slack:

@@ -255,13 +255,12 @@ class TestCorpus:
         assert run(tmp_path, "corpus", "emit", "--function", "all") == 2
 
     def test_oversized_emit_is_refused_with_its_cost(self, tmp_path, capsys):
-        # the stack to order 3 and 2 * 3 + 16 working arrays of 300000001
-        # values
+        # the stack to order 3 and 20 working arrays of 300000001 values
         assert run(tmp_path, "corpus", "emit", "--N", "300000001",
                    "--deterministic") == 2
         assert capsys.readouterr().err == (
             "gnlab: 1 sampled stack(s) to order 3 on 300000001 nodes needs "
-            f"{8 * 300000001 * 26} bytes, above the {2 ** 30}-byte cap\n")
+            f"{8 * 300000001 * 24} bytes, above the {2 ** 30}-byte cap\n")
         assert not (tmp_path / "corpus.csv").exists()
         assert not (tmp_path / "report.json").exists()
 
@@ -389,6 +388,50 @@ def test_oversized_corpus_sweep_row_is_skipped_with_its_cost(tmp_path):
     assert row["note"] == (
         "7 sampled stack(s) to order 2 on 300000001 nodes needs "
         f"{8 * 300000001 * 41} bytes, above the {2 ** 30}-byte cap")
+
+
+def test_check_all_streams_the_corpus(tmp_path):
+    """`check --function all` samples, evaluates and drops one corpus
+    function at a time: on 65537 nodes its traced peak stays near one
+    stack to order 3 (the one read, the next being sampled, and working
+    arrays: 2.8 stacks traced), not the seven a held corpus takes."""
+    n = 65537
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, "check", "generalized", "--preset", "l12",
+                   "--N", str(n), "--function", "all", "--deterministic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(read_report(tmp_path)["result"]) == 7
+    assert peak < 4 * (8 * 4 * n)
+
+
+def test_streamed_check_needs_the_cap_for_two_stacks_not_seven(
+        tmp_path, monkeypatch, capsys):
+    """A streamed corpus is admitted under a cap the seven held stacks
+    exceed; a cap below one stack refuses it before anything is
+    sampled."""
+    n, argv = 257, ["check", "special", "--N", "257", "--function", "all",
+                    "--deterministic"]
+    streamed = fs.sampled_bytes(2, n, 2)
+    assert streamed < fs.sampled_bytes(7, n, 2)
+    monkeypatch.setattr(fs, "BYTES_CAP", streamed)
+    assert run(tmp_path, *argv) == 0
+    assert len(read_report(tmp_path)["result"]) == 7
+
+    def sample(*args):
+        raise AssertionError("sampled before the cap was checked")
+
+    monkeypatch.setattr(fs, "sample", sample)
+    monkeypatch.setattr(fs, "BYTES_CAP", fs.sampled_bytes(1, n, 2) - 1)
+    capsys.readouterr()
+    assert run(tmp_path / "capped", *argv) == 2
+    assert capsys.readouterr().err == (
+        f"gnlab: 7 sampled stack(s) to order 2 on {n} nodes needs "
+        f"{streamed} bytes, above the {fs.BYTES_CAP}-byte cap\n")
+    assert not (tmp_path / "capped" / "report.json").exists()
 
 
 def test_oversized_restart_count_is_refused_with_its_cost(tmp_path, capsys):

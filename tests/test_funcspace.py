@@ -352,6 +352,32 @@ def test_stack_keeps_the_shape_of_x():
     assert f.derivative(1, 2.0) == 0.0
 
 
+_BLOCK_EDGE = dict(fs.standard_corpus() + [
+    ("scaledbump", fs.ScaledBump(0.2, 0.9)),
+    ("splinebump-2d", fs.SplineBump(
+        np.random.default_rng(5).uniform(-1.0, 1.0, (10, 3)))),
+    ("rescaled", fs.Rescaled(fs.SineBump(2), 0.1, 0.7)),
+    ("sum", fs.Sum([(0.5, fs.SineBump(2)), (-1.5, fs.ScaledBump(0.3, 0.6))])),
+])
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_EDGE))
+def test_blocked_stack_is_one_unblocked_evaluation(name, monkeypatch):
+    """A stack built in blocks of STACK_BLOCK nodes holds the floats of one
+    `_stack_inside` call on all its nodes: every row is elementwise in the
+    node, also where the vectorized loops of exp, sin and pow meet their
+    tails at a block edge.  Node counts straddle the edges; the wider
+    grid puts nodes outside the support, where the rows are 0."""
+    f, block = _BLOCK_EDGE[name], fs.STACK_BLOCK
+    counts = (2, block - 1, block, block + 1, 3 * block + 5)
+    grids = [np.linspace(lo, hi, n) for n in counts
+             for lo, hi in ((0.0, 1.0), (-0.25, 1.25))]
+    blocked = [f.stack(fs.MAX_ORDER, x) for x in grids]
+    monkeypatch.setattr(fs, "STACK_BLOCK", 4 * block)  # the inner stacks
+    for x, got in zip(grids, blocked):
+        assert np.array_equal(got, f._stack_inside(fs.MAX_ORDER, x))
+
+
 # ---------------------------------------------------------------------------
 # the de Boor recurrence against scipy's BSpline, float for float
 # ---------------------------------------------------------------------------

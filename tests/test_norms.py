@@ -542,8 +542,8 @@ INTERVALS = {
 def test_intervals_are_one_rule_ordered_finite_pairs(entry):
     """Every interval of the package goes through the one interval rule:
     ends written as ints or numpy floats give what (0.0, 1.0) gives, and a
-    NaN, infinite, bool or text end, a count of ends other than two or an
-    empty interval is refused with a ParameterError; so is an interval
+    NaN, infinite, bool, text or array end, a count of ends other than two
+    or an empty interval is refused with a ParameterError; so is an interval
     past the grid where the call measures on one.  Ends given as two
     arguments take their count from the call, so a wrong count is
     Python's TypeError there."""
@@ -555,7 +555,8 @@ def test_intervals_are_one_rule_ordered_finite_pairs(entry):
     assert result((0, 1)) == result((0.0, 1.0))
     assert result((np.float64(0.0), np.float64(1.0))) == result((0.0, 1.0))
     bad = [(math.nan, 0.5), (0.0, True), (0.0, np.bool_(True)), ("a", "b"),
-           (0.5, 0.5), (0.6, 0.4), (0.0, math.inf)]
+           (0.5, 0.5), (0.6, 0.4), (0.0, math.inf),
+           (0.0, np.array([1.0, 2.0])), ((0.1,), 0.5), (np.array([0.1]), 0.5)]
     if contained:
         bad.append((0.5, 1.5))
     for ends in bad + [(0.2,), (0.1, 0.2, 0.3)] * pair:
