@@ -129,7 +129,7 @@ def _parse_eps_range(text: str, steps: int) -> np.ndarray:
     start, end, count = _parse_reals(text, ":", "start:end:count")
     norms._finite("epsilon range bound", (start, end), positive=True)
     count = norms._count("epsilon range count", count, 1)
-    ct.check_chain_size(steps, count, ct._LAW_GRID_ARRAYS)
+    ct.check_chain_size(steps, count, count + ct._LAW_GRID_ARRAYS)
     return np.geomspace(start, end, count)
 
 
@@ -204,6 +204,7 @@ def cmd_check(args) -> int:
             else:
                 rep = gn.evaluate_localized(u, params, omega or (0.25, 0.75))
             rows.append({"function": name, **asdict(rep)})
+            del u  # released before the corpus samples the next stack
         payload = rows[0] if len(rows) == 1 else rows
         return _emit(args, f"check {args.kind}", payload, grid_n=n)
     if args.kind == "special":

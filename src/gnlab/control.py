@@ -15,14 +15,18 @@ fourth-order scheme.  Because the chain is triangular and x4 feeds back
 into nothing, the steps are swept in blocks one state at a time, each
 state an elementwise increment array and a cumulative sum along time;
 the result is bit-identical to stepping the scheme one step at a time.
-The sweep yields its blocks one at a time: `integrate` collects every
-state into a trajectory, while the scaling experiment keeps only the
-terminal row and the obstruction probe reduces each block as it is swept
-(Simpson sums, the chain's largest value, the terminal states), so those
-two hold one block of states whatever the number of steps.
+The sweep reads its stage controls a block of rows at a time and yields
+its blocks of states one at a time: `integrate` collects every state into
+a trajectory, while the scaling experiment keeps only the terminal row
+and the obstruction probe reduces each block as it is swept (Simpson
+sums, the chain's largest value, the terminal states), so those two hold
+one block of states whatever the number of steps.  The obstruction's
+controls are never stored whole either: they are a sine matrix times
+per-trial coefficients, less a quadratic correction, times a scale, and
+each block of them is built as it is read.
 The power term x1^p is |x1|^p with x1's sign restored for odd p, in the
 sweep and in the quadrature check alike.
-A run whose chain (stage controls times the batch, the states it holds
+A run whose chain (the stage-grid arrays it holds, the states it keeps
 and one sweep block) would take more than the package's byte cap
 (`funcspace.BYTES_CAP`) is refused before anything is allocated.
 It cross-checks the terminal formula by quadrature, fits the
@@ -67,9 +71,10 @@ NOISE_MODES = 16
 _BLOCK_ENTRIES = 2 ** 16
 # stage-grid arrays of an integration besides its controls: the grid, and
 # a bump-triple law evaluated on it (traced: 1.4 on the whole grid and 18
-# on its support's share, chi_stack to order 3)
+# on its support's share, chi_stack to order 3); one law's run holds those
+# and its one column of controls
 _LAW_GRID_ARRAYS, _LAW_SUPPORT_ARRAYS = 3, 19
-_LAW_STAGE_ARRAYS = _LAW_GRID_ARRAYS + _LAW_SUPPORT_ARRAYS
+_LAW_STAGE_ARRAYS = 1 + _LAW_GRID_ARRAYS + _LAW_SUPPORT_ARRAYS
 _COEFF_GRID_N = 2 ** 16 + 1
 
 
@@ -198,28 +203,41 @@ def _block_rows(batch: int) -> int:
     return max(2, _BLOCK_ENTRIES // max(batch, 1) // 2 * 2)
 
 
+def _block_spans(steps: int, batch: int):
+    """(lo, hi) step ranges of the sweep's blocks: `_block_rows` steps
+    each, except the last, which takes the rest: at least two steps, one
+    more than an even block when a single step would be left over."""
+    rows = _block_rows(batch)
+    lo = 0
+    while lo < steps:
+        hi = lo + rows if steps - lo - rows >= 2 else steps
+        yield lo, hi
+        lo = hi
+
+
 def check_chain_size(steps: int, batch: int,
                      stage_arrays: float = _LAW_STAGE_ARRAYS,
                      keeps_states: bool = False) -> None:
     """Refuse, before anything is allocated, a chain whose footprint is
     above the package's byte cap.
 
-    Counted in float64 entries: the stage controls (2*steps+1) of each of
-    `batch` runs; one sweep block, its four states and 16 temporaries of
-    one state's size (13 traced, the streamed callers' reductions
-    included); `stage_arrays` arrays on the stage grid that the caller
-    holds besides, such as the grid and a control law evaluated on it (a
-    fraction of one for a law's share); every state (4, steps+1) of each
-    run when the caller `keeps_states`, as `integrate` does; and, for one
-    run whose states are not kept, its Simpson pair terms.
+    Counted in float64 entries: `stage_arrays` arrays on the stage grid
+    (2*steps+1 points) that the caller holds, its controls among them:
+    one per run when they are stored whole, a control law evaluated on
+    the grid, or the obstruction's sine matrix and one block of its
+    controls (a fraction of one for a law's share or a block); one sweep
+    block, its four states and 16 temporaries of one state's size (13
+    traced, the streamed callers' reductions included); every state
+    (4, steps+1) of each run when the caller `keeps_states`, as
+    `integrate` does; and, for one run whose states are not kept, its
+    Simpson pair terms.
     """
-    stages = 2 * steps + 1
     block = (min(steps, _block_rows(batch) + 1) + 1) * batch
     held = (4 * (steps + 1) * batch if keeps_states
             else steps if batch == 1 else 0)
     fs.refuse_above_cap(f"the chain for {steps} steps x {batch} runs",
-                        8 * math.ceil(batch * stages + 20 * block + held
-                                      + stage_arrays * stages))
+                        8 * math.ceil(20 * block + held
+                                      + stage_arrays * (2 * steps + 1)))
 
 
 def _stage_times(T: float, steps: int, batch: int = 1,
@@ -231,21 +249,23 @@ def _stage_times(T: float, steps: int, batch: int = 1,
     return np.linspace(0.0, T, 2 * steps + 1)
 
 
-def _rk4_blocks(w_stages: np.ndarray, T: float, steps: int, p: int):
+def _rk4_blocks(rows, batch: int, T: float, steps: int, p: int):
     """Batched classical RK4 for the chain, swept in blocks of steps;
     yields (lo, block) with block the (4, m+1, batch) states at nodes
     lo, ..., lo + m.
 
-    `w_stages` holds the control at nodes and midpoints, shape
-    (2*steps+1, batch); the stage grid makes every RK4 substep land on a
-    stored control value, preserving the scheme's fourth order.
+    The controls come from `rows(a, b)`: their values at stage points
+    a, ..., b-1 of the 2*steps+1 nodes and midpoints, shape (b-a, batch).
+    A caller that stores them answers with a slice; the obstruction
+    builds each block as it is asked.  The stage grid makes every RK4
+    substep land on a control value, preserving the scheme's fourth
+    order.  Each block reads its rows once, [2*lo, 2*hi+1), and takes the
+    substeps' values as strided views of them.
 
     Every block is a view of one buffer that the next block overwrites,
     so a caller reduces it before asking for the next.  Its row 0 is the
     state carried in from the block before (the origin for the first).
-    Blocks are an even number of steps, `_block_rows`, except the last,
-    which takes the rest: at least two steps, one more than an even
-    block when a single step would be left over.
+    The blocks are `_block_spans`.
 
     The chain is triangular: x1's stage values depend only on w, x2's on
     x1 and w, x3's on x2, x1 and w, and x4 feeds back into nothing.  So
@@ -257,12 +277,8 @@ def _rk4_blocks(w_stages: np.ndarray, T: float, steps: int, p: int):
     cumulative sum is sequential, so every state is the same float the
     step-by-step loop produces.
     """
-    if w_stages.ndim != 2 or w_stages.shape[0] != 2 * steps + 1:
-        raise ParameterError("w_stages must be (2*steps+1, batch)")
-    batch = w_stages.shape[1]
     h = T / steps
-    rows = _block_rows(batch)
-    buf = np.zeros((4, min(steps, rows + 1) + 1, batch))
+    buf = np.zeros((4, min(steps, _block_rows(batch) + 1) + 1, batch))
 
     def power_term(y1, y2, y3):
         return (y1 * y2 * y3) ** 2 - _power(y1, p)
@@ -272,18 +288,18 @@ def _rk4_blocks(w_stages: np.ndarray, T: float, steps: int, p: int):
         inc[0] += block[state, 0]
         np.cumsum(inc, axis=0, out=block[state, 1:])
 
-    lo = m = 0
-    while lo < steps:
+    m = 0
+    for lo, hi in _block_spans(steps, batch):
         buf[:, 0] = buf[:, m]  # the last node of the block before
-        m = rows if steps - lo - rows >= 2 else steps - lo
-        hi = lo + m
+        m = hi - lo
         block = buf[:, :m + 1]
+        ws = rows(2 * lo, 2 * hi + 1)
+        if ws.shape != (2 * m + 1, batch):
+            raise ParameterError("stage rows a..b-1 must be (b-a, batch)")
         # overflow is the divergence signal here: let it produce inf/nan
         # silently and trip the per-block finiteness check instead
         with np.errstate(over="ignore", invalid="ignore"):
-            wa = w_stages[2 * lo:2 * hi:2]
-            wm = w_stages[2 * lo + 1:2 * hi + 1:2]
-            wb = w_stages[2 * lo + 2:2 * hi + 2:2]
+            wa, wm, wb = ws[:-1:2], ws[1::2], ws[2::2]
             advance(block, 0, wa, wm, wm, wb)
             x1 = block[0, :-1]
             b2 = x1 + 0.5 * h * wa
@@ -306,15 +322,16 @@ def _rk4_blocks(w_stages: np.ndarray, T: float, steps: int, p: int):
             raise DivergenceError(lo + 1 + int(np.argmin(finite)))
         del b2, c2, d2, b3, c3, d3  # the caller's reductions reuse the room
         yield lo, block
-        lo = hi
 
 
 def _rk4_chain(w_stages: np.ndarray, T: float, steps: int, p: int) -> np.ndarray:
-    """Every state of the `_rk4_blocks` sweep, (4, steps+1, batch)."""
-    out = None
-    for lo, block in _rk4_blocks(w_stages, T, steps, p):
-        if out is None:
-            out = np.empty((4, steps + 1, block.shape[2]))
+    """Every state of the `_rk4_blocks` sweep of the stored controls
+    `w_stages`, (2*steps+1, batch), as (4, steps+1, batch)."""
+    if w_stages.ndim != 2 or w_stages.shape[0] != 2 * steps + 1:
+        raise ParameterError("w_stages must be (2*steps+1, batch)")
+    out = np.empty((4, steps + 1, w_stages.shape[1]))
+    for lo, block in _rk4_blocks(lambda a, b: w_stages[a:b],
+                                 w_stages.shape[1], T, steps, p):
         out[:, lo:lo + block.shape[1]] = block
     return out
 
@@ -460,13 +477,13 @@ def scaling_experiment(p: int, a: float, eps: Sequence[float], T: float = 1.0,
     # eps^a grows with eps: the largest epsilon has the widest support
     widest = ScaledBumpTriple(max(eps), a)
     _law_support_check(widest, T)
-    stage_t = _stage_times(T, steps, len(eps), _LAW_GRID_ARRAYS
+    stage_t = _stage_times(T, steps, len(eps), len(eps) + _LAW_GRID_ARRAYS
                            + _LAW_SUPPORT_ARRAYS * widest.support_end / T)
     laws = [ScaledBumpTriple(e, a) for e in eps]
     w = np.empty((stage_t.size, len(laws)))
     for col, law in enumerate(laws):
         w[:, col] = law(stage_t)
-    for _, block in _rk4_blocks(w, T, steps, p):
+    for _, block in _rk4_blocks(lambda a, b: w[a:b], len(laws), T, steps, p):
         pass  # only the last block's terminal row is read
     x4 = block[3, -1]
     rows = tuple((e, float(v), int(np.sign(v))) for e, v in zip(eps, x4))
@@ -497,39 +514,51 @@ def _constraint_matrix(T: float) -> np.ndarray:
     return m
 
 
-def _noise_controls(stage_t: np.ndarray, T: float, trials: int,
-                    seed: int) -> np.ndarray:
-    """(stage points, trials) low-pass noise sum_k c_k sin(pi k t / T),
-    c_k ~ N(0, 1)/k drawn from the stream seeded by (seed, trial)."""
+def _noise_modes(stage_t: np.ndarray, T: float, trials: int,
+                 seed: int) -> tuple:
+    """The low-pass noise sum_k c_k sin(pi k t / T) of each trial as its
+    two factors: the (stage points, modes) sine matrix and the (modes,
+    trials) coefficients c_k ~ N(0, 1)/k, drawn from the stream seeded by
+    (seed, trial)."""
     modes = np.arange(1, NOISE_MODES + 1)
     coeffs = np.empty((NOISE_MODES, trials))
     for idx in range(trials):
         rng = np.random.default_rng([seed, idx])
         coeffs[:, idx] = rng.standard_normal(NOISE_MODES) / modes
-    return np.sin(np.pi * np.outer(stage_t, modes) / T) @ coeffs
+    return np.sin(np.pi * np.outer(stage_t, modes) / T), coeffs
 
 
-def _terminal_targets(w: np.ndarray, stage_t: np.ndarray,
-                      T: float) -> np.ndarray:
-    """x1(T), x2(T), x3(T) of each control column of w: Simpson on the
-    stage grid of the weights 1, T - t, (T - t)^2 / 2 times w, with the
-    weights folded into the rule's, as one (3, stages) @ w product."""
+def _terminal_targets(rows, stage_t: np.ndarray, T: float,
+                      batch: int) -> np.ndarray:
+    """x1(T), x2(T), x3(T) of each control column: Simpson on the stage
+    grid of the weights 1, T - t, (T - t)^2 / 2 times the controls, with
+    the weights folded into the rule's.  The controls are read a sweep
+    block of stage rows at a time, `rows(a, b)` as in `_rk4_blocks`, and
+    each block adds its (3, b - a) @ (b - a, batch) product; no row is
+    read twice."""
+    steps = (stage_t.size - 1) // 2
     weights = np.stack([np.ones_like(stage_t), T - stage_t,
                         0.5 * (T - stage_t) ** 2])
-    rule = simpson_weights(stage_t.size, T / (stage_t.size - 1))
-    return (weights * rule) @ w
+    weights *= simpson_weights(stage_t.size, T / (stage_t.size - 1))
+    out = np.zeros((3, batch))
+    for lo, hi in _block_spans(steps, batch):
+        end = 2 * hi + (hi == steps)  # the last block takes the end point
+        out += weights[:, 2 * lo:end] @ rows(2 * lo, end)
+    return out
 
 
-def _obstruction_sums(w: np.ndarray, T: float, steps: int, p: int) -> tuple:
+def _obstruction_sums(rows, batch: int, T: float, steps: int,
+                      p: int) -> tuple:
     """(pos, neg, chain_scale, terminal) of the chains driven by the
-    columns of w: the Simpson integrals of (x1 x2 x3)^2 and |x1|^p, the
-    largest of 1 and |x1|, |x2|, |x3| along the chain, and the (4, batch)
-    terminal states, each reduced from a block of `_rk4_blocks` as it is
-    swept and equal to its value from the stored states."""
+    `batch` controls that `rows` gives, as `_rk4_blocks` reads them: the
+    Simpson integrals of (x1 x2 x3)^2 and |x1|^p, the largest of 1 and
+    |x1|, |x2|, |x3| along the chain, and the (4, batch) terminal states,
+    each reduced from a block of `_rk4_blocks` as it is swept and equal to
+    its value from the stored states."""
     pos = _SimpsonSweep(steps + 1, T / steps)
     neg = _SimpsonSweep(steps + 1, T / steps)
-    chain_scale = np.ones(w.shape[1])
-    for lo, block in _rk4_blocks(w, T, steps, p):
+    chain_scale = np.ones(batch)
+    for lo, block in _rk4_blocks(rows, batch, T, steps, p):
         pos.add(lo, (block[0] * block[1] * block[2]) ** 2)
         neg.add(lo, np.abs(block[0]) ** p)
         for state in block[:3]:
@@ -569,6 +598,11 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
     to sup-norm eta.  The margin is x4(T) divided by the sum of the two
     terminal integrals, so a violation is relative to the terms' size.
     p and T follow ControlSystem's rule, and p >= 12.
+
+    The controls are never stored whole: each sweep block's are built into
+    one reused buffer from the sine matrix, the coefficients, the
+    correction and the scale, in three passes over the blocks: the noise's
+    terminal targets, each control's sup, and the sweep.
     """
     p = _count("obstruction regime p", ControlSystem(p, T).p, 12)
     trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
@@ -579,23 +613,39 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
         raise ParameterError(
             f"T^(p-12) eta^(p-6) = {budget:g} exceeds 1; outside the regime")
 
-    # the grid, and the sine matrix with one temporary of its size
-    stage_t = _stage_times(T, steps, trials, 1 + 2 * NOISE_MODES)
-    w = _noise_controls(stage_t, T, trials, seed)
+    # the grid, the sine matrix and one temporary of its size while it is
+    # built (the room of the basis and the targets' weights after), and
+    # one block of controls
+    buf_rows = min(2 * steps + 1, 2 * _block_rows(trials) + 3)
+    stage_t = _stage_times(T, steps, trials, 1 + 2 * NOISE_MODES
+                           + buf_rows * trials / (2 * steps + 1))
+    sines, coeffs = _noise_modes(stage_t, T, trials, seed)
     basis = np.stack([np.ones_like(stage_t), stage_t, stage_t ** 2], axis=1)
-    correction = np.linalg.solve(_constraint_matrix(T),
-                                 _terminal_targets(w, stage_t, T))
-    # projected and scaled in place, a block of stage rows at a time, so
-    # no temporary of the controls' size is made
-    rows = 2 * _block_rows(trials)
-    sup = np.zeros(trials)
-    for lo in range(0, stage_t.size, rows):
-        w[lo:lo + rows] -= basis[lo:lo + rows] @ correction
-        np.maximum(sup, np.max(np.abs(w[lo:lo + rows]), axis=0), out=sup)
-    scale = np.where(sup > 0, eta / np.where(sup > 0, sup, 1.0), 0.0)
-    w *= scale
+    buf = np.empty((buf_rows, trials))
 
-    pos, neg, chain_scale, terminal = _obstruction_sums(w, T, steps, p)
+    def noise(a, b):
+        return np.matmul(sines[a:b], coeffs, out=buf[:b - a])
+
+    def controls(a, b):
+        """Stage rows a..b-1 of the projected, scaled controls, in the
+        buffer that the next call overwrites."""
+        out = noise(a, b)
+        out -= basis[a:b] @ correction
+        out *= scale
+        return out
+
+    correction = np.linalg.solve(_constraint_matrix(T),
+                                 _terminal_targets(noise, stage_t, T, trials))
+    # the sup of the projected controls, built as the sweep builds them
+    scale = np.ones(trials)
+    sup = np.zeros(trials)
+    for lo, hi in _block_spans(steps, trials):
+        np.maximum(sup, np.max(np.abs(controls(2 * lo, 2 * hi + 1)), axis=0),
+                   out=sup)
+    scale = np.where(sup > 0, eta / np.where(sup > 0, sup, 1.0), 0.0)
+
+    pos, neg, chain_scale, terminal = _obstruction_sums(controls, trials, T,
+                                                        steps, p)
     x4t = terminal[3]
 
     margins = []

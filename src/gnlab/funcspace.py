@@ -607,13 +607,13 @@ def sampled_bytes(count: int, n: int, order: int, arrays: int = 20) -> int:
 
 def sample_corpus(selection, n: int, order: int):
     """(name, GridFunction) pairs of the selected functions' stacks to
-    `order` on n nodes of [0, 1], each sampled as it is read, so at most
-    two stacks are held (the one read and the next); refused up front,
-    before the first is sampled, when `sampled_bytes` puts those above the
-    byte cap."""
+    `order` on n nodes of [0, 1], each sampled as it is read, so one stack
+    is held when the reader drops each before it reads the next, as
+    `check`'s loops do; refused up front, before the first is sampled,
+    when `sampled_bytes` puts one stack above the byte cap."""
     refuse_above_cap(
         f"{len(selection)} sampled stack(s) to order {order} on {n} nodes",
-        sampled_bytes(min(len(selection), 2), n, order))
+        sampled_bytes(min(len(selection), 1), n, order))
     return ((name, sample(f, (0.0, 1.0), n, order)) for name, f in selection)
 
 

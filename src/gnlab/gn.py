@@ -377,6 +377,7 @@ def special_constants(corpus, include_fractional: bool = True) -> list:
                 skipped.append(tag)
                 values[tag] = None
         rows.append(SpecialRow(name, skipped=tuple(skipped), **values))
+        del u  # released before the corpus samples the next stack
     return rows
 
 
@@ -400,14 +401,16 @@ def open_problem_probe(corpus, q, ks) -> list:
     for name, u in corpus:
         den = product_norm(u, ProductSpec(ks, q))
         if den == 0.0:
-            rows.append({"name": name, "lhs": 0.0, "rhs": 0.0,
-                         "ratio": None, "skipped": True})
-            continue
-        if fractional:
-            lhs = gagliardo_seminorm(u, 0.5, q * kappa)
+            row = {"name": name, "lhs": 0.0, "rhs": 0.0, "ratio": None,
+                   "skipped": True}
         else:
-            lhs = lebesgue_norm(u, NormSpec(q * kappa, int(kbar)))
-        rhs = den ** (1.0 / kappa)
-        rows.append({"name": name, "lhs": lhs, "rhs": rhs,
-                     "ratio": lhs / rhs, "skipped": False})
+            if fractional:
+                lhs = gagliardo_seminorm(u, 0.5, q * kappa)
+            else:
+                lhs = lebesgue_norm(u, NormSpec(q * kappa, int(kbar)))
+            rhs = den ** (1.0 / kappa)
+            row = {"name": name, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
+                   "skipped": False}
+        rows.append(row)
+        del u  # released before the corpus samples the next stack
     return rows

@@ -342,8 +342,9 @@ def test_seed_that_is_not_a_nonnegative_integer_is_refused(
 
 
 @pytest.mark.parametrize("argv", [
+    # one block of 2 million trials' chains: the controls are never whole
     ["control", "obstruction", "--p", "12", "--T", "1", "--eta", "0.8",
-     "--trials", "100000"],
+     "--trials", "2000000"],
     ["control", "scaling", "--p", "7", "--a", "0.3", "--eps", "1e-4:1e-2:3",
      "--steps", "200000000"],
     ["control", "p1", "--steps", "300000000"],
@@ -392,9 +393,10 @@ def test_oversized_corpus_sweep_row_is_skipped_with_its_cost(tmp_path):
 
 def test_check_all_streams_the_corpus(tmp_path):
     """`check --function all` samples, evaluates and drops one corpus
-    function at a time: on 65537 nodes its traced peak stays near one
-    stack to order 3 (the one read, the next being sampled, and working
-    arrays: 2.8 stacks traced), not the seven a held corpus takes."""
+    function at a time: on 65537 nodes its traced peak stays below two
+    stacks to order 3 (the one read and its working arrays: 1.9 stacks
+    traced; the next is sampled only once the one read is dropped), not
+    the seven a held corpus takes."""
     n = 65537
     tracemalloc.start()
     try:
@@ -405,17 +407,17 @@ def test_check_all_streams_the_corpus(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert len(read_report(tmp_path)["result"]) == 7
-    assert peak < 4 * (8 * 4 * n)
+    assert peak < 2 * (8 * 4 * n)
 
 
-def test_streamed_check_needs_the_cap_for_two_stacks_not_seven(
+def test_streamed_check_needs_the_cap_for_one_stack_not_seven(
         tmp_path, monkeypatch, capsys):
-    """A streamed corpus is admitted under a cap the seven held stacks
-    exceed; a cap below one stack refuses it before anything is
-    sampled."""
+    """A streamed corpus is admitted under a cap of one stack's cost, which
+    the seven held stacks exceed; a cap one byte below refuses it before
+    anything is sampled."""
     n, argv = 257, ["check", "special", "--N", "257", "--function", "all",
                     "--deterministic"]
-    streamed = fs.sampled_bytes(2, n, 2)
+    streamed = fs.sampled_bytes(1, n, 2)
     assert streamed < fs.sampled_bytes(7, n, 2)
     monkeypatch.setattr(fs, "BYTES_CAP", streamed)
     assert run(tmp_path, *argv) == 0
@@ -425,7 +427,7 @@ def test_streamed_check_needs_the_cap_for_two_stacks_not_seven(
         raise AssertionError("sampled before the cap was checked")
 
     monkeypatch.setattr(fs, "sample", sample)
-    monkeypatch.setattr(fs, "BYTES_CAP", fs.sampled_bytes(1, n, 2) - 1)
+    monkeypatch.setattr(fs, "BYTES_CAP", streamed - 1)
     capsys.readouterr()
     assert run(tmp_path / "capped", *argv) == 2
     assert capsys.readouterr().err == (

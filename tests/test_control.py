@@ -288,7 +288,8 @@ class TestStreamedReductions:
         rng = np.random.default_rng([batch, steps])
         w = 0.5 * rng.standard_normal((2 * steps + 1, batch))
         states = ct._rk4_chain(w, 1.0, steps, 12)
-        pos, neg, scale, terminal = ct._obstruction_sums(w, 1.0, steps, 12)
+        pos, neg, scale, terminal = ct._obstruction_sums(
+            lambda a, b: w[a:b], batch, 1.0, steps, 12)
         h = 1.0 / steps
         assert np.array_equal(
             pos, norms.simpson((states[0] * states[1] * states[2]) ** 2, h))
@@ -316,7 +317,8 @@ class TestStreamedReductions:
         monkeypatch.setattr(ct, "_BLOCK_ENTRIES", 17)
         w = np.zeros((2 * steps + 1, 1))
         spans = [(lo, block.shape[1] - 1)
-                 for lo, block in ct._rk4_blocks(w, 1.0, steps, 3)]
+                 for lo, block in ct._rk4_blocks(lambda a, b: w[a:b], 1, 1.0,
+                                                 steps, 3)]
         starts = [lo for lo, _ in spans]
         assert starts == [0] + [lo + m for lo, m in spans[:-1]]
         assert sum(m for _, m in spans) == steps
@@ -463,16 +465,63 @@ class TestObstruction:
             ct.obstruction_check(12, 1.0, 0.5, trials=0)
 
     def test_projection_product_matches_per_row_simpson(self):
+        # the targets are summed over the sweep's blocks of stage rows
         T, steps = 1.0, 2 ** 13
         stage_t = ct._stage_times(T, steps, 100)
-        w = ct._noise_controls(stage_t, T, 100, 7)
-        got = ct._terminal_targets(w, stage_t, T)
+        sines, coeffs = ct._noise_modes(stage_t, T, 100, 7)
+        got = ct._terminal_targets(lambda a, b: sines[a:b] @ coeffs,
+                                   stage_t, T, 100)
+        w = sines @ coeffs
         weights = np.stack([np.ones_like(stage_t), T - stage_t,
                             0.5 * (T - stage_t) ** 2])[:, :, None]
         dx = T / (2 * steps)
         ref = simpson(weights * w, dx=dx, axis=1)
         scale = simpson(np.abs(weights * w), dx=dx, axis=1)
         assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("trials", [1, 7])
+    @pytest.mark.parametrize("steps", [1000, 1001])
+    def test_streamed_controls_have_sup_eta_and_meet_the_constraints(
+            self, monkeypatch, trials, steps):
+        """The controls the sweep reads, built a block at a time (here
+        about 60 blocks), are what the check defines: each trial's sup is
+        eta, and its terminal functionals x1(T), x2(T), x3(T) vanish."""
+        monkeypatch.setattr(ct, "_BLOCK_ENTRIES", 16 * trials)
+        eta = 0.8
+        w = np.full((2 * steps + 1, trials), np.nan)
+        sweep = ct._rk4_blocks
+
+        def recorded(rows, batch, T, steps, p):
+            def read(a, b):
+                out = rows(a, b)
+                w[a:b] = out
+                return out
+            return sweep(read, batch, T, steps, p)
+
+        monkeypatch.setattr(ct, "_rk4_blocks", recorded)
+        ct.obstruction_check(12, 1.0, eta, trials, seed=3, steps=steps)
+        assert not np.isnan(w).any()
+        sup = np.max(np.abs(w), axis=0)
+        assert np.all(np.abs(sup - eta) <= np.spacing(eta))
+        stage_t = np.linspace(0.0, 1.0, 2 * steps + 1)
+        weights = np.stack([np.ones_like(stage_t), 1.0 - stage_t,
+                            0.5 * (1.0 - stage_t) ** 2])[:, :, None]
+        functionals = simpson(weights * w, dx=1.0 / (2 * steps), axis=1)
+        states = ct._rk4_chain(w, 1.0, steps, 12)
+        chain_scale = np.maximum(np.max(np.abs(states[:3]), axis=(0, 1)), 1.0)
+        assert np.all(np.abs(functionals) <= 1e-12 * chain_scale)
+
+    def test_controls_are_never_stored_whole(self):
+        """README's run traces less than one copy of its stage controls,
+        100 trials on 2 * 2^14 + 1 stage points."""
+        np.random.default_rng(0)  # the first generator imports modules
+        tracemalloc.start()
+        try:
+            ct.obstruction_check(12, 1.0, 0.8, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 100 * (2 * ct.DEFAULT_STEPS + 1)
 
     def test_report_serializes(self):
         rep = ct.obstruction_check(12, 1.0, 0.5, trials=4, seed=1, steps=512)
