@@ -229,10 +229,10 @@ def cmd_cover(args) -> int:
     fs.refuse_above_cap(f"a cover on {args.N} nodes",
                         cov.cover_bytes(args.N, spec.m))
     reports = []
-    for name, f in selection:
-        u = fs.sample(f, (0.0, 1.0), args.N, spec.m)
+    for name, u in fs.sample_corpus(selection, args.N, spec.m):
         rep = cov.build_cover(u, spec, e_resolution=args.e_resolution,
                               threshold=args.threshold)
+        del u  # released before the corpus samples the next stack
         rows = [(name, c, r, a, b, res)
                 for (c, r, a, b, res) in rep.csv_rows()]
         reports.append((name, rep, rows))

@@ -688,9 +688,10 @@ def default_p1_laws(T: float, steps: int, seed: int = 0) -> list:
     return laws
 
 
-def monotone_check_p1(T: float = 1.0, laws: Optional[Sequence] = None,
-                      steps: int = 2 ** 12, seed: int = 0) -> dict:
-    """x2 + x4 must be non-decreasing along every p=1 trajectory.
+def monotone_check_p1(T: float = 1.0, steps: int = 2 ** 12,
+                      seed: int = 0) -> dict:
+    """x2 + x4 must be non-decreasing along every p=1 trajectory of the
+    default laws (`default_p1_laws`).
 
     For p = 1 the sum satisfies (x2+x4)' = (x1 x2 x3)^2 >= 0; each RK4
     increment is a nonnegative combination of stage values, so the
@@ -698,11 +699,9 @@ def monotone_check_p1(T: float = 1.0, laws: Optional[Sequence] = None,
     """
     sys = ControlSystem(1, T)
     steps, seed = _count("steps", steps, 2), _count("seed", seed, 0)
-    if laws is None:
-        laws = default_p1_laws(T, steps, seed)
     rows = []
     worst = 0.0
-    for law in laws:
+    for law in default_p1_laws(T, steps, seed):
         traj = integrate(sys, law, steps)
         seq = traj.states[1] + traj.states[3]
         drops = np.diff(seq)

@@ -73,15 +73,13 @@ _TAG_ORDER = {"ratio4": 2, "ratio6": 2, "ratio-half": 1}
 # derivative orders of the numerator and denominator products: ratio4^4 is
 # the integral of (u' u')^2 over that of (u u'')^2, ratio6^6 likewise
 _TAG_FORMS = {"ratio4": ((1, 1), (0, 2)), "ratio6": ((1, 1, 1), (0, 1, 2))}
-# degree of the candidate splines: B_i and B_j overlap iff |i - j| <= 5
-SPLINE_DEGREE = 5
 # A form in the monomials of c loses digits like the candidate's pointwise
 # cancellation to the power d.  With fewer than three knot intervals the
 # splines are nearly global and warm starts cancel heavily: against the
 # grid objective the forms differ by up to 2e-13 (ratio4) and 3e-12
 # (ratio6) at dimension 6, and 1.3e-13 (ratio6) at 7, where the grid
 # objective itself is within 3e-16 of an extended-precision sum.
-FORM_MIN_DIMENSION = SPLINE_DEGREE + 3
+FORM_MIN_DIMENSION = fs.SPLINE_DEGREE + 3
 # grid rows factored at a time: the default search grid is one block, and a
 # finer grid builds its factors in O(P * FACTOR_ROWS) memory, not O(P * n)
 FACTOR_ROWS = SEARCH_GRID_N
@@ -191,20 +189,17 @@ def _basis_bytes(dimension: int, n: int, order: int) -> int:
 
 def _basis_build_bytes(dimension: int, n: int, order: int) -> int:
     """The most `_basis_matrices` holds at once: SplineBump's stack (per
-    order, n x dimension) with one block of `funcspace.STACK_BLOCK` nodes
-    being built, or, on a grid of one block, that block alone.  A block
-    takes, per node, order + min(order, SPLINE_DEGREE) + 4 rows of
-    dimension values (spline factors, Leibniz products, its rows) and
-    order + 8 values (chi's stack).  Also ten dimension x dimension
-    matrices, the nodes twice and 8 KB.  Traced: 1.00 to 1.11 times the
-    peak, for orders 1 to 8 and dimensions 6 to 49 on 129 to 32769
-    nodes."""
-    work = (order + min(order, SPLINE_DEGREE) + 4) * dimension + order + 8
-    if n > fs.STACK_BLOCK:
-        work = (order + 1) * n * dimension + work * fs.STACK_BLOCK
-    else:
-        work *= n
-    return 8 * (10 * dimension * dimension + 2 * n + 1024 + work)
+    order, n x dimension) with one block of at most `funcspace.STACK_BLOCK`
+    nodes being built beside it.  A block takes, per node,
+    order + min(order, SPLINE_DEGREE) + 4 rows of dimension values (spline
+    factors, Leibniz products, its rows) and order + 8 values (chi's
+    stack).  Also ten dimension x dimension matrices, the nodes twice and
+    8 KB.  Traced: 1.00 to 1.09 times the peak, for orders 1 to 8 and
+    dimensions 6 to 49 on 129 to 32769 nodes."""
+    work = (order + min(order, fs.SPLINE_DEGREE) + 4) * dimension + order + 8
+    return 8 * (10 * dimension * dimension + 2 * n + 1024
+                + (order + 1) * n * dimension
+                + work * min(n, fs.STACK_BLOCK))
 
 
 def _monomials(dimension: int, degree: int) -> np.ndarray:
@@ -216,7 +211,8 @@ def _monomials(dimension: int, degree: int) -> np.ndarray:
     """
     return np.array([(i,) + rest for i in range(dimension)
                      for rest in itertools.combinations_with_replacement(
-                         range(i, min(i + SPLINE_DEGREE, dimension - 1) + 1),
+                         range(i, min(i + fs.SPLINE_DEGREE,
+                                      dimension - 1) + 1),
                          degree - 1)]).T
 
 
@@ -306,17 +302,21 @@ def _factor_bytes(target: str, dimension: int, n: int) -> int:
 def _report_bytes(target: Target, dimension: int, grid_n: int,
                   report_n: int) -> int:
     """The winner's stack on report_n nodes with its working arrays
-    (`funcspace.sampled_bytes`), next to what the search objective on
-    grid_n nodes still holds: the cached basis and, for forms, the two
-    factors.  Traced: 1.02 to 1.16 times the report's peak on 1025 to
-    131073 nodes; 0.99 to 1.00 on 257, where the search's fixed
-    allocations (72 KB of interpreter free lists) are most of it."""
+    (`funcspace.sampled_bytes`), next to what the search on grid_n nodes
+    still holds: the cached basis, 64 KB of small objects and free lists
+    (traced: up to 40 KB) and, for forms, the two factors and 512 bytes
+    per monomial for the tuple free lists their index lists leave, as in
+    `_factor_bytes` (72 KB traced for ratio6 at dimension 16).  Code is
+    not counted, such as numpy.fft, imported by a process's first FFT.
+    Traced: 1.00 to 1.3 times the report's peak, for dimensions 6 to 49
+    on 257 to 131073 report nodes."""
     order = _target_order(target)
-    held = _basis_bytes(dimension, grid_n, order)
+    held = _basis_bytes(dimension, grid_n, order) + 8 * 8192
     if _uses_forms(target, dimension, grid_n):
-        held += 16 * _form_size(target, dimension) ** 2
+        size = _form_size(target, dimension)
+        held += 8 * (2 * size * size + 64 * size)
     arrays = 20 if target == "ratio-half" else 4  # seminorm or Simpson
-    return fs.sampled_bytes(1, report_n, order, arrays) + held
+    return fs.sampled_bytes(report_n, order, arrays) + held
 
 
 def _form_ratios(target: str, dimension: int, n: int):
@@ -748,13 +748,13 @@ def sweep(targets: Sequence, config: Optional[SearchConfig] = None,
     raw exponent fields (constructed here so infeasible tuples become
     skipped rows rather than failures).  mode "search" maximizes over
     candidates; mode "corpus" evaluates the fixed corpus and reports its
-    best function.
+    best function, streaming the corpus once per target and holding one
+    stack at a time.
     """
     if mode not in ("search", "corpus"):
         raise ParameterError("mode must be search|corpus")
     config = config or SearchConfig()
     rows = []
-    sampled = None
     for raw in targets:
         target = raw
         try:
@@ -769,19 +769,13 @@ def sweep(targets: Sequence, config: Optional[SearchConfig] = None,
                 row["grid_n"] = result.report_grid_n
                 row["argmax"] = "candidate"
             else:
-                order = _target_order(target)
                 fn = _ratio_fn(target)
-                if sampled is None or sampled[0] < order:
-                    corpus = fs.standard_corpus()  # held: read per target
-                    fs.refuse_above_cap(
-                        f"{len(corpus)} sampled stack(s) to order {order} "
-                        f"on {config.grid_n} nodes",
-                        fs.sampled_bytes(len(corpus), config.grid_n, order))
-                    sampled = (order, list(fs.sample_corpus(
-                        corpus, config.grid_n, order)))
+                corpus = fs.sample_corpus(fs.standard_corpus(),
+                                          config.grid_n, _target_order(target))
                 best_name, best_val = "", 0.0
-                for name, u in sampled[1]:
+                for name, u in corpus:
                     val = fn(u)
+                    del u  # released before the corpus samples the next
                     if val > best_val:
                         best_name, best_val = name, val
                 row["ratio"] = best_val

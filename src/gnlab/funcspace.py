@@ -23,14 +23,15 @@ Function families (bump, scaled bumps, sine bumps, spline bumps) return
 their whole exact derivative stack D^0..D^m, m up to MAX_ORDER, in one
 pass (one chi_stack call; for a spline, one de Boor recurrence gives every
 derivative order), and evaluate to exactly zero outside their supports.
-A support follows from the family's own parameters (the bump and the sine
-bumps live on [0, 1]) and is never a constructor option, and
-`AnalyticFunction.stack` alone checks the order against MAX_ORDER and
-builds a stack in blocks of STACK_BLOCK nodes: the rows are elementwise in
-the node, so blocks give the same floats, and only the stack is O(n).
-Sine and spline bumps share one Leibniz loop.  `sample` turns any of them
-into a GridFunction carrying that stack for the norm and covering
-machinery.  The package's one byte cap lives here too: `refuse_above_cap`
+A support follows from the family's own parameters (the bump, the sine
+and the spline bumps live on [0, 1]) and is never a constructor option; a
+spline bump is always the clamped uniform quintic of its coefficients.
+`AnalyticFunction.stack` alone checks the order against MAX_ORDER, and
+its one path builds every stack in blocks of STACK_BLOCK nodes: the rows
+are elementwise in the node, so blocks give the same floats, and only the
+stack is O(n).  Sine and spline bumps share one Leibniz loop.  `sample`
+turns any of them into a GridFunction carrying that stack for the norm
+and covering machinery.  The package's one byte cap lives here too: `refuse_above_cap`
 refuses a run above it before allocating, and `sample_corpus` samples a
 corpus under it, one function at a time.
 
@@ -64,6 +65,9 @@ BYTES_CAP = 2 ** 30
 # whole, put perfbench `search` on its upper peak-RSS level (+3.3 MB, from
 # malloc's heap reuse) for some checkout paths (CHANGES.md)
 STACK_BLOCK = 4096
+# degree of every spline bump: clamped uniform quintic splines on [0, 1],
+# so B_i and B_j overlap iff |i - j| <= SPLINE_DEGREE
+SPLINE_DEGREE = 5
 
 # chi and all R_i * chi are flat at the support endpoints; below this
 # exponent the exponential factor underflows any polynomial blowup of R_i.
@@ -217,10 +221,10 @@ def chi(t):
 # analytic function families
 # ---------------------------------------------------------------------------
 
-def _leibniz(factors, ch, weight=1.0, length=1.0) -> np.ndarray:
-    """Rows D^0..D^m of g(x) * chi((x - a) / length) by the Leibniz rule.
+def _leibniz(factors, ch, weight=1.0) -> np.ndarray:
+    """Rows D^0..D^m of g(x) * chi(x) by the Leibniz rule.
 
-    `ch` holds chi, chi', ..., chi^(m) at the scaled points, and
+    `ch` holds chi, chi', ..., chi^(m) at the points, and
     `factors[l]` is D^l g / weight^l; factors past the end are zero (a
     spline above its degree).  Factors may carry trailing columns, one
     per function of a batch.
@@ -229,8 +233,7 @@ def _leibniz(factors, ch, weight=1.0, length=1.0) -> np.ndarray:
     out = np.zeros(ch.shape[:1] + factors[0].shape)
     for i in range(len(ch)):
         for l in range(min(i, len(factors) - 1) + 1):
-            out[i] += (math.comb(i, l) * weight ** l * factors[l] * ch[i - l]
-                       / length ** (i - l))
+            out[i] += math.comb(i, l) * weight ** l * factors[l] * ch[i - l]
     return out
 
 
@@ -240,8 +243,9 @@ class AnalyticFunction:
     Every family produces its whole derivative stack D^0..D^m in one pass:
     subclasses implement `_stack_inside(m, x)` for a flat array of points
     already known to lie inside the closed support, and the base class
-    handles the blocks of STACK_BLOCK nodes, the outside-is-zero
-    convention, the order check against MAX_ORDER and shapes.
+    handles the blocks of STACK_BLOCK nodes (every stack, however few its
+    nodes), the outside-is-zero convention, the order check against
+    MAX_ORDER and shapes.
     `derivative(i, x)` is row i of `stack(i, x)`.
     """
 
@@ -256,15 +260,12 @@ class AnalyticFunction:
         xa = np.asarray(x, dtype=float).ravel()
         a, b = self.support
         inside = (xa >= a) & (xa <= b)
-        if xa.size <= STACK_BLOCK and inside.all():
-            out = self._stack_inside(m, xa)  # one block: the stack itself
-        else:
-            out = np.zeros((m + 1, xa.size)
-                           + self._stack_inside(m, xa[:0]).shape[2:])
-            for lo in range(0, xa.size, STACK_BLOCK):
-                keep = inside[lo:lo + STACK_BLOCK]
-                out[:, lo:lo + STACK_BLOCK][:, keep] = self._stack_inside(
-                    m, xa[lo:lo + STACK_BLOCK][keep])
+        out = np.zeros((m + 1, xa.size)
+                       + self._stack_inside(m, xa[:0]).shape[2:])
+        for lo in range(0, xa.size, STACK_BLOCK):
+            keep = inside[lo:lo + STACK_BLOCK]
+            out[:, lo:lo + STACK_BLOCK][:, keep] = self._stack_inside(
+                m, xa[lo:lo + STACK_BLOCK][keep])
         return out.reshape((m + 1,) + np.shape(x) + out.shape[2:])
 
     def derivative(self, i: int, x):
@@ -419,53 +420,38 @@ def _spline_rows(knots: np.ndarray, degree: int, coeffs: list,
 
 
 class SplineBump(AnalyticFunction):
-    """B-spline times chi: compactly supported, C^{degree-1} smooth.
+    """Clamped uniform quintic B-spline on [0, 1] times chi: compactly
+    supported, C^4 smooth.
 
     The chi envelope guarantees flat decay at 0 and 1 regardless of the
     clamped spline's boundary values.  Derivatives use the Leibniz rule
     with exact spline derivatives from one de Boor recurrence
-    (`_spline_rows`); orders above the spline degree drop the spline term
+    (`_spline_rows`); orders above SPLINE_DEGREE drop the spline term
     entirely.  A (dim, k) coefficient matrix makes k splines at once, and
     its stack carries one trailing column per spline.
     """
 
-    def __init__(self, coeffs, knots=None, degree: int = 5):
-        degree = _count("degree", degree, 0)
+    support = (0.0, 1.0)
+
+    def __init__(self, coeffs):
         coeffs = _finite("spline coefficients", coeffs)
-        if coeffs.ndim not in (1, 2) or coeffs.shape[0] < degree + 1:
+        if coeffs.ndim not in (1, 2) or coeffs.shape[0] < SPLINE_DEGREE + 1:
             raise ParameterError("need at least degree+1 spline coefficients")
-        if knots is None:
-            if degree != 5:
-                raise ParameterError("default knots are quintic; pass knots")
-            knots = uniform_quintic_knots(coeffs.shape[0])
-        knots = _finite("knots", knots)
-        if knots.ndim != 1 or knots.size != coeffs.shape[0] + degree + 1:
-            raise ParameterError("knot count must equal coeffs + degree + 1")
-        # a knot repeated inside the span would make a derivative jump
-        if not (np.all(np.diff(knots) >= 0.0)
-                and np.all(np.diff(knots[degree:knots.size - degree]) > 0.0)):
-            raise ParameterError(
-                "knots must be non-decreasing, with none repeated inside "
-                f"the span [t_{degree}, t_{coeffs.shape[0]}]")
         self.coeffs = coeffs
-        self.knots = knots
-        self.degree = degree
-        self.support = (float(knots[0]), float(knots[-1]))
-        self._coeffs = _derivative_coeffs(knots, coeffs, degree)
+        self.knots = uniform_quintic_knots(coeffs.shape[0])
+        self._coeffs = _derivative_coeffs(self.knots, coeffs, SPLINE_DEGREE)
 
     def _stack_inside(self, m, x):
-        a, b = self.support
-        factors = _spline_rows(self.knots, self.degree, self._coeffs, x,
-                               min(m, self.degree))
-        return _leibniz(factors, chi_stack((x - a) / (b - a), m),
-                        length=b - a)
+        factors = _spline_rows(self.knots, SPLINE_DEGREE, self._coeffs, x,
+                               min(m, SPLINE_DEGREE))
+        return _leibniz(factors, chi_stack(x, m))
 
     def descriptor(self):
         return {"family": "splinebump",
                 "params": {"coeffs": self.coeffs.tolist(),
                            "knots": self.knots.tolist(),
-                           "degree": self.degree},
-                "support": list(self.support)}
+                           "degree": SPLINE_DEGREE},
+                "support": [0.0, 1.0]}
 
 
 class Rescaled(AnalyticFunction):
@@ -593,27 +579,27 @@ def sample(f: AnalyticFunction, interval, n: int, m: int = 0) -> GridFunction:
                         provenance="exact")
 
 
-def sampled_bytes(count: int, n: int, order: int, arrays: int = 20) -> int:
-    """Bytes of `count` sampled stacks to `order` on n nodes held at once,
-    and the larger of two working sets: `arrays` arrays of n values while
-    they are evaluated (20 bounds every norm: up to 19 were traced, for the
-    fractional seminorm; the Simpson norms take 3 to 4.6), or, while a
-    stack is sampled, its nodes, their mask and one block's arrays
-    (traced: up to 4 * order + 17.8 arrays of min(n, STACK_BLOCK)
-    values)."""
+def sampled_bytes(n: int, order: int, arrays: int = 20) -> int:
+    """Bytes of one sampled stack to `order` on n nodes and the larger of
+    two working sets: `arrays` arrays of n values while it is evaluated
+    (20 bounds every norm: up to 19 were traced, for the fractional
+    seminorm; the Simpson norms take 3 to 4.6), or, while it is sampled,
+    its nodes, their mask and one block's arrays (traced: up to
+    4 * order + 17.8 arrays of min(n, STACK_BLOCK) values)."""
     sampling = n + n // 8 + min(n, STACK_BLOCK) * (4 * order + 18)
-    return 8 * (count * (order + 1) * n + max(arrays * n, sampling))
+    return 8 * ((order + 1) * n + max(arrays * n, sampling))
 
 
 def sample_corpus(selection, n: int, order: int):
     """(name, GridFunction) pairs of the selected functions' stacks to
     `order` on n nodes of [0, 1], each sampled as it is read, so one stack
-    is held when the reader drops each before it reads the next, as
-    `check`'s loops do; refused up front, before the first is sampled,
-    when `sampled_bytes` puts one stack above the byte cap."""
+    is held when the reader drops each before it reads the next, as every
+    reader (`check`, `cover`, `corpus emit`, the corpus-mode sweep) does;
+    refused up front, before the first is sampled, when `sampled_bytes`
+    puts one stack above the byte cap."""
     refuse_above_cap(
         f"{len(selection)} sampled stack(s) to order {order} on {n} nodes",
-        sampled_bytes(min(len(selection), 1), n, order))
+        sampled_bytes(n, order))
     return ((name, sample(f, (0.0, 1.0), n, order)) for name, f in selection)
 
 

@@ -385,10 +385,11 @@ def test_oversized_corpus_sweep_row_is_skipped_with_its_cost(tmp_path):
     assert peak < 2 ** 24
     [row] = read_report(tmp_path)["result"]
     assert row["status"] == "skipped"
-    # 7 stacks to order m = 2 and 20 working arrays of 300000001 values
+    # one stack to order m = 2 (the corpus is read one stack at a time)
+    # and 20 working arrays of 300000001 values
     assert row["note"] == (
         "7 sampled stack(s) to order 2 on 300000001 nodes needs "
-        f"{8 * 300000001 * 41} bytes, above the {2 ** 30}-byte cap")
+        f"{8 * 300000001 * 23} bytes, above the {2 ** 30}-byte cap")
 
 
 def test_check_all_streams_the_corpus(tmp_path):
@@ -410,6 +411,26 @@ def test_check_all_streams_the_corpus(tmp_path):
     assert peak < 2 * (8 * 4 * n)
 
 
+def test_corpus_sweep_streams_the_corpus(tmp_path):
+    """A corpus-mode sweep reads the corpus through `sample_corpus` once
+    per target and drops each stack before the next is sampled: ascending
+    orders 2, 4 and 6 on 65537 nodes peak below two stacks to order 6
+    (5.8 MiB traced), not the seven stacks of two orders (43.9 MiB) that
+    a held corpus took."""
+    n = 65537
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, "estimate", "--sweep-l6", "1,2,3", "--mode",
+                   "corpus", "--search-N", str(n), "--deterministic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    rows = read_report(tmp_path)["result"]
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert peak < 2 * (8 * 7 * n)
+
+
 def test_streamed_check_needs_the_cap_for_one_stack_not_seven(
         tmp_path, monkeypatch, capsys):
     """A streamed corpus is admitted under a cap of one stack's cost, which
@@ -417,8 +438,7 @@ def test_streamed_check_needs_the_cap_for_one_stack_not_seven(
     anything is sampled."""
     n, argv = 257, ["check", "special", "--N", "257", "--function", "all",
                     "--deterministic"]
-    streamed = fs.sampled_bytes(1, n, 2)
-    assert streamed < fs.sampled_bytes(7, n, 2)
+    streamed = fs.sampled_bytes(n, 2)
     monkeypatch.setattr(fs, "BYTES_CAP", streamed)
     assert run(tmp_path, *argv) == 0
     assert len(read_report(tmp_path)["result"]) == 7
@@ -458,6 +478,7 @@ def test_oversized_restart_count_is_refused_with_its_cost(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["cover", "--preset", "l12", "--N", "8193"],
+    ["cover", "--preset", "l12", "--N", "8193", "--function", "all"],
     ["check", "generalized", "--preset", "l12", "--N", "8193",
      "--function", "all"],
     ["check", "special", "--N", "8193", "--no-fractional", "--function", "all"],
@@ -473,13 +494,19 @@ def test_oversized_restart_count_is_refused_with_its_cost(tmp_path, capsys):
      "--search-N", "16385", "--report-N", "257"],
     ["estimate", "--target", "ratio-half", "--dimension", "8",
      "--search-N", "4097", "--restarts", "1", "--budget", "5"],
-], ids=["cover", "check-generalized", "check-special", "corpus-emit",
-        "estimate-ratio4", "estimate-ratio6", "estimate-l12-basis",
-        "estimate-ratio-half-basis"])
+    # one corpus read per target, to orders 2, 4 and 6
+    ["estimate", "--sweep-l6", "1,2,3", "--mode", "corpus",
+     "--search-N", "65537"],
+], ids=["cover", "cover-all", "check-generalized", "check-special",
+        "corpus-emit", "estimate-ratio4", "estimate-ratio6",
+        "estimate-l12-basis", "estimate-ratio-half-basis",
+        "estimate-corpus-sweep"])
 def test_footprint_formulas_bound_the_traced_peak(tmp_path, capsys,
                                                   monkeypatch, argv):
     """A run's footprint formula is at least its traced peak: with the cap
-    set to that peak, the same run is refused up front."""
+    set to that peak, the same run is refused up front.  A sweep refuses
+    row by row, so there the row that reaches the peak is skipped with
+    its cost."""
     tracemalloc.start()
     try:
         assert run(tmp_path, *argv, "--deterministic") == 0
@@ -488,6 +515,13 @@ def test_footprint_formulas_bound_the_traced_peak(tmp_path, capsys,
         tracemalloc.stop()
     capsys.readouterr()
     monkeypatch.setattr(fs, "BYTES_CAP", peak)
+    if "--sweep-l6" in argv:
+        assert run(tmp_path / "capped", *argv, "--deterministic") == 0
+        notes = [row["note"] for row in
+                 read_report(tmp_path / "capped")["result"]
+                 if row["status"] == "skipped"]
+        assert notes and all("bytes" in note for note in notes)
+        return
     assert run(tmp_path / "capped", *argv, "--deterministic") == 2
     assert "bytes" in capsys.readouterr().err
     assert not (tmp_path / "capped" / "report.json").exists()

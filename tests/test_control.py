@@ -273,6 +273,7 @@ class TestSweepMatchesStepwise:
                                   stepwise_rk4_chain(w, 1.0, steps, 12))
 
 
+@pytest.mark.floor
 class TestStreamedReductions:
     """What the obstruction and the scaling experiment reduce from each
     block as it is swept equals its value from the stored states."""
@@ -479,6 +480,7 @@ class TestObstruction:
         scale = simpson(np.abs(weights * w), dx=dx, axis=1)
         assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
+    @pytest.mark.floor
     @pytest.mark.parametrize("trials", [1, 7])
     @pytest.mark.parametrize("steps", [1000, 1001])
     def test_streamed_controls_have_sup_eta_and_meet_the_constraints(
@@ -511,6 +513,7 @@ class TestObstruction:
         chain_scale = np.maximum(np.max(np.abs(states[:3]), axis=(0, 1)), 1.0)
         assert np.all(np.abs(functionals) <= 1e-12 * chain_scale)
 
+    @pytest.mark.floor
     def test_controls_are_never_stored_whole(self):
         """README's run traces less than one copy of its stage controls,
         100 trials on 2 * 2^14 + 1 stage points."""
@@ -536,11 +539,6 @@ class TestMonotoneP1:
         assert out["passed"]
         assert out["worst_drop"] == 0.0
         assert len(out["rows"]) == 5
-
-    def test_explicit_law_list(self):
-        out = ct.monotone_check_p1(1.0, laws=[ct.Zero()], steps=256)
-        assert out["passed"]
-        assert out["rows"][0]["law"] == {"family": "zero"}
 
     def test_increments_nonnegative_up_to_state_roundoff(self):
         # stronger than the scalar summary: the sum x2+x4 cancels the

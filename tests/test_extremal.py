@@ -2,7 +2,11 @@
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,7 +503,7 @@ class TestPolynomialForms:
         monos = ex._monomials(dimension, degree)
         assert monos.shape == (degree, size)
         assert np.all(np.diff(monos, axis=0) >= 0)
-        assert np.all(monos[-1] - monos[0] <= ex.SPLINE_DEGREE)
+        assert np.all(monos[-1] - monos[0] <= fs.SPLINE_DEGREE)
 
     @pytest.mark.parametrize("target,dimension,n,forms", [
         ("ratio4", 16, 4097, True), ("ratio6", 8, 1025, True),
@@ -634,6 +638,46 @@ class TestLockstepFootprint:
         assert growth <= ex._lockstep_bytes(1, dimension) <= 2 * growth
 
 
+_REPORT_PHASE = """
+import sys, tracemalloc
+import gnlab.extremal as ex
+import gnlab.funcspace as fs
+target, dimension = sys.argv[1], int(sys.argv[2])
+sample, calls = fs.sample, []
+def traced_sample(*args):
+    calls.append(args)
+    tracemalloc.reset_peak()
+    return sample(*args)
+fs.sample = traced_sample
+cfg = ex.SearchConfig(restarts=2, budget=20, dimension=dimension,
+                      report_grid_n=257)
+tracemalloc.start()
+ex.estimate_constant(target, cfg)
+peak = tracemalloc.get_traced_memory()[1]
+print(len(calls), peak, ex._report_bytes(target, dimension, cfg.grid_n, 257))
+"""
+
+
+class TestReportFootprint:
+    @pytest.mark.parametrize("target, dimension", [("ratio6", 16),
+                                                   ("ratio4", 6)])
+    def test_formula_bounds_the_report_phase_after_a_search(
+            self, target, dimension):
+        """`_report_bytes` is at least the traced peak from the winner's
+        `sample` on: its 257-node stack beside what the search leaves.  A
+        fresh interpreter traces the free lists the search fills: after a
+        dimension-16 ratio6 search (forms) its index lists leave 72 KB of
+        tuples; a dimension-6 search (no forms) leaves 10 KB."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ex.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", _REPORT_PHASE, target, str(dimension)],
+            env=env, capture_output=True, text=True, check=True)
+        calls, peak, need = map(int, out.stdout.split())
+        assert calls == 1  # the report's stack is the one sampled
+        assert peak <= need
+
+
 class TestSweep:
     CFG = ex.SearchConfig(restarts=2, budget=60, tol=1e-10, seed=1,
                           dimension=8, grid_n=513, report_grid_n=1025)
@@ -654,6 +698,15 @@ class TestSweep:
         rows = ex.sweep(["ratio6"], self.CFG, mode="corpus")
         assert rows[0]["status"] == "ok"
         assert rows[0]["argmax"] in [n for n, _ in fs.standard_corpus()]
+
+    def test_corpus_mode_rows_do_not_depend_on_the_target_order(self):
+        # each target reads the corpus afresh, so a descending sweep
+        # resamples what an ascending one sampled, to the same floats
+        targets = [gn.l6_params(k) for k in (1, 2, 3)]
+        up = ex.sweep(targets, self.CFG, mode="corpus")
+        down = ex.sweep(targets[::-1], self.CFG, mode="corpus")
+        assert [r["status"] for r in up] == ["ok"] * 3
+        assert down == up[::-1]
 
     def test_bad_mode(self):
         with pytest.raises(ParameterError):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
+import gnlab.control as ct
 import gnlab.extremal as ex
 import gnlab.funcspace as fs
 from gnlab.errors import ParameterError, UnsupportedOrderError
@@ -213,16 +214,14 @@ def _ref_inside(f, i, x):
                     * np.sin(w * x + l * math.pi / 2.0) * ch[i - l])
         return out
     if isinstance(f, fs.SplineBump):
-        a, b = f.support
-        s = (x - a) / (b - a)
-        ch = fs.chi_stack(s, i)
-        spline = BSpline(f.knots, f.coeffs, f.degree, extrapolate=False)
+        ch = fs.chi_stack(x, i)
+        spline = BSpline(f.knots, f.coeffs, 5, extrapolate=False)
         out = np.zeros_like(x)
         for l in range(i + 1):
-            value = (np.nan_to_num(spline(x), nan=0.0) if l <= f.degree
+            value = (np.nan_to_num(spline(x), nan=0.0) if l <= 5
                      else np.zeros_like(x))
-            out += math.comb(i, l) * value * ch[i - l] / (b - a) ** (i - l)
-            if l < f.degree:
+            out += math.comb(i, l) * value * ch[i - l]
+            if l < 5:
                 spline = spline.derivative()
         return out
     if isinstance(f, fs.Rescaled):
@@ -276,12 +275,7 @@ def _oracle_functions():
               for d in (6, 11, 16)]
     return (fs.standard_corpus() + seeded
             + [("rescaled_spline", fs.Rescaled(fs.SplineBump(
-                   (0.6, -1.0, 0.8, 0.4, -0.9, 1.0, -0.3, 0.7)), 0.1, 0.7)),
-               # support [0.2, 0.9]: the chi rows carry powers of 1/0.7
-               ("knotted_spline", fs.SplineBump(
-                   rng.uniform(-1.0, 1.0, 9),
-                   np.concatenate([np.full(6, 0.2), [0.4, 0.5, 0.75],
-                                   np.full(6, 0.9)])))])
+                   (0.6, -1.0, 0.8, 0.4, -0.9, 1.0, -0.3, 0.7)), 0.1, 0.7))])
 
 
 _ORACLE = dict(_oracle_functions())
@@ -334,11 +328,17 @@ def test_stack_rejects_orders_outside_range():
     lambda: fs.BumpChi(max_order=3),
     lambda: fs.ScaledBump(0.2, 0.4, max_order=3),
     lambda: fs.SineBump(1, max_order=3),
+    lambda: fs.SplineBump(np.ones(8), fs.uniform_quintic_knots(8)),
+    lambda: fs.SplineBump(np.ones(8), degree=3),
+    lambda: ct.monotone_check_p1(laws=[ct.Zero()]),
 ], ids=["bump-support", "sine-support", "bump-max-order",
-        "scaled-max-order", "sine-max-order"])
+        "scaled-max-order", "sine-max-order", "spline-knots",
+        "spline-degree", "p1-laws"])
 def test_support_and_order_cap_are_not_options(build):
     # a support option kept chi's [0, 1] formula and cut it off at the
-    # new ends; a family on another interval is ScaledBump or Rescaled
+    # new ends; a family on another interval is ScaledBump or Rescaled.
+    # A spline bump is always the clamped uniform quintic, and the p1
+    # check always runs its default laws
     with pytest.raises(TypeError):
         build()
 
@@ -361,6 +361,7 @@ _BLOCK_EDGE = dict(fs.standard_corpus() + [
 ])
 
 
+@pytest.mark.floor
 @pytest.mark.parametrize("name", list(_BLOCK_EDGE))
 def test_blocked_stack_is_one_unblocked_evaluation(name, monkeypatch):
     """A stack built in blocks of STACK_BLOCK nodes holds the floats of one
@@ -447,6 +448,35 @@ def test_deboor_matches_bspline_on_unclamped_knots(kind, degree):
     _assert_rows_equal(knots, _coeffs(kind, count, rng), degree, x, degree)
 
 
+@pytest.mark.parametrize("kind", _COEFF_KINDS)
+def test_deboor_matches_bspline_with_repeated_knots_outside_the_span(kind):
+    # unclamped ends may repeat below t_k and above t_n: the span
+    # [0.1, 0.8] of these cubic knots has every knot inside it once
+    knots = np.array([0.0, 0.0, 0.1, 0.1, 0.3, 0.4, 0.5, 0.7, 0.8, 1.0, 1.0,
+                      1.0])
+    rng = np.random.default_rng(12)
+    x = np.concatenate([np.linspace(-0.1, 1.1, 257), knots])
+    _assert_rows_equal(knots, _coeffs(kind, 8, rng), 3, x, 3)
+
+
+@pytest.mark.parametrize("dimension", [6, 11, 16])
+def test_spline_bump_is_the_clamped_uniform_quintic(dimension):
+    """`SplineBump(coeffs)` takes no knots or degree, and its descriptor
+    still names the ones it uses (so `corpus list` keeps both fields):
+    `uniform_quintic_knots` and degree 5.  Its order-0 row is that
+    BSpline times chi, float for float."""
+    coeffs = np.random.default_rng(dimension).uniform(-1.0, 1.0, dimension)
+    f = fs.SplineBump(coeffs)
+    knots = fs.uniform_quintic_knots(dimension)
+    params = f.descriptor()["params"]
+    assert params["degree"] == fs.SPLINE_DEGREE == 5
+    assert params["knots"] == knots.tolist()
+    assert params["coeffs"] == coeffs.tolist()
+    x = np.concatenate([np.linspace(0.0, 1.0, 257), knots])
+    [spline] = bspline_rows(knots, coeffs, 5, x, 0)
+    assert np.array_equal(f.stack(0, x)[0], spline * fs.chi_stack(x, 0)[0])
+
+
 def test_deboor_reads_the_span_ends_as_bspline_does():
     # x = t_k opens the first interval, x = t_n closes the last one
     knots = np.array([0.0, 0.1, 0.25, 0.3, 0.55, 0.6, 0.8, 0.9, 1.0, 1.2])
@@ -455,33 +485,3 @@ def test_deboor_reads_the_span_ends_as_bspline_does():
     rows = deboor_rows(knots, coeffs, 3, x, 3)
     assert all(np.any(row != 0.0) for row in rows)
     _assert_rows_equal(knots, coeffs, 3, x, 3)
-
-
-SPAN = "none repeated inside the span"
-
-
-@pytest.mark.parametrize("knots,match", [
-    (np.concatenate([np.zeros(6), [0.5, 0.4], np.ones(6)]), SPAN),
-    # a NaN knot is refused by the finite-real rule, before the order check
-    (np.concatenate([np.zeros(6), [0.5, np.nan], np.ones(6)]),
-     "knots must be finite, got nan"),
-    (np.zeros(14), SPAN),
-    (np.concatenate([np.zeros(6), [0.5, 0.5], np.ones(6)]), SPAN),
-    (np.concatenate([np.zeros(5), [0.2, 0.2, 0.6], np.ones(6)]), SPAN),
-], ids=["decreasing", "nan", "one-point", "double-knot", "span-start"])
-def test_spline_bump_refuses_knots_bspline_cannot_differentiate(knots, match):
-    with pytest.raises(ValueError):
-        bspline_rows(knots, np.ones(8), 5, np.array([0.5]), 5)
-    with pytest.raises(ParameterError, match=match):
-        fs.SplineBump(np.ones(8), knots)
-
-
-def test_spline_bump_takes_repeated_knots_outside_the_span():
-    # unclamped ends may repeat below t_k and above t_n
-    knots = np.array([0.0, 0.0, 0.1, 0.1, 0.3, 0.4, 0.5, 0.7, 0.8, 1.0, 1.0,
-                      1.0])
-    f = fs.SplineBump(np.linspace(-1.0, 1.0, 8), knots, degree=3)
-    x = np.linspace(0.0, 1.0, 257)
-    stack = f.stack(3, x)
-    want = bspline_rows(knots, f.coeffs, 3, x, 3)
-    assert np.array_equal(stack[0], want[0] * fs.chi_stack(x, 0)[0])

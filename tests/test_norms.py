@@ -123,6 +123,7 @@ def test_simpson_matches_scipy_bit_for_bit(n, cols):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.floor
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 17, 18, 33, 34, 1000, 1001])
 @pytest.mark.parametrize("cols", [None, 1, 2, 5])
 @pytest.mark.parametrize("intervals", [2, 4, 16])
@@ -369,8 +370,6 @@ COUNTS = {
     "chi_derivative-order": (fs.chi_derivative, 1, 2.0),
     "SineBump-frequency": (fs.SineBump, 1, 2.0),
     "uniform_quintic_knots-dimension": (fs.uniform_quintic_knots, 6, 8.0),
-    "SplineBump-degree": (lambda v: fs.SplineBump(np.ones(8), degree=v), 0,
-                          5.0),
     "build_cover-e_resolution": (lambda v: _bump_cover(e_resolution=v), 2,
                                  9.0),
     "working_set-stride": (_working_set, 1, 8.0),
@@ -380,6 +379,7 @@ COUNTS = {
 }
 
 
+@pytest.mark.floor
 @pytest.mark.parametrize("entry", sorted(COUNTS))
 def test_counts_are_whole_numbers_not_flags_and_at_least_a_minimum(entry):
     """Every count of the package goes through the one count rule: 2.5, a
@@ -422,6 +422,7 @@ EXPONENTS = {
 }
 
 
+@pytest.mark.floor
 @pytest.mark.parametrize("entry", sorted(EXPONENTS))
 def test_exponents_are_one_rule_exact_text_and_numpy_alike(entry):
     """Every exponent of the package goes through the one exponent rule:
@@ -491,13 +492,12 @@ REALS = {
     "working_set-threshold": (lambda v: _balance().working_set(threshold=v),
                               False),
     "SplineBump-coeffs": (lambda v: fs.SplineBump(np.full(8, v)), False),
-    "SplineBump-knots": (lambda v: fs.SplineBump(np.ones(8), np.full(14, v)),
-                         False),
     "Sum-coefficient": (lambda v: fs.Sum([(v, fs.BumpChi())]), False),
     "cli-eps-bound": (lambda v: cli._parse_eps_range(f"1e-2:{v}:3", 64), True),
 }
 
 
+@pytest.mark.floor
 @pytest.mark.parametrize("entry", sorted(REALS))
 def test_reals_are_finite_numbers_not_flags(entry):
     """Every real parameter of the package goes through the one finite-real
@@ -538,6 +538,7 @@ INTERVALS = {
 }
 
 
+@pytest.mark.floor
 @pytest.mark.parametrize("entry", sorted(INTERVALS))
 def test_intervals_are_one_rule_ordered_finite_pairs(entry):
     """Every interval of the package goes through the one interval rule:
