@@ -308,7 +308,7 @@ def _report_bytes(target: Target, dimension: int, grid_n: int,
     per monomial for the tuple free lists their index lists leave, as in
     `_factor_bytes` (72 KB traced for ratio6 at dimension 16).  Code is
     not counted, such as numpy.fft, imported by a process's first FFT.
-    Traced: 1.00 to 1.3 times the report's peak, for dimensions 6 to 49
+    Traced: 1.00 to 1.31 times the report's peak, for dimensions 6 to 49
     on 257 to 131073 report nodes."""
     order = _target_order(target)
     held = _basis_bytes(dimension, grid_n, order) + 8 * 8192

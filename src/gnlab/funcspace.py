@@ -29,11 +29,14 @@ spline bump is always the clamped uniform quintic of its coefficients.
 `AnalyticFunction.stack` alone checks the order against MAX_ORDER, and
 its one path builds every stack in blocks of STACK_BLOCK nodes: the rows
 are elementwise in the node, so blocks give the same floats, and only the
-stack is O(n).  Sine and spline bumps share one Leibniz loop.  `sample`
-turns any of them into a GridFunction carrying that stack for the norm
-and covering machinery.  The package's one byte cap lives here too: `refuse_above_cap`
-refuses a run above it before allocating, and `sample_corpus` samples a
-corpus under it, one function at a time.
+stack is O(n).  A block wholly inside the support (for chi, clear of its
+clamp) is written in place with no mask or scatter, by the masked path's
+floating-point operations, so the floats are the same.  Sine and spline
+bumps share one Leibniz loop.  `sample` turns any of them into a
+GridFunction carrying that stack for the norm and covering machinery.
+The package's one byte cap lives here too: `refuse_above_cap` refuses a
+run above it before allocating, and `sample_corpus` samples a corpus
+under it, one function at a time.
 
 Spline derivatives repeat, operation for operation, the reference B-spline
 evaluation and coefficient differencing that the tests compare them with,
@@ -112,7 +115,8 @@ def _poly_eval(a, t):
     if isinstance(t, np.ndarray):
         acc = np.zeros_like(t, dtype=float)
         for c in reversed(a):
-            acc = acc * t + float(c)
+            acc *= t
+            acc += float(c)
         return acc
     acc = 0
     for c in reversed(a):
@@ -187,27 +191,33 @@ def chi_derivative(i: int) -> RationalFunction:
 
 
 def chi_stack(t: np.ndarray, max_i: int) -> np.ndarray:
-    """Rows chi, chi', ..., chi^(max_i) evaluated at t, clamped near 0/1."""
+    """Rows chi, chi', ..., chi^(max_i) evaluated at t, clamped near 0/1;
+    written in place when every node is live, else scattered."""
     t = np.asarray(t, dtype=float)
     out = np.zeros((max_i + 1,) + t.shape)
-    inside = (t > 0.0) & (t < 1.0)
-    ti = t[inside]
+    flat = out.reshape(max_i + 1, -1)
+    inside = ((t > 0.0) & (t < 1.0)).ravel()
+    whole = inside.all()
+    ti = t.ravel() if whole else t.ravel()[inside]
     dd = ti * (1.0 - ti)
     g = -1.0 / dd
     live = g >= CLAMP_EXPONENT
-    if not np.any(live):
-        return out
-    tl = ti[live]
-    dl = dd[live]
-    e = np.exp(g[live])
-    rows = np.empty((max_i + 1, tl.size))
-    rows[0] = e
-    for i in range(1, max_i + 1):
-        rows[i] = _poly_eval(_p_polynomial(i), tl) / dl ** (2 * i) * e
-    idx = np.flatnonzero(inside.ravel())[live]
-    flat = out.reshape(max_i + 1, -1)
-    flat[:, idx] = rows
+    if whole and live.all():
+        _chi_rows(ti, dd, g, flat)
+    elif live.any():
+        rows = np.empty((max_i + 1, np.count_nonzero(live)))
+        _chi_rows(ti[live], dd[live], g[live], rows)
+        flat[:, np.flatnonzero(inside)[live]] = rows
     return out
+
+
+def _chi_rows(t, dd, g, rows):
+    """Fill rows[i] with D^i chi = P_i(t) / dd^(2i) * exp(g) at live nodes."""
+    e = np.exp(g, out=rows[0])
+    for i in range(1, len(rows)):
+        r = _poly_eval(_p_polynomial(i), t)
+        r /= dd ** (2 * i)
+        np.multiply(r, e, out=rows[i])
 
 
 def chi(t):
@@ -231,9 +241,12 @@ def _leibniz(factors, ch, weight=1.0) -> np.ndarray:
     """
     ch = ch.reshape(ch.shape + (1,) * (factors[0].ndim - 1))
     out = np.zeros(ch.shape[:1] + factors[0].shape)
+    tmp = np.empty(factors[0].shape)
     for i in range(len(ch)):
         for l in range(min(i, len(factors) - 1) + 1):
-            out[i] += math.comb(i, l) * weight ** l * factors[l] * ch[i - l]
+            np.multiply(math.comb(i, l) * weight ** l, factors[l], out=tmp)
+            tmp *= ch[i - l]
+            out[i] += tmp
     return out
 
 
@@ -264,6 +277,7 @@ class AnalyticFunction:
                        + self._stack_inside(m, xa[:0]).shape[2:])
         for lo in range(0, xa.size, STACK_BLOCK):
             keep = inside[lo:lo + STACK_BLOCK]
+            keep = slice(None) if keep.all() else keep
             out[:, lo:lo + STACK_BLOCK][:, keep] = self._stack_inside(
                 m, xa[lo:lo + STACK_BLOCK][keep])
         return out.reshape((m + 1,) + np.shape(x) + out.shape[2:])
@@ -331,7 +345,8 @@ class SineBump(AnalyticFunction):
 
     def _stack_inside(self, m, x):
         w = math.pi * self.frequency
-        waves = [np.sin(w * x + l * math.pi / 2.0) for l in range(m + 1)]
+        wx = w * x
+        waves = [np.sin(wx + l * math.pi / 2.0) for l in range(m + 1)]
         return _leibniz(waves, chi_stack(x, m), weight=w)
 
     def descriptor(self):
@@ -382,8 +397,9 @@ def _spline_rows(knots: np.ndarray, degree: int, coeffs: list,
     """
     k = degree
     n = knots.size - k - 1
-    perm = np.argsort(x, kind="stable")
-    xs = x[perm]
+    # nodes already in order (every sampled grid) need no sort
+    perm = None if np.all(x[:-1] <= x[1:]) else np.argsort(x, kind="stable")
+    xs = x if perm is None else x[perm]
     ends = np.searchsorted(xs, knots[k:n + 1])
     ends[-1] = np.searchsorted(xs, knots[n], side="right")
     cs = [c.reshape(c.shape[0], -1) for c in coeffs[:top + 1]]
@@ -393,6 +409,7 @@ def _spline_rows(knots: np.ndarray, degree: int, coeffs: list,
         if lo == hi:
             continue
         xi = xs[lo:hi]
+        tmp = np.empty((hi - lo, cs[0].shape[1]))
         h = [np.ones_like(xi)]
         for j in range(k + 1):
             if j:
@@ -403,19 +420,21 @@ def _spline_rows(knots: np.ndarray, degree: int, coeffs: list,
                         h[a] = np.zeros_like(xi)
                         continue
                     w = hh[a - 1] / (right - left)
-                    h[a - 1] = h[a - 1] + w * (right - xi)
                     h[a] = w * (xi - left)
+                    w *= right - xi
+                    h[a - 1] += w
             if k - j <= top:
                 c = cs[k - j]
                 acc = rows[k - j][lo:hi]
                 np.multiply(h[0][:, None], c[i - k], out=acc)
                 for a in range(1, j + 1):
-                    acc += h[a][:, None] * c[i + a - k]
+                    acc += np.multiply(h[a][:, None], c[i + a - k], out=tmp)
     out = []
     for row, c in zip(rows, coeffs):
-        back = np.empty_like(row)
-        back[perm] = row
-        out.append(back.reshape(x.shape + c.shape[1:]))
+        if perm is not None:
+            row, back = np.empty_like(row), row
+            row[perm] = back
+        out.append(row.reshape(x.shape + c.shape[1:]))
     return out
 
 
@@ -492,7 +511,8 @@ class Sum(AnalyticFunction):
     def _stack_inside(self, m, x):
         out = np.zeros((m + 1,) + x.shape)
         for c, f in self.terms:
-            out += c * f.stack(m, x)
+            st = f.stack(m, x)
+            out += np.multiply(c, st, out=st)
         return out
 
     def descriptor(self):
@@ -585,8 +605,10 @@ def sampled_bytes(n: int, order: int, arrays: int = 20) -> int:
     (20 bounds every norm: up to 19 were traced, for the fractional
     seminorm; the Simpson norms take 3 to 4.6), or, while it is sampled,
     its nodes, their mask and one block's arrays (traced: up to
-    4 * order + 17.8 arrays of min(n, STACK_BLOCK) values)."""
-    sampling = n + n // 8 + min(n, STACK_BLOCK) * (4 * order + 18)
+    5.3 * order + 15.1 arrays of min(n, STACK_BLOCK) values, for the
+    perturbed sine bump, whose sum over a rescaled sine bump nests six
+    stacks of a block)."""
+    sampling = n + n // 8 + min(n, STACK_BLOCK) * (6 * order + 16)
     return 8 * ((order + 1) * n + max(arrays * n, sampling))
 
 

@@ -379,6 +379,31 @@ def test_blocked_stack_is_one_unblocked_evaluation(name, monkeypatch):
         assert np.array_equal(got, f._stack_inside(fs.MAX_ORDER, x))
 
 
+def _inside_and_edge_grids(f):
+    """Two grids of 3 * STACK_BLOCK + 5 nodes on f's support [a, b]: one
+    wholly inside it and clear of chi's clamp, so every block is written
+    in place, and one that crosses both ends and the clamp zone beside
+    them, so blocks hold outside and clamped nodes among the live ones."""
+    (a, b), n = f.support, 3 * fs.STACK_BLOCK + 5
+    near_ends = np.concatenate([np.linspace(-0.003, 0.004, n // 2),
+                                np.linspace(0.996, 1.003, n - n // 2)])
+    return [a + (b - a) * t for t in (np.linspace(0.01, 0.99, n), near_ends)]
+
+
+@pytest.mark.floor
+@pytest.mark.parametrize("name", list(_BLOCK_EDGE))
+def test_in_place_and_masked_blocks_are_one_node_evaluations(name):
+    """Every row of a block written in place and of a masked block holds
+    the floats of its node evaluated alone (a one-node grid), on a
+    strided subset of about 200 nodes of each grid."""
+    f = _BLOCK_EDGE[name]
+    for x in _inside_and_edge_grids(f):
+        got = f.stack(fs.MAX_ORDER, x)
+        for j in range(0, x.size, x.size // 200):
+            alone = f.stack(fs.MAX_ORDER, x[j:j + 1])
+            assert np.array_equal(got[:, j], alone[:, 0])
+
+
 # ---------------------------------------------------------------------------
 # the de Boor recurrence against scipy's BSpline, float for float
 # ---------------------------------------------------------------------------
@@ -475,6 +500,25 @@ def test_spline_bump_is_the_clamped_uniform_quintic(dimension):
     x = np.concatenate([np.linspace(0.0, 1.0, 257), knots])
     [spline] = bspline_rows(knots, coeffs, 5, x, 0)
     assert np.array_equal(f.stack(0, x)[0], spline * fs.chi_stack(x, 0)[0])
+
+
+@pytest.mark.floor
+@pytest.mark.parametrize("kind", _COEFF_KINDS)
+def test_deboor_on_ordered_nodes_with_ties_matches_bspline_and_shuffled(kind):
+    # ordered nodes skip the sort: repeated nodes, every knot twice and
+    # points past both ends give BSpline's rows, and a shuffled copy of the
+    # nodes (sorted, stable) gives the same rows in its own order
+    knots = fs.uniform_quintic_knots(11)
+    x = np.sort(np.concatenate([np.linspace(-0.1, 1.1, 257), knots, knots,
+                                np.linspace(0.0, 1.0, 65)]))
+    assert np.any(x[1:] == x[:-1]) and np.all(x[1:] >= x[:-1])
+    rng = np.random.default_rng(11)
+    coeffs = _coeffs(kind, 11, rng)
+    _assert_rows_equal(knots, coeffs, 5, x, 5)
+    perm = rng.permutation(x.size)
+    rows = deboor_rows(knots, coeffs, 5, x, 5)
+    for got, want in zip(deboor_rows(knots, coeffs, 5, x[perm], 5), rows):
+        assert np.array_equal(got, want[perm])
 
 
 def test_deboor_reads_the_span_ends_as_bspline_does():
