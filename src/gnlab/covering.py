@@ -19,7 +19,9 @@ Window integrals (trapezoid cells with quadratic in-cell end pieces) and
 window maxima (nodes with interpolated ends) both take their whole runs
 from one disjoint sparse table, two stored partial runs per query, so
 alpha and beta are continuous in h and accurate at the local scale even
-deep in the support tails.
+deep in the support tails.  The table is stored flat with an identity
+entry per level, so a query is two reads with no masks: a one-entry run
+reads the entry and the identity, an empty one the identity twice.
 
 Each crossing is bracketed by the first sign change of alpha - beta on a
 ladder of radii h0 q^k (h0 = 2 dx, q = SCAN_FACTOR), up where alpha >
@@ -121,6 +123,12 @@ class _RunTable:
     that of level k = floor(log2(i ^ j)), so it is op of two stored
     partial runs, with no loop over the levels.
 
+    The levels are stored flat, one row of 2^levels + 1 entries each,
+    whose last entry is ``empty``, the identity of op.  So every query
+    reads two entries, with no masks: a run i < j its two partial runs,
+    i == j the entry a[i] (level 0 holds each entry by itself) op the
+    identity, and i > j the identity twice.
+
     For op = add and nonnegative entries both partial runs are sums of
     entries inside the run, so nothing cancels: a run of m entries keeps
     the recursive-summation bound, relative error at most about m eps/2
@@ -130,27 +138,28 @@ class _RunTable:
 
     def __init__(self, a: np.ndarray, op, empty: float):
         self.op = op
-        self.empty = empty
         levels = max(1, (a.size - 1).bit_length())
+        self.width = (1 << levels) + 1
         padded = np.zeros(1 << levels)
         padded[:a.size] = a
-        self.table = np.empty((levels, padded.size))
+        self.table = np.empty(levels * self.width)
+        rows = self.table.reshape(levels, self.width)
+        rows[:, -1] = empty
         for k in range(levels):
             blocks = padded.reshape(-1, 2, 1 << k)
-            row = self.table[k].reshape(blocks.shape)
+            row = rows[k, :-1].reshape(blocks.shape)
             row[:, 0] = op.accumulate(blocks[:, 0, ::-1], axis=1)[:, ::-1]
             row[:, 1] = op.accumulate(blocks[:, 1], axis=1)
 
     def __call__(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """op over a[i..j] for integer arrays i, j; ``empty`` where i > j."""
-        out = np.full(i.shape, self.empty)
-        one = i == j
-        out[one] = self.table[0, i[one]]
-        run = i < j
-        i, j = i[run], j[run]
-        k = np.frexp(i ^ j)[1] - 1
-        out[run] = self.op(self.table[k, i], self.table[k, j])
-        return out
+        # the level of i == j (xor 0) is taken as 0; that of i > j is
+        # never read, and can lie past the top level
+        row = np.maximum(np.frexp(i ^ j)[1] - 1, 0) * self.width
+        empty = self.width - 1
+        left = np.where(i <= j, row + i, empty)
+        right = np.where(i < j, row + j, empty)
+        return self.op(self.table.take(left), self.table.take(right))
 
 
 def _window_norm(f: np.ndarray, p: float, dx: float):
@@ -170,11 +179,12 @@ def _window_norm(f: np.ndarray, p: float, dx: float):
     n = f.size
     if math.isinf(p):
         runs = _RunTable(f, np.maximum, -np.inf)
+        nxt = f[1:]
 
         def at(pos):
             i = np.minimum(pos.astype(np.int64), n - 2)
             tau = pos - i
-            return f[i] * (1 - tau) + f[i + 1] * tau
+            return f.take(i) * (1 - tau) + nxt.take(i) * tau
 
         def window_max(lo, hi, envelope=False):
             lo = np.clip(lo, 0.0, n - 1.0)
@@ -186,11 +196,8 @@ def _window_norm(f: np.ndarray, p: float, dx: float):
         return window_max
 
     f = f ** p
+    half_slope = 0.5 * (f[1:] - f[:-1])
     runs = _RunTable(0.5 * (f[1:] + f[:-1]) * dx, np.add, 0.0)
-
-    def piece(j, a, b):
-        fj = f[j]
-        return dx * (fj * (b - a) + 0.5 * (f[j + 1] - fj) * (b * b - a * a))
 
     def window_sum(lo, hi, envelope=False):
         lo = np.clip(lo, 0.0, n - 1.0)
@@ -199,9 +206,14 @@ def _window_norm(f: np.ndarray, p: float, dx: float):
         jh = np.minimum(np.floor(hi).astype(np.int64), n - 2)
         la = lo - jl
         ha = hi - jh
-        out = np.where(jl == jh, piece(jl, la, ha),
-                       piece(jl, la, 1.0) + runs(jl + 1, jh - 1)
-                       + piece(jh, 0.0, ha))
+        # the low end's piece of its cell runs from la to ha when both
+        # ends share a cell, else to 1, and the high end's from 0 to ha
+        same = jl == jh
+        b = np.where(same, ha, 1.0)
+        near = dx * (f.take(jl) * (b - la)
+                     + half_slope.take(jl) * (b * b - la * la))
+        far = dx * (f.take(jh) * ha + half_slope.take(jh) * (ha * ha))
+        out = np.where(same, near, near + runs(jl + 1, jh - 1) + far)
         return (out, runs(jl, jh)) if envelope else out
     return window_sum
 
@@ -273,6 +285,13 @@ class BalanceEvaluator:
         lo, hi, length = self._window(x, h)
         return side(length, side.norm(lo, hi))
 
+    def _gap(self, x, h):
+        """alpha - beta over float arrays of x and h, from one window per
+        pair, unchecked."""
+        lo, hi, length = self._window(x, h)
+        al, be = self._alpha, self._beta
+        return al(length, al.norm(lo, hi)) - be(length, be.norm(lo, hi))
+
     def alpha(self, x, h):
         """alpha_x(h) over arrays of x and h; a non-finite x, or an h that
         is not finite and positive, is a ParameterError."""
@@ -341,109 +360,120 @@ class BalanceEvaluator:
         al, be = self._alpha, self._beta
         delta = al.delta
 
-        def evaluate(idx, k):
-            lo, hi, length = self._window(xs[idx], ladder[k])
+        def evaluate(x, k):
+            lo, hi, length = self._window(x, ladder.take(k))
             sv, env_v = al.norm(lo, hi, envelope=True)
             sw, env_w = be.norm(lo, hi, envelope=True)
             return (al(length, sv) - be(length, sw),
                     (length, sv, env_v, env_w), sw)
 
-        # per point: current rung (index into ladder), direction, the
-        # nearest rung known past the crossing (one off the ladder until
-        # one is found), step size, and what the bounds need of the
-        # current rung
-        rung = np.full(xs.size, start)
-        gap, cache, _ = evaluate(np.arange(xs.size), rung)
-        up = gap > 0.0
-        direction = np.where(up, 1, -1)
-        past = np.where(up, ladder.size, -1)
-        step = np.ones(xs.size, dtype=np.int64)
-        # alpha - beta at the current rung and at ``past``
-        g_rung, g_past = gap, np.empty(xs.size)
-        todo = np.arange(xs.size)
-        while todo.size:
-            room = (past[todo] - rung[todo]) * direction[todo] - 1
-            done = todo[room == 0]
-            if done.size:
-                off = (past[done] < 0) | (past[done] == ladder.size)
-                if np.any(off):
-                    raise NoCrossingError(
-                        f"no balance crossing for h in [{hmin}, {hmax}] at "
-                        f"x={xs[done[off][0]]}; hypothesis failure for this "
-                        f"spec")
-                todo, room = todo[room > 0], room[room > 0]
-                if not todo.size:
-                    break
-            go_up = up[todo]
-            s = np.minimum(step[todo], room)
-            target = rung[todo] + direction[todo] * s
-            gap, new, sw = evaluate(todo, target)
-            length, sv, env_v, env_w = new
-            l_cur, sv_cur, env_v_cur, env_w_cur = (c[todo] for c in cache)
+        def proved(up, cur, new, sw):
+            """Whether the bounds prove the sign of alpha - beta at every
+            rung from the current one (``cur``) to the target (``new``)."""
+            l_cur, sv_cur, env_v_cur, env_w_cur = cur
+            length, _, env_v, env_w = new
             # going up the current rung is the narrow end of the run and
             # the target the wide end, going down the reverse: so alpha's
             # low (up) or high (down) bound takes its aggregate from the
             # current rung, and beta's high (up) or low (down) bound from
             # the target
-            narrow = np.where(go_up, l_cur, length)
-            wide = np.where(go_up, length, l_cur)
+            narrow = np.where(up, l_cur, length)
+            wide = np.where(up, length, l_cur)
             with np.errstate(divide="ignore", invalid="ignore",
                              over="ignore"):
-                a = al.bound(~go_up, narrow, wide, sv_cur,
-                             np.where(go_up, env_v, env_v_cur))
-                b = be.bound(go_up, narrow, wide, sw,
-                             np.where(go_up, env_w, env_w_cur))
-                proved = np.where(go_up, a * (1 - delta) > b * (1 + delta),
-                                  a * (1 + delta) < b * (1 - delta))
-            crossed = np.where(go_up, gap <= 0.0, gap > 0.0)
-            moved = ~crossed & (proved | (s == 1))
-            rung[todo[moved]] = target[moved]
-            g_rung[todo[moved]] = gap[moved]
-            for c, v in zip(cache, new):
-                c[todo[moved]] = v[moved]
-            past[todo[crossed]] = target[crossed]
-            g_past[todo[crossed]] = gap[crossed]
-            step[todo] = np.where(moved, 2 * s, np.maximum(s // 2, 1))
+                a = al.bound(~up, narrow, wide, sv_cur,
+                             np.where(up, env_v, env_v_cur))
+                b = be.bound(up, narrow, wide, sw,
+                             np.where(up, env_w, env_w_cur))
+                return np.where(up, a * (1 - delta) > b * (1 + delta),
+                                a * (1 + delta) < b * (1 - delta))
+
         # [lo, hi] brackets the crossing, with g(lo) > 0 >= g(hi) for
-        # g = alpha - beta; upward the current rung is its low end
-        lo = ladder[np.where(up, rung, past)]
-        hi = ladder[np.where(up, past, rung)]
-        g_lo = np.where(up, g_rung, g_past)
-        g_hi = np.where(up, g_past, g_rung)
+        # g = alpha - beta; each point's is written when its scan ends
+        lo, hi, g_lo, g_hi = np.empty((4, xs.size))
+        # the scan state of the points still scanning, in input order:
+        # index, x, direction, current rung (index into ladder), the
+        # nearest rung known past the crossing (one off the ladder until
+        # one is found), step size, alpha - beta at both, and what the
+        # bounds need of the current rung
+        ids, x = np.arange(xs.size), xs
+        rung = np.full(xs.size, start)
+        g_rung, cache, _ = evaluate(x, rung)
+        up = g_rung > 0.0
+        direction = np.where(up, 1, -1)
+        past = np.where(up, ladder.size, -1)
+        step = np.ones(xs.size, dtype=np.int64)
+        g_past = np.empty(xs.size)
+        while ids.size:
+            room = (past - rung) * direction - 1
+            done = room == 0
+            if done.any():
+                off = done & ((past < 0) | (past == ladder.size))
+                if off.any():
+                    raise NoCrossingError(
+                        f"no balance crossing for h in [{hmin}, {hmax}] at "
+                        f"x={x[off][0]}; hypothesis failure for this spec")
+                # upward the current rung is the bracket's low end
+                end, u = ids[done], up[done]
+                r, p = ladder.take(rung[done]), ladder.take(past[done])
+                lo[end], hi[end] = np.where(u, r, p), np.where(u, p, r)
+                r, p = g_rung[done], g_past[done]
+                g_lo[end], g_hi[end] = np.where(u, r, p), np.where(u, p, r)
+                keep = ~done
+                if not keep.any():
+                    break
+                ids, x, up, direction, rung, past, step, g_rung, g_past, \
+                    room = (v[keep] for v in (ids, x, up, direction, rung,
+                                              past, step, g_rung, g_past,
+                                              room))
+                cache = tuple(c[keep] for c in cache)
+            s = np.minimum(step, room)
+            target = rung + direction * s
+            gap, new, sw = evaluate(x, target)
+            crossed = np.where(up, gap <= 0.0, gap > 0.0)
+            moved = ~crossed & (proved(up, cache, new, sw) | (s == 1))
+            rung = np.where(moved, target, rung)
+            g_rung = np.where(moved, gap, g_rung)
+            cache = tuple(np.where(moved, v, c) for c, v in zip(cache, new))
+            past = np.where(crossed, target, past)
+            g_past = np.where(crossed, gap, g_past)
+            step = np.where(moved, 2 * s, np.maximum(s // 2, 1))
         # a bracket whose midpoint rounds onto one of its ends can never
-        # move again, so only the others are evaluated; ``last`` is the end
-        # each point moved last (1 hi, -1 lo), whose repeat halves the
-        # stored g of the other end
+        # move again, so its radius is written and only the others are
+        # evaluated; ``last`` is the end each point moved last (1 hi, -1
+        # lo), whose repeat halves the stored g of the other end
+        radii = np.empty(xs.size)
+        ids, x = np.arange(xs.size), xs
         last = np.zeros(xs.size, dtype=np.int8)
-        todo = np.arange(xs.size)
         for k in range(ILLINOIS_STEPS + BISECT_STEPS + 1):
-            a, b = lo[todo], hi[todo]
-            mid = 0.5 * (a + b)
-            moves = (mid != a) & (mid != b)
-            todo, a, b, mid = todo[moves], a[moves], b[moves], mid[moves]
-            if not todo.size:
-                return 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)
+            moves = (mid != lo) & (mid != hi)
+            if not moves.all():
+                radii[ids[~moves]] = mid[~moves]
+                ids, x, lo, hi, g_lo, g_hi, last, mid = (
+                    v[moves] for v in (ids, x, lo, hi, g_lo, g_hi, last,
+                                       mid))
+            if not ids.size:
+                return radii
             if k == ILLINOIS_STEPS + BISECT_STEPS:
                 break
             if k < ILLINOIS_STEPS:
-                g_a = g_lo[todo]
                 with np.errstate(divide="ignore", invalid="ignore",
                                  over="ignore"):
-                    rf = a - g_a * (b - a) / (g_hi[todo] - g_a)
-                mid = np.where((rf > a) & (rf < b), rf, mid)
-            g = (self._balance(al, xs[todo], mid)
-                 - self._balance(be, xs[todo], mid))
+                    rf = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+                mid = np.where((rf > lo) & (rf < hi), rf, mid)
+            g = self._gap(x, mid)
             take_hi = g <= 0.0
-            to_hi, to_lo = todo[take_hi], todo[~take_hi]
-            hi[to_hi], g_hi[to_hi] = mid[take_hi], g[take_hi]
-            lo[to_lo], g_lo[to_lo] = mid[~take_hi], g[~take_hi]
-            g_lo[to_hi[last[to_hi] == 1]] *= 0.5
-            g_hi[to_lo[last[to_lo] == -1]] *= 0.5
-            last[to_hi], last[to_lo] = 1, -1
+            lo, hi = np.where(take_hi, lo, mid), np.where(take_hi, mid, hi)
+            g_lo = np.where(take_hi, np.where(last == 1, g_lo * 0.5, g_lo),
+                            g)
+            g_hi = np.where(take_hi, g,
+                            np.where(last == -1, g_hi * 0.5, g_hi))
+            last = np.where(take_hi, 1, -1)
         raise InvariantError(
             f"critical radius bracket still open after "
             f"{ILLINOIS_STEPS + BISECT_STEPS} refinement passes at "
-            f"x={xs[todo[0]]}")
+            f"x={x[0]}")
 
 
 def _check_crossing(spec: BalanceSpec) -> None:
@@ -569,11 +599,13 @@ class CoverReport:
 
 def cover_bytes(n: int, m: int) -> int:
     """Footprint of `build_cover` on n nodes from a stack to order m: the
-    stack, the two run tables of levels x 2^levels entries, and 72 working
-    arrays of n values for the radii search (61-65 were measured over the
-    corpus at full centre resolution)."""
+    stack, the two run tables of levels x (2^levels + 1) entries, and 72
+    working arrays of n values for the radii search.  The traced peaks of
+    `cover` over the corpus at full centre resolution held at most 65
+    arrays of n besides the stack and the tables at 1025 nodes, where the
+    command's fixed allocations weigh most, 31 at 8193 and 28 at 65537."""
     levels = max(1, (n - 1).bit_length())
-    return 8 * ((m + 1 + 72) * n + 2 * levels * (1 << levels))
+    return 8 * ((m + 1 + 72) * n + 2 * levels * ((1 << levels) + 1))
 
 
 def build_cover(u: GridFunction, spec: BalanceSpec,

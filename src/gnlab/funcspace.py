@@ -258,14 +258,18 @@ class AnalyticFunction:
     already known to lie inside the closed support, and the base class
     handles the blocks of STACK_BLOCK nodes (every stack, however few its
     nodes), the outside-is-zero convention, the order check against
-    MAX_ORDER and shapes.
+    MAX_ORDER and shapes.  A family whose value at a node is not a
+    scalar declares its `value_shape`, so the stack is allocated before
+    any node is evaluated.
     `derivative(i, x)` is row i of `stack(i, x)`.
     """
 
     support: tuple
+    value_shape = ()
 
     def stack(self, m: int, x) -> np.ndarray:
-        """Rows D^0 u, ..., D^m u at x, shape (m+1,) + shape(x)."""
+        """Rows D^0 u, ..., D^m u at x, shape (m+1,) + shape(x) +
+        value_shape."""
         m = _count("derivative order", m, 0)
         if m > MAX_ORDER:
             raise UnsupportedOrderError(
@@ -273,8 +277,7 @@ class AnalyticFunction:
         xa = np.asarray(x, dtype=float).ravel()
         a, b = self.support
         inside = (xa >= a) & (xa <= b)
-        out = np.zeros((m + 1, xa.size)
-                       + self._stack_inside(m, xa[:0]).shape[2:])
+        out = np.zeros((m + 1, xa.size) + self.value_shape)
         for lo in range(0, xa.size, STACK_BLOCK):
             keep = inside[lo:lo + STACK_BLOCK]
             keep = slice(None) if keep.all() else keep
@@ -457,6 +460,7 @@ class SplineBump(AnalyticFunction):
         if coeffs.ndim not in (1, 2) or coeffs.shape[0] < SPLINE_DEGREE + 1:
             raise ParameterError("need at least degree+1 spline coefficients")
         self.coeffs = coeffs
+        self.value_shape = coeffs.shape[1:]
         self.knots = uniform_quintic_knots(coeffs.shape[0])
         self._coeffs = _derivative_coeffs(self.knots, coeffs, SPLINE_DEGREE)
 
@@ -478,6 +482,7 @@ class Rescaled(AnalyticFunction):
 
     def __init__(self, base: AnalyticFunction, a: float, b: float):
         self.base = base
+        self.value_shape = base.value_shape
         a, b = self.support = _interval("support", (a, b))
         c, d = base.support
         self._scale = (d - c) / (b - a)

@@ -241,21 +241,22 @@ class TestGallopingScan:
     def test_illinois_steps_per_point(self, corpus_8193, mode):
         # bisection takes about 48 evaluations per point; the Illinois
         # steps were measured at 10.5-12.9 on average and 42 at most, so
-        # no bracket is left to the midpoint-only passes
+        # no bracket is left to the midpoint-only passes.  Every
+        # refinement pass evaluates alpha - beta through ``_gap``, and
+        # every point takes at least one pass
         spec = dataclasses.replace(SPEC, mode=mode)
         for name, u in corpus_8193.items():
             ev = cov.BalanceEvaluator(u, spec)
             xs = u.grid[ev.working_set()]
             sizes = []
-            balance = ev._balance
+            gap = ev._gap
 
-            def counted(side, x, h):
-                if side is ev._alpha:
-                    sizes.append(x.size)
-                return balance(side, x, h)
-            ev._balance = counted
+            def counted(x, h):
+                sizes.append(x.size)
+                return gap(x, h)
+            ev._gap = counted
             ev.critical_radii(xs)
-            assert sum(sizes) <= 13.5 * xs.size, name
+            assert xs.size <= sum(sizes) <= 13.5 * xs.size, name
             assert len(sizes) <= cov.ILLINOIS_STEPS, name
 
     def test_without_illinois_steps_radii_equal_the_plain_scan(
@@ -524,6 +525,116 @@ class TestRangeMax:
                     for a, b in zip(lo, hi)]
             got = cov._window_norm(f, math.inf, 1.0 / (n - 1))(lo, hi)
             assert np.array_equal(got, want)
+
+
+def _masked_runs(a, op, empty):
+    """The run query with masks over a (levels, 2^levels) table:
+    op(T[k, i], T[k, j]) for i < j, T[0, i] for i == j and ``empty`` for
+    i > j, the reference for the flat table's two reads."""
+    levels = max(1, (a.size - 1).bit_length())
+    padded = np.zeros(1 << levels)
+    padded[:a.size] = a
+    table = np.empty((levels, padded.size))
+    for k in range(levels):
+        blocks = padded.reshape(-1, 2, 1 << k)
+        row = table[k].reshape(blocks.shape)
+        row[:, 0] = op.accumulate(blocks[:, 0, ::-1], axis=1)[:, ::-1]
+        row[:, 1] = op.accumulate(blocks[:, 1], axis=1)
+
+    def runs(i, j):
+        out = np.full(i.shape, empty)
+        one = i == j
+        out[one] = table[0, i[one]]
+        run = i < j
+        i, j = i[run], j[run]
+        k = np.frexp(i ^ j)[1] - 1
+        out[run] = op(table[k, i], table[k, j])
+        return out
+    return runs
+
+
+def _three_piece_window_sum(f, p, dx):
+    """The window integral with all three end pieces evaluated on both
+    branches of one np.where, over the masked query: the reference for
+    ``_window_norm``'s pieces taken once each."""
+    n = f.size
+    f = f ** p
+    runs = _masked_runs(0.5 * (f[1:] + f[:-1]) * dx, np.add, 0.0)
+
+    def piece(j, a, b):
+        fj = f[j]
+        return dx * (fj * (b - a) + 0.5 * (f[j + 1] - fj) * (b * b - a * a))
+
+    def window_sum(lo, hi):
+        lo = np.clip(lo, 0.0, n - 1.0)
+        hi = np.maximum(np.clip(hi, 0.0, n - 1.0), lo)
+        jl = np.minimum(np.floor(lo).astype(np.int64), n - 2)
+        jh = np.minimum(np.floor(hi).astype(np.int64), n - 2)
+        la = lo - jl
+        ha = hi - jh
+        out = np.where(jl == jh, piece(jl, la, ha),
+                       piece(jl, la, 1.0) + runs(jl + 1, jh - 1)
+                       + piece(jh, 0.0, ha))
+        return out, runs(jl, jh)
+    return window_sum
+
+
+def _same_floats(got, want):
+    return (got.dtype == want.dtype and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.floor
+class TestMaskFreeKernels:
+    """The flat run table's query and the window integral that takes each
+    end piece once give the floats, sign bits included, of the masked
+    query and the three-piece sum they replace."""
+
+    @pytest.mark.parametrize("op,empty", [(np.add, 0.0),
+                                          (np.maximum, -np.inf)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 8193])
+    def test_query_equals_the_masked_query(self, op, empty, n):
+        # i == j reads a[i] op the identity, so the entries hold no -0.0,
+        # as no cell of |f|^p does; j runs from -1, as the window integral
+        # asks for runs(jl + 1, jh - 1), and a pair (2^L - 1, -1) has an
+        # xor of -2^L, whose level L lies past the top level L - 1
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n)
+        a[rng.random(n) < 0.1] = 0.0
+        if n <= 65:
+            i, j = (g.ravel() for g in np.meshgrid(np.arange(n),
+                                                   np.arange(-1, n)))
+        else:
+            i = rng.integers(0, n, 20000)
+            j = np.clip(i + rng.integers(-n // 4, n // 2, 20000), -1, n - 1)
+            i = np.concatenate([i, [n - 1, 0, 5, 5]])
+            j = np.concatenate([j, [-1, n - 1, 5, 4]])
+        assert np.any(i < j) == (n > 1) and np.any(i == j) and np.any(i > j)
+        levels = max(1, (n - 1).bit_length())
+        above = np.frexp(i ^ j)[1] - 1 >= levels
+        assert np.any(above) == (n in (2, 64))
+        got = cov._RunTable(a, op, empty)(i, j)
+        assert _same_floats(got, _masked_runs(a, op, empty)(i, j))
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 8193])
+    def test_window_sum_equals_the_three_piece_sum(self, n):
+        rng = np.random.default_rng(n + 1)
+        f = rng.standard_normal(n)
+        f[rng.random(n) < 0.2] = 0.0
+        dx = 1.0 / (n - 1)
+        c = rng.uniform(-1.0, n, 600)
+        h = (n - 1.0) * 10.0 ** rng.uniform(-14.0, 0.3, 600)
+        j = rng.integers(0, n - 1, 100).astype(float)
+        t = rng.random(100)
+        # random windows (clipped at both ends of the grid), reversed
+        # ones, ends on nodes, both ends in one cell, and ends in
+        # adjacent cells, where the run between them is empty
+        lo = np.concatenate([c - h, c + h, j, j + t / 2, j + t])
+        hi = np.concatenate([c + h, c - h, j + 1, j + t, j + 1 + t])
+        for p in (1.0, 2.0):
+            got = cov._window_norm(np.abs(f), p, dx)(lo, hi, envelope=True)
+            want = _three_piece_window_sum(np.abs(f), p, dx)(lo, hi)
+            assert all(map(_same_floats, got, want))
 
 
 class TestBuildCover:

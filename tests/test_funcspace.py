@@ -352,6 +352,32 @@ def test_stack_keeps_the_shape_of_x():
     assert f.derivative(1, 2.0) == 0.0
 
 
+_COEFFS = np.random.default_rng(9).uniform(-1.0, 1.0, (9, 3))
+
+
+@pytest.mark.parametrize("f,tail", [
+    (fs.BumpChi(), ()),
+    (fs.SplineBump(_COEFFS[:, 0]), ()),
+    (fs.SplineBump(_COEFFS), (3,)),
+    (fs.Rescaled(fs.SplineBump(_COEFFS[:, 0]), 0.2, 0.7), ()),
+    (fs.Rescaled(fs.SplineBump(_COEFFS), 0.2, 0.7), (3,)),
+    (fs.Sum([(0.5, fs.BumpChi()), (-1.5, fs.SplineBump(_COEFFS[:, 1]))]), ()),
+], ids=["scalar", "vector", "matrix", "rescaled-vector", "rescaled-matrix",
+        "sum"])
+def test_stack_shape_is_the_declared_value_shape(f, tail):
+    """A stack is (m + 1,) + shape(x) + the family's ``value_shape``,
+    allocated before any node is evaluated: on 0, 1 and 4097 nodes, a 0-d
+    x, and a grid whose first block lies wholly outside the support."""
+    m = 4
+    outside_first = np.linspace(-1.0, 0.0, fs.STACK_BLOCK + 1) + f.support[0]
+    for x in (0.5, np.zeros(0), np.array([0.5]),
+              np.linspace(-0.25, 1.25, 4097), outside_first):
+        assert f.stack(m, x).shape == (m + 1,) + np.shape(x) + tail
+    got = f.stack(m, outside_first)
+    assert not got[:, :-1].any()
+    assert np.array_equal(got[:, -1:], f.stack(m, outside_first[-1:]))
+
+
 _BLOCK_EDGE = dict(fs.standard_corpus() + [
     ("scaledbump", fs.ScaledBump(0.2, 0.9)),
     ("splinebump-2d", fs.SplineBump(
