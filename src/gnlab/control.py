@@ -356,20 +356,6 @@ def integrate(sys: ControlSystem, law: ControlLaw,
                       states=states, law=law.descriptor())
 
 
-def scaled_triple_reference(law: ScaledBumpTriple, times) -> np.ndarray:
-    """Exact (x1, x2, x3) chain states for the bump family.
-
-    Integrating w = eps chi'''(t eps^{-a}) through the chain gives
-    x1 = eps^{1+a} chi''(s), x2 = eps^{1+2a} chi'(s), x3 = eps^{1+3a} chi(s).
-    """
-    s = np.asarray(times, dtype=float) * law.epsilon ** (-law.a)
-    ch = fs.chi_stack(s, 2)
-    e = law.epsilon
-    return np.stack([e ** (1 + law.a) * ch[2],
-                     e ** (1 + 2 * law.a) * ch[1],
-                     e ** (1 + 3 * law.a) * ch[0]])
-
-
 def terminal_formula_check(sys: ControlSystem, law: ControlLaw,
                            steps: int = DEFAULT_STEPS) -> dict:
     """Relative gap between x4(T) and its quadrature form on the grid.

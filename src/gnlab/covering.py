@@ -476,39 +476,6 @@ class BalanceEvaluator:
             f"x={x[0]}")
 
 
-def _check_crossing(spec: BalanceSpec) -> None:
-    """The real-line crossing precondition kbar < m - 1, which guarantees
-    that alpha - beta changes sign; the boundary case kbar = m - 1 reduces
-    to a single-norm inequality and is refused."""
-    if spec.mode == "real-line" and not spec.kbar < spec.m - 1:
-        raise ParameterError(
-            "real-line mode needs kbar < m-1 for a guaranteed crossing; the "
-            "boundary case reduces to a single-norm inequality")
-
-
-def critical_radius(u: GridFunction, x: float, spec: BalanceSpec) -> float:
-    """Smallest h with alpha_x(h) = beta_x(h), located by geometric scan
-    plus Illinois steps (``BalanceEvaluator.critical_radii``).  Requires x
-    in the working set E."""
-    xi = _finite("x", [x])
-    _check_crossing(spec)
-    ev = BalanceEvaluator(u, spec)
-    pos = (x - u.a) / u.dx
-    i = int(round(pos))
-    if not (0 <= i < u.n):
-        raise ParameterError(f"x={x} outside the grid")
-    if i not in ev.working_set():
-        raise ParameterError(
-            f"x={x} is not in the working set E (u or v vanishes there)")
-    r = float(ev.critical_radii(xi)[0])
-    a = float(ev.alpha(xi, np.array([r]))[0])
-    b = float(ev.beta(xi, np.array([r]))[0])
-    if abs(a - b) > BALANCE_TOL * max(a, b):
-        raise InvariantError(
-            f"balance residual {abs(a - b) / max(a, b)} above tolerance")
-    return r
-
-
 def besicovitch_select(centers, radii) -> list:
     """Greedy selection by descending radius, skipping candidates whose
     center already lies in a selected open interval.  Returns selected
@@ -617,9 +584,15 @@ def build_cover(u: GridFunction, spec: BalanceSpec,
     The working set is discretized on the function's own grid; when
     e_resolution is coarser than the grid, centers are taken on a strided
     subgrid but the coverage deficit is always measured against the full
-    grid, so refining e_resolution can only help coverage.
+    grid, so refining e_resolution can only help coverage.  Real-line mode
+    needs kbar < m - 1, which guarantees that alpha - beta changes sign;
+    the boundary case kbar = m - 1 reduces to a single-norm inequality and
+    is refused.
     """
-    _check_crossing(spec)
+    if spec.mode == "real-line" and not spec.kbar < spec.m - 1:
+        raise ParameterError(
+            "real-line mode needs kbar < m-1 for a guaranteed crossing; the "
+            "boundary case reduces to a single-norm inequality")
     ev = BalanceEvaluator(u, spec)
     e_resolution = _count("e_resolution",
                           u.n if e_resolution is None else e_resolution, 2)

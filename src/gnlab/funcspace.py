@@ -110,55 +110,16 @@ def _poly_derivative(a):
     return _poly_trim([i * a[i] for i in range(1, len(a))])
 
 
-def _poly_eval(a, t):
-    """Horner evaluation; exact for Fraction/int t, vectorized for arrays."""
-    if isinstance(t, np.ndarray):
-        acc = np.zeros_like(t, dtype=float)
-        for c in reversed(a):
-            acc *= t
-            acc += float(c)
-        return acc
-    acc = 0
+def _poly_eval(a, t: np.ndarray) -> np.ndarray:
+    """Horner evaluation of integer coefficients at an array of points."""
+    acc = np.zeros_like(t, dtype=float)
     for c in reversed(a):
-        acc = acc * t + c
+        acc *= t
+        acc += float(c)
     return acc
 
 
 _D_POLY = (0, 1, -1)  # t(1-t)
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """Quotient of two polynomials in t, ascending coefficients.
-
-    Arithmetic is evaluation oriented: products and derivatives multiply
-    out without gcd reduction, which keeps coefficients exact (integers stay
-    integers, Fractions stay Fractions) at the cost of degree growth.
-    """
-
-    num: tuple
-    den: tuple
-
-    def __post_init__(self):
-        num = _poly_trim(self.num)
-        den = _poly_trim(self.den)
-        if den == (0,):
-            raise ParameterError("denominator is identically zero")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __call__(self, t):
-        return _poly_eval(self.num, t) / _poly_eval(self.den, t)
-
-    def derivative(self) -> "RationalFunction":
-        n, d = self.num, self.den
-        num = _poly_add(_poly_mul(_poly_derivative(n), d),
-                        tuple(-c for c in _poly_mul(n, _poly_derivative(d))))
-        return RationalFunction(num, _poly_mul(d, d))
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(_poly_mul(self.num, other.num),
-                                _poly_mul(self.den, other.den))
 
 
 @lru_cache(maxsize=None)
@@ -172,22 +133,6 @@ def _p_polynomial(i: int) -> tuple:
     one_minus_2kd = _poly_add((1,), tuple(-2 * (i - 1) * c for c in _D_POLY))
     term2 = _poly_mul(_poly_mul((1, -2), one_minus_2kd), prev)
     return _poly_add(term1, term2)
-
-
-@lru_cache(maxsize=None)
-def _d_power(i: int) -> tuple:
-    out = (1,)
-    for _ in range(i):
-        out = _poly_mul(out, _D_POLY)
-    return out
-
-
-def chi_derivative(i: int) -> RationalFunction:
-    """The rational factor R_i with D^i chi = R_i * chi on (0,1)."""
-    i = _count("order", i, 1)
-    if i > MAX_ORDER:
-        raise UnsupportedOrderError(f"order {i} exceeds MAX_ORDER={MAX_ORDER}")
-    return RationalFunction(_p_polynomial(i), _d_power(2 * i))
 
 
 def chi_stack(t: np.ndarray, max_i: int) -> np.ndarray:
@@ -218,13 +163,6 @@ def _chi_rows(t, dd, g, rows):
         r = _poly_eval(_p_polynomial(i), t)
         r /= dd ** (2 * i)
         np.multiply(r, e, out=rows[i])
-
-
-def chi(t):
-    """The bump itself; scalar in, scalar out."""
-    scalar = np.isscalar(t)
-    v = chi_stack(np.atleast_1d(np.asarray(t, dtype=float)), 0)[0]
-    return float(v[0]) if scalar else v.reshape(np.shape(t))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +199,6 @@ class AnalyticFunction:
     MAX_ORDER and shapes.  A family whose value at a node is not a
     scalar declares its `value_shape`, so the stack is allocated before
     any node is evaluated.
-    `derivative(i, x)` is row i of `stack(i, x)`.
     """
 
     support: tuple
@@ -284,13 +221,6 @@ class AnalyticFunction:
             out[:, lo:lo + STACK_BLOCK][:, keep] = self._stack_inside(
                 m, xa[lo:lo + STACK_BLOCK][keep])
         return out.reshape((m + 1,) + np.shape(x) + out.shape[2:])
-
-    def derivative(self, i: int, x):
-        row = self.stack(i, x)[i]
-        return float(row) if np.isscalar(x) else row
-
-    def __call__(self, x):
-        return self.derivative(0, x)
 
     def _stack_inside(self, m: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -509,12 +439,17 @@ class Sum(AnalyticFunction):
         terms = [(float(_finite("sum coefficient", c)), f) for c, f in terms]
         if not terms:
             raise ParameterError("empty sum")
+        shapes = {f.value_shape for _, f in terms}
+        if len(shapes) > 1:
+            raise ParameterError(
+                f"sum terms have different value shapes {sorted(shapes)}")
         self.terms = terms
+        self.value_shape = shapes.pop()
         self.support = (min(f.support[0] for _, f in terms),
                         max(f.support[1] for _, f in terms))
 
     def _stack_inside(self, m, x):
-        out = np.zeros((m + 1,) + x.shape)
+        out = np.zeros((m + 1,) + x.shape + self.value_shape)
         for c, f in self.terms:
             st = f.stack(m, x)
             out += np.multiply(c, st, out=st)
@@ -536,21 +471,17 @@ class GridFunction:
     """Uniform samples of a function and its derivatives on [a, b].
 
     `stack` has shape (m+1, n): row i holds D^i u at the nodes, row 0 the
-    values themselves.  provenance records whether the rows came from
-    exact evaluation or from finite differences of samples.
+    values themselves, each from the exact derivative stack of a family.
     """
 
     a: float
     b: float
     stack: np.ndarray
-    provenance: str = "exact"
 
     def __post_init__(self):
         st = np.asarray(self.stack, dtype=float)
         if st.ndim != 2 or st.shape[1] < 2:
             raise ParameterError("stack must be (m+1, n) with n >= 2")
-        if self.provenance not in ("exact", "finite-difference"):
-            raise ParameterError("provenance must be exact|finite-difference")
         a, b = _interval("grid interval", (self.a, self.b))
         for name, value in (("a", a), ("b", b), ("stack", st)):
             object.__setattr__(self, name, value)
@@ -571,21 +502,6 @@ class GridFunction:
     def grid(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.n)
 
-    @classmethod
-    def from_samples(cls, values, interval, m: int) -> "GridFunction":
-        """Build a stack by repeated second-order finite differencing."""
-        values = np.asarray(values, dtype=float)
-        if values.size < (3 if m > 0 else 2):
-            raise ParameterError(
-                f"got {values.size} samples; need 2, and 3 for m >= 1 "
-                "(second-order differences)")
-        a, b = _interval("interval", interval)
-        dx = (b - a) / (values.size - 1)
-        rows = [values]
-        for _ in range(m):
-            rows.append(np.gradient(rows[-1], dx, edge_order=2))
-        return cls(a, b, np.stack(rows), provenance="finite-difference")
-
 
 def refuse_above_cap(what: str, need: int) -> None:
     """ParameterError, with the cost, when ``what`` needs more than
@@ -596,12 +512,11 @@ def refuse_above_cap(what: str, need: int) -> None:
 
 
 def sample(f: AnalyticFunction, interval, n: int, m: int = 0) -> GridFunction:
-    """Exact-provenance GridFunction of f on a closed uniform grid of n >= 2
-    nodes."""
+    """GridFunction of f's exact stack to order m on a closed uniform grid
+    of n >= 2 nodes."""
     n = _count("node count", n, 2)
     a, b = _interval("interval", interval)
-    return GridFunction(a, b, f.stack(m, np.linspace(a, b, n)),
-                        provenance="exact")
+    return GridFunction(a, b, f.stack(m, np.linspace(a, b, n)))
 
 
 def sampled_bytes(n: int, order: int, arrays: int = 20) -> int:

@@ -210,7 +210,7 @@ def _finish_report(lhs, rhs_terms, rhs, params, u) -> InequalityReport:
     degenerate = rhs == 0.0 and lhs == 0.0
     violation = rhs == 0.0 and lhs > 0.0
     ratio = 0.0 if rhs == 0.0 else lhs / rhs
-    grid = {"n": u.n, "a": u.a, "b": u.b, "provenance": u.provenance}
+    grid = {"n": u.n, "a": u.a, "b": u.b, "provenance": "exact"}
     return InequalityReport(lhs=lhs, rhs_terms=rhs_terms, rhs=rhs,
                             ratio=ratio, params=params, grid=grid,
                             degenerate=degenerate,

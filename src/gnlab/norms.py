@@ -259,10 +259,6 @@ class ProductSpec:
         if self.domain is not None:
             object.__setattr__(self, "domain", _interval("domain", self.domain))
 
-    @property
-    def kappa(self) -> int:
-        return len(self.ks)
-
 
 def _domain_slice(g: GridFunction, domain) -> slice:
     """The whole grid, or a subinterval snapped to grid nodes and widened

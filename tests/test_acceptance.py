@@ -19,6 +19,7 @@ import gnlab.extremal as ex
 import gnlab.funcspace as fs
 import gnlab.gn as gn
 from gnlab.cli import main as cli_main
+from oracles import scaled_triple_reference
 
 
 def _verdict(num, label, ok, detail):
@@ -196,7 +197,7 @@ def test_criterion_8_numerics_hygiene():
     errs = []
     for steps in (1024, 2048, 4096):
         traj = ct.integrate(ct.ControlSystem(3, 1.0), law, steps)
-        ref = ct.scaled_triple_reference(law, traj.times)
+        ref = scaled_triple_reference(law, traj.times)
         errs.append(np.max(np.abs(traj.states[:3] - ref)))
     reduction = min(errs[k] / errs[k + 1] for k in range(2))
 

@@ -64,6 +64,8 @@ class TestEnvelope:
             assert key in rep
         assert rep["seed"] == 42
         assert rep["grid_n"] == 1025
+        assert rep["result"]["grid"] == {"a": 0.0, "b": 1.0, "n": 1025,
+                                         "provenance": "exact"}
         assert "timestamp" not in rep
 
     def test_timestamp_present_without_deterministic_flag(self, tmp_path):

@@ -20,6 +20,11 @@ SPEC = cov.BalanceSpec(ks=(0, 1, 2), q=2, m=3, r="inf")
 RADIUS_AT_QUARTER = 0.04200615906801902
 
 
+def _radius(u, x):
+    """The critical radius at the one point x."""
+    return cov.BalanceEvaluator(u, SPEC).critical_radii(np.array([x]))[0]
+
+
 class TestBalanceFunctions:
     def test_alpha_small_window_asymptotic(self, bump_4097):
         """alpha(h) -> (2h)^kbar |v(x)|^{1/kappa} as h -> 0."""
@@ -51,7 +56,7 @@ class TestBalanceFunctions:
         # near the support edge the local product mass is ~1e-21 of the
         # total; the windowed quadrature must still resolve it
         x = 0.912109375
-        r = cov.critical_radius(bump_4097, x, SPEC)
+        r = _radius(bump_4097, x)
         assert 0 < r < 0.5
         ev = cov.BalanceEvaluator(bump_4097, SPEC)
         a = ev.alpha(x, r)
@@ -61,7 +66,7 @@ class TestBalanceFunctions:
 
 class TestCriticalRadius:
     def test_frozen_value_with_sign_bracket(self, bump_4097):
-        r = cov.critical_radius(bump_4097, 0.25, SPEC)
+        r = _radius(bump_4097, 0.25)
         assert r == pytest.approx(RADIUS_AT_QUARTER, rel=1e-12, abs=0.0)
         ev = cov.BalanceEvaluator(bump_4097, SPEC)
         below = ev.alpha(0.25, r * 0.9999) - ev.beta(0.25, r * 0.9999)
@@ -71,16 +76,9 @@ class TestCriticalRadius:
     def test_dilation_halves_radius(self, bump_4097):
         half = fs.sample(fs.Rescaled(fs.BumpChi(), 0.0, 0.5), (0.0, 0.5),
                          4097, 3)
-        r = cov.critical_radius(bump_4097, 0.25, SPEC)
-        rd = cov.critical_radius(half, 0.125, SPEC)
+        r = _radius(bump_4097, 0.25)
+        rd = _radius(half, 0.125)
         assert rd == pytest.approx(r / 2.0, rel=5e-8, abs=0.0)
-
-    def test_rejects_points_outside_working_set(self, bump_4097):
-        # the product u u' u'' vanishes at the symmetry point
-        with pytest.raises(ParameterError):
-            cov.critical_radius(bump_4097, 0.5, SPEC)
-        with pytest.raises(ParameterError):
-            cov.critical_radius(bump_4097, 1.5, SPEC)
 
     @pytest.mark.parametrize("c,rel", [(1e2, 1e-12), (1e4, 1e-12),
                                        (1e12, 1e-9)])
@@ -91,7 +89,7 @@ class TestCriticalRadius:
         rows = np.ones((4, 1025))
         rows[3] = c
         g = fs.GridFunction(0.0, 1.0, rows)
-        r = cov.critical_radius(g, 0.5, SPEC)
+        r = _radius(g, 0.5)
         assert (r < 2 * g.dx) == (c > 1e6)
         assert r == pytest.approx(0.5 / np.sqrt(c), rel=rel, abs=0.0)
 
@@ -100,7 +98,7 @@ class TestCriticalRadius:
         rows = np.ones((4, 1025))
         rows[3] = 1e40
         with pytest.raises(NoCrossingError):
-            cov.critical_radius(fs.GridFunction(0.0, 1.0, rows), 0.5, SPEC)
+            _radius(fs.GridFunction(0.0, 1.0, rows), 0.5)
 
     def test_no_crossing_for_vanishing_top_derivative(self):
         # quadratic: the third derivative is identically zero, so the
@@ -109,7 +107,7 @@ class TestCriticalRadius:
         g = fs.GridFunction(0.0, 1.0, np.stack(
             [x * x, 2.0 * x, np.full_like(x, 2.0), np.zeros_like(x)]))
         with pytest.raises(NoCrossingError):
-            cov.critical_radius(g, 0.5, SPEC)
+            _radius(g, 0.5)
 
 
 def _plain_scan(ev, xs):
@@ -377,8 +375,6 @@ class TestNonFiniteInputs:
             with pytest.raises(ParameterError):
                 balance(np.array([0.3, x]), np.array([0.01, h]))
         if not math.isfinite(x):
-            with pytest.raises(ParameterError):
-                cov.critical_radius(bump_4097, x, SPEC)
             with pytest.raises(ParameterError):
                 ev.critical_radii(np.array([0.3, x]))
 
@@ -675,16 +671,6 @@ class TestBuildCover:
         bad = cov.BalanceSpec(ks=(2, 2), q=2, m=3, r="inf")
         with pytest.raises(ParameterError):
             cov.build_cover(u, bad)
-
-    def test_critical_radius_needs_room_below_top_order(self):
-        """The same precondition, with the same message, as build_cover's."""
-        u = fs.sample(fs.BumpChi(), (0.0, 1.0), 1025, 3)
-        bad = cov.BalanceSpec(ks=(2, 2), q=2, m=3, r="inf")
-        with pytest.raises(ParameterError) as radius:
-            cov.critical_radius(u, 0.5, bad)
-        with pytest.raises(ParameterError) as cover:
-            cov.build_cover(u, bad)
-        assert str(radius.value) == str(cover.value)
 
     def test_resolution_bounds(self, bump_4097):
         with pytest.raises(ParameterError):

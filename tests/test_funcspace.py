@@ -1,9 +1,10 @@
 """Exact bump derivatives, grid sampling, and the function corpus.
 
-The rational-prefactor recurrence admits exact evaluation at rational
-points, which pins the derivative machinery without any quadrature in
-the loop.  The finite-difference cross-checks then confirm that the
-exact stacks and plain numerics agree to second order.
+The rational prefactors admit exact evaluation at rational points, where
+an independent power series checks them, which pins the derivative
+machinery without any quadrature in the loop.  The finite-difference
+cross-checks then confirm that the exact stacks and plain numerics agree
+to second order.
 """
 
 import math
@@ -19,21 +20,28 @@ import gnlab.control as ct
 import gnlab.extremal as ex
 import gnlab.funcspace as fs
 from gnlab.errors import ParameterError, UnsupportedOrderError
+from oracles import chi_prefactors
 
 
-# first prefactor == derivative of the exponent -1/(t(1-t))
-_E_PRIME = fs.chi_derivative(1)
+def _prefactor(i, t):
+    """P_i(t) / (t(1-t))^(2i) from the package's integer numerator P_i,
+    by Horner in exact arithmetic."""
+    p = 0
+    for c in reversed(fs._p_polynomial(i)):
+        p = p * t + c
+    return p / (t * (1 - t)) ** (2 * i)
 
 
 def test_chi_midpoint_value():
-    assert fs.chi(0.5) == pytest.approx(math.exp(-4.0), rel=1e-15, abs=0.0)
+    chi = fs.chi_stack(np.array([0.5]), 0)[0]
+    assert chi[0] == pytest.approx(math.exp(-4.0), rel=1e-15, abs=0.0)
 
 
 def test_second_prefactor_at_midpoint_is_minus_32():
     # R1 and R3 vanish at the symmetry point, R2 does not
-    assert fs.chi_derivative(1)(Fraction(1, 2)) == 0
-    assert fs.chi_derivative(2)(Fraction(1, 2)) == -32
-    assert fs.chi_derivative(3)(Fraction(1, 2)) == 0
+    half = Fraction(1, 2)
+    assert [_prefactor(i, half) for i in (1, 2, 3)] == [0, -32, 0]
+    assert chi_prefactors(half, 3)[1:] == [0, -32, 0]
 
 
 def test_second_derivative_midpoint_value():
@@ -43,28 +51,23 @@ def test_second_derivative_midpoint_value():
 
 
 @given(num=st.integers(min_value=1, max_value=30),
-       den=st.integers(min_value=31, max_value=64),
-       order=st.integers(min_value=1, max_value=5))
+       den=st.integers(min_value=31, max_value=64))
 @settings(max_examples=60, deadline=None)
-def test_prefactor_recurrence_exact_at_rationals(num, den, order):
-    """R_{i+1} = R_i' + R_i * R_1 as exact rational arithmetic."""
+def test_prefactors_match_the_exponential_series_at_rationals(num, den):
+    """Every R_i, i = 1..MAX_ORDER, equals i! [h^i] chi(t + h) / chi(t)
+    in exact rational arithmetic."""
     t = Fraction(num, den)
-    r_i = fs.chi_derivative(order)
-    lhs = fs.chi_derivative(order + 1)(t)
-    rhs = r_i.derivative()(t) + (r_i * _E_PRIME)(t)
-    assert lhs == rhs
-
-
-def test_prefactor_rejects_order_zero():
-    with pytest.raises(ParameterError):
-        fs.chi_derivative(0)
+    want = chi_prefactors(t, fs.MAX_ORDER)
+    for i in range(1, fs.MAX_ORDER + 1):
+        assert _prefactor(i, t) == want[i]
 
 
 def test_chi_vanishes_outside_unit_interval_without_warnings():
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals = fs.chi(np.array([-1.0, 0.0, 1e-300, 1e-12, 1 - 1e-9, 1.0, 2.0]))
+        vals = fs.chi_stack(
+            np.array([-1.0, 0.0, 1e-300, 1e-12, 1 - 1e-9, 1.0, 2.0]), 0)[0]
         stack = fs.chi_stack(np.array([1e-12, 1e-300, 2.0]), 6)
     assert np.all(vals[np.abs(vals) < 1e-100] == 0.0)
     assert vals.max() == 0.0  # all listed points are outside or in the tail
@@ -109,11 +112,11 @@ def test_scaled_bump_is_translated_dilated_chi():
     f = fs.ScaledBump(0.3, 0.7)
     x = np.linspace(0.0, 1.0, 801)
     assert f.support == (0.3, 0.7)
-    expect = fs.chi((x - 0.3) / 0.4)
-    assert np.allclose(f.derivative(0, x), expect, rtol=0, atol=1e-16)
+    expect = fs.chi_stack((x - 0.3) / 0.4, 0)[0]
+    assert np.allclose(f.stack(0, x)[0], expect, rtol=0, atol=1e-16)
     # chain rule brings one factor of 1/width per order
     inner = fs.chi_stack((x - 0.3) / 0.4, 2)
-    assert np.allclose(f.derivative(2, x), inner[2] / 0.4 ** 2,
+    assert np.allclose(f.stack(2, x)[2], inner[2] / 0.4 ** 2,
                        rtol=1e-13, atol=1e-13)
 
 
@@ -121,9 +124,12 @@ def test_sum_derivatives_are_linear():
     f = fs.Sum([(2.0, fs.BumpChi()), (-0.5, fs.SineBump(2))])
     x = np.linspace(0.0, 1.0, 257)
     for i in range(3):
-        expect = (2.0 * fs.BumpChi().derivative(i, x)
-                  - 0.5 * fs.SineBump(2).derivative(i, x))
-        assert np.allclose(f.derivative(i, x), expect, rtol=1e-14, atol=1e-14)
+        expect = (2.0 * fs.BumpChi().stack(i, x)[i]
+                  - 0.5 * fs.SineBump(2).stack(i, x)[i])
+        assert np.allclose(f.stack(i, x)[i], expect, rtol=1e-14, atol=1e-14)
+    # the terms share one value shape, which the sum's stack takes
+    with pytest.raises(ParameterError):
+        fs.Sum([(1.0, fs.BumpChi()), (1.0, fs.SplineBump(np.ones((8, 2))))])
 
 
 def test_sample_rejects_orders_beyond_stack():
@@ -138,29 +144,7 @@ def test_grid_function_properties(bump_4097):
     assert g.n == 4097
     assert g.max_derivative == 3
     assert g.dx == pytest.approx(1.0 / 4096)
-    assert g.provenance == "exact"
     assert g.stack.shape == (g.max_derivative + 1, g.n)
-
-
-@pytest.mark.parametrize("values,m", [([1.0], 0), ([1.0], 1),
-                                      ([1.0, 2.0], 1), ([1.0, 2.0], 3)])
-def test_from_samples_needs_enough_samples(values, m):
-    with pytest.raises(ParameterError):
-        fs.GridFunction.from_samples(values, (0.0, 1.0), m)
-
-
-def test_from_samples_two_values_without_differencing():
-    g = fs.GridFunction.from_samples([1.0, 2.0], (0.0, 1.0), 0)
-    assert g.n == 2
-
-
-def test_from_samples_has_fd_provenance():
-    x = np.linspace(0.0, 1.0, 129)
-    g = fs.GridFunction.from_samples(np.sin(np.pi * x), (0.0, 1.0), 2)
-    assert g.provenance == "finite-difference"
-    mid = 64
-    assert g.stack[1][mid] == pytest.approx(np.pi * math.cos(np.pi * 0.5),
-                                            abs=1e-3)
 
 
 def test_perturbation_support_and_convergence():
@@ -168,12 +152,12 @@ def test_perturbation_support_and_convergence():
     pert = fs.perturb_nowhere_polynomial(base, 1e-2)
     assert pert.support == (0.15, 0.85)
     x = np.linspace(0.0, 1.0, 513)
-    gap = np.max(np.abs(pert.derivative(0, x) - base.derivative(0, x)))
+    gap = np.max(np.abs(pert.stack(0, x)[0] - base.stack(0, x)[0]))
     tiny = fs.perturb_nowhere_polynomial(base, 1e-6)
-    gap_tiny = np.max(np.abs(tiny.derivative(0, x) - base.derivative(0, x)))
+    gap_tiny = np.max(np.abs(tiny.stack(0, x)[0] - base.stack(0, x)[0]))
     assert gap_tiny < gap * 1e-3
     # the perturbation is alive strictly outside supp(base)
-    probe = pert.derivative(0, np.array([0.2]))
+    probe = pert.stack(0, np.array([0.2]))[0]
     assert probe[0] > 0.0
 
 
@@ -299,7 +283,6 @@ def test_stack_rows_do_not_depend_on_the_top_order(name):
     top = f.stack(fs.MAX_ORDER, x)
     for i in range(fs.MAX_ORDER + 1):
         assert np.array_equal(top[i], f.stack(i, x)[i])
-        assert np.array_equal(f.derivative(i, x), top[i])
     # one cap for every family, Rescaled (rescaled_spline) and Sum
     # (the perturbed corpus functions) included
     with pytest.raises(UnsupportedOrderError):
@@ -348,8 +331,8 @@ def test_stack_keeps_the_shape_of_x():
     x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
     assert f.stack(2, x).shape == (3, 3, 4)
     assert f.stack(2, 0.5).shape == (3,)
-    assert f.derivative(1, 0.5) == f.stack(1, np.array([0.5]))[1, 0]
-    assert f.derivative(1, 2.0) == 0.0
+    assert f.stack(1, 0.5)[1] == f.stack(1, np.array([0.5]))[1, 0]
+    assert f.stack(1, 2.0)[1] == 0.0
 
 
 _COEFFS = np.random.default_rng(9).uniform(-1.0, 1.0, (9, 3))
@@ -362,8 +345,10 @@ _COEFFS = np.random.default_rng(9).uniform(-1.0, 1.0, (9, 3))
     (fs.Rescaled(fs.SplineBump(_COEFFS[:, 0]), 0.2, 0.7), ()),
     (fs.Rescaled(fs.SplineBump(_COEFFS), 0.2, 0.7), (3,)),
     (fs.Sum([(0.5, fs.BumpChi()), (-1.5, fs.SplineBump(_COEFFS[:, 1]))]), ()),
+    (fs.Sum([(0.5, fs.SplineBump(_COEFFS)),
+             (-1.5, fs.Rescaled(fs.SplineBump(_COEFFS), 0.2, 0.7))]), (3,)),
 ], ids=["scalar", "vector", "matrix", "rescaled-vector", "rescaled-matrix",
-        "sum"])
+        "sum", "sum-matrix"])
 def test_stack_shape_is_the_declared_value_shape(f, tail):
     """A stack is (m + 1,) + shape(x) + the family's ``value_shape``,
     allocated before any node is evaluated: on 0, 1 and 4097 nodes, a 0-d

@@ -367,7 +367,6 @@ COUNTS = {
                              8.0),
     "sample-n": (lambda v: fs.sample(fs.BumpChi(), (0.0, 1.0), v), 2, 9.0),
     "stack-order": (lambda v: fs.BumpChi().stack(v, 0.5), 0, 2.0),
-    "chi_derivative-order": (fs.chi_derivative, 1, 2.0),
     "SineBump-frequency": (fs.SineBump, 1, 2.0),
     "uniform_quintic_knots-dimension": (fs.uniform_quintic_knots, 6, 8.0),
     "build_cover-e_resolution": (lambda v: _bump_cover(e_resolution=v), 2,
@@ -472,8 +471,6 @@ REALS = {
                        False),
     "sample-interval": (lambda v: fs.sample(fs.BumpChi(), (0.0, v), 9),
                         False),
-    "from_samples-interval": (lambda v: fs.GridFunction.from_samples(
-        np.zeros(5), (0.0, v), 1), False),
     "perturb_nowhere_polynomial-eps": (lambda v: fs.perturb_nowhere_polynomial(
         fs.ScaledBump(0.2, 0.8), v), True),
     "alpha-x": (lambda v: _balance().alpha(v, 0.1), False),
@@ -482,9 +479,6 @@ REALS = {
     "beta-h": (lambda v: _balance().beta(0.5, v), True),
     "critical_radii-xs": (lambda v: _balance().critical_radii(
         np.full(2, v)), False),
-    "critical_radius-x": (lambda v: cov.critical_radius(
-        fs.sample(fs.BumpChi(), (0.0, 1.0), 257, 3), v,
-        cov.BalanceSpec(ks=(0, 1, 2), q=2, m=3, r="inf")), False),
     "besicovitch_select-centers": (lambda v: cov.besicovitch_select(
         np.full(2, v), [0.1, 0.1]), False),
     "besicovitch_select-radii": (lambda v: cov.besicovitch_select(
@@ -520,8 +514,6 @@ INTERVALS = {
     "GridFunction": (lambda v: asdict(fs.GridFunction(
         *v, stack=np.ones((1, 5)))), False, False),
     "sample": (lambda v: asdict(fs.sample(fs.BumpChi(), v, 9)), True, False),
-    "from_samples": (lambda v: asdict(fs.GridFunction.from_samples(
-        np.arange(5.0), v, 1)), True, False),
     "NormSpec": (lambda v: asdict(nm.NormSpec(2, 0, v)), True, False),
     "ProductSpec": (lambda v: asdict(nm.ProductSpec((0, 1), 2, v)), True,
                     False),
