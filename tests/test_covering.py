@@ -80,6 +80,13 @@ class TestCriticalRadius:
         rd = _radius(half, 0.125)
         assert rd == pytest.approx(r / 2.0, rel=5e-8, abs=0.0)
 
+    def test_working_set_leaves_out_the_symmetry_point(self, bump_4097):
+        # the product u u' u'' vanishes at x = 1/2, so no radius is asked
+        # for there, and E lies inside the grid
+        ws = cov.BalanceEvaluator(bump_4097, SPEC).working_set()
+        assert 2048 not in ws
+        assert 0 < ws.min() and ws.max() < bump_4097.n - 1
+
     @pytest.mark.parametrize("c,rel", [(1e2, 1e-12), (1e4, 1e-12),
                                        (1e12, 1e-9)])
     def test_analytic_crossing_in_both_scan_directions(self, c, rel):
@@ -671,6 +678,15 @@ class TestBuildCover:
         bad = cov.BalanceSpec(ks=(2, 2), q=2, m=3, r="inf")
         with pytest.raises(ParameterError):
             cov.build_cover(u, bad)
+
+    def test_bounded_mode_needs_no_room_below_top_order(self):
+        """The crossing precondition binds real-line mode only: bounded
+        mode's windows stop at the interval, where alpha meets beta."""
+        u = fs.sample(fs.BumpChi(), (0.0, 1.0), 1025, 3)
+        spec = cov.BalanceSpec(ks=(2, 2), q=2, m=3, r="inf", mode="bounded")
+        rep = cov.build_cover(u, spec)
+        assert rep.deficit_cells == 0
+        assert float(np.max(rep.balance_residuals)) <= 1e-6
 
     def test_resolution_bounds(self, bump_4097):
         with pytest.raises(ParameterError):

@@ -62,6 +62,25 @@ def test_prefactors_match_the_exponential_series_at_rationals(num, den):
         assert _prefactor(i, t) == want[i]
 
 
+@given(num=st.integers(min_value=1, max_value=30),
+       den=st.integers(min_value=31, max_value=64))
+@settings(max_examples=60, deadline=None)
+def test_chi_stack_rows_are_the_exact_prefactors_times_chi(num, den):
+    """Row i of the float stack is R_i(t) chi(t) for the exact R_i, to
+    rounding: chi within 1e-13 (exp turns the rounding of -1/(t(1-t)) into
+    up to 66 ulps here), and row i within 1e-13 of the Horner scale
+    sum_k |c_k| t^k / (t(1-t))^(2i) chi, c_k the coefficients of P_i."""
+    t = Fraction(num, den)
+    want = chi_prefactors(t, fs.MAX_ORDER)
+    got = fs.chi_stack(np.array([float(t)]), fs.MAX_ORDER)[:, 0]
+    chi = math.exp(-1.0 / float(t * (1 - t)))
+    assert got[0] == pytest.approx(chi, rel=1e-13, abs=0.0)
+    for i in range(1, fs.MAX_ORDER + 1):
+        scale = sum(abs(c) * t ** k for k, c in enumerate(fs._p_polynomial(i)))
+        scale = float(scale / (t * (1 - t)) ** (2 * i)) * chi
+        assert abs(got[i] - float(want[i]) * chi) <= 1e-13 * scale
+
+
 def test_chi_vanishes_outside_unit_interval_without_warnings():
     import warnings
     with warnings.catch_warnings():
@@ -132,6 +151,16 @@ def test_sum_derivatives_are_linear():
         fs.Sum([(1.0, fs.BumpChi()), (1.0, fs.SplineBump(np.ones((8, 2))))])
 
 
+@pytest.mark.parametrize("terms", [
+    [fs.SplineBump(np.ones((8, 2))), fs.SplineBump(np.ones((8, 3)))],
+    [fs.Sum([(1.0, fs.SplineBump(np.ones((8, 3))))]), fs.BumpChi()],
+    [fs.Rescaled(fs.SplineBump(np.ones((8, 2))), 0.2, 0.7), fs.SineBump(2)],
+], ids=["vector-lengths", "sum-vector-scalar", "rescaled-vector-scalar"])
+def test_sum_refuses_terms_of_different_value_shapes(terms):
+    with pytest.raises(ParameterError):
+        fs.Sum([(1.0, f) for f in terms])
+
+
 def test_sample_rejects_orders_beyond_stack():
     with pytest.raises(UnsupportedOrderError):
         fs.sample(fs.BumpChi(), (0.0, 1.0), 65, fs.MAX_ORDER + 1)
@@ -145,6 +174,13 @@ def test_grid_function_properties(bump_4097):
     assert g.max_derivative == 3
     assert g.dx == pytest.approx(1.0 / 4096)
     assert g.stack.shape == (g.max_derivative + 1, g.n)
+
+
+@pytest.mark.parametrize("shape", [(5,), (1, 1), (3, 1), (1, 2, 2)],
+                         ids=["flat", "one-node", "one-node-rows", "3-d"])
+def test_grid_function_needs_rows_of_two_nodes_or_more(shape):
+    with pytest.raises(ParameterError):
+        fs.GridFunction(0.0, 1.0, np.ones(shape))
 
 
 def test_perturbation_support_and_convergence():

@@ -352,6 +352,8 @@ COUNTS = {
         SYSTEM, ct.Zero(), v), 2, 64.0),
     "scaling_experiment-steps": (lambda v: ct.scaling_experiment(
         7, 0.0, [1e-2], steps=v), 2, 64.0),
+    "obstruction_check-p": (lambda v: ct.obstruction_check(
+        v, 1.0, 0.5, trials=2, steps=64), 12, 13.0),
     "obstruction_check-trials": (lambda v: ct.obstruction_check(
         12, 1.0, 0.5, trials=v, steps=64), 1, 2.0),
     "obstruction_check-seed": (lambda v: ct.obstruction_check(
@@ -375,6 +377,8 @@ COUNTS = {
     "NormSpec-j": (lambda v: nm.NormSpec(2.0, v), 0, 1.0),
     "l6_params-k": (gn.l6_params, 1, 2.0),
     "BoundedExtras-k0": (lambda v: gn.BoundedExtras(k0=v), 0, 1.0),
+    "cli-eps-count": (lambda v: cli._parse_eps_range(f"1e-2:1e-3:{v}", 64), 1,
+                      8.0),
 }
 
 
@@ -466,7 +470,10 @@ REALS = {
     "SearchConfig-tol": (lambda v: ex.SearchConfig(tol=v), False),
     "ScaledBump-a": (lambda v: fs.ScaledBump(v, 2.0), False),
     "ScaledBump-b": (lambda v: fs.ScaledBump(0.0, v), False),
+    "Rescaled-a": (lambda v: fs.Rescaled(fs.BumpChi(), v, 1.0), False),
     "Rescaled-b": (lambda v: fs.Rescaled(fs.BumpChi(), 0.0, v), False),
+    "GridFunction-a": (lambda v: fs.GridFunction(v, 1.0, np.zeros((1, 5))),
+                       False),
     "GridFunction-b": (lambda v: fs.GridFunction(0.0, v, np.zeros((1, 5))),
                        False),
     "sample-interval": (lambda v: fs.sample(fs.BumpChi(), (0.0, v), 9),
