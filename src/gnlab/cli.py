@@ -289,18 +289,18 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_control(args) -> int:
-    if args.kind == "integrate":
-        sys_ = ct.ControlSystem(args.p, args.T)
-        law = _resolve_law(args)
-        traj = ct.integrate(sys_, law, steps=args.steps)
-        payload = {"terminal": traj.terminal.tolist(), "steps": traj.steps,
-                   "law": traj.law, "p": args.p, "T": args.T}
-        return _emit(args, "control integrate", payload, grid_n=args.steps)
-    if args.kind == "formula":
-        sys_ = ct.ControlSystem(args.p, args.T)
-        law = _resolve_law(args)
-        payload = ct.terminal_formula_check(sys_, law, steps=args.steps)
-        return _emit(args, "control formula", payload, grid_n=args.steps)
+    if args.kind in ("integrate", "formula"):
+        sys_, law = ct.ControlSystem(args.p, args.T), _resolve_law(args)
+        if args.kind == "formula":
+            payload = ct.terminal_formula_check(sys_, law, steps=args.steps)
+        else:
+            for _, block in ct.integrate(sys_, law, steps=args.steps):
+                pass  # only the last block's terminal row is read
+            payload = {"terminal": block[:, -1, 0].tolist(),
+                       "steps": args.steps, "law": law.descriptor(),
+                       "p": args.p, "T": args.T}
+        return _emit(args, f"control {args.kind}", payload,
+                     grid_n=args.steps)
     if args.kind == "scaling":
         if not args.eps:
             raise ParameterError("scaling needs --eps start:end:count")

@@ -16,19 +16,17 @@ into nothing, the steps are swept in blocks one state at a time, each
 state an elementwise increment array and a cumulative sum along time;
 the result is bit-identical to stepping the scheme one step at a time.
 The sweep reads its stage controls a block of rows at a time and yields
-its blocks of states one at a time: `integrate` collects every state into
-a trajectory, while the scaling experiment keeps only the terminal row
-and the obstruction probe reduces each block as it is swept (Simpson
-sums, the chain's largest value, the terminal states), so those two hold
-one block of states whatever the number of steps.  The obstruction's
-controls are never stored whole either: they are a sine matrix times
-per-trial coefficients, less a quadratic correction, times a scale, and
-each block of them is built as it is read.
+its blocks of states one at a time, and every caller reduces each block
+before it asks for the next (Simpson sums, extreme values, the terminal
+row), so no run holds more than one block of states whatever the number
+of steps.  The obstruction's controls are never stored whole either: they
+are a sine matrix times per-trial coefficients, less a quadratic
+correction, times a scale, and each block of them is built as it is read.
 The power term x1^p is |x1|^p with x1's sign restored for odd p, in the
 sweep and in the quadrature check alike.
-A run whose chain (the stage-grid arrays it holds, the states it keeps
-and one sweep block) would take more than the package's byte cap
-(`funcspace.BYTES_CAP`) is refused before anything is allocated.
+A run whose chain (the stage-grid arrays it holds and one sweep block)
+would take more than the package's byte cap (`funcspace.BYTES_CAP`) is
+refused before anything is allocated.
 It cross-checks the terminal formula by quadrature, fits the
 epsilon-scaling exponents of the bump control family
 w(t) = eps * chi'''(t * eps^{-a}), and probes the p >= 12 sign
@@ -163,29 +161,6 @@ class GridSamples:
 ControlLaw = Union[Zero, ScaledBumpTriple, GridSamples]
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Fixed-step solution: node times, 4 x (steps+1) states, law."""
-
-    times: np.ndarray
-    states: np.ndarray
-    law: dict
-
-    def __post_init__(self):
-        if self.states.shape[0] != 4 or self.states.shape[1] < 3:
-            raise ParameterError("states must be 4 x (steps+1) with steps >= 2")
-        if np.any(self.states[:, 0] != 0.0):
-            raise InvariantError("trajectories start at the origin")
-
-    @property
-    def steps(self) -> int:
-        return self.states.shape[1] - 1
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.states[:, -1]
-
-
 def _power(y: np.ndarray, p: int) -> np.ndarray:
     """y^p as |y|^p with y's sign restored for odd p.
 
@@ -216,8 +191,7 @@ def _block_spans(steps: int, batch: int):
 
 
 def check_chain_size(steps: int, batch: int,
-                     stage_arrays: float = _LAW_STAGE_ARRAYS,
-                     keeps_states: bool = False) -> None:
+                     stage_arrays: float = _LAW_STAGE_ARRAYS) -> None:
     """Refuse, before anything is allocated, a chain whose footprint is
     above the package's byte cap.
 
@@ -227,25 +201,21 @@ def check_chain_size(steps: int, batch: int,
     the grid, or the obstruction's sine matrix and one block of its
     controls (a fraction of one for a law's share or a block); one sweep
     block, its four states and 16 temporaries of one state's size (13
-    traced, the streamed callers' reductions included); every state
-    (4, steps+1) of each run when the caller `keeps_states`, as
-    `integrate` does; and, for one run whose states are not kept, its
-    Simpson pair terms.
+    traced, the callers' reductions included); and, for one run, the
+    pair terms that its two Simpson sums keep, steps/2 each.
     """
     block = (min(steps, _block_rows(batch) + 1) + 1) * batch
-    held = (4 * (steps + 1) * batch if keeps_states
-            else steps if batch == 1 else 0)
+    pairs = steps if batch == 1 else 0
     fs.refuse_above_cap(f"the chain for {steps} steps x {batch} runs",
-                        8 * math.ceil(20 * block + held
+                        8 * math.ceil(20 * block + pairs
                                       + stage_arrays * (2 * steps + 1)))
 
 
 def _stage_times(T: float, steps: int, batch: int = 1,
-                 stage_arrays: float = _LAW_STAGE_ARRAYS,
-                 keeps_states: bool = False) -> np.ndarray:
+                 stage_arrays: float = _LAW_STAGE_ARRAYS) -> np.ndarray:
     """Nodes and midpoints of the step grid, after the check of the chain's
     footprint (`check_chain_size`) that every integration passes first."""
-    check_chain_size(steps, batch, stage_arrays, keeps_states)
+    check_chain_size(steps, batch, stage_arrays)
     return np.linspace(0.0, T, 2 * steps + 1)
 
 
@@ -324,18 +294,6 @@ def _rk4_blocks(rows, batch: int, T: float, steps: int, p: int):
         yield lo, block
 
 
-def _rk4_chain(w_stages: np.ndarray, T: float, steps: int, p: int) -> np.ndarray:
-    """Every state of the `_rk4_blocks` sweep of the stored controls
-    `w_stages`, (2*steps+1, batch), as (4, steps+1, batch)."""
-    if w_stages.ndim != 2 or w_stages.shape[0] != 2 * steps + 1:
-        raise ParameterError("w_stages must be (2*steps+1, batch)")
-    out = np.empty((4, steps + 1, w_stages.shape[1]))
-    for lo, block in _rk4_blocks(lambda a, b: w_stages[a:b],
-                                 w_stages.shape[1], T, steps, p):
-        out[:, lo:lo + block.shape[1]] = block
-    return out
-
-
 def _law_support_check(law: ControlLaw, T: float) -> None:
     if isinstance(law, ScaledBumpTriple) and law.support_end > T * (1 + 1e-12):
         raise PreconditionError(
@@ -345,38 +303,45 @@ def _law_support_check(law: ControlLaw, T: float) -> None:
 
 
 def integrate(sys: ControlSystem, law: ControlLaw,
-              steps: int = DEFAULT_STEPS) -> Trajectory:
-    """Fixed-step fourth-order solution of the chain from the origin."""
+              steps: int = DEFAULT_STEPS):
+    """The `_rk4_blocks` sweep of the chain from the origin under `law`,
+    (4, m+1, 1) states a block; the last block's last row is the terminal
+    state.  The steps, the footprint and the law's support are checked on
+    the call, before the first block."""
     steps = _count("steps", steps, 2)
-    stage_t = _stage_times(sys.T, steps, keeps_states=True)
+    stage_t = _stage_times(sys.T, steps)
     _law_support_check(law, sys.T)
-    stage_w = np.asarray(law(stage_t), dtype=float)
-    states = _rk4_chain(stage_w[:, None], sys.T, steps, sys.p)[:, :, 0]
-    return Trajectory(times=np.linspace(0.0, sys.T, steps + 1),
-                      states=states, law=law.descriptor())
+    stage_w = np.asarray(law(stage_t), dtype=float)[:, None]
+    return _rk4_blocks(lambda a, b: stage_w[a:b], 1, sys.T, steps, sys.p)
 
 
 def terminal_formula_check(sys: ControlSystem, law: ControlLaw,
                            steps: int = DEFAULT_STEPS) -> dict:
-    """Relative gap between x4(T) and its quadrature form on the grid.
+    """Relative gap between x4(T) and its quadrature form on the grid, the
+    two Simpson integrals summed block by block as the chain is swept.
 
     Requires the chain to have returned: |x_i(T)| <= TERMINAL_TOL for
     i = 1, 2, 3 (the formula only holds on the constraint set).
     """
-    traj = integrate(sys, law, steps)
-    x1, x2, x3, x4 = traj.states
-    triple = np.abs(traj.terminal[:3])
+    steps = _count("steps", steps, 2)
+    h = sys.T / steps
+    pos, neg = _SimpsonSweep(steps + 1, h), _SimpsonSweep(steps + 1, h)
+    for lo, block in integrate(sys, law, steps):
+        x1, x2, x3 = block[:3, :, 0]
+        pos.add(lo, (x3 * x2 * x1) ** 2)
+        neg.add(lo, _power(x1, sys.p))
+    terminal = block[:, -1, 0]
+    triple = np.abs(terminal[:3])
     if np.any(triple > TERMINAL_TOL):
         raise PreconditionError(
             f"terminal chain state {triple} exceeds {TERMINAL_TOL:g}; "
             "the quadrature identity needs x1(T)=x2(T)=x3(T)=0")
-    h = sys.T / traj.steps
-    quad = simpson((x3 * x2 * x1) ** 2, h) - simpson(_power(x1, sys.p), h)
-    x4t = float(x4[-1])
+    quad = pos.result() - neg.result()
+    x4t = float(terminal[3])
     residual = abs(x4t - quad) / max(abs(x4t), 1e-30)
     return {"x4_terminal": x4t, "quadrature": float(quad),
             "residual": float(residual), "terminal_triple": triple.tolist(),
-            "steps": traj.steps, "p": sys.p, "T": sys.T}
+            "steps": steps, "p": sys.p, "T": sys.T}
 
 
 @lru_cache(maxsize=None)
@@ -663,8 +628,7 @@ def default_p1_laws(T: float, steps: int, seed: int = 0) -> list:
     """Zero, a bump triple, and P1_RANDOM_LAWS bounded random controls."""
     steps, seed = _count("steps", steps, 2), _count("seed", seed, 0)
     # each random law keeps its samples: one array on the stage grid
-    check_chain_size(steps, 1, _LAW_STAGE_ARRAYS + P1_RANDOM_LAWS,
-                     keeps_states=True)
+    check_chain_size(steps, 1, _LAW_STAGE_ARRAYS + P1_RANDOM_LAWS)
     laws = [Zero(), ScaledBumpTriple(1e-2, 0.0)]
     for i in range(P1_RANDOM_LAWS):
         rng = np.random.default_rng([seed, i])
@@ -681,20 +645,21 @@ def monotone_check_p1(T: float = 1.0, steps: int = 2 ** 12,
 
     For p = 1 the sum satisfies (x2+x4)' = (x1 x2 x3)^2 >= 0; each RK4
     increment is a nonnegative combination of stage values, so the
-    discrete sequence is non-decreasing up to roundoff.
+    discrete sequence is non-decreasing up to roundoff.  Its smallest
+    increment and largest size are kept as the chain is swept (a block's
+    row 0 is the state carried in, so block edges are included).
     """
     sys = ControlSystem(1, T)
     steps, seed = _count("steps", steps, 2), _count("seed", seed, 0)
     rows = []
-    worst = 0.0
     for law in default_p1_laws(T, steps, seed):
-        traj = integrate(sys, law, steps)
-        seq = traj.states[1] + traj.states[3]
-        drops = np.diff(seq)
-        scale = max(1.0, float(np.max(np.abs(seq))))
-        worst_drop = float(min(0.0, drops.min()) / scale)
-        rows.append({"law": law.descriptor(), "worst_drop": worst_drop})
-        worst = min(worst, worst_drop)
+        drop, scale = 0.0, 1.0
+        for _, block in integrate(sys, law, steps):
+            seq = block[1, :, 0] + block[3, :, 0]
+            drop = min(drop, float(np.diff(seq).min()))
+            scale = max(scale, float(np.max(np.abs(seq))))
+        rows.append({"law": law.descriptor(), "worst_drop": drop / scale})
+    worst = min([0.0] + [row["worst_drop"] for row in rows])
     return {"passed": bool(worst >= -MONOTONE_TOL), "worst_drop": worst,
             "rows": rows, "T": T, "steps": steps, "tol": MONOTONE_TOL,
             "seed": seed}

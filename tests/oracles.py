@@ -14,6 +14,15 @@ import numpy as np
 import gnlab.funcspace as fs
 
 
+def chain_states(sweep) -> np.ndarray:
+    """Every state of a `control._rk4_blocks` sweep, (4, steps+1, batch),
+    which the package never stores: each block is copied before the next
+    overwrites it, and only the first keeps its row 0 (the origin; every
+    later row 0 repeats the block before's last)."""
+    return np.concatenate([block[:, (1 if lo else 0):].copy()
+                           for lo, block in sweep], axis=1)
+
+
 def scaled_triple_reference(law, times) -> np.ndarray:
     """Exact (x1, x2, x3) chain states for the bump family.
 

@@ -7,6 +7,7 @@ checks.
 
 import dataclasses
 import re
+from collections import deque
 import tracemalloc
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ import gnlab.funcspace as fs
 from gnlab import norms
 from gnlab.errors import (DivergenceError, InvariantError, ParameterError,
                           PreconditionError)
-from oracles import scaled_triple_reference
+from oracles import chain_states, scaled_triple_reference
 
 BUMP_LAW = ct.ScaledBumpTriple(1e-2, 0.0)
 
@@ -37,42 +38,39 @@ OBSTRUCTION_WORST_P13 = 0.9674138597522465
 BOUNDARY_WORST_ETA1 = -0.1639309643445931
 
 
-def stepwise_rk4_chain(w_stages, T, steps, p):
-    """Reference: the step-by-step RK4 loop that `_rk4_chain` sweeps in
-    blocks; no divergence check, non-finite states propagate."""
-    batch = w_stages.shape[1]
-    h = T / steps
-    out = np.zeros((4, steps + 1, batch))
-    x1 = np.zeros(batch)
-    x2 = np.zeros(batch)
-    x3 = np.zeros(batch)
-    x4 = np.zeros(batch)
+def swept_chain(w_stages, T, steps, p):
+    """Every state of the sweep of stored controls (2*steps+1, batch)."""
+    return chain_states(ct._rk4_blocks(lambda a, b: w_stages[a:b],
+                                       w_stages.shape[1], T, steps, p))
 
-    def rhs(w, y1, y2, y3):
+
+def trajectory(law, steps, p=3):
+    """Node times and states (4, steps+1) of `integrate` on [0, 1]."""
+    states = chain_states(ct.integrate(ct.ControlSystem(p, 1.0), law, steps))
+    return np.linspace(0.0, 1.0, steps + 1), states[:, :, 0]
+
+
+def stepwise_rk4_chain(w_stages, T, steps, p):
+    """Reference: the step-by-step RK4 loop that `_rk4_blocks` sweeps in
+    blocks; no divergence check, non-finite states propagate."""
+    h = T / steps
+    out = np.zeros((4, steps + 1, w_stages.shape[1]))
+
+    def rhs(w, y):
         # y1^p as the sweep evaluates it: |y1|^p, y1's sign for odd p
-        mag = np.abs(y1) ** p
-        return w, y1, y2, (y1 * y2 * y3) ** 2 - (
-            np.copysign(mag, y1) if p % 2 else mag)
+        mag = np.abs(y[0]) ** p
+        return np.stack([w, y[0], y[1], (y[0] * y[1] * y[2]) ** 2 - (
+            np.copysign(mag, y[0]) if p % 2 else mag)])
 
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(steps):
-            wa = w_stages[2 * n]
-            wm = w_stages[2 * n + 1]
-            wb = w_stages[2 * n + 2]
-            a1, a2, a3, a4 = rhs(wa, x1, x2, x3)
-            b1, b2, b3, b4 = rhs(wm, x1 + 0.5 * h * a1, x2 + 0.5 * h * a2,
-                                 x3 + 0.5 * h * a3)
-            c1, c2, c3, c4 = rhs(wm, x1 + 0.5 * h * b1, x2 + 0.5 * h * b2,
-                                 x3 + 0.5 * h * b3)
-            d1, d2, d3, d4 = rhs(wb, x1 + h * c1, x2 + h * c2, x3 + h * c3)
-            x1 = x1 + (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-            x2 = x2 + (h / 6.0) * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-            x3 = x3 + (h / 6.0) * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-            x4 = x4 + (h / 6.0) * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
-            out[0, n + 1] = x1
-            out[1, n + 1] = x2
-            out[2, n + 1] = x3
-            out[3, n + 1] = x4
+            wa, wm, wb = w_stages[2 * n:2 * n + 3]
+            x = out[:, n]
+            a = rhs(wa, x)
+            b = rhs(wm, x + 0.5 * h * a)
+            c = rhs(wm, x + 0.5 * h * b)
+            d = rhs(wb, x + h * c)
+            out[:, n + 1] = x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
     return out
 
 
@@ -155,39 +153,36 @@ class TestSystemAndLaws:
 
 class TestIntegrator:
     def test_zero_law_stays_at_origin(self):
-        traj = ct.integrate(ct.ControlSystem(3, 1.0), ct.Zero(), 64)
-        assert np.all(traj.states == 0.0)
-        assert traj.steps == 64
-        assert traj.terminal.shape == (4,)
+        _, states = trajectory(ct.Zero(), 64)
+        assert states.shape == (4, 65)
+        assert np.all(states == 0.0)
 
     def test_chain_matches_exact_reference(self):
-        traj = ct.integrate(ct.ControlSystem(3, 1.0), BUMP_LAW, 2048)
-        ref = scaled_triple_reference(BUMP_LAW, traj.times)
-        assert np.max(np.abs(traj.states[:3] - ref)) <= 1e-12
+        times, states = trajectory(BUMP_LAW, 2048)
+        ref = scaled_triple_reference(BUMP_LAW, times)
+        assert np.max(np.abs(states[:3] - ref)) <= 1e-12
 
     def test_chain_matches_reference_with_scaling_exponent(self):
         law = ct.ScaledBumpTriple(1e-2, 0.5)
-        traj = ct.integrate(ct.ControlSystem(3, 1.0), law, 4096)
-        ref = scaled_triple_reference(law, traj.times)
-        assert np.max(np.abs(traj.states[:3] - ref)) <= 1e-10
+        times, states = trajectory(law, 4096)
+        ref = scaled_triple_reference(law, times)
+        assert np.max(np.abs(states[:3] - ref)) <= 1e-10
 
     def test_fourth_order_error_reduction(self):
         errs = []
         for steps in (1024, 2048, 4096):
-            traj = ct.integrate(ct.ControlSystem(3, 1.0), BUMP_LAW, steps)
-            ref = scaled_triple_reference(BUMP_LAW, traj.times)
-            errs.append(np.max(np.abs(traj.states[:3] - ref)))
+            times, states = trajectory(BUMP_LAW, steps)
+            ref = scaled_triple_reference(BUMP_LAW, times)
+            errs.append(np.max(np.abs(states[:3] - ref)))
         ratios = [errs[i] / errs[i + 1] for i in range(2)]
         assert min(ratios) >= 12.0
 
     def test_states_linear_in_control(self):
         vals = np.sin(np.linspace(0.0, 3.0, 513))
-        base = ct.integrate(ct.ControlSystem(3, 1.0),
-                            ct.GridSamples(tuple(vals), 1.0), 256)
-        tripled = ct.integrate(ct.ControlSystem(3, 1.0),
-                               ct.GridSamples(tuple(3.0 * vals), 1.0), 256)
-        gap = np.max(np.abs(tripled.states[:3] - 3.0 * base.states[:3]))
-        scale = np.max(np.abs(tripled.states[:3]))
+        _, base = trajectory(ct.GridSamples(tuple(vals), 1.0), 256)
+        _, tripled = trajectory(ct.GridSamples(tuple(3.0 * vals), 1.0), 256)
+        gap = np.max(np.abs(tripled[:3] - 3.0 * base[:3]))
+        scale = np.max(np.abs(tripled[:3]))
         assert gap <= 100 * np.finfo(float).eps * scale
 
     def test_step_validation(self):
@@ -197,14 +192,14 @@ class TestIntegrator:
     def test_divergence_reports_step_index(self):
         huge = ct.GridSamples((0.0, 1e80, 1e80, 1e80, 0.0), 1.0)
         with pytest.raises(DivergenceError) as err:
-            ct.integrate(ct.ControlSystem(12, 1.0), huge, 256)
+            trajectory(huge, 256, p=12)
         assert 1 <= err.value.step <= 256
 
     @pytest.mark.parametrize("steps", [256, 5000])
     def test_divergence_reports_first_step(self, steps):
         huge = ct.GridSamples((0.0, 1e80, 1e80, 1e80, 0.0), 1.0)
         with pytest.raises(DivergenceError) as err:
-            ct.integrate(ct.ControlSystem(12, 1.0), huge, steps)
+            trajectory(huge, steps, p=12)
         assert err.value.step == 1
 
     def test_divergence_in_later_block_matches_stepwise(self, monkeypatch):
@@ -217,7 +212,7 @@ class TestIntegrator:
         first = int(np.argmax(bad))
         assert first > 16
         with pytest.raises(DivergenceError) as err:
-            ct._rk4_chain(w, 1.0, steps, 12)
+            swept_chain(w, 1.0, steps, 12)
         assert err.value.step == first
 
 
@@ -261,7 +256,7 @@ class TestSweepMatchesStepwise:
         rng = np.random.default_rng([p, batch])
         for steps in (rows - 5, rows, rows + 1, 3 * rows + 7):
             w = rng.standard_normal((2 * steps + 1, batch))
-            assert np.array_equal(ct._rk4_chain(w, 1.0, steps, p),
+            assert np.array_equal(swept_chain(w, 1.0, steps, p),
                                   stepwise_rk4_chain(w, 1.0, steps, p))
 
     def test_bit_identical_at_module_block_size(self):
@@ -270,14 +265,14 @@ class TestSweepMatchesStepwise:
         rng = np.random.default_rng(3)
         for steps in (9, 13):
             w = rng.standard_normal((2 * steps + 1, batch))
-            assert np.array_equal(ct._rk4_chain(w, 1.0, steps, 12),
+            assert np.array_equal(swept_chain(w, 1.0, steps, 12),
                                   stepwise_rk4_chain(w, 1.0, steps, 12))
 
 
 @pytest.mark.floor
 class TestStreamedReductions:
-    """What the obstruction and the scaling experiment reduce from each
-    block as it is swept equals its value from the stored states."""
+    """What each command reduces from each block as it is swept equals its
+    value from the stored states."""
 
     @pytest.mark.parametrize("batch", [1, 2, 5, 100])
     @pytest.mark.parametrize("steps", [11, 96, 97, 99, 1000, 1001])
@@ -289,7 +284,7 @@ class TestStreamedReductions:
         monkeypatch.setattr(ct, "_BLOCK_ENTRIES", rows * batch)
         rng = np.random.default_rng([batch, steps])
         w = 0.5 * rng.standard_normal((2 * steps + 1, batch))
-        states = ct._rk4_chain(w, 1.0, steps, 12)
+        states = swept_chain(w, 1.0, steps, 12)
         pos, neg, scale, terminal = ct._obstruction_sums(
             lambda a, b: w[a:b], batch, 1.0, steps, 12)
         h = 1.0 / steps
@@ -299,6 +294,29 @@ class TestStreamedReductions:
         assert np.array_equal(
             scale, np.maximum(np.max(np.abs(states[:3]), axis=(0, 1)), 1.0))
         assert np.array_equal(terminal, states[:, -1])
+
+    @pytest.mark.parametrize("p", [3, 7, 12])
+    @pytest.mark.parametrize("steps", [1000, 1001])
+    def test_formula_and_p1_match_stored_states(self, monkeypatch, p, steps):
+        # blocks of 16 steps, so each run spans 62; the odd step count
+        # takes the last-interval correction
+        monkeypatch.setattr(ct, "_BLOCK_ENTRIES", 16)
+        law = ct.ScaledBumpTriple(1e-3, 0.0)
+        chk = ct.terminal_formula_check(ct.ControlSystem(p, 1.0), law, steps)
+        _, (x1, x2, x3, x4) = trajectory(law, steps, p)
+        h = 1.0 / steps
+        assert chk["quadrature"] == (norms.simpson((x3 * x2 * x1) ** 2, h)
+                                     - norms.simpson(ct._power(x1, p), h))
+        assert chk["x4_terminal"] == x4[-1]
+        assert chk["terminal_triple"] == np.abs([x1, x2, x3])[:, -1].tolist()
+        # seed 2 gives a law whose x2 + x4 drops by roundoff at both counts
+        out = ct.monotone_check_p1(1.0, steps, seed=2)
+        assert out["worst_drop"] < 0.0
+        for law, row in zip(ct.default_p1_laws(1.0, steps, 2), out["rows"]):
+            _, states = trajectory(law, steps, p=1)
+            seq = states[1] + states[3]
+            scale = max(1.0, float(np.max(np.abs(seq))))
+            assert row["worst_drop"] == min(0.0, np.diff(seq).min()) / scale
 
     @pytest.mark.parametrize("count", [1, 2, 5])
     @pytest.mark.parametrize("steps", [1000, 1001])
@@ -310,7 +328,7 @@ class TestStreamedReductions:
         stage_t = ct._stage_times(1.0, steps)
         w = np.stack([ct.ScaledBumpTriple(e, 0.3)(stage_t) for e in eps],
                      axis=1)
-        x4 = ct._rk4_chain(w, 1.0, steps, 7)[3, -1]
+        x4 = swept_chain(w, 1.0, steps, 7)[3, -1]
         assert [v for _, v, _ in rep.rows] == x4.tolist()
 
     @pytest.mark.parametrize("steps", [2, 3, 16, 17, 18, 33, 48, 49])
@@ -510,7 +528,7 @@ class TestObstruction:
         weights = np.stack([np.ones_like(stage_t), 1.0 - stage_t,
                             0.5 * (1.0 - stage_t) ** 2])[:, :, None]
         functionals = simpson(weights * w, dx=1.0 / (2 * steps), axis=1)
-        states = ct._rk4_chain(w, 1.0, steps, 12)
+        states = swept_chain(w, 1.0, steps, 12)
         chain_scale = np.maximum(np.max(np.abs(states[:3]), axis=(0, 1)), 1.0)
         assert np.all(np.abs(functionals) <= 1e-12 * chain_scale)
 
@@ -546,16 +564,21 @@ class TestMonotoneP1:
         # linear chain term, so each increment is a squared product up
         # to rounding of the two separately accumulated states
         law = ct.ScaledBumpTriple(5e-2, 0.0)
-        traj = ct.integrate(ct.ControlSystem(1, 1.0), law, 1024)
-        seq = traj.states[1] + traj.states[3]
-        ulp_scale = np.finfo(float).eps * np.max(np.abs(traj.states[1]))
+        _, states = trajectory(law, 1024, p=1)
+        seq = states[1] + states[3]
+        ulp_scale = np.finfo(float).eps * np.max(np.abs(states[1]))
         assert np.min(np.diff(seq)) >= -32 * ulp_scale
         assert seq[-1] > 0.0
 
 
-# the control runs of the README, as library calls, a one-trial one and
-# a wide scaling batch
+# the control runs of the README, as library calls, a one-trial one, a
+# wide scaling batch, and `control integrate` and `formula` at their
+# defaults
 _README_CHAINS = {
+    "integrate": lambda: deque(ct.integrate(ct.ControlSystem(3, 1.0),
+                                            BUMP_LAW), maxlen=0),
+    "formula": lambda: ct.terminal_formula_check(ct.ControlSystem(3, 1.0),
+                                                 BUMP_LAW),
     "scaling": lambda: ct.scaling_experiment(7, 0.3,
                                              np.geomspace(1e-4, 1e-2, 5)),
     # 40 controls: the batch, not one law's evaluation, is the peak
