@@ -129,7 +129,7 @@ def _parse_eps_range(text: str, steps: int) -> np.ndarray:
     start, end, count = _parse_reals(text, ":", "start:end:count")
     norms._finite("epsilon range bound", (start, end), positive=True)
     count = norms._count("epsilon range count", count, 1)
-    ct.check_chain_size(steps, count, count + ct._LAW_GRID_ARRAYS)
+    ct.check_chain_size(steps, count, count, setup=0)
     return np.geomspace(start, end, count)
 
 
@@ -294,7 +294,7 @@ def cmd_control(args) -> int:
         if args.kind == "formula":
             payload = ct.terminal_formula_check(sys_, law, steps=args.steps)
         else:
-            for _, block in ct.integrate(sys_, law, steps=args.steps):
+            for _, block in ct.integrate(sys_, [law], steps=args.steps):
                 pass  # only the last block's terminal row is read
             payload = {"terminal": block[:, -1, 0].tolist(),
                        "steps": args.steps, "law": law.descriptor(),

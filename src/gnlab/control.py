@@ -19,14 +19,16 @@ The sweep reads its stage controls a block of rows at a time and yields
 its blocks of states one at a time, and every caller reduces each block
 before it asks for the next (Simpson sums, extreme values, the terminal
 row), so no run holds more than one block of states whatever the number
-of steps.  The obstruction's controls are never stored whole either: they
+of steps.  Control laws become a chain in one place, `integrate`, which
+checks and prices them and evaluates each into a column of controls.
+The obstruction's controls are never stored whole: they
 are a sine matrix times per-trial coefficients, less a quadratic
 correction, times a scale, and each block of them is built as it is read.
 The power term x1^p is |x1|^p with x1's sign restored for odd p, in the
 sweep and in the quadrature check alike.
-A run whose chain (the stage-grid arrays it holds and one sweep block)
-would take more than the package's byte cap (`funcspace.BYTES_CAP`) is
-refused before anything is allocated.
+A run whose chain (the stage-grid arrays it holds and the larger of its
+setup and one sweep block) would take more than the package's byte cap
+(`funcspace.BYTES_CAP`) is refused before anything is allocated.
 It cross-checks the terminal formula by quadrature, fits the
 epsilon-scaling exponents of the bump control family
 w(t) = eps * chi'''(t * eps^{-a}), and probes the p >= 12 sign
@@ -67,12 +69,12 @@ NOISE_MODES = 16
 # of them.  Of 2^15 to 2^18, 2^16 and 2^17 swept the obstruction batch
 # fastest (the block stays in cache), and 2^16 holds the least of the two
 _BLOCK_ENTRIES = 2 ** 16
-# stage-grid arrays of an integration besides its controls: the grid, and
-# a bump-triple law evaluated on it (traced: 1.4 on the whole grid and 18
-# on its support's share, chi_stack to order 3); one law's run holds those
-# and its one column of controls
-_LAW_GRID_ARRAYS, _LAW_SUPPORT_ARRAYS = 3, 19
-_LAW_STAGE_ARRAYS = 1 + _LAW_GRID_ARRAYS + _LAW_SUPPORT_ARRAYS
+# stage-grid arrays that `integrate` holds while it evaluates its laws and
+# frees before the sweep: the grid and one law's values and temporaries on
+# the whole grid (4 traced, a grid law sampled at every stage point), and a
+# bump-triple law's on its support's share of the grid (16.1 traced,
+# chi_stack to order 3)
+_SETUP_ARRAYS, _BUMP_ARRAYS = 5, 17
 _COEFF_GRID_N = 2 ** 16 + 1
 
 
@@ -190,33 +192,26 @@ def _block_spans(steps: int, batch: int):
         lo = hi
 
 
-def check_chain_size(steps: int, batch: int,
-                     stage_arrays: float = _LAW_STAGE_ARRAYS) -> None:
+def check_chain_size(steps: int, batch: int, held: float,
+                     setup: float) -> None:
     """Refuse, before anything is allocated, a chain whose footprint is
     above the package's byte cap.
 
-    Counted in float64 entries: `stage_arrays` arrays on the stage grid
-    (2*steps+1 points) that the caller holds, its controls among them:
-    one per run when they are stored whole, a control law evaluated on
-    the grid, or the obstruction's sine matrix and one block of its
-    controls (a fraction of one for a law's share or a block); one sweep
+    Counted in float64 entries on the stage grid (2*steps+1 points), a
+    fraction of one for a share of the grid or a block of it: `held`
+    arrays that the caller keeps through the sweep (`integrate`'s law
+    columns, the obstruction's sine matrix and one block of its controls),
+    and the larger of `setup` arrays that it frees before the sweep
+    (`integrate`'s grid and law temporaries) and the sweep's own: one
     block, its four states and 16 temporaries of one state's size (13
-    traced, the callers' reductions included); and, for one run, the
-    pair terms that its two Simpson sums keep, steps/2 each.
+    traced, the callers' reductions included), and, for one run, the pair
+    terms that its two Simpson sums keep, steps/2 each.
     """
+    grid = 2 * steps + 1
     block = (min(steps, _block_rows(batch) + 1) + 1) * batch
-    pairs = steps if batch == 1 else 0
+    sweep = 20 * block + (steps if batch == 1 else 0)
     fs.refuse_above_cap(f"the chain for {steps} steps x {batch} runs",
-                        8 * math.ceil(20 * block + pairs
-                                      + stage_arrays * (2 * steps + 1)))
-
-
-def _stage_times(T: float, steps: int, batch: int = 1,
-                 stage_arrays: float = _LAW_STAGE_ARRAYS) -> np.ndarray:
-    """Nodes and midpoints of the step grid, after the check of the chain's
-    footprint (`check_chain_size`) that every integration passes first."""
-    check_chain_size(steps, batch, stage_arrays)
-    return np.linspace(0.0, T, 2 * steps + 1)
+                        8 * math.ceil(held * grid + max(sweep, setup * grid)))
 
 
 def _rk4_blocks(rows, batch: int, T: float, steps: int, p: int):
@@ -294,25 +289,32 @@ def _rk4_blocks(rows, batch: int, T: float, steps: int, p: int):
         yield lo, block
 
 
-def _law_support_check(law: ControlLaw, T: float) -> None:
-    if isinstance(law, ScaledBumpTriple) and law.support_end > T * (1 + 1e-12):
-        raise PreconditionError(
-            f"bump support [0, {law.support_end:g}] exceeds the horizon {T:g}")
-    if isinstance(law, GridSamples) and abs(law.horizon - T) > 1e-12 * max(1.0, T):
-        raise PreconditionError("grid-sample horizon differs from the system's")
-
-
-def integrate(sys: ControlSystem, law: ControlLaw,
+def integrate(sys: ControlSystem, laws: Sequence[ControlLaw],
               steps: int = DEFAULT_STEPS):
-    """The `_rk4_blocks` sweep of the chain from the origin under `law`,
-    (4, m+1, 1) states a block; the last block's last row is the terminal
-    state.  The steps, the footprint and the law's support are checked on
-    the call, before the first block."""
+    """The `_rk4_blocks` sweep of the chain from the origin under each of
+    `laws`, one run per law: (4, m+1, len(laws)) states a block, the last
+    block's last row the terminal states.  The steps, every law's support
+    and the footprint are checked on the call, before anything is
+    allocated; each law is evaluated on the stage grid into one column of
+    the controls that the sweep reads, and the grid is dropped."""
     steps = _count("steps", steps, 2)
-    stage_t = _stage_times(sys.T, steps)
-    _law_support_check(law, sys.T)
-    stage_w = np.asarray(law(stage_t), dtype=float)[:, None]
-    return _rk4_blocks(lambda a, b: stage_w[a:b], 1, sys.T, steps, sys.p)
+    batch = _count("law count", len(laws), 1)
+    widest = max([law.support_end for law in laws
+                  if isinstance(law, ScaledBumpTriple)], default=0.0)
+    if widest > sys.T * (1 + 1e-12):
+        raise PreconditionError(
+            f"bump support [0, {widest:g}] exceeds the horizon {sys.T:g}")
+    if any(isinstance(law, GridSamples)
+           and abs(law.horizon - sys.T) > 1e-12 * max(1.0, sys.T)
+           for law in laws):
+        raise PreconditionError("grid-sample horizon differs from the system's")
+    check_chain_size(steps, batch, batch,
+                     _SETUP_ARRAYS + _BUMP_ARRAYS * widest / sys.T)
+    stage_t = np.linspace(0.0, sys.T, 2 * steps + 1)
+    w = np.empty((stage_t.size, batch))
+    for col, law in enumerate(laws):
+        w[:, col] = law(stage_t)
+    return _rk4_blocks(lambda a, b: w[a:b], batch, sys.T, steps, sys.p)
 
 
 def terminal_formula_check(sys: ControlSystem, law: ControlLaw,
@@ -326,7 +328,7 @@ def terminal_formula_check(sys: ControlSystem, law: ControlLaw,
     steps = _count("steps", steps, 2)
     h = sys.T / steps
     pos, neg = _SimpsonSweep(steps + 1, h), _SimpsonSweep(steps + 1, h)
-    for lo, block in integrate(sys, law, steps):
+    for lo, block in integrate(sys, [law], steps):
         x1, x2, x3 = block[:3, :, 0]
         pos.add(lo, (x3 * x2 * x1) ** 2)
         neg.add(lo, _power(x1, sys.p))
@@ -345,20 +347,13 @@ def terminal_formula_check(sys: ControlSystem, law: ControlLaw,
 
 
 @lru_cache(maxsize=None)
-def bump_triple_integral() -> float:
-    """int_0^1 (chi chi' chi'')^2, the coefficient of the quadratic term."""
-    x = np.linspace(0.0, 1.0, _COEFF_GRID_N)
-    ch = fs.chi_stack(x, 2)
-    return float(simpson((ch[0] * ch[1] * ch[2]) ** 2,
-                         1.0 / (_COEFF_GRID_N - 1)))
-
-
-@lru_cache(maxsize=None)
-def bump_power_integral(p: int) -> float:
-    """int_0^1 (chi'')^p, the coefficient of the p-th power term."""
-    x = np.linspace(0.0, 1.0, _COEFF_GRID_N)
-    ch = fs.chi_stack(x, 2)
-    return float(simpson(ch[2] ** p, 1.0 / (_COEFF_GRID_N - 1)))
+def bump_integrals(p: int) -> tuple:
+    """(int_0^1 (chi chi' chi'')^2, int_0^1 (chi'')^p), the coefficients of
+    the quadratic and the p-th power terms, from one sampled chi stack."""
+    ch = fs.chi_stack(np.linspace(0.0, 1.0, _COEFF_GRID_N), 2)
+    dx = 1.0 / (_COEFF_GRID_N - 1)
+    return (float(simpson((ch[0] * ch[1] * ch[2]) ** 2, dx)),
+            float(simpson(ch[2] ** p, dx)))
 
 
 def expected_terms(p: int, a: float) -> dict:
@@ -370,8 +365,7 @@ def expected_terms(p: int, a: float) -> dict:
     """
     e_quad = 6.0 + 13.0 * a
     e_pow = p * (1.0 + a) + a
-    coeff_a = bump_triple_integral()
-    coeff_b = bump_power_integral(p)
+    coeff_a, coeff_b = bump_integrals(p)
     if e_quad < e_pow - 1e-12:
         sign = 1
     elif e_pow < e_quad - 1e-12:
@@ -425,16 +419,8 @@ def scaling_experiment(p: int, a: float, eps: Sequence[float], T: float = 1.0,
         ratios = [eps[i + 1] / eps[i] for i in range(len(eps) - 1)]
         if any(abs(r / ratios[0] - 1.0) > 1e-9 for r in ratios):
             raise ParameterError("epsilon list must be geometric")
-    # eps^a grows with eps: the largest epsilon has the widest support
-    widest = ScaledBumpTriple(max(eps), a)
-    _law_support_check(widest, T)
-    stage_t = _stage_times(T, steps, len(eps), len(eps) + _LAW_GRID_ARRAYS
-                           + _LAW_SUPPORT_ARRAYS * widest.support_end / T)
-    laws = [ScaledBumpTriple(e, a) for e in eps]
-    w = np.empty((stage_t.size, len(laws)))
-    for col, law in enumerate(laws):
-        w[:, col] = law(stage_t)
-    for _, block in _rk4_blocks(lambda a, b: w[a:b], len(laws), T, steps, p):
+    for _, block in integrate(ControlSystem(p, T),
+                              [ScaledBumpTriple(e, a) for e in eps], steps):
         pass  # only the last block's terminal row is read
     x4 = block[3, -1]
     rows = tuple((e, float(v), int(np.sign(v))) for e, v in zip(eps, x4))
@@ -568,8 +554,9 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
     # built (the room of the basis and the targets' weights after), and
     # one block of controls
     buf_rows = min(2 * steps + 1, 2 * _block_rows(trials) + 3)
-    stage_t = _stage_times(T, steps, trials, 1 + 2 * NOISE_MODES
-                           + buf_rows * trials / (2 * steps + 1))
+    check_chain_size(steps, trials, 1 + 2 * NOISE_MODES
+                     + buf_rows * trials / (2 * steps + 1), setup=0)
+    stage_t = np.linspace(0.0, T, 2 * steps + 1)
     sines, coeffs = _noise_modes(stage_t, T, trials, seed)
     basis = np.stack([np.ones_like(stage_t), stage_t, stage_t ** 2], axis=1)
     buf = np.empty((buf_rows, trials))
@@ -599,36 +586,33 @@ def obstruction_check(p: int, T: float, eta: float, trials: int = 100,
                                                         steps, p)
     x4t = terminal[3]
 
-    margins = []
-    skipped = []
-    for idx in range(trials):
-        triple = np.abs(terminal[:3, idx])
-        if np.any(triple > 1e-6 * chain_scale[idx]):
-            skipped.append((idx, "terminal constraint violated after projection"))
-            continue
-        denom = pos[idx] + neg[idx]
-        margins.append(float(x4t[idx] / denom) if denom > 0 else 0.0)
-    if not margins:
+    # a trial whose chain did not return to 1e-6 of its size is skipped
+    skip = (np.abs(terminal[:3]) > 1e-6 * chain_scale).any(axis=0)
+    if skip.all():
         raise InvariantError("every trial was skipped; no margins to report")
-    worst_pos = int(np.argmin(margins))
-    skipped_idx = {i for i, _ in skipped}
-    kept_idx = [i for i in range(trials) if i not in skipped_idx]
-    worst_trial = kept_idx[worst_pos]
-    worst = margins[worst_pos]
+    denom = pos + neg
+    margins = np.where(denom > 0, x4t / np.where(denom > 0, denom, 1.0), 0.0)
+    worst_trial = int(np.argmin(np.where(skip, np.inf, margins)))
+    worst = float(margins[worst_trial])
+    reason = "terminal constraint violated after projection"
     return ObstructionReport(p=p, T=T, eta=eta, trials=trials, seed=seed,
                              steps=steps, tol=OBSTRUCTION_TOL,
-                             margins=tuple(margins), worst=worst,
+                             margins=tuple(margins[~skip].tolist()),
+                             worst=worst,
                              worst_trial=worst_trial,
                              worst_x4=float(x4t[worst_trial]),
                              passed=bool(worst >= -OBSTRUCTION_TOL),
-                             skipped=tuple(skipped))
+                             skipped=tuple((int(idx), reason) for idx
+                                           in np.flatnonzero(skip)))
 
 
 def default_p1_laws(T: float, steps: int, seed: int = 0) -> list:
     """Zero, a bump triple, and P1_RANDOM_LAWS bounded random controls."""
     steps, seed = _count("steps", steps, 2), _count("seed", seed, 0)
-    # each random law keeps its samples: one array on the stage grid
-    check_chain_size(steps, 1, _LAW_STAGE_ARRAYS + P1_RANDOM_LAWS)
+    # each random law keeps its samples, one array on the stage grid,
+    # beside one `integrate` run of the bump law on the whole horizon
+    check_chain_size(steps, 1, P1_RANDOM_LAWS + 1,
+                     _SETUP_ARRAYS + _BUMP_ARRAYS)
     laws = [Zero(), ScaledBumpTriple(1e-2, 0.0)]
     for i in range(P1_RANDOM_LAWS):
         rng = np.random.default_rng([seed, i])
@@ -654,10 +638,11 @@ def monotone_check_p1(T: float = 1.0, steps: int = 2 ** 12,
     rows = []
     for law in default_p1_laws(T, steps, seed):
         drop, scale = 0.0, 1.0
-        for _, block in integrate(sys, law, steps):
+        for _, block in integrate(sys, [law], steps):
             seq = block[1, :, 0] + block[3, :, 0]
             drop = min(drop, float(np.diff(seq).min()))
             scale = max(scale, float(np.max(np.abs(seq))))
+        del block, seq  # the next law is evaluated in their room
         rows.append({"law": law.descriptor(), "worst_drop": drop / scale})
     worst = min([0.0] + [row["worst_drop"] for row in rows])
     return {"passed": bool(worst >= -MONOTONE_TOL), "worst_drop": worst,

@@ -303,20 +303,17 @@ class BalanceEvaluator:
         return self._balance(self._beta, _finite("x", x),
                              _finite("h", h, positive=True))
 
-    def working_set(self, stride: int = 1,
-                    threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-        """Indices (into the grid) of E = {|u| and |v| above threshold},
-        subsampled by stride.  The threshold lies in [0, 1): at 1 no
-        point clears it and the cover would be vacuous."""
-        stride = _count("stride", stride, 1)
+    def working_set(self, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+        """Indices (into the grid) of E = {|u| and |v| above threshold}.
+        The threshold lies in [0, 1): at 1 no point clears it and the
+        cover would be vacuous."""
         if not 0.0 <= _finite("working-set threshold", threshold) < 1.0:
             raise ParameterError(
                 f"working-set threshold must be in [0, 1), got {threshold}")
         u0 = np.abs(self.u.stack[0])
         va = np.abs(self.v)
-        mask = (u0 > threshold * u0.max()) & (va > threshold * va.max())
-        idx = np.arange(0, self.u.n, stride)
-        return idx[mask[idx]]
+        return np.flatnonzero((u0 > threshold * u0.max())
+                              & (va > threshold * va.max()))
 
     def _ladder(self):
         """The scan's rungs h0 / q^k .. h0 .. h0 q^k (q = SCAN_FACTOR) in
@@ -599,7 +596,8 @@ def build_cover(u: GridFunction, spec: BalanceSpec,
     if e_resolution > u.n:
         raise ParameterError("e_resolution must be in [2, grid size]")
     stride = max(1, round((u.n - 1) / (e_resolution - 1)))
-    idx = ev.working_set(stride=stride, threshold=threshold)
+    full = ev.working_set(threshold)
+    idx = full[full % stride == 0]
     grid = u.grid
     if idx.size == 0:
         return CoverReport(np.zeros(0), np.zeros(0), np.zeros((0, 2)), 0, 0,
@@ -620,8 +618,7 @@ def build_cover(u: GridFunction, spec: BalanceSpec,
 
     max_overlap = overlap_profile(intervals)
 
-    full_idx = ev.working_set(stride=1, threshold=threshold)
-    ref = grid[full_idx]
+    ref = grid[full]
     covered = np.zeros(ref.shape, dtype=bool)
     for lo, hi in intervals:
         covered |= (ref > lo) & (ref < hi)

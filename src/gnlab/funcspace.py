@@ -505,7 +505,9 @@ class GridFunction:
 
 def refuse_above_cap(what: str, need: int) -> None:
     """ParameterError, with the cost, when ``what`` needs more than
-    BYTES_CAP bytes; called before anything of it is allocated."""
+    BYTES_CAP bytes; called before anything of it is allocated.  The
+    callers' formulas bound library calls: a command-line run also holds
+    argparse's parser (47 KB traced) and lazily imported modules (115 KB)."""
     if need > BYTES_CAP:
         raise ParameterError(
             f"{what} needs {need} bytes, above the {BYTES_CAP}-byte cap")

@@ -196,7 +196,7 @@ def test_criterion_8_numerics_hygiene():
     law = ct.ScaledBumpTriple(1e-2, 0.0)
     errs = []
     for steps in (1024, 2048, 4096):
-        states = chain_states(ct.integrate(ct.ControlSystem(3, 1.0), law,
+        states = chain_states(ct.integrate(ct.ControlSystem(3, 1.0), [law],
                                            steps))[:3, :, 0]
         ref = scaled_triple_reference(law, np.linspace(0.0, 1.0, steps + 1))
         errs.append(np.max(np.abs(states - ref)))

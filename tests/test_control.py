@@ -46,7 +46,7 @@ def swept_chain(w_stages, T, steps, p):
 
 def trajectory(law, steps, p=3):
     """Node times and states (4, steps+1) of `integrate` on [0, 1]."""
-    states = chain_states(ct.integrate(ct.ControlSystem(p, 1.0), law, steps))
+    states = chain_states(ct.integrate(ct.ControlSystem(p, 1.0), [law], steps))
     return np.linspace(0.0, 1.0, steps + 1), states[:, :, 0]
 
 
@@ -145,10 +145,11 @@ class TestSystemAndLaws:
     def test_law_support_preconditions(self):
         sys_half = ct.ControlSystem(3, 0.5)
         with pytest.raises(PreconditionError):
-            ct.integrate(sys_half, BUMP_LAW, 128)  # support [0,1] > horizon
+            ct.integrate(sys_half, [BUMP_LAW], 128)  # support [0,1] > horizon
         with pytest.raises(PreconditionError):
+            # every law is checked, not only the first
             ct.integrate(ct.ControlSystem(3, 1.0),
-                         ct.GridSamples((0.0,) * 5, 2.0), 128)
+                         [ct.Zero(), ct.GridSamples((0.0,) * 5, 2.0)], 128)
 
 
 class TestIntegrator:
@@ -187,7 +188,9 @@ class TestIntegrator:
 
     def test_step_validation(self):
         with pytest.raises(ParameterError):
-            ct.integrate(ct.ControlSystem(3, 1.0), ct.Zero(), 1)
+            ct.integrate(ct.ControlSystem(3, 1.0), [ct.Zero()], 1)
+        with pytest.raises(ParameterError):
+            ct.integrate(ct.ControlSystem(3, 1.0), [], 64)
 
     def test_divergence_reports_step_index(self):
         huge = ct.GridSamples((0.0, 1e80, 1e80, 1e80, 0.0), 1.0)
@@ -206,7 +209,7 @@ class TestIntegrator:
         monkeypatch.setattr(ct, "_BLOCK_ENTRIES", 16)
         late = ct.GridSamples((0.0, 0.0, 0.0, 1e80, 0.0), 1.0)
         steps = 256
-        w = late(ct._stage_times(1.0, steps))[:, None]
+        w = late(np.linspace(0.0, 1.0, 2 * steps + 1))[:, None]
         ref = stepwise_rk4_chain(w, 1.0, steps, 12)
         bad = ~(np.isfinite(ref[0, :, 0]) & np.isfinite(ref[3, :, 0]))
         first = int(np.argmax(bad))
@@ -268,6 +271,31 @@ class TestSweepMatchesStepwise:
             assert np.array_equal(swept_chain(w, 1.0, steps, 12),
                                   stepwise_rk4_chain(w, 1.0, steps, 12))
 
+    @pytest.mark.floor
+    @pytest.mark.parametrize("steps", [97, 1000])
+    def test_a_set_of_laws_sweeps_as_each_law_alone(self, monkeypatch, steps):
+        """`integrate` over a bump, the zero law and a grid law gives, in
+        each law's column of every block, that law's own sweep float for
+        float: a set of laws is a batch of independent runs."""
+        sys_ = ct.ControlSystem(7, 1.0)
+        wave = np.sin(np.linspace(0.0, 9.0, 2 * steps + 1))
+        laws = [ct.ScaledBumpTriple(1e-2, 0.3), ct.Zero(),
+                ct.GridSamples(wave, 1.0)]
+
+        def blocks(laws):
+            # blocks of 16 steps whatever the batch, so the spans align
+            monkeypatch.setattr(ct, "_BLOCK_ENTRIES", 16 * len(laws))
+            return [(lo, block.copy())
+                    for lo, block in ct.integrate(sys_, laws, steps)]
+
+        together = blocks(laws)
+        assert len(together) > 2
+        for col, law in enumerate(laws):
+            alone = blocks([law])
+            assert [lo for lo, _ in alone] == [lo for lo, _ in together]
+            for (_, one), (_, many) in zip(alone, together):
+                assert np.array_equal(one[..., 0], many[..., col])
+
 
 @pytest.mark.floor
 class TestStreamedReductions:
@@ -325,7 +353,7 @@ class TestStreamedReductions:
         monkeypatch.setattr(ct, "_BLOCK_ENTRIES", 16 * count)
         eps = np.geomspace(1e-2, 1e-1, count)
         rep = ct.scaling_experiment(7, 0.3, eps, steps=steps)
-        stage_t = ct._stage_times(1.0, steps)
+        stage_t = np.linspace(0.0, 1.0, 2 * steps + 1)
         w = np.stack([ct.ScaledBumpTriple(e, 0.3)(stage_t) for e in eps],
                      axis=1)
         x4 = swept_chain(w, 1.0, steps, 7)[3, -1]
@@ -386,14 +414,12 @@ class TestTerminalFormula:
 
 class TestExpectedTerms:
     def test_bump_integrals(self):
-        assert ct.bump_triple_integral() == pytest.approx(A_COEFF,
-                                                          rel=1e-12, abs=0.0)
-        assert ct.bump_power_integral(3) == pytest.approx(B3_COEFF,
-                                                          rel=1e-12, abs=0.0)
-        assert ct.bump_power_integral(12) == pytest.approx(B12_COEFF,
-                                                           rel=1e-12, abs=0.0)
+        for p, coeff in ((3, B3_COEFF), (12, B12_COEFF)):
+            quadratic, power = ct.bump_integrals(p)
+            assert quadratic == pytest.approx(A_COEFF, rel=1e-12, abs=0.0)
+            assert power == pytest.approx(coeff, rel=1e-12, abs=0.0)
         # odd powers inherit the sign of the dominant negative lobe
-        assert ct.bump_power_integral(7) < 0
+        assert ct.bump_integrals(7)[1] < 0
 
     def test_exponent_selection(self):
         t = ct.expected_terms(7, 0.3)
@@ -487,7 +513,7 @@ class TestObstruction:
     def test_projection_product_matches_per_row_simpson(self):
         # the targets are summed over the sweep's blocks of stage rows
         T, steps = 1.0, 2 ** 13
-        stage_t = ct._stage_times(T, steps, 100)
+        stage_t = np.linspace(0.0, T, 2 * steps + 1)
         sines, coeffs = ct._noise_modes(stage_t, T, 100, 7)
         got = ct._terminal_targets(lambda a, b: sines[a:b] @ coeffs,
                                    stage_t, T, 100)
@@ -545,6 +571,41 @@ class TestObstruction:
             tracemalloc.stop()
         assert peak < 8 * 100 * (2 * ct.DEFAULT_STEPS + 1)
 
+    def test_skipped_trials_leave_margins_and_worst_trial(self, monkeypatch):
+        """Trials whose chain did not return are skipped: the margins are
+        the kept trials' in order, and the worst is indexed among all."""
+        args = (12, 1.0, 0.8, 6, 7, 256)
+        base = ct.obstruction_check(*args)
+        sums = ct._obstruction_sums
+        seen = {}
+
+        def violate(trials):
+            def patched(rows, batch, T, steps, p):
+                pos, neg, scale, terminal = sums(rows, batch, T, steps, p)
+                terminal = terminal.copy()
+                terminal[0, trials] = 1.0  # x1(T) far above 1e-6 x scale
+                seen["x4"] = terminal[3]
+                return pos, neg, scale, terminal
+            monkeypatch.setattr(ct, "_obstruction_sums", patched)
+
+        # the base run's worst trial and one before it are skipped, so the
+        # worst of the rest sits at a different place in the margins
+        skip = sorted({0, base.worst_trial} if base.worst_trial else {0, 1})
+        violate(skip)
+        rep = ct.obstruction_check(*args)
+        kept = [i for i in range(6) if i not in skip]
+        assert rep.skipped == tuple(
+            (i, "terminal constraint violated after projection")
+            for i in skip)
+        assert rep.margins == tuple(base.margins[i] for i in kept)
+        worst = min(kept, key=lambda i: base.margins[i])
+        assert rep.worst_trial == worst and type(rep.worst_trial) is int
+        assert rep.worst == base.margins[worst]
+        assert rep.worst_x4 == seen["x4"][worst]
+        violate(list(range(6)))
+        with pytest.raises(InvariantError):
+            ct.obstruction_check(*args)
+
     def test_report_serializes(self):
         rep = ct.obstruction_check(12, 1.0, 0.5, trials=4, seed=1, steps=512)
         d = dataclasses.asdict(rep)
@@ -572,13 +633,18 @@ class TestMonotoneP1:
 
 
 # the control runs of the README, as library calls, a one-trial one, a
-# wide scaling batch, and `control integrate` and `formula` at their
-# defaults
+# wide scaling batch, `control integrate` and `formula` at their defaults,
+# and one law on half the horizon through `formula` and `scaling`
 _README_CHAINS = {
     "integrate": lambda: deque(ct.integrate(ct.ControlSystem(3, 1.0),
-                                            BUMP_LAW), maxlen=0),
+                                            [BUMP_LAW]), maxlen=0),
     "formula": lambda: ct.terminal_formula_check(ct.ControlSystem(3, 1.0),
                                                  BUMP_LAW),
+    # a bump law on half the horizon, [0, 0.1^0.3], as a formula check and
+    # as a scaling run: the two price it by the same rule
+    "formula-half": lambda: ct.terminal_formula_check(
+        ct.ControlSystem(7, 1.0), ct.ScaledBumpTriple(0.1, 0.3)),
+    "scaling-half": lambda: ct.scaling_experiment(7, 0.3, [0.1]),
     "scaling": lambda: ct.scaling_experiment(7, 0.3,
                                              np.geomspace(1e-4, 1e-2, 5)),
     # 40 controls: the batch, not one law's evaluation, is the peak

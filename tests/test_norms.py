@@ -324,13 +324,6 @@ def _bump_cover(**kwargs):
                            **kwargs)
 
 
-def _working_set(stride):
-    u = fs.sample(fs.BumpChi(), (0.0, 1.0), 257, 3)
-    ev = cov.BalanceEvaluator(u, cov.BalanceSpec(ks=(0, 1, 2), q=2, m=3,
-                                                 r="inf"))
-    return ev.working_set(stride=stride)
-
-
 SYSTEM = ct.ControlSystem(3, 1.0)
 #: (entry point, its count argument as a call, the minimum, a whole float)
 COUNTS = {
@@ -346,7 +339,7 @@ COUNTS = {
     "random_ratio_batch-seed": (lambda v: ex.random_ratio_batch(
         "ratio4", count=4, seed=v, grid_n=513), 0, 8.0),
     "ControlSystem-p": (lambda v: ct.ControlSystem(v, 1.0), 1, 3.0),
-    "integrate-steps": (lambda v: ct.integrate(SYSTEM, ct.Zero(), v), 2,
+    "integrate-steps": (lambda v: ct.integrate(SYSTEM, [ct.Zero()], v), 2,
                         64.0),
     "terminal_formula_check-steps": (lambda v: ct.terminal_formula_check(
         SYSTEM, ct.Zero(), v), 2, 64.0),
@@ -373,7 +366,6 @@ COUNTS = {
     "uniform_quintic_knots-dimension": (fs.uniform_quintic_knots, 6, 8.0),
     "build_cover-e_resolution": (lambda v: _bump_cover(e_resolution=v), 2,
                                  9.0),
-    "working_set-stride": (_working_set, 1, 8.0),
     "NormSpec-j": (lambda v: nm.NormSpec(2.0, v), 0, 1.0),
     "l6_params-k": (gn.l6_params, 1, 2.0),
     "BoundedExtras-k0": (lambda v: gn.BoundedExtras(k0=v), 0, 1.0),
