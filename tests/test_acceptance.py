@@ -55,7 +55,8 @@ def test_criterion_2_ibp_identities(corpus_65537):
     assert ok
 
 
-def test_criterion_3_proof_constant_ceilings(corpus_65537):
+def test_criterion_3_proof_constant_ceilings(corpus_65537,
+                                            criterion_3_search):
     cap4 = gn.RATIO4_BOUND + 1e-3
     cap6 = gn.RATIO6_BOUND + 1e-3
     corpus_max4 = max(r.ratio4 for r in
@@ -66,9 +67,8 @@ def test_criterion_3_proof_constant_ceilings(corpus_65537):
                       gn.special_constants(corpus_65537,
                                            include_fractional=False)
                       if r.ratio6 is not None)
-    batch4 = ex.random_ratio_batch("ratio4", count=10_000, seed=0)
+    search, batch4 = criterion_3_search
     batch6 = ex.random_ratio_batch("ratio6", count=10_000, seed=0)
-    search = ex.estimate_constant("ratio4", ex.SearchConfig())
     ok = (corpus_max4 <= cap4 and batch4["max"] <= cap4
           and corpus_max6 <= cap6 and batch6["max"] <= cap6
           and search.ratio <= cap4 and search.ratio >= 1.2)
