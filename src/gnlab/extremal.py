@@ -21,19 +21,21 @@ for the forms and the objective of every other target.
 
 The ratio is 0-homogeneous in the coefficient vector, so candidates are
 normalized to unit Euclidean length before evaluation; the optimizer
-never sees the scale direction.  Search is derivative-free adaptive
-Nelder-Mead, the package's own (`_lockstep`: each run takes step for step
-the reference implementation that the tests compare it with), from a
-fixed list of arch-shaped warm starts (least-squares fits of
+never sees the scale direction.  The restarts are derivative-free
+adaptive Nelder-Mead, the package's own (`_lockstep`: each run takes step
+for step the reference implementation that the tests compare it with),
+from a fixed list of arch-shaped warm starts (least-squares fits of
 |sin(n pi x)|^b profiles onto the candidate basis, with sign-alternating
-variants) plus seeded random starts, followed by one longer polishing run
-from the incumbent.  The restarts run in lockstep: their simplices are
-one stacked array, each round sorts and steps them with array operations
-and sends the points that every live run asks for to one objective call
-on rows, and each row's value is the float a call on that row alone
-gives.  The search runs on a coarse grid; the winner's own stack is then
-sampled on a fine one and its ratio reported, next to the search value,
-so grid artifacts are visible.
+variants) plus seeded random starts.  They run in lockstep: their
+simplices are one stacked array, each round sorts and steps them with
+array operations and sends the points that every live run asks for to one
+objective call on rows, and each row's value is the float a call on that
+row alone gives.  One polishing run from the incumbent follows.  Where the
+objective is the forms, it is BFGS on the unit sphere with the forms'
+exact gradient (`_bfgs`); every other objective is polished by one longer
+Nelder-Mead run.  The search runs on a coarse grid; the winner's own stack
+is then sampled on a fine one and its ratio reported, next to the search
+value, so grid artifacts are visible.
 """
 
 from __future__ import annotations
@@ -65,6 +67,9 @@ SEMINORM_REPORT_N = 4097
 CEILING_SLACK = 1e-3
 WARM_START_POWERS = (0.82, 0.85, 0.9, 1.0)
 WARM_START_FREQS = (1, 2, 3)
+# the polish's strong Wolfe constants: sufficient decrease and curvature,
+# scipy's BFGS values
+WOLFE = (1e-4, 0.9)
 
 RATIO_TAGS = ("ratio4", "ratio6", "ratio-half")
 _TAG_CEILING = {"ratio4": gn.RATIO4_BOUND, "ratio6": gn.RATIO6_BOUND}
@@ -371,8 +376,48 @@ def _form_values(target: str, dimension: int, n: int,
     return values
 
 
+def _form_gradient(target: str, dimension: int, n: int):
+    """The ratio of one unit coefficient row of a ratio4/ratio6 target and
+    its exact gradient, from `_form_ratios`' cached factors.
+
+    With a = R_num y, b = R_den y, N = |a|^2, D = |b|^2 and p = 1/(2d),
+    the ratio is (N/D)^p and its gradient in y is ratio * v, with
+    v = 2p (R_num^T a / N - R_den^T b / D).  y_k is the product of the
+    coefficients monos[:, k], so the gradient in c adds, for each factor
+    j, v_k times the product of the other d - 1 factors into coefficient
+    monos[j, k].  The ratio is 0-homogeneous, so the gradient at a unit row
+    is orthogonal to it.  A row with N or D of 0.0 reads (0.0, zeros), as
+    the forms read it 0.0.  24 us a call for ratio4 at dimension 16 and
+    66-68 us for ratio6 (2 vCPU, numpy 2.4)."""
+    monos, r_num, r_den = _ratio_factors(target, dimension, n)
+    power = 0.5 / monos.shape[0]
+
+    def value_and_gradient(unit: np.ndarray):
+        c = unit[monos]
+        y = c[0] * c[1]
+        for row in c[2:]:
+            y *= row
+        a = r_num @ y
+        b = r_den @ y
+        num2, den2 = float(a @ a), float(b @ b)
+        grad = np.zeros(dimension)
+        if num2 == 0.0 or den2 == 0.0:
+            return 0.0, grad
+        ratio = (num2 / den2) ** power
+        v = (2.0 * power * ratio) * (a @ r_num / num2 - b @ r_den / den2)
+        for j, idx in enumerate(monos):
+            w = v
+            for row in (*c[:j], *c[j + 1:]):
+                w = w * row
+            grad += np.bincount(idx, w, dimension)
+        return ratio, grad
+
+    return value_and_gradient
+
+
 def _make_objective(target: Target, dimension: int, n: int):
-    """Returns (ratios, basis) for a search: many calls on one grid.
+    """Returns (ratios, basis, gradient) for a search: many calls on one
+    grid.
 
     ratios maps unit coefficient rows, a (rows, dimension) array, to their
     ratios as a list of floats.  ratio4 and ratio6 evaluate as polynomial
@@ -382,7 +427,9 @@ def _make_objective(target: Target, dimension: int, n: int):
     above the byte cap before it starts; every other target and size calls
     the grid objective, which stays the oracle, once per row.  A
     ratio-half search on more than 1024 nodes keeps every
-    SEMINORM_SEARCH_STRIDE-th node.
+    SEMINORM_SEARCH_STRIDE-th node.  gradient is the forms' ratio and
+    exact gradient of one unit row (`_form_gradient`), and None for the
+    grid objective.
     """
     stride = SEMINORM_SEARCH_STRIDE if target == "ratio-half" and n > 1024 else 1
     forms = _uses_forms(target, dimension, n)
@@ -392,8 +439,9 @@ def _make_objective(target: Target, dimension: int, n: int):
             _factor_bytes(target, dimension, n))
     ratio, basis = _grid_objective(target, dimension, n, stride)
     if forms:
-        return _form_ratios(target, dimension, n), basis
-    return (lambda unit: [ratio(c) for c in unit]), basis
+        return (_form_ratios(target, dimension, n), basis,
+                _form_gradient(target, dimension, n))
+    return (lambda unit: [ratio(c) for c in unit]), basis, None
 
 
 def _uses_forms(target: Target, dimension: int, n: int) -> bool:
@@ -608,6 +656,215 @@ def _lockstep_bytes(restarts: int, dimension: int) -> int:
     return 8 * restarts * ((dimension + 1) * (3 * dimension + 16) + 128)
 
 
+def _bfgs(value_and_gradient, x0: np.ndarray, maxfev: int, fatol: float):
+    """BFGS on the unit sphere from x0: minimizes -ratio with its exact
+    gradient, spending at most maxfev calls of value_and_gradient (a unit
+    row to its ratio and gradient, `_form_gradient`).
+
+    Nocedal & Wright, *Numerical Optimization* (2006), ch. 6, with the
+    inverse Hessian approximation H = I at the start, as scipy's BFGS
+    starts: N&W's scaling s.y / y.y before the first update (their 6.20)
+    ended at 1.2609399 from perfbench's ratio4 incumbent and at 1.2603076
+    from README's, where the identity reaches 1.2610153.  Each step
+    searches along p = -H g projected onto the tangent plane at x, so
+    |x + t p| >= 1, with a strong-Wolfe line search (`_wolfe_search`) whose
+    first trial is min(1, 2.02 (f_prev - f) / -g.p) (N&W 3.60; f_prev =
+    f + |g| / 2 at the start, a first step of about unit length), and moves
+    to x + t p scaled back to unit length.  The ratio is 0-homogeneous, so
+    the gradient at x + t p is the unit point's over |x + t p|: the pair
+    (s, y) = (t p, the change of that gradient) is the exact secant of the
+    line, and s.y > 0 whenever the curvature condition holds; an update
+    with s.y <= 0 is skipped.  The run stops when p is not a descent
+    direction, when the line search fails or would pass the budget (the
+    point stays where it was), or after a step that lowers the value by no
+    more than fatol.  Returns ([(x, f, evaluations)], the number of values
+    that were 0.0), as `_lockstep` does for one start.
+    """
+    nfev = zeros = 0
+
+    def evaluate(z):
+        nonlocal nfev, zeros
+        if nfev >= maxfev:
+            return None
+        nfev += 1
+        length = math.sqrt(z @ z)
+        ratio, grad = value_and_gradient(z / length)
+        zeros += ratio == 0.0
+        return -ratio, grad / -length
+
+    x = x0 / math.sqrt(x0 @ x0)
+    f, g = evaluate(x)
+    f_prev = f + 0.5 * math.sqrt(g @ g)
+    h = np.eye(len(x))
+    while True:
+        p = -(h @ g)
+        p -= (p @ x) * x
+        slope = float(g @ p)
+        if not slope < 0.0:
+            break
+
+        def phi(t):
+            point = evaluate(x + t * p)
+            if point is None:
+                return None
+            return point[0], float(point[1] @ p), point[1]
+
+        step = _wolfe_search(phi, f, slope,
+                             min(1.0, 2.02 * (f - f_prev) / slope))
+        if step is None:
+            break
+        t, f_new, g_new = step
+        s = t * p
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            hy = h @ y
+            h += (((sy + y @ hy) / sy) * np.outer(s, s)
+                  - np.outer(hy, s) - np.outer(s, hy)) / sy
+        z = x + s
+        length = math.sqrt(z @ z)
+        x, g = z / length, g_new * length
+        stalled = not f_new < f - fatol
+        f_prev, f = f, f_new
+        if stalled:
+            break
+    return [(x, f, nfev)], zeros
+
+
+def _wolfe_search(phi, f0: float, d0: float, t: float):
+    """A step t > 0 with phi(t) <= f0 + WOLFE[0] t d0 and
+    |phi'(t)| <= -WOLFE[1] d0 (the strong Wolfe conditions), from a first
+    trial t, by Moré & Thuente's search ("Line search algorithms with
+    guaranteed sufficient decrease", ACM TOMS 20, 1994), the one scipy's
+    BFGS tries first.
+
+    phi(t) gives (phi(t), phi'(t), payload), or None once the budget is
+    spent.  Until a trial has sufficient decrease and phi' >= 0, steps are
+    chosen on psi(t) = phi(t) - f0 - WOLFE[0] t d0 (the paper's first
+    stage).  Before the minimizer is bracketed a trial extrapolates to
+    within 1.1 to 4 times its distance from the best step so far; once it
+    is bracketed, an interval that two trials did not shrink to 2/3 is
+    bisected.  Returns (t, phi(t), payload), or None when phi is spent or
+    rounding leaves no room: the interval is within 1e-14 relative, or the
+    next trial falls outside it.  Nocedal & Wright's Algorithm 3.5/3.6
+    with a safeguarded cubic zoom ended ratio6's perfbench polish at
+    1.4153745, where this search and scipy's reach 1.4391448.
+    """
+    c1, c2 = WOLFE
+    gtest = c1 * d0
+    bracketed, stage1 = False, True
+    width = width1 = math.inf
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = d0
+    lo, hi = 0.0, 5.0 * t
+    while True:
+        trial = phi(t)
+        if trial is None:
+            return None
+        f, g, payload = trial
+        ftest = f0 + t * gtest
+        if stage1 and f <= ftest and g >= 0.0:
+            stage1 = False
+        if f <= ftest and abs(g) <= -c2 * d0:
+            return t, f, payload
+        if bracketed and (t <= lo or t >= hi or hi - lo <= 1e-14 * hi):
+            return None
+        if stage1 and fx >= f > ftest:
+            stx, fx, gx, sty, fy, gy, t, bracketed = _wolfe_step(
+                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest,
+                gy - gtest, t, f - t * gtest, g - gtest, bracketed, lo, hi)
+            fx, fy = fx + stx * gtest, fy + sty * gtest
+            gx, gy = gx + gtest, gy + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, t, bracketed = _wolfe_step(
+                stx, fx, gx, sty, fy, gy, t, f, g, bracketed, lo, hi)
+        if bracketed:
+            if abs(sty - stx) >= 0.66 * width1:
+                t = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            lo, hi = min(stx, sty), max(stx, sty)
+            if t <= lo or t >= hi or hi - lo <= 1e-14 * hi:
+                t = stx
+        else:
+            lo, hi = t + 1.1 * (t - stx), t + 4.0 * (t - stx)
+
+
+def _cubic(ta, fa, da, tb, fb, db):
+    """theta and gamma >= 0 of the cubic through (ta, fa) and (tb, fb) with
+    slopes da and db: its turning points are where theta +- gamma vanish,
+    in Moré & Thuente's scaled form; gamma is 0 where it has none."""
+    theta = 3.0 * (fa - fb) / (tb - ta) + da + db
+    s = max(abs(theta), abs(da), abs(db))
+    return theta, s * math.sqrt(
+        max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
+
+
+def _wolfe_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, lo, hi):
+    """Moré & Thuente's safeguarded step (dcstep): the next trial from the
+    best step stx, the other end sty and the trial stp, each with its value
+    and slope, and the interval (stx, sty) updated by the trial.  Four
+    cases, as the paper numbers them: a higher value (the minimizer is
+    bracketed; the cubic step, or its mean with the quadratic one when that
+    is nearer), a slope of the other sign (bracketed; the cubic or the
+    secant step, whichever is farther), a smaller slope of the same sign
+    (the cubic step if it lies beyond stp, else an end of [lo, hi]; kept
+    within 2/3 of the way to sty once bracketed), and else the cubic
+    through stp and sty, or an end of [lo, hi] while unbracketed.  Returns
+    (stx, fx, dx, sty, fy, dy, next trial, bracketed)."""
+    sgnd = dp * math.copysign(1.0, dx)
+    if fp > fx:
+        theta, gamma = _cubic(stx, fx, dx, stp, fp, dp)
+        gamma = -gamma if stp < stx else gamma
+        r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
+        stpc = stx + r * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (
+            stp - stx)
+        if abs(stpc - stx) < abs(stpq - stx):
+            step = stpc
+        else:
+            step = stpc + (stpq - stpc) / 2.0
+        bracketed = True
+    elif sgnd < 0.0:
+        theta, gamma = _cubic(stx, fx, dx, stp, fp, dp)
+        gamma = -gamma if stp > stx else gamma
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
+        stpc = stp + r * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        step = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        bracketed = True
+    elif abs(dp) < abs(dx):
+        theta, gamma = _cubic(stx, fx, dx, stp, fp, dp)
+        gamma = -gamma if stp > stx else gamma
+        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = hi if stp > stx else lo
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if bracketed:
+            step = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            far = stp + 0.66 * (sty - stp)
+            step = min(far, step) if stp > stx else max(far, step)
+        else:
+            step = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            step = min(max(step, lo), hi)
+    elif bracketed:
+        theta, gamma = _cubic(sty, fy, dy, stp, fp, dp)
+        gamma = -gamma if stp > sty else gamma
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
+        step = stp + r * (sty - stp)
+    else:
+        step = hi if stp > stx else lo
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if sgnd < 0.0:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, step, bracketed
+
+
 def _batch_bytes(count: int, dimension: int) -> int:
     """`random_ratio_batch`'s bytes: per candidate its normals, their
     squares, its length and value (traced: 1.0 to 1.5 times the growth)."""
@@ -637,10 +894,14 @@ def estimate_constant(target: Target,
     Runs `config.restarts` Nelder-Mead starts (warm starts first, then
     random vectors drawn from per-restart streams seeded by
     (config.seed, restart index)) in lockstep, polishes the incumbent with
-    a longer run, and reports the winner's ratio on its own stack sampled
-    on the report grid.  The trace and the incumbent follow restart order.
-    The restarts, the winner's stack and the factors are refused up front
-    when their formulas put them above the byte cap.
+    2.5 times the budget and a hundredth of the tolerance, and reports the
+    winner's ratio on its own stack sampled on the report grid.  The polish
+    is BFGS on the exact gradient where the objective has one (ratio4 and
+    ratio6 as forms; each value-and-gradient call is one evaluation), and a
+    Nelder-Mead run otherwise.  The trace and the incumbent follow restart
+    order, the polish last.  The restarts, the winner's stack and the
+    factors are refused up front when their formulas put them above the
+    byte cap.
     """
     config = config or SearchConfig()
     fs.refuse_above_cap(
@@ -654,7 +915,8 @@ def estimate_constant(target: Target,
     fs.refuse_above_cap(
         f"the winner's stack to order {order} on {report_n} nodes",
         _report_bytes(target, config.dimension, config.grid_n, report_n))
-    ratios, basis = _make_objective(target, config.dimension, config.grid_n)
+    ratios, basis, gradient = _make_objective(target, config.dimension,
+                                              config.grid_n)
     objective = partial(_search_values, ratios)
     starts = warm_starts(basis[0])
     n_warm = min(len(starts), config.restarts)
@@ -663,14 +925,18 @@ def estimate_constant(target: Target,
         rng = np.random.default_rng([config.seed, idx])
         starts.append(rng.standard_normal(config.dimension))
 
-    # the restarts, then one longer polishing run from the incumbent; each
-    # run is one trace entry, in order, and a winner that beats the
-    # incumbent is kept as a unit vector
+    # the restarts, then one polishing run from the incumbent with 2.5
+    # times the budget: BFGS where the objective has a gradient, else a
+    # longer Nelder-Mead run; each run is one trace entry, in order, and a
+    # winner that beats the incumbent is kept as a unit vector
     kinds = ["warm"] * n_warm + ["random"] * (config.restarts - n_warm)
     budget, tol = config.budget, config.tol
     trace, best, best_vec, evals, degenerate = [], 0.0, None, 0, 0
-    for _ in range(2):
-        runs, zeros = _lockstep(objective, starts, budget, 1e-9, tol)
+    for polish in (False, True):
+        if polish and gradient is not None:
+            runs, zeros = _bfgs(gradient, best_vec, budget, tol)
+        else:
+            runs, zeros = _lockstep(objective, starts, budget, 1e-9, tol)
         degenerate += zeros
         for (x, fun, nfev), kind in zip(runs, kinds):
             evals += nfev
@@ -722,7 +988,7 @@ def random_ratio_batch(target: Target, count: int = 10_000,
     norms._check_grid_n(grid_n)
     fs.refuse_above_cap(f"{count} random candidates in dimension {dimension}",
                         _batch_bytes(count, dimension))
-    ratios, _ = _make_objective(target, dimension, grid_n)
+    ratios, _, _ = _make_objective(target, dimension, grid_n)
     coeffs = np.random.default_rng(seed).standard_normal((count, dimension))
     lengths = np.linalg.norm(coeffs, axis=1)
     lengths[lengths == 0.0] = 1.0
