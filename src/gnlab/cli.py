@@ -250,12 +250,21 @@ def cmd_cover(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    given = [flag for flag, value in (("--sweep-l6", args.sweep_l6),
+                                      ("--target", args.target),
+                                      ("--preset", args.preset))
+             if value is not None]
+    if len(given) > 1:
+        raise ParameterError(
+            f"give one target source, not {' and '.join(given)}")
+    if args.mode == "corpus" and args.sweep_l6 is None:
+        raise ParameterError("--mode corpus needs --sweep-l6")
     config = ex.SearchConfig(restarts=args.restarts, budget=args.budget,
                              tol=args.tol, seed=_resolve_seed(args),
                              dimension=args.dimension,
                              grid_n=args.search_N,
                              report_grid_n=args.report_N)
-    if args.sweep_l6:
+    if args.sweep_l6 is not None:
         ks = _parse_ks(args.sweep_l6)
         targets = []
         for k in ks:

@@ -11,13 +11,14 @@ funcspace's byte cap, so a candidate's stack is `basis @ c` and the grid
 objective is one closure over it.
 
 On the Simpson grid ratio4^4 and ratio6^6 are quotients of two polynomial
-forms in c, so their search objectives (Nelder-Mead and the random
-batches) are evaluated as (|R_num y| / |R_den y|)^(1/d) wherever the
-splines are local and the factors are no larger than the stack: y holds the
-products of d coefficients whose splines overlap, and each R is a cached
-triangular QR factor of the weighted monomial coefficients.  That is the
-grid's discrete sum in another order.  The grid objective stays the oracle
-for the forms and the objective of every other target.
+forms in c.  Wherever the splines are local and the factors are no larger
+than the stack, one builder (`_forms`) evaluates them as
+(|R_num y| / |R_den y|)^(1/d) for the search's rows, the random batches
+and the polish's gradient alike: y holds the products of d coefficients
+whose splines overlap, and each R is a cached triangular QR factor of the
+weighted monomial coefficients.  That is the grid's discrete sum in
+another order.  The grid objective stays the oracle for the forms and the
+objective of every other target.
 
 The ratio is 0-homogeneous in the coefficient vector, so candidates are
 normalized to unit Euclidean length before evaluation; the optimizer
@@ -324,25 +325,43 @@ def _report_bytes(target: Target, dimension: int, grid_n: int,
     return fs.sampled_bytes(report_n, order, arrays) + held
 
 
-def _form_ratios(target: str, dimension: int, n: int):
-    """Ratios of unit coefficient rows for a ratio4/ratio6 target as
-    (|R_num y| / |R_den y|)^(1/d): the grid objective's Simpson sums in
-    another order, so only roundoff differs from it.  Each row takes its
-    own matrix-vector products and dots and its power as a Python float, so
-    its value does not depend on the rows beside it (a matrix product or a
-    power over an array moves last bits); more than BATCH_ROWS rows go in
-    blocks of that many, which keeps the temporaries a few MB."""
+def _forms(target: str, dimension: int, n: int):
+    """(rows, batch, value_and_gradient): the evaluators of a ratio4/ratio6
+    target as (N / D)^p, with N = |a|^2, a = R_num y, D = |b|^2,
+    b = R_den y, p = 1/(2d), y each monomial's product of coefficients and
+    the cached factors of `_ratio_factors`: the grid objective's Simpson
+    sums in another order, so only roundoff differs.  A row with D = 0
+    reads 0.0, and value_and_gradient reads (0.0, zeros) where N or D is 0.
+
+    - rows maps unit rows to a list of floats.  Each row takes its own
+      matrix-vector products and dots and its power as a Python float, so
+      its value does not depend on the rows beside it (a matrix product or
+      a power over an array moves last bits); more than BATCH_ROWS rows go
+      in blocks of that many, which keeps the temporaries a few MB.
+    - batch maps unit rows to an array through one matrix product per
+      factor for each block of BATCH_ROWS rows.
+    - value_and_gradient gives one unit row's ratio and exact gradient.
+      The gradient in y is ratio * v, v = 2p (R_num^T a / N - R_den^T b / D);
+      the gradient in c adds, for each factor j, v_k times the product of
+      the other d - 1 factors into coefficient monos[j, k].  It is
+      orthogonal to the unit row, as the ratio is 0-homogeneous.  24 us a
+      call for ratio4 at dimension 16 and 66-68 us for ratio6 (2 vCPU,
+      numpy 2.4).
+    """
     monos, r_num, r_den = _ratio_factors(target, dimension, n)
     power = 0.5 / monos.shape[0]
-    first, *rest = monos
 
-    def ratios(unit: np.ndarray) -> list:
+    def products(unit: np.ndarray) -> np.ndarray:
+        y = unit[..., monos[0]]
+        for idx in monos[1:]:
+            y *= unit[..., idx]
+        return y
+
+    def rows(unit: np.ndarray) -> list:
         if len(unit) > BATCH_ROWS:
             return [r for lo in range(0, len(unit), BATCH_ROWS)
-                    for r in ratios(unit[lo:lo + BATCH_ROWS])]
-        y = unit[:, first]
-        for idx in rest:
-            y *= unit[:, idx]
+                    for r in rows(unit[lo:lo + BATCH_ROWS])]
+        y = products(unit)
         num = r_num @ y[:, :, None]
         den = r_den @ y[:, :, None]
         num2 = (num.transpose(0, 2, 1) @ num).ravel().tolist()
@@ -350,53 +369,22 @@ def _form_ratios(target: str, dimension: int, n: int):
         return [(a / b) ** power if b != 0.0 else 0.0
                 for a, b in zip(num2, den2)]
 
-    return ratios
-
-
-def _form_values(target: str, dimension: int, n: int,
-                 coeffs: np.ndarray) -> np.ndarray:
-    """`_form_ratios` of every row of coeffs, through one matrix product
-    per factor for each block of BATCH_ROWS rows: the same forms summed in
-    another order, so only roundoff differs."""
-    monos, r_num, r_den = _ratio_factors(target, dimension, n)
-    power = 0.5 / monos.shape[0]
-    first, *rest = monos
-    values = np.zeros(len(coeffs))
-    for lo in range(0, len(coeffs), BATCH_ROWS):
-        block = coeffs[lo:lo + BATCH_ROWS]
-        y = block[:, first]
-        for idx in rest:
-            y *= block[:, idx]
+    def batch(unit: np.ndarray) -> np.ndarray:
+        if len(unit) > BATCH_ROWS:
+            return np.concatenate([batch(unit[lo:lo + BATCH_ROWS])
+                                   for lo in range(0, len(unit), BATCH_ROWS)])
+        y = products(unit)
         num = y @ r_num.T
         den = y @ r_den.T
         num2 = np.einsum("ij,ij->i", num, num)
         den2 = np.einsum("ij,ij->i", den, den)
         live = den2 != 0.0
-        values[lo:lo + BATCH_ROWS][live] = (num2[live] / den2[live]) ** power
-    return values
-
-
-def _form_gradient(target: str, dimension: int, n: int):
-    """The ratio of one unit coefficient row of a ratio4/ratio6 target and
-    its exact gradient, from `_form_ratios`' cached factors.
-
-    With a = R_num y, b = R_den y, N = |a|^2, D = |b|^2 and p = 1/(2d),
-    the ratio is (N/D)^p and its gradient in y is ratio * v, with
-    v = 2p (R_num^T a / N - R_den^T b / D).  y_k is the product of the
-    coefficients monos[:, k], so the gradient in c adds, for each factor
-    j, v_k times the product of the other d - 1 factors into coefficient
-    monos[j, k].  The ratio is 0-homogeneous, so the gradient at a unit row
-    is orthogonal to it.  A row with N or D of 0.0 reads (0.0, zeros), as
-    the forms read it 0.0.  24 us a call for ratio4 at dimension 16 and
-    66-68 us for ratio6 (2 vCPU, numpy 2.4)."""
-    monos, r_num, r_den = _ratio_factors(target, dimension, n)
-    power = 0.5 / monos.shape[0]
+        values = np.zeros(len(unit))
+        values[live] = (num2[live] / den2[live]) ** power
+        return values
 
     def value_and_gradient(unit: np.ndarray):
-        c = unit[monos]
-        y = c[0] * c[1]
-        for row in c[2:]:
-            y *= row
+        y = products(unit)
         a = r_num @ y
         b = r_den @ y
         num2, den2 = float(a @ a), float(b @ b)
@@ -407,29 +395,30 @@ def _form_gradient(target: str, dimension: int, n: int):
         v = (2.0 * power * ratio) * (a @ r_num / num2 - b @ r_den / den2)
         for j, idx in enumerate(monos):
             w = v
-            for row in (*c[:j], *c[j + 1:]):
-                w = w * row
+            for other in (*monos[:j], *monos[j + 1:]):
+                w = w * unit[other]
             grad += np.bincount(idx, w, dimension)
         return ratio, grad
 
-    return value_and_gradient
+    return rows, batch, value_and_gradient
 
 
 def _make_objective(target: Target, dimension: int, n: int):
-    """Returns (ratios, basis, gradient) for a search: many calls on one
-    grid.
+    """Returns (ratios, batch, gradient, basis) for a search: many calls on
+    one grid.
 
     ratios maps unit coefficient rows, a (rows, dimension) array, to their
-    ratios as a list of floats.  ratio4 and ratio6 evaluate as polynomial
-    forms whenever their two factors hold no more entries than the
-    derivative stack they replace and the splines are local
-    (FORM_MIN_DIMENSION), and their build (`_factor_bytes`) is refused
-    above the byte cap before it starts; every other target and size calls
-    the grid objective, which stays the oracle, once per row.  A
-    ratio-half search on more than 1024 nodes keeps every
-    SEMINORM_SEARCH_STRIDE-th node.  gradient is the forms' ratio and
-    exact gradient of one unit row (`_form_gradient`), and None for the
-    grid objective.
+    ratios as a list of floats, each row's float its own; batch maps them
+    to an array, which may sum many rows at once.  ratio4 and ratio6
+    evaluate as polynomial forms (`_forms`) whenever their two factors
+    hold no more entries than the derivative stack they replace and the
+    splines are local (FORM_MIN_DIMENSION), and their build
+    (`_factor_bytes`) is refused above the byte cap before it starts;
+    gradient is then the forms' ratio and exact gradient of one unit row.
+    Every other target and size calls the grid objective, which stays the
+    oracle, once per row in ratios and batch alike, and has no gradient
+    (None).  A ratio-half search on more than 1024 nodes keeps every
+    SEMINORM_SEARCH_STRIDE-th node.
     """
     stride = SEMINORM_SEARCH_STRIDE if target == "ratio-half" and n > 1024 else 1
     forms = _uses_forms(target, dimension, n)
@@ -439,9 +428,12 @@ def _make_objective(target: Target, dimension: int, n: int):
             _factor_bytes(target, dimension, n))
     ratio, basis = _grid_objective(target, dimension, n, stride)
     if forms:
-        return (_form_ratios(target, dimension, n), basis,
-                _form_gradient(target, dimension, n))
-    return (lambda unit: [ratio(c) for c in unit]), basis, None
+        return (*_forms(target, dimension, n), basis)
+
+    def ratios(unit: np.ndarray) -> list:
+        return [ratio(c) for c in unit]
+
+    return ratios, lambda unit: np.array(ratios(unit)), None, basis
 
 
 def _uses_forms(target: Target, dimension: int, n: int) -> bool:
@@ -659,7 +651,7 @@ def _lockstep_bytes(restarts: int, dimension: int) -> int:
 def _bfgs(value_and_gradient, x0: np.ndarray, maxfev: int, fatol: float):
     """BFGS on the unit sphere from x0: minimizes -ratio with its exact
     gradient, spending at most maxfev calls of value_and_gradient (a unit
-    row to its ratio and gradient, `_form_gradient`).
+    row to its ratio and gradient, `_forms`' value_and_gradient).
 
     Nocedal & Wright, *Numerical Optimization* (2006), ch. 6, with the
     inverse Hessian approximation H = I at the start, as scipy's BFGS
@@ -915,8 +907,8 @@ def estimate_constant(target: Target,
     fs.refuse_above_cap(
         f"the winner's stack to order {order} on {report_n} nodes",
         _report_bytes(target, config.dimension, config.grid_n, report_n))
-    ratios, basis, gradient = _make_objective(target, config.dimension,
-                                              config.grid_n)
+    ratios, _, gradient, basis = _make_objective(target, config.dimension,
+                                                 config.grid_n)
     objective = partial(_search_values, ratios)
     starts = warm_starts(basis[0])
     n_warm = min(len(starts), config.restarts)
@@ -970,11 +962,9 @@ def estimate_constant(target: Target,
 def random_ratio_batch(target: Target, count: int = 10_000,
                        dimension: int = 8, seed: int = 0,
                        grid_n: int = SEARCH_GRID_N) -> dict:
-    """Ratios of seeded random unit candidates.
-
-    Where the search would evaluate forms (`_uses_forms`) the candidates
-    go through `_form_values` in blocks; every other target makes one
-    objective call each.
+    """Ratios of seeded random unit candidates, through the search
+    objective's batch evaluator (`_make_objective`): the forms in blocks
+    of rows, or one grid objective call each.
 
     This is the coarse random-search oracle used to sanity-check the
     proof ceilings and to lower-bound the optimizer: the max over many
@@ -988,15 +978,12 @@ def random_ratio_batch(target: Target, count: int = 10_000,
     norms._check_grid_n(grid_n)
     fs.refuse_above_cap(f"{count} random candidates in dimension {dimension}",
                         _batch_bytes(count, dimension))
-    ratios, _, _ = _make_objective(target, dimension, grid_n)
+    _, batch, _, _ = _make_objective(target, dimension, grid_n)
     coeffs = np.random.default_rng(seed).standard_normal((count, dimension))
     lengths = np.linalg.norm(coeffs, axis=1)
     lengths[lengths == 0.0] = 1.0
     coeffs /= lengths[:, None]
-    if _uses_forms(target, dimension, grid_n):
-        values = _form_values(target, dimension, grid_n, coeffs)
-    else:
-        values = np.array(ratios(coeffs))
+    values = batch(coeffs)
     idx = int(np.argmax(values))
     best = max(float(values[idx]), 0.0)
     return {"target": _target_label(target), "count": count,

@@ -1,19 +1,28 @@
-"""The frozen search constants against their analytic bounds.
+"""The frozen constants against their analytic bounds and oracles.
 
 A frozen value pins one computation's float; its bounds say what any
 correct computation must satisfy.  A re-freeze changes values, never a
 bound or a tolerance, and both the value it replaces and the new one must
 pass here: a ratio is at most its proof ceiling plus CEILING_SLACK, and a
-maximizer may only go up.  The control, seminorm, generalized-ratio and
-obstruction constants are not paired here yet.
+maximizer may only go up.  The frozen seminorms, the critical radius at
+x = 1/4 and the control coefficients each match an independent oracle
+within rel 1e-12: the blocked double sum, the plain rung-by-rung scan and
+an mpmath quadrature of the coefficients' closed forms.  The
+generalized-ratio and obstruction constants are not paired here yet.
 """
 
+import numpy as np
 import pytest
 
+import gnlab.covering as cov
 import gnlab.extremal as ex
+import gnlab.funcspace as fs
 import gnlab.gn as gn
+from test_control import A_COEFF, B3_COEFF, B12_COEFF
+from test_covering import RADIUS_AT_QUARTER, SPEC, _plain_scan
 from test_extremal import (BATCH4_MAX, BATCH6_MAX, TINY_RATIO4,
                            TINY_RATIO4_PREVIOUS)
+from test_norms import SEMINORM_1025, SEMINORM_2049, blocked_seminorm
 
 CAP4 = gn.RATIO4_BOUND + ex.CEILING_SLACK
 CAP6 = gn.RATIO6_BOUND + ex.CEILING_SLACK
@@ -42,3 +51,49 @@ def test_the_default_search_is_between_its_floor_and_the_ceiling(
     assert batch4["max"] <= search.ratio <= CAP4
     assert SEARCH_FLOOR <= search.ratio
     assert search.search_ratio <= CAP4
+
+
+@pytest.mark.parametrize("n, frozen", [
+    pytest.param(1025, SEMINORM_1025, id="SEMINORM_1025"),
+    pytest.param(2049, SEMINORM_2049, id="SEMINORM_2049")])
+def test_frozen_seminorms_match_the_blocked_double_sum(n, frozen):
+    """bumpchi's (s, p) = (1/2, 4) seminorm as the direct double sum over
+    the padded cells, in row blocks."""
+    u = fs.sample(fs.BumpChi(), (0.0, 1.0), n, 0)
+    assert blocked_seminorm(u, 0.5, 4.0) == pytest.approx(
+        frozen, rel=1e-12, abs=0.0)
+
+
+def test_frozen_radius_matches_the_plain_scan(bump_4097):
+    ev = cov.BalanceEvaluator(bump_4097, SPEC)
+    [radius], _ = _plain_scan(ev, np.array([0.25]))
+    assert radius == pytest.approx(RADIUS_AT_QUARTER, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("integrand, frozen", [
+    pytest.param(lambda chi, r1, r2: (chi ** 3 * r1 * r2) ** 2, A_COEFF,
+                 id="A_COEFF"),
+    pytest.param(lambda chi, r1, r2: (chi * r2) ** 3, B3_COEFF,
+                 id="B3_COEFF"),
+    pytest.param(lambda chi, r1, r2: (chi * r2) ** 12, B12_COEFF,
+                 id="B12_COEFF")])
+def test_frozen_control_coefficients_match_their_closed_forms(integrand,
+                                                              frozen):
+    """A = int_0^1 (chi chi' chi'')^2 and B_p = int_0^1 (chi'')^p by
+    mpmath's quadrature at 30 digits, split at t = 1/2, from
+    chi = exp(-1/(t(1-t))) and its closed-form derivatives chi' = chi R1
+    and chi'' = chi R2, with R1 = (1 - 2t) / (t(1-t))^2 and
+    R2 = R1' + R1^2.  mpmath is imported here: CI's numpy-floor step
+    collects this module without installing it."""
+    import mpmath as mp
+
+    def parts(t):
+        s = t * (1 - t)
+        ds = 1 - 2 * t
+        r1 = ds / s ** 2
+        return mp.exp(-1 / s), r1, (-2 * s - 2 * ds ** 2) / s ** 3 + r1 ** 2
+
+    with mp.workdps(30):
+        want = mp.quad(lambda t: integrand(*parts(t)),
+                       [0, mp.mpf(1) / 2, 1])
+        assert frozen == pytest.approx(float(want), rel=1e-12, abs=0.0)

@@ -174,6 +174,26 @@ class TestEstimate:
                    "--restarts", "1", "--budget", "1", "--search-N",
                    "2051") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--target", "ratio4", "--mode", "corpus"],
+        ["--sweep-l6", "1", "--target", "ratio4"],
+        ["--sweep-l6", "1", "--preset", "l12"],
+        ["--target", "ratio4", "--preset", "l12"]],
+        ids=["corpus-mode-without-sweep", "sweep-and-target",
+             "sweep-and-preset", "target-and-preset"])
+    def test_one_target_source(self, tmp_path, capsys, monkeypatch, argv):
+        """A flag that another would silently override is refused before
+        any search or sweep starts."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("started work for a refused command")
+
+        monkeypatch.setattr(cli_module.ex, "estimate_constant", no_work)
+        monkeypatch.setattr(cli_module.ex, "sweep", no_work)
+        assert run(tmp_path, "estimate", *argv, "--restarts", "1",
+                   "--budget", "20") == 2
+        assert "--" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_sweep_csv(self, tmp_path):
         assert run(tmp_path, "estimate", "--sweep-l6", "1,2", "--restarts",
                    "1", "--budget", "30", "--dimension", "8", "--search-N",

@@ -77,7 +77,7 @@ def _degenerate(dim):
 
 
 def _ratio4(dim):
-    ratios, _, _ = ex._make_objective("ratio4", dim, 129)
+    ratios, _, _, _ = ex._make_objective("ratio4", dim, 129)
     return lambda c: ex._search_values(ratios, c[None])[0]
 
 
@@ -375,12 +375,12 @@ class TestRandomBatch:
     def test_batched_forms_match_the_search_objective(self, target):
         """Blocks of candidates through one product per factor give the
         single-candidate form's values up to roundoff, zero rows 0.0."""
-        ratios, _, _ = ex._make_objective(target, 8, 1025)
+        ratios, batch, _, _ = ex._make_objective(target, 8, 1025)
         coeffs = np.random.default_rng(4).standard_normal(
             (2 * ex.BATCH_ROWS + 5, 8))
         coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
         coeffs[ex.BATCH_ROWS] = 0.0
-        got = ex._form_values(target, 8, 1025, coeffs)
+        got = batch(coeffs)
         want = np.array(ratios(coeffs))
         assert got[ex.BATCH_ROWS] == want[ex.BATCH_ROWS] == 0.0
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -426,7 +426,7 @@ class TestRandomBatch:
             raise AssertionError("drew the candidates")
 
         monkeypatch.setattr(ex, "_make_objective",
-                            lambda *args: (None, None, None))
+                            lambda *args: (None,) * 4)
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         most = fs.BYTES_CAP // ex._batch_bytes(1, 8)
         with pytest.raises(ParameterError, match=f"{most + 1} random"):
@@ -451,7 +451,7 @@ class TestPolynomialForms:
     @staticmethod
     def assert_forms_match_grid(target, dimension, n, count):
         grid, basis = ex._grid_objective(target, dimension, n)
-        form = ex._form_ratios(target, dimension, n)
+        form, _, _ = ex._forms(target, dimension, n)
         rng = np.random.default_rng([dimension, n])
         coeffs = rng.standard_normal((count, dimension))
         coeffs = list(coeffs / np.linalg.norm(coeffs, axis=1)[:, None])
@@ -518,8 +518,8 @@ class TestPolynomialForms:
         ("ratio-half", 8, 4097, False)])
     def test_forms_run_where_factors_are_no_larger_than_the_stack(
             self, target, dimension, n, forms):
-        ratios, _, gradient = ex._make_objective(target, dimension, n)
-        assert ("_form_ratios" in ratios.__qualname__) == forms
+        ratios, _, gradient, _ = ex._make_objective(target, dimension, n)
+        assert ratios.__qualname__.startswith("_forms.") == forms
         assert (gradient is not None) == forms
 
 
@@ -588,8 +588,8 @@ class TestSearchValues:
         calls and the one-candidate reference float for float, and a zero
         or non-finite row reads 0.0 as before: a matrix product or an
         array power in their place moves last bits, and so every search."""
-        ratios, basis, _ = ex._make_objective(target, dimension, 4097)
-        assert "_form_ratios" in ratios.__qualname__
+        ratios, _, _, basis = ex._make_objective(target, dimension, 4097)
+        assert ratios.__qualname__.startswith("_forms.")
         reference = _reference_search_value(target, dimension, 4097)
         rows = np.random.default_rng([dimension, 17]).standard_normal(
             (ex.BATCH_ROWS + 50, dimension))
@@ -614,7 +614,7 @@ class TestFormGradient:
         orthogonal to the point, as the ratio is 0-homogeneous.  (Near the
         dimension-16 maximizers the curvature is 1e5 and more, and the
         quotient does not converge at these steps.)"""
-        ratios, _, gradient = ex._make_objective(target, dimension, 4097)
+        ratios, _, gradient, _ = ex._make_objective(target, dimension, 4097)
         rng = np.random.default_rng([dimension, 3])
         for _ in range(3):
             x = rng.standard_normal(dimension)
@@ -636,7 +636,7 @@ class TestFormGradient:
             assert errors[1] <= min(errors[0] / 50, 1e-7)
 
     def test_degenerate_rows_read_zero(self):
-        _, _, gradient = ex._make_objective("ratio4", 8, 1025)
+        _, _, gradient, _ = ex._make_objective("ratio4", 8, 1025)
         ratio, grad = gradient(np.zeros(8))
         assert ratio == 0.0 and not grad.any()
 
@@ -682,7 +682,7 @@ class TestGradientPolish:
             return -ratio, -grad / length
 
         scipy_f = minimize(fun, x0.copy(), jac=True, method="BFGS").fun
-        ratios, _, _ = ex._make_objective(target, cfg.dimension, cfg.grid_n)
+        ratios, _, _, _ = ex._make_objective(target, cfg.dimension, cfg.grid_n)
         [(_, nm_f, _)], _ = ex._lockstep(partial(ex._search_values, ratios),
                                          [x0], maxfev, 1e-9, fatol)
         assert -f >= -scipy_f * (1 - 1e-12)
