@@ -145,8 +145,22 @@ def _resolve_seed(args) -> int:
     return norms._count("seed", seed, 0)
 
 
+def _refuse_overridden(args, source: str, extra=()) -> None:
+    """Refuses --ks, --j, --m, --p, --q and --theta, and the flags named in
+    extra, beside source, which would silently override them.  --r and
+    --k have defaults, so an explicit value of theirs cannot be seen."""
+    given = [f"--{name}" for name in (*extra, "ks", "j", "m", "p", "q",
+                                      "theta")
+             if getattr(args, name) is not None]
+    if given:
+        raise ParameterError(f"{source} overrides {' and '.join(given)}; "
+                             "give one or the other")
+
+
 def _resolve_params(args) -> gn.GNParams:
-    preset = getattr(args, "preset", None)
+    preset = args.preset
+    if preset is not None:
+        _refuse_overridden(args, "--preset")
     if preset == "l12":
         return gn.l12_params()
     if preset == "l6":
@@ -188,6 +202,8 @@ def cmd_check(args) -> int:
     n = args.N
     norms._check_grid_n(n)  # every kind integrates over the whole grid
     if args.kind in ("generalized", "bounded", "localized"):
+        if args.kind == "generalized" and args.omega is not None:
+            raise ParameterError("check generalized does not read --omega")
         params = _resolve_params(args)
         omega = None if args.omega is None else norms._interval(
             "omega", _parse_reals(args.omega, ",", "lo,hi"), (0.0, 1.0))
@@ -250,37 +266,13 @@ def cmd_cover(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    given = [flag for flag, value in (("--sweep-l6", args.sweep_l6),
-                                      ("--target", args.target),
-                                      ("--preset", args.preset))
-             if value is not None]
-    if len(given) > 1:
-        raise ParameterError(
-            f"give one target source, not {' and '.join(given)}")
-    if args.mode == "corpus" and args.sweep_l6 is None:
-        raise ParameterError("--mode corpus needs --sweep-l6")
+    if args.target is not None:
+        _refuse_overridden(args, "--target", extra=("preset",))
     config = ex.SearchConfig(restarts=args.restarts, budget=args.budget,
                              tol=args.tol, seed=_resolve_seed(args),
                              dimension=args.dimension,
                              grid_n=args.search_N,
                              report_grid_n=args.report_N)
-    if args.sweep_l6 is not None:
-        ks = _parse_ks(args.sweep_l6)
-        targets = []
-        for k in ks:
-            try:
-                targets.append(gn.l6_params(k))
-            except ParameterError:
-                targets.append({"p": 6, "q": 2, "r": "inf", "ks": (0, k),
-                                "j": k, "m": 2 * k, "theta": Fraction(1, 3)})
-        rows = ex.sweep(targets, config, mode=args.mode)
-        _write_csv(args, "sweep.csv",
-                   ["target", "mode", "status", "ratio", "argmax",
-                    "grid_n", "seed", "note"],
-                   [[r[k] for k in ("target", "mode", "status", "ratio",
-                                    "argmax", "grid_n", "seed", "note")]
-                    for r in rows])
-        return _emit(args, "estimate sweep", rows, grid_n=config.grid_n)
     if args.target in ex.RATIO_TAGS:
         target = args.target
     elif args.target is not None:
@@ -432,9 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-N", type=int, default=ex.REPORT_GRID_N)
     p.add_argument("--trace", action="store_true",
                    help="include the full restart trace in the report")
-    p.add_argument("--sweep-l6",
-                   help="comma list of k values; writes sweep.csv")
-    p.add_argument("--mode", choices=["search", "corpus"], default="search")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("control", parents=[common],

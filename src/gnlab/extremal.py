@@ -45,7 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -992,51 +992,3 @@ def random_ratio_batch(target: Target, count: int = 10_000,
             "argmax": coeffs[idx].tolist() if best > 0.0 else None,
             "grid_n": grid_n, "seed": seed, "dimension": dimension}
 
-
-def sweep(targets: Sequence, config: Optional[SearchConfig] = None,
-          mode: str = "search") -> list:
-    """One row per target: best ratio with grid and seed, or a skip note.
-
-    `targets` entries may be GNParams, a ratio tag string, or a dict of
-    raw exponent fields (constructed here so infeasible tuples become
-    skipped rows rather than failures).  mode "search" maximizes over
-    candidates; mode "corpus" evaluates the fixed corpus and reports its
-    best function, streaming the corpus once per target and holding one
-    stack at a time.
-    """
-    if mode not in ("search", "corpus"):
-        raise ParameterError("mode must be search|corpus")
-    config = config or SearchConfig()
-    rows = []
-    for raw in targets:
-        target = raw
-        try:
-            if isinstance(raw, dict):
-                target = gn.GNParams(**raw)
-            row = {"target": _target_label(target), "mode": mode,
-                   "status": "ok", "ratio": None, "argmax": "",
-                   "grid_n": config.grid_n, "seed": config.seed, "note": ""}
-            if mode == "search":
-                result = estimate_constant(target, config)
-                row["ratio"] = result.ratio
-                row["grid_n"] = result.report_grid_n
-                row["argmax"] = "candidate"
-            else:
-                fn = _ratio_fn(target)
-                corpus = fs.sample_corpus(fs.standard_corpus(),
-                                          config.grid_n, _target_order(target))
-                best_name, best_val = "", 0.0
-                for name, u in corpus:
-                    val = fn(u)
-                    del u  # released before the corpus samples the next
-                    if val > best_val:
-                        best_name, best_val = name, val
-                row["ratio"] = best_val
-                row["argmax"] = best_name
-        except ParameterError as exc:
-            row = {"target": _target_label(raw) if not isinstance(raw, dict)
-                   else str(raw), "mode": mode, "status": "skipped",
-                   "ratio": None, "argmax": "", "grid_n": config.grid_n,
-                   "seed": config.seed, "note": str(exc)}
-        rows.append(row)
-    return rows

@@ -538,9 +538,9 @@ def sample_corpus(selection, n: int, order: int):
     """(name, GridFunction) pairs of the selected functions' stacks to
     `order` on n nodes of [0, 1], each sampled as it is read, so one stack
     is held when the reader drops each before it reads the next, as every
-    reader (`check`, `cover`, `corpus emit`, the corpus-mode sweep) does;
-    refused up front, before the first is sampled, when `sampled_bytes`
-    puts one stack above the byte cap."""
+    reader (`check`, `cover`, `corpus emit`) does; refused up front,
+    before the first is sampled, when `sampled_bytes` puts one stack
+    above the byte cap."""
     refuse_above_cap(
         f"{len(selection)} sampled stack(s) to order {order} on {n} nodes",
         sampled_bytes(n, order))

@@ -7,8 +7,10 @@ pass here: a ratio is at most its proof ceiling plus CEILING_SLACK, and a
 maximizer may only go up.  The frozen seminorms, the critical radius at
 x = 1/4 and the control coefficients each match an independent oracle
 within rel 1e-12: the blocked double sum, the plain rung-by-rung scan and
-an mpmath quadrature of the coefficients' closed forms.  The
-generalized-ratio and obstruction constants are not paired here yet.
+an mpmath quadrature of the coefficients' closed forms.  The frozen
+scaling slopes match the exact chain's slope, built from those
+quadratures, within RK4's error.  The generalized-ratio and obstruction
+constants are not paired here yet.
 """
 
 import numpy as np
@@ -18,7 +20,8 @@ import gnlab.covering as cov
 import gnlab.extremal as ex
 import gnlab.funcspace as fs
 import gnlab.gn as gn
-from test_control import A_COEFF, B3_COEFF, B12_COEFF
+from test_control import (A_COEFF, B3_COEFF, B12_COEFF, SLOPE_P7_A0,
+                          SLOPE_P7_A03)
 from test_covering import RADIUS_AT_QUARTER, SPEC, _plain_scan
 from test_extremal import (BATCH4_MAX, BATCH6_MAX, TINY_RATIO4,
                            TINY_RATIO4_PREVIOUS)
@@ -70,21 +73,13 @@ def test_frozen_radius_matches_the_plain_scan(bump_4097):
     assert radius == pytest.approx(RADIUS_AT_QUARTER, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("integrand, frozen", [
-    pytest.param(lambda chi, r1, r2: (chi ** 3 * r1 * r2) ** 2, A_COEFF,
-                 id="A_COEFF"),
-    pytest.param(lambda chi, r1, r2: (chi * r2) ** 3, B3_COEFF,
-                 id="B3_COEFF"),
-    pytest.param(lambda chi, r1, r2: (chi * r2) ** 12, B12_COEFF,
-                 id="B12_COEFF")])
-def test_frozen_control_coefficients_match_their_closed_forms(integrand,
-                                                              frozen):
-    """A = int_0^1 (chi chi' chi'')^2 and B_p = int_0^1 (chi'')^p by
-    mpmath's quadrature at 30 digits, split at t = 1/2, from
-    chi = exp(-1/(t(1-t))) and its closed-form derivatives chi' = chi R1
-    and chi'' = chi R2, with R1 = (1 - 2t) / (t(1-t))^2 and
-    R2 = R1' + R1^2.  mpmath is imported here: CI's numpy-floor step
-    collects this module without installing it."""
+def closed_form_integral(integrand) -> float:
+    """int_0^1 integrand(chi, chi'/chi, chi''/chi) by mpmath's quadrature
+    at 30 digits, split at t = 1/2, from chi = exp(-1/(t(1-t))) and its
+    closed-form derivatives chi' = chi R1 and chi'' = chi R2, with
+    R1 = (1 - 2t) / (t(1-t))^2 and R2 = R1' + R1^2.  mpmath is imported
+    here: CI's numpy-floor step collects this module without installing
+    it."""
     import mpmath as mp
 
     def parts(t):
@@ -94,6 +89,43 @@ def test_frozen_control_coefficients_match_their_closed_forms(integrand,
         return mp.exp(-1 / s), r1, (-2 * s - 2 * ds ** 2) / s ** 3 + r1 ** 2
 
     with mp.workdps(30):
-        want = mp.quad(lambda t: integrand(*parts(t)),
-                       [0, mp.mpf(1) / 2, 1])
-        assert frozen == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        return float(mp.quad(lambda t: integrand(*parts(t)),
+                             [0, mp.mpf(1) / 2, 1]))
+
+
+def a_integrand(chi, r1, r2):
+    """(chi chi' chi'')^2, A's integrand."""
+    return (chi ** 3 * r1 * r2) ** 2
+
+
+@pytest.mark.parametrize("integrand, frozen", [
+    pytest.param(a_integrand, A_COEFF, id="A_COEFF"),
+    pytest.param(lambda chi, r1, r2: (chi * r2) ** 3, B3_COEFF,
+                 id="B3_COEFF"),
+    pytest.param(lambda chi, r1, r2: (chi * r2) ** 12, B12_COEFF,
+                 id="B12_COEFF")])
+def test_frozen_control_coefficients_match_their_closed_forms(integrand,
+                                                              frozen):
+    """A = int_0^1 (chi chi' chi'')^2 and B_p = int_0^1 (chi'')^p."""
+    assert frozen == pytest.approx(closed_form_integral(integrand),
+                                   rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a, eps, frozen, rel", [
+    pytest.param(0.0, np.geomspace(1e-8, 1e-6, 5), SLOPE_P7_A0, 1e-12,
+                 id="SLOPE_P7_A0"),
+    pytest.param(0.3, np.geomspace(1e-4, 1e-2, 5), SLOPE_P7_A03, 1e-8,
+                 id="SLOPE_P7_A03")])
+def test_frozen_slopes_match_the_exact_chain(a, eps, frozen, rel):
+    """The least-squares slope of log|x4| against log eps over
+    test_control's eps lists, with the exact chain's
+    x4 = eps^(6+13a) A - eps^(7(1+a)+a) B_7 and A, B_7 by quadrature.
+    At a = 0.3 the frozen RK4 slope (2^14 steps) is 3.6e-9 from it: that
+    gap is RK4's error, which falls 16-fold per doubling of the steps
+    (9.1e-7, 5.7e-8, 3.6e-9, 2.2e-10 and 1.4e-11 from 2^12 to 2^16), so
+    that pair is held at rel 1e-8."""
+    coeff_a = closed_form_integral(a_integrand)
+    coeff_b = closed_form_integral(lambda chi, r1, r2: (chi * r2) ** 7)
+    x4 = eps ** (6 + 13 * a) * coeff_a - eps ** (7 * (1 + a) + a) * coeff_b
+    slope = np.polyfit(np.log(eps), np.log(np.abs(x4)), 1)[0]
+    assert frozen == pytest.approx(float(slope), rel=rel, abs=0.0)

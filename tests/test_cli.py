@@ -1,7 +1,9 @@
 """End-to-end command dispatch, exit codes, and artifact determinism."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +13,7 @@ import pytest
 
 import gnlab.cli as cli_module
 import gnlab.funcspace as fs
-from gnlab.cli import main
+from gnlab.cli import build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -118,10 +120,13 @@ class TestCheckKinds:
         ["bounded", "--preset", "l12", "--N", "257", "--omega",
          "0.1,0.2,0.3"],
         ["bounded", "--preset", "l12", "--N", "257", "--omega", "-0.1,0.5"],
+        # generalized reads no subinterval, so an --omega would be ignored
+        ["generalized", "--preset", "l12", "--N", "129", "--omega",
+         "0.2,0.4"],
     ], ids=["generalized-even-N", "special-even-N", "open-problem-N-two",
             "localized-omega-nan", "localized-omega-past-grid",
             "localized-omega-reversed", "bounded-omega-three-ends",
-            "bounded-omega-below-grid"])
+            "bounded-omega-below-grid", "generalized-omega"])
     def test_grid_and_omega_are_refused_before_sampling(self, tmp_path,
                                                         monkeypatch, argv):
         def sample_corpus(*args):
@@ -175,31 +180,47 @@ class TestEstimate:
                    "2051") == 2
 
     @pytest.mark.parametrize("argv", [
-        ["--target", "ratio4", "--mode", "corpus"],
-        ["--sweep-l6", "1", "--target", "ratio4"],
-        ["--sweep-l6", "1", "--preset", "l12"],
         ["--target", "ratio4", "--preset", "l12"]],
-        ids=["corpus-mode-without-sweep", "sweep-and-target",
-             "sweep-and-preset", "target-and-preset"])
+        ids=["target-and-preset"])
     def test_one_target_source(self, tmp_path, capsys, monkeypatch, argv):
         """A flag that another would silently override is refused before
-        any search or sweep starts."""
+        any search starts."""
         def no_work(*args, **kwargs):
             raise AssertionError("started work for a refused command")
 
         monkeypatch.setattr(cli_module.ex, "estimate_constant", no_work)
-        monkeypatch.setattr(cli_module.ex, "sweep", no_work)
         assert run(tmp_path, "estimate", *argv, "--restarts", "1",
                    "--budget", "20") == 2
         assert "--" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    def test_sweep_csv(self, tmp_path):
-        assert run(tmp_path, "estimate", "--sweep-l6", "1,2", "--restarts",
-                   "1", "--budget", "30", "--dimension", "8", "--search-N",
-                   "513", "--report-N", "1025", "--deterministic") == 0
-        text = (tmp_path / "sweep.csv").read_text()
-        assert text.splitlines()[0].startswith("target,")
+
+@pytest.mark.parametrize("argv, flag", [
+    (["params", "--preset", "l12", "--ks", "0,1", "--j", "1"], "--ks"),
+    (["params", "--preset", "l6", "--theta", "1/3"], "--theta"),
+    (["check", "generalized", "--preset", "l12", "--N", "129", "--q", "2"],
+     "--q"),
+    (["cover", "--preset", "l12", "--m", "3"], "--m"),
+    (["estimate", "--preset", "l6", "--p", "6"], "--p"),
+    (["estimate", "--target", "ratio4", "--ks", "0,1", "--j", "1", "--m",
+      "2", "--p", "6"], "--ks"),
+    (["estimate", "--target", "ratio6", "--theta", "0.5"], "--theta"),
+], ids=["params-preset-ks-j", "params-preset-theta", "check-preset-q",
+        "cover-preset-m", "estimate-preset-p", "target-and-tuple",
+        "target-and-theta"])
+def test_a_preset_or_target_refuses_the_tuple_flags_it_overrides(
+        tmp_path, capsys, monkeypatch, argv, flag):
+    """--ks, --j, --m, --p, --q and --theta beside --preset or --target
+    would be silently overridden: the run exits 2 naming them before any
+    corpus is sampled or search started."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work for a refused command")
+
+    monkeypatch.setattr(cli_module.ex, "estimate_constant", no_work)
+    monkeypatch.setattr(fs, "sample_corpus", no_work)
+    assert run(tmp_path, *argv, "--deterministic") == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 class TestControl:
@@ -393,27 +414,6 @@ def test_oversized_control_runs_are_refused_up_front(tmp_path, capsys, argv):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_oversized_corpus_sweep_row_is_skipped_with_its_cost(tmp_path):
-    """A corpus-mode sweep samples under the byte cap too: the row of a
-    grid above it is skipped with its cost, and nothing is allocated."""
-    tracemalloc.start()
-    try:
-        code = run(tmp_path, "estimate", "--sweep-l6", "1", "--mode",
-                   "corpus", "--search-N", "300000001", "--deterministic")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < 2 ** 24
-    [row] = read_report(tmp_path)["result"]
-    assert row["status"] == "skipped"
-    # one stack to order m = 2 (the corpus is read one stack at a time)
-    # and 20 working arrays of 300000001 values
-    assert row["note"] == (
-        "7 sampled stack(s) to order 2 on 300000001 nodes needs "
-        f"{8 * 300000001 * 23} bytes, above the {2 ** 30}-byte cap")
-
-
 def test_check_all_streams_the_corpus(tmp_path):
     """`check --function all` samples, evaluates and drops one corpus
     function at a time: on 65537 nodes its traced peak stays below two
@@ -431,26 +431,6 @@ def test_check_all_streams_the_corpus(tmp_path):
     assert code == 0
     assert len(read_report(tmp_path)["result"]) == 7
     assert peak < 2 * (8 * 4 * n)
-
-
-def test_corpus_sweep_streams_the_corpus(tmp_path):
-    """A corpus-mode sweep reads the corpus through `sample_corpus` once
-    per target and drops each stack before the next is sampled: ascending
-    orders 2, 4 and 6 on 65537 nodes peak below two stacks to order 6
-    (5.8 MiB traced), not the seven stacks of two orders (43.9 MiB) that
-    a held corpus took."""
-    n = 65537
-    tracemalloc.start()
-    try:
-        code = run(tmp_path, "estimate", "--sweep-l6", "1,2,3", "--mode",
-                   "corpus", "--search-N", str(n), "--deterministic")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    rows = read_report(tmp_path)["result"]
-    assert [row["status"] for row in rows] == ["ok"] * 3
-    assert peak < 2 * (8 * 7 * n)
 
 
 def test_streamed_check_needs_the_cap_for_one_stack_not_seven(
@@ -516,19 +496,13 @@ def test_oversized_restart_count_is_refused_with_its_cost(tmp_path, capsys):
      "--search-N", "16385", "--report-N", "257"],
     ["estimate", "--target", "ratio-half", "--dimension", "8",
      "--search-N", "4097", "--restarts", "1", "--budget", "5"],
-    # one corpus read per target, to orders 2, 4 and 6
-    ["estimate", "--sweep-l6", "1,2,3", "--mode", "corpus",
-     "--search-N", "65537"],
 ], ids=["cover", "cover-all", "check-generalized", "check-special",
         "corpus-emit", "estimate-ratio4", "estimate-ratio6",
-        "estimate-l12-basis", "estimate-ratio-half-basis",
-        "estimate-corpus-sweep"])
+        "estimate-l12-basis", "estimate-ratio-half-basis"])
 def test_footprint_formulas_bound_the_traced_peak(tmp_path, capsys,
                                                   monkeypatch, argv):
     """A run's footprint formula is at least its traced peak: with the cap
-    set to that peak, the same run is refused up front.  A sweep refuses
-    row by row, so there the row that reaches the peak is skipped with
-    its cost."""
+    set to that peak, the same run is refused up front."""
     tracemalloc.start()
     try:
         assert run(tmp_path, *argv, "--deterministic") == 0
@@ -537,16 +511,26 @@ def test_footprint_formulas_bound_the_traced_peak(tmp_path, capsys,
         tracemalloc.stop()
     capsys.readouterr()
     monkeypatch.setattr(fs, "BYTES_CAP", peak)
-    if "--sweep-l6" in argv:
-        assert run(tmp_path / "capped", *argv, "--deterministic") == 0
-        notes = [row["note"] for row in
-                 read_report(tmp_path / "capped")["result"]
-                 if row["status"] == "skipped"]
-        assert notes and all("bytes" in note for note in notes)
-        return
     assert run(tmp_path / "capped", *argv, "--deterministic") == 2
     assert "bytes" in capsys.readouterr().err
     assert not (tmp_path / "capped" / "report.json").exists()
+
+
+def test_readme_names_only_real_flags():
+    """Every --flag in README's "Command line" section is an option of the
+    parser or of one of its subcommands, so the text names no removed
+    flag."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-zA-Z][a-zA-Z0-9-]*", section))
+    parser = build_parser()
+    [commands] = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    options = set(parser._option_string_actions)
+    for sub in commands.choices.values():
+        options.update(sub._option_string_actions)
+    assert len(named) > 20  # the section was found
+    assert named <= options, sorted(named - options)
 
 
 class TestDispatch:

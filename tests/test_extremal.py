@@ -798,37 +798,3 @@ class TestReportFootprint:
         assert calls == 1  # the report's stack is the one sampled
         assert peak <= need
 
-
-class TestSweep:
-    CFG = ex.SearchConfig(restarts=2, budget=60, tol=1e-10, seed=1,
-                          dimension=8, grid_n=513, report_grid_n=1025)
-
-    def test_search_rows_for_worked_tuples(self):
-        rows = ex.sweep([gn.l6_params(1), "ratio4"], self.CFG)
-        assert [r["status"] for r in rows] == ["ok", "ok"]
-        assert all(r["ratio"] > 0 for r in rows)
-
-    def test_infeasible_dict_becomes_skipped_row(self):
-        bad = {"p": 11, "q": 2, "r": "inf", "ks": (0, 1, 2), "j": 2,
-               "m": 3, "theta": 0.5}
-        rows = ex.sweep([bad], self.CFG)
-        assert rows[0]["status"] == "skipped"
-        assert rows[0]["note"]
-
-    def test_corpus_mode_names_argmax(self):
-        rows = ex.sweep(["ratio6"], self.CFG, mode="corpus")
-        assert rows[0]["status"] == "ok"
-        assert rows[0]["argmax"] in [n for n, _ in fs.standard_corpus()]
-
-    def test_corpus_mode_rows_do_not_depend_on_the_target_order(self):
-        # each target reads the corpus afresh, so a descending sweep
-        # resamples what an ascending one sampled, to the same floats
-        targets = [gn.l6_params(k) for k in (1, 2, 3)]
-        up = ex.sweep(targets, self.CFG, mode="corpus")
-        down = ex.sweep(targets[::-1], self.CFG, mode="corpus")
-        assert [r["status"] for r in up] == ["ok"] * 3
-        assert down == up[::-1]
-
-    def test_bad_mode(self):
-        with pytest.raises(ParameterError):
-            ex.sweep(["ratio4"], self.CFG, mode="extrapolate")
