@@ -180,11 +180,16 @@ class TestEstimate:
                    "2051") == 2
 
     @pytest.mark.parametrize("argv", [
+        ["--target", "ratio4", "--mode", "corpus"],
+        ["--sweep-l6", "1", "--target", "ratio4"],
+        ["--sweep-l6", "1", "--preset", "l12"],
         ["--target", "ratio4", "--preset", "l12"]],
-        ids=["target-and-preset"])
+        ids=["corpus-mode-without-sweep", "sweep-and-target",
+             "sweep-and-preset", "target-and-preset"])
     def test_one_target_source(self, tmp_path, capsys, monkeypatch, argv):
         """A flag that another would silently override is refused before
-        any search starts."""
+        any search starts, and so are the retired --sweep-l6 and --mode,
+        which are no longer a target source or a search mode."""
         def no_work(*args, **kwargs):
             raise AssertionError("started work for a refused command")
 
