@@ -9,7 +9,10 @@ omitted and two runs of the same configuration produce byte-identical
 artifacts.
 
 Exit codes: 0 on success, 2 on parameter or precondition problems
-(including command-line syntax), 1 on violated invariants.
+(including command-line syntax), 1 on violated invariants.  Each command,
+and each kind of check, control and corpus, takes only the flags it reads,
+after its kind and never abbreviated; a flag that another overrides (the
+tuple beside --preset or --target, --k without --preset l6) exits 2.
 
 Infinite exponents are spelled `inf` on the command line and serialized
 as the JSON string "inf".
@@ -67,7 +70,7 @@ _TOLERANCES = {
 
 
 def _config_echo(args) -> dict:
-    skip = {"func", "command", "subcommand"}
+    skip = {"func", "command"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -145,13 +148,11 @@ def _resolve_seed(args) -> int:
     return norms._count("seed", seed, 0)
 
 
-def _refuse_overridden(args, source: str, extra=()) -> None:
-    """Refuses --ks, --j, --m, --p, --q and --theta, and the flags named in
-    extra, beside source, which would silently override them.  --r and
-    --k have defaults, so an explicit value of theirs cannot be seen."""
-    given = [f"--{name}" for name in (*extra, "ks", "j", "m", "p", "q",
-                                      "theta")
-             if getattr(args, name) is not None]
+def _refuse_overridden(args, source: str,
+                       names=("ks", "j", "m", "p", "q", "r", "theta")) -> None:
+    """Refuses the flags in names, by default the tuple's, beside source,
+    which would silently override them."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
     if given:
         raise ParameterError(f"{source} overrides {' and '.join(given)}; "
                              "give one or the other")
@@ -162,13 +163,16 @@ def _resolve_params(args) -> gn.GNParams:
     if preset is not None:
         _refuse_overridden(args, "--preset")
     if preset == "l12":
+        _refuse_overridden(args, "--preset l12", ("k",))
         return gn.l12_params()
     if preset == "l6":
-        return gn.l6_params(args.k)
+        return gn.l6_params(1 if args.k is None else args.k)
     if args.ks is None or args.j is None or args.m is None:
         raise ParameterError("give --preset or the full tuple --ks/--j/--m ...")
+    _refuse_overridden(args, "the tuple", ("k",))
     kwargs = {"ks": _parse_ks(args.ks), "j": args.j, "m": args.m,
-              "r": args.r, "q": args.q, "p": args.p, "theta": args.theta}
+              "r": "inf" if args.r is None else args.r, "q": args.q,
+              "p": args.p, "theta": args.theta}
     missing = [k for k in ("p", "q", "theta") if kwargs[k] is None]
     if len(missing) == 1:
         return gn.solve_exponent(**kwargs)
@@ -202,11 +206,10 @@ def cmd_check(args) -> int:
     n = args.N
     norms._check_grid_n(n)  # every kind integrates over the whole grid
     if args.kind in ("generalized", "bounded", "localized"):
-        if args.kind == "generalized" and args.omega is not None:
-            raise ParameterError("check generalized does not read --omega")
         params = _resolve_params(args)
-        omega = None if args.omega is None else norms._interval(
-            "omega", _parse_reals(args.omega, ",", "lo,hi"), (0.0, 1.0))
+        text = getattr(args, "omega", None)  # generalized takes no --omega
+        omega = None if text is None else norms._interval(
+            "omega", _parse_reals(text, ",", "lo,hi"), (0.0, 1.0))
         if args.kind == "bounded":
             extras = gn.BoundedExtras(k0=args.k0, s=args.s, omega=omega)
         corpus = fs.sample_corpus(_corpus_selection(args.function), n,
@@ -267,20 +270,14 @@ def cmd_cover(args) -> int:
 
 def cmd_estimate(args) -> int:
     if args.target is not None:
-        _refuse_overridden(args, "--target", extra=("preset",))
+        _refuse_overridden(args, "--target", ("preset", "k"))
+        _refuse_overridden(args, "--target")
     config = ex.SearchConfig(restarts=args.restarts, budget=args.budget,
                              tol=args.tol, seed=_resolve_seed(args),
                              dimension=args.dimension,
                              grid_n=args.search_N,
                              report_grid_n=args.report_N)
-    if args.target in ex.RATIO_TAGS:
-        target = args.target
-    elif args.target is not None:
-        raise ParameterError(
-            f"unknown target {args.target!r}; use one of {ex.RATIO_TAGS} "
-            "or --preset")
-    else:
-        target = _resolve_params(args)
+    target = args.target or _resolve_params(args)
     result = ex.estimate_constant(target, config)
     payload = asdict(result)
     if not args.trace:
@@ -303,8 +300,6 @@ def cmd_control(args) -> int:
         return _emit(args, f"control {args.kind}", payload,
                      grid_n=args.steps)
     if args.kind == "scaling":
-        if not args.eps:
-            raise ParameterError("scaling needs --eps start:end:count")
         eps = _parse_eps_range(args.eps, args.steps)
         report = ct.scaling_experiment(args.p, args.a, eps, T=args.T,
                                        steps=args.steps)
@@ -358,8 +353,9 @@ def cmd_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # a prefix would read a flag its kind lacks as another: --s as --seed
     parser = argparse.ArgumentParser(
-        prog="gnlab",
+        prog="gnlab", allow_abbrev=False,
         description="numerical laboratory for derivative-product "
                     "interpolation inequalities")
     parser.add_argument("--version", action="version",
@@ -373,38 +369,51 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--deterministic", action="store_true",
                         help="omit timestamps for byte-identical reports")
 
+    def add(subparsers, name, *parents, **kwargs):
+        return subparsers.add_parser(name, parents=[common, *parents],
+                                     allow_abbrev=False, **kwargs)
+
+    def kinds(name, func, help):
+        p = sub.add_parser(name, allow_abbrev=False, help=help)
+        p.set_defaults(func=func)
+        return p.add_subparsers(dest="kind", required=True)
+
     tuple_flags = argparse.ArgumentParser(add_help=False)
     tuple_flags.add_argument("--preset", choices=["l12", "l6"])
-    tuple_flags.add_argument("--k", type=int, default=1,
-                             help="k for the l6 preset")
+    tuple_flags.add_argument("--k", type=int, help="l6's k (default 1)")
     tuple_flags.add_argument("--ks", help="comma list, e.g. 0,1,2")
     tuple_flags.add_argument("--j", type=int)
     tuple_flags.add_argument("--m", type=int)
     tuple_flags.add_argument("--p")
     tuple_flags.add_argument("--q")
-    tuple_flags.add_argument("--r", default="inf")
+    tuple_flags.add_argument("--r", help="default inf")
     tuple_flags.add_argument("--theta")
 
-    p = sub.add_parser("params", parents=[common, tuple_flags],
-                       help="exponent algebra: theta*, residual, solve")
-    p.set_defaults(func=cmd_params)
+    add(sub, "params", tuple_flags, help="exponent algebra: theta*, "
+        "residual, solve").set_defaults(func=cmd_params)
 
-    p = sub.add_parser("check", parents=[common, tuple_flags],
-                       help="evaluate an inequality on corpus functions")
-    p.add_argument("kind", choices=["generalized", "bounded", "localized",
-                                    "special", "open-problem"])
-    p.add_argument("--function", default="bumpchi",
-                   help="corpus function name or 'all'")
-    p.add_argument("--N", type=int, default=4097)
+    check = kinds("check", cmd_check,
+                  "evaluate an inequality on corpus functions")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--function", default="bumpchi",
+                      help="corpus function name or 'all'")
+    grid.add_argument("--N", type=int, default=4097)
+    omega = argparse.ArgumentParser(add_help=False)
+    omega.add_argument("--omega", help="lo,hi subinterval")
+    add(check, "generalized", tuple_flags, grid)
+    p = add(check, "bounded", tuple_flags, grid, omega)
     p.add_argument("--k0", type=int, default=0)
     p.add_argument("--s", default="1")
-    p.add_argument("--omega", help="lo,hi subinterval")
+    add(check, "localized", tuple_flags, grid, omega)
+    p = add(check, "special", grid)
     p.add_argument("--no-fractional", action="store_true",
                    help="skip the fractional-seminorm column")
-    p.set_defaults(func=cmd_check)
+    p = add(check, "open-problem", grid)
+    p.add_argument("--ks", help="comma list (default 0,1,2)")
+    p.add_argument("--q", help="default 2")
 
-    p = sub.add_parser("cover", parents=[common, tuple_flags],
-                       help="balance radii, greedy cover, verification")
+    p = add(sub, "cover", tuple_flags,
+            help="balance radii, greedy cover, verification")
     p.add_argument("--function", default="bumpchi")
     p.add_argument("--N", type=int, default=8193)
     p.add_argument("--e-resolution", type=int, default=None)
@@ -413,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="real-line")
     p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("estimate", parents=[common, tuple_flags],
-                       help="maximize an inequality ratio over candidates")
-    p.add_argument("--target", help=f"one of {', '.join(ex.RATIO_TAGS)}")
+    p = add(sub, "estimate", tuple_flags,
+            help="maximize an inequality ratio over candidates")
+    p.add_argument("--target", choices=ex.RATIO_TAGS)
     p.add_argument("--restarts", type=int, default=ex.SearchConfig.restarts)
     p.add_argument("--budget", type=int, default=ex.SearchConfig.budget)
     p.add_argument("--tol", type=float, default=ex.SearchConfig.tol)
@@ -426,39 +435,44 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the full restart trace in the report")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("control", parents=[common],
-                       help="chain-system simulation experiments")
-    p.add_argument("kind", choices=["integrate", "formula", "scaling",
-                                    "obstruction", "p1"])
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=ct.DEFAULT_STEPS)
-    p.add_argument("--law", choices=["zero", "triple", "grid"],
-                   default="triple")
-    p.add_argument("--eps-value", type=float, default=1e-2,
-                   help="epsilon of the triple law")
+    control = kinds("control", cmd_control,
+                    "chain-system simulation experiments")
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--p", type=int, default=3)
+    chain = argparse.ArgumentParser(add_help=False)
+    chain.add_argument("--T", type=float, default=1.0)
+    chain.add_argument("--steps", type=int, default=ct.DEFAULT_STEPS)
+    law = argparse.ArgumentParser(add_help=False)
+    law.add_argument("--law", choices=["zero", "triple", "grid"],
+                     default="triple")
+    law.add_argument("--eps-value", type=float, default=1e-2,
+                     help="epsilon of the triple law")
+    law.add_argument("--a", type=float, default=0.0)
+    law.add_argument("--samples", help="whitespace-separated samples file")
+    add(control, "integrate", order, chain, law)
+    add(control, "formula", order, chain, law)
+    p = add(control, "scaling", order, chain)
     p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--eps", help="geometric range start:end:count")
+    p.add_argument("--eps", required=True, help="geometric start:end:count")
+    p = add(control, "obstruction", order, chain)
     p.add_argument("--eta", type=float, default=0.8)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--samples", help="whitespace-separated samples file")
-    p.set_defaults(func=cmd_control)
+    add(control, "p1", chain)
 
-    p = sub.add_parser("corpus", parents=[common],
-                       help="list corpus functions or emit samples")
-    p.add_argument("kind", choices=["list", "emit"])
+    corpus = kinds("corpus", cmd_corpus,
+                   "list corpus functions or emit samples")
+    add(corpus, "list")
+    p = add(corpus, "emit")
     p.add_argument("--function", default="bumpchi")
     p.add_argument("--N", type=int, default=1025)
     p.add_argument("--m", type=int, default=3)
-    p.set_defaults(func=cmd_corpus)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

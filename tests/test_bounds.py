@@ -9,7 +9,8 @@ x = 1/4 and the control coefficients each match an independent oracle
 within rel 1e-12: the blocked double sum, the plain rung-by-rung scan and
 an mpmath quadrature of the coefficients' closed forms.  The frozen
 scaling slopes match the exact chain's slope, built from those
-quadratures, within RK4's error.  The generalized-ratio and obstruction
+quadratures, within RK4's error.  The two frozen generalized ratios
+differ by their grids' under-reads of the sup norm.  The obstruction
 constants are not paired here yet.
 """
 
@@ -25,6 +26,7 @@ from test_control import (A_COEFF, B3_COEFF, B12_COEFF, SLOPE_P7_A0,
 from test_covering import RADIUS_AT_QUARTER, SPEC, _plain_scan
 from test_extremal import (BATCH4_MAX, BATCH6_MAX, TINY_RATIO4,
                            TINY_RATIO4_PREVIOUS)
+from test_gn import GENERALIZED_4097, GENERALIZED_65537
 from test_norms import SEMINORM_1025, SEMINORM_2049, blocked_seminorm
 
 CAP4 = gn.RATIO4_BOUND + ex.CEILING_SLACK
@@ -129,3 +131,32 @@ def test_frozen_slopes_match_the_exact_chain(a, eps, frozen, rel):
     x4 = eps ** (6 + 13 * a) * coeff_a - eps ** (7 * (1 + a) + a) * coeff_b
     slope = np.polyfit(np.log(eps), np.log(np.abs(x4)), 1)[0]
     assert frozen == pytest.approx(float(slope), rel=rel, abs=0.0)
+
+
+def sup_under_read(u) -> float:
+    """(refined - grid max) / refined for |D^3 u|, the refined maximum
+    being four Newton steps on D^4 u = 0 from the grid argmax, on
+    bumpchi's exact stack."""
+    bump = fs.BumpChi()
+    row = np.abs(u.stack[3])
+    i = int(np.argmax(row))
+    x = np.array([u.grid[i]])
+    for _ in range(4):
+        stack = bump.stack(5, x)
+        x = x - stack[4] / stack[5]
+    refined = abs(bump.stack(3, x)[3][0])
+    return (refined - row[i]) / refined
+
+
+def test_frozen_generalized_ratios_differ_by_the_sup_under_reads(
+        bump_4097, bump_65537, l12):
+    """l12's ratio divides by ||D^3 u||_inf^theta, which each grid reads
+    as its largest sample: GENERALIZED_4097's relative excess over
+    GENERALIZED_65537 (2.4e-7) is theta times the difference of the two
+    grids' under-reads of that sup (4.8e-7 and 6.0e-10), within 8.7e-14.
+    The pair pins today's grid-max definition; ROADMAP item 4's refined
+    sup replaces it with the two ratios agreeing within 1e-10."""
+    gap = GENERALIZED_4097 / GENERALIZED_65537 - 1
+    predicted = float(l12.theta) * (sup_under_read(bump_4097)
+                                    - sup_under_read(bump_65537))
+    assert abs(gap - predicted) <= 1e-12

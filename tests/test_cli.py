@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import gnlab.cli as cli_module
+import gnlab.control as ct
+import gnlab.extremal as ex
 import gnlab.funcspace as fs
 from gnlab.cli import build_parser, main
 
@@ -210,14 +213,21 @@ class TestEstimate:
     (["estimate", "--target", "ratio4", "--ks", "0,1", "--j", "1", "--m",
       "2", "--p", "6"], "--ks"),
     (["estimate", "--target", "ratio6", "--theta", "0.5"], "--theta"),
+    (["params", "--preset", "l12", "--k", "3"], "--k"),
+    (["params", "--preset", "l12", "--r", "2"], "--r"),
+    (["estimate", "--target", "ratio4", "--k", "2"], "--k"),
+    (["check", "generalized", "--ks", "0,1,2", "--j", "2", "--m", "3", "--q",
+      "2", "--theta", "1/2", "--k", "2"], "--k"),
 ], ids=["params-preset-ks-j", "params-preset-theta", "check-preset-q",
         "cover-preset-m", "estimate-preset-p", "target-and-tuple",
-        "target-and-theta"])
+        "target-and-theta", "l12-and-k", "preset-and-r", "target-and-k",
+        "tuple-and-k"])
 def test_a_preset_or_target_refuses_the_tuple_flags_it_overrides(
         tmp_path, capsys, monkeypatch, argv, flag):
-    """--ks, --j, --m, --p, --q and --theta beside --preset or --target
-    would be silently overridden: the run exits 2 naming them before any
-    corpus is sampled or search started."""
+    """--ks, --j, --m, --p, --q, --r and --theta beside --preset or
+    --target, and --k beside anything but --preset l6, would be silently
+    overridden: the run exits 2 naming them before any corpus is sampled
+    or search started."""
     def no_work(*args, **kwargs):
         raise AssertionError("started work for a refused command")
 
@@ -225,6 +235,41 @@ def test_a_preset_or_target_refuses_the_tuple_flags_it_overrides(
     monkeypatch.setattr(fs, "sample_corpus", no_work)
     assert run(tmp_path, *argv, "--deterministic") == 2
     assert flag in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "special", "--preset", "l12", "--m", "3", "--N", "257",
+      "--no-fractional", "--omega", "0.2,0.4", "--k0", "3"], "--preset"),
+    (["check", "open-problem", "--preset", "l6", "--theta", "0.5", "--N",
+      "257"], "--theta"),
+    (["check", "open-problem", "--k", "2", "--N", "257"], "--k"),
+    (["control", "p1", "--p", "3", "--steps", "256"], "--p"),
+    (["control", "obstruction", "--p", "12", "--law", "zero", "--trials",
+      "2", "--steps", "256"], "--law"),
+    (["control", "scaling", "--p", "7", "--eps", "1e-4:1e-2:3", "--eta",
+      "0.5", "--steps", "256"], "--eta"),
+    (["corpus", "list", "--N", "5"], "--N"),
+    # a prefix of a flag its kind does take is not read as that flag
+    (["check", "special", "--N", "129", "--s", "1"], "--s"),
+    (["estimate", "--target", "ratio4", "--dim", "8"], "--dim"),
+], ids=["special-tuple-omega-k0", "open-problem-preset-theta",
+        "open-problem-k", "p1-p", "obstruction-law", "scaling-eta",
+        "list-N", "special-s-prefix", "estimate-dim-prefix"])
+def test_a_flag_its_kind_does_not_read_is_refused(tmp_path, capsys,
+                                                  monkeypatch, argv, flag):
+    """Each kind takes only the flags it reads: any other exits 2, named
+    as an unrecognized argument, before any corpus is sampled, chain
+    integrated or search started."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work for a refused command")
+
+    monkeypatch.setattr(fs, "sample_corpus", no_work)
+    monkeypatch.setattr(ct, "integrate", no_work)
+    monkeypatch.setattr(ex, "estimate_constant", no_work)
+    assert run(tmp_path, *argv, "--deterministic") == 2
+    err = capsys.readouterr().err
+    assert flag in err.split("unrecognized arguments:")[1].split()
     assert not (tmp_path / "report.json").exists()
 
 
@@ -521,21 +566,51 @@ def test_footprint_formulas_bound_the_traced_peak(tmp_path, capsys,
     assert not (tmp_path / "capped" / "report.json").exists()
 
 
+def _parsers(parser):
+    """parser and every subparser below it, at any depth."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
 def test_readme_names_only_real_flags():
     """Every --flag in README's "Command line" section is an option of the
-    parser or of one of its subcommands, so the text names no removed
-    flag."""
+    parser or of one of its subparsers, at any depth, so the text names no
+    removed flag."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"--[a-zA-Z][a-zA-Z0-9-]*", section))
-    parser = build_parser()
-    [commands] = [action for action in parser._actions
-                  if isinstance(action, argparse._SubParsersAction)]
-    options = set(parser._option_string_actions)
-    for sub in commands.choices.values():
-        options.update(sub._option_string_actions)
+    options = set()
+    for parser in _parsers(build_parser()):
+        options.update(parser._option_string_actions)
     assert len(named) > 20  # the section was found
     assert named <= options, sorted(named - options)
+
+
+def test_documented_commands_parse():
+    """Each `gnlab ...` line of README's Command-line sh block, and each
+    gnlab command that CI's bare-venv and numpy-floor steps write out,
+    parses: no documented command names a flag its kind does not take."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+    readme_lines = [line for line in block.split("```", 1)[0].splitlines()
+                    if line.startswith("gnlab ")]
+    ci = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    ci_lines = re.findall(r'^ *(?:"[^"\s]*/)?gnlab"? ([a-z].*)$', ci, re.M)
+    assert len(readme_lines) >= 9 and len(ci_lines) >= 5  # both were found
+    refused = []
+    for line in readme_lines + ci_lines:
+        argv = shlex.split(line, comments=True)
+        if argv[0] == "gnlab":
+            argv = argv[1:]
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            refused.append(line)
+    assert not refused
 
 
 class TestDispatch:
