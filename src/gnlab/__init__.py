@@ -8,6 +8,17 @@ search (extremal), a four-state control-affine simulator (control), and a
 command line front end (cli).
 """
 
+import os
+
+# One OpenBLAS thread unless the user exported a count: read once, when
+# numpy first loads OpenBLAS, so it must precede every numpy import here.
+# The lab's BLAS calls (the search's QR factorisations, the obstruction's
+# block products) are too small for a thread pool to shorten: on 2 vCPUs,
+# perfbench `search` spent 0.50 s of CPU for 0.28 s of wall time with the
+# pool and 0.24 s for 0.24 s without it, and `control` 0.46 s against
+# 0.25 s, with every report digest unchanged.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .errors import (

@@ -234,10 +234,11 @@ def cmd_check(args) -> int:
                     "ratio_half": r.ratio_half, "skipped": list(r.skipped)}
                    for r in rows]
         return _emit(args, "check special", payload, grid_n=n)
-    ks = _parse_ks(args.ks) if args.ks else (0, 1, 2)
+    ks = (0, 1, 2) if args.ks is None else _parse_ks(args.ks)
     order = max(ks)
     corpus = fs.sample_corpus(_corpus_selection(args.function), n, order)
-    payload = gn.open_problem_probe(corpus, args.q or "2", ks)
+    payload = gn.open_problem_probe(corpus, "2" if args.q is None else args.q,
+                                    ks)
     return _emit(args, "check open-problem", payload, grid_n=n)
 
 
@@ -318,7 +319,24 @@ def cmd_control(args) -> int:
     return 0 if payload["passed"] else 1
 
 
+# each law flag: the law that reads it, and its default
+_LAW_FLAGS = {"eps_value": ("triple", 1e-2), "a": ("triple", 0.0),
+              "samples": ("grid", None)}
+
+
 def _resolve_law(args):
+    """The law of --law.  A law flag that this law does not read exits 2;
+    the defaults of those it reads are written into args, so the report
+    echoes the values the law was built from."""
+    unread = [f"--{name.replace('_', '-')}"
+              for name, (law, _) in _LAW_FLAGS.items()
+              if law != args.law and getattr(args, name) is not None]
+    if unread:
+        raise ParameterError(f"--law {args.law} does not read "
+                             f"{' or '.join(unread)}")
+    for name, (law, default) in _LAW_FLAGS.items():
+        if law == args.law and getattr(args, name) is None:
+            setattr(args, name, default)
     if args.law == "zero":
         return ct.Zero()
     if args.law == "triple":
@@ -445,10 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     law = argparse.ArgumentParser(add_help=False)
     law.add_argument("--law", choices=["zero", "triple", "grid"],
                      default="triple")
-    law.add_argument("--eps-value", type=float, default=1e-2,
-                     help="epsilon of the triple law")
-    law.add_argument("--a", type=float, default=0.0)
-    law.add_argument("--samples", help="whitespace-separated samples file")
+    law.add_argument("--eps-value", type=float,
+                     help="epsilon of the triple law (default 1e-2)")
+    law.add_argument("--a", type=float,
+                     help="scaling exponent of the triple law (default 0)")
+    law.add_argument("--samples",
+                     help="whitespace-separated samples file of the grid law")
     add(control, "integrate", order, chain, law)
     add(control, "formula", order, chain, law)
     p = add(control, "scaling", order, chain)

@@ -343,14 +343,15 @@ class BalanceEvaluator:
         rung bracket within BISECT_STEPS more; one open after those is an
         InvariantError.
 
-        The walk gallops.  A point tries to move s rungs at once: it
-        evaluates the target rung and moves if the target keeps the sign
-        and a certificate (module docstring; ``_Side.bound``) proves the
-        sign of every rung passed, and then s doubles.  Otherwise s
-        halves, and a target past the crossing caps later moves.  At
-        s = 1 the point evaluates the next rung, as a rung-by-rung scan
-        would, so the brackets are that scan's.  xs is checked once, as
-        in ``alpha``; the scan and the refinement evaluate unchecked.
+        The walk gallops.  A point tries to move s rungs at once, first
+        16: it evaluates the target rung and moves if the target keeps
+        the sign and a certificate (module docstring; ``_Side.bound``)
+        proves the sign of every rung passed, and then s doubles.
+        Otherwise s halves, and a target past the crossing caps later
+        moves.  At s = 1 the point evaluates the next rung, as a
+        rung-by-rung scan would, so the brackets are that scan's.  xs is
+        checked once, as in ``alpha``; the scan and the refinement
+        evaluate unchecked.
         """
         xs = _finite("xs", xs)
         ladder, start, hmin, hmax = self._ladder()
@@ -399,7 +400,7 @@ class BalanceEvaluator:
         up = g_rung > 0.0
         direction = np.where(up, 1, -1)
         past = np.where(up, ladder.size, -1)
-        step = np.ones(xs.size, dtype=np.int64)
+        step = np.full(xs.size, 16, dtype=np.int64)
         g_past = np.empty(xs.size)
         while ids.size:
             room = (past - rung) * direction - 1

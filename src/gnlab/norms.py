@@ -341,7 +341,10 @@ def _far_field(mid_u: np.ndarray, p: int, w: np.ndarray, band: int) -> float:
     # at offset k: sum of a_t^p over t <= ncell-1-k plus over t >= k
     ends = (np.cumsum(a_p) + np.cumsum(a_p[::-1]))[::-1]
     lags = slice(band + 1, ncell)
-    return float(w[lags] @ (np.fft.irfft(cross, size)[lags] + ends[lags]))
+    # np.sum's pairwise sum, not a BLAS dot, whose thread count splits
+    # the sum and so moves its last digit
+    return float(np.sum(w[lags] * (np.fft.irfft(cross, size)[lags]
+                                   + ends[lags])))
 
 
 def gagliardo_seminorm(g: GridFunction, s: float, p: float) -> float:

@@ -273,7 +273,50 @@ def test_a_flag_its_kind_does_not_read_is_refused(tmp_path, capsys,
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["integrate", "formula"])
+@pytest.mark.parametrize("argv, flags", [
+    (["--law", "zero", "--eps-value", "5"], "--eps-value"),
+    (["--law", "grid", "--a", "3", "--samples", "w.txt"], "--a"),
+    (["--samples", "w.txt"], "--samples"),  # beside the default law, triple
+    (["--law", "zero", "--eps-value", "5", "--a", "3", "--samples",
+      "nofile"], "--eps-value or --a or --samples"),
+], ids=["zero-eps-value", "grid-a", "triple-samples", "zero-all-three"])
+def test_a_law_flag_its_law_does_not_read_is_refused(
+        tmp_path, capsys, monkeypatch, kind, argv, flags):
+    """--eps-value and --a are read only by --law triple, --samples only
+    by --law grid: beside another law each exits 2, named, before any
+    chain is integrated."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work for a refused command")
+
+    monkeypatch.setattr(ct, "integrate", no_work)
+    assert run(tmp_path, "control", kind, *argv, "--steps", "64",
+               "--deterministic") == 2
+    assert capsys.readouterr().err.rstrip().endswith(
+        f"does not read {flags}")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--q", "--ks"])
+def test_open_problem_refuses_an_empty_value(tmp_path, capsys, flag):
+    """An empty --q or --ks is a ParameterError, not the default 2 or
+    0,1,2."""
+    assert run(tmp_path, "check", "open-problem", flag, "", "--N", "129",
+               "--deterministic") == 2
+    assert "''" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 class TestControl:
+    @pytest.mark.parametrize("law, echo", [
+        ("zero", {"eps_value": None, "a": None, "samples": None}),
+        ("triple", {"eps_value": 1e-2, "a": 0.0, "samples": None})])
+    def test_report_echoes_the_law_flags_read(self, tmp_path, law, echo):
+        assert run(tmp_path, "control", "integrate", "--law", law, "--steps",
+                   "64", "--deterministic") == 0
+        config = read_report(tmp_path)["config"]
+        assert {name: config[name] for name in echo} == echo
+
     def test_formula(self, tmp_path):
         assert run(tmp_path, "control", "formula", "--p", "3", "--law",
                    "triple", "--eps-value", "1e-2", "--steps", "4096",
@@ -623,6 +666,17 @@ class TestDispatch:
         assert "gnlab" in capsys.readouterr().out
 
 
+def _fresh_env(**blas):
+    """os.environ for a fresh interpreter that imports gnlab from this
+    checkout, with OPENBLAS_NUM_THREADS as given or unset (importing
+    gnlab here has set it in os.environ)."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(blas)
+    return env
+
+
 def test_commands_run_without_scipy(tmp_path):
     """numpy is the only runtime dependency: a fresh interpreter imports
     the command line and runs a command without loading scipy."""
@@ -634,8 +688,46 @@ def test_commands_run_without_scipy(tmp_path):
         "loaded = sorted(m for m in sys.modules\n"
         "                if m == 'scipy' or m.startswith('scipy.'))\n"
         "print(code, loaded)\n")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                         env=env, capture_output=True, text=True, check=True)
+                         env=_fresh_env(), capture_output=True, text=True,
+                         check=True)
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("exported, want", [
+    ({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")],
+    ids=["unset", "exported"])
+def test_one_blas_thread_unless_one_is_exported(exported, want):
+    """Importing gnlab before numpy loads OpenBLAS with one thread; a
+    count the user exported is kept."""
+    script = (
+        "import os, sys\n"
+        "import gnlab\n"
+        "import numpy\n"
+        "tasks = (len(os.listdir('/proc/self/task'))\n"
+        "         if sys.platform.startswith('linux') else None)\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)\n")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=_fresh_env(**exported), capture_output=True,
+                         text=True, check=True)
+    value, tasks = out.stdout.split()
+    assert value == want
+    if not exported and sys.platform.startswith("linux"):
+        assert tasks == "1"  # numpy's OpenBLAS started no worker thread
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The seminorm's far field is summed by numpy, not by a BLAS dot
+    that splits the sum across threads: two BLAS threads give the report
+    of one, byte for byte but for --out."""
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "gnlab.cli", "check",
+                        "special", "--N", "16385", "--function", "sinebump7",
+                        "--deterministic", "--out", str(out)],
+                       env=_fresh_env(OPENBLAS_NUM_THREADS=threads),
+                       stdout=subprocess.DEVNULL, check=True)
+        text = (out / "report.json").read_text()
+        reports.append(text.replace(json.dumps(str(out)), '"OUT"'))
+    assert reports[0] == reports[1]

@@ -221,7 +221,7 @@ class TestGallopingScan:
         _assert_certified(ev, xs, got, want, rungs)
         if mode == "bounded":
             assert np.array_equal(got, want)
-        # measured 0.21-0.25
+        # measured 0.19-0.23
         assert work <= 0.3 * plain_work
 
     # ks = (0,), q = 2 gives alpha = l^{-1/2} ||u||_{L^2(J)}, whose length
