@@ -17,11 +17,13 @@ with a ParameterError.
 
 Window integrals (trapezoid cells with quadratic in-cell end pieces) and
 window maxima (nodes with interpolated ends) both take their whole runs
-from one disjoint sparse table, two stored partial runs per query, so
+from a disjoint sparse table, two stored partial runs per query, so
 alpha and beta are continuous in h and accurate at the local scale even
-deep in the support tails.  The table is stored flat with an identity
+deep in the support tails.  Each table is stored flat with an identity
 entry per level, so a query is two reads with no masks: a one-entry run
-reads the entry and the identity, an empty one the identity twice.
+reads the entry and the identity, an empty one the identity twice.  Both
+tables have one layout, so one set of end cells and one index pair per
+window serve both sides.
 
 Each crossing is bracketed by the first sign change of alpha - beta on a
 ladder of radii h0 q^k (h0 = 2 dx, q = SCAN_FACTOR), up where alpha >
@@ -55,7 +57,6 @@ the corpus it is bisection's float in bounded mode, and within about
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,7 +128,8 @@ class _RunTable:
     whose last entry is ``empty``, the identity of op.  So every query
     reads two entries, with no masks: a run i < j its two partial runs,
     i == j the entry a[i] (level 0 holds each entry by itself) op the
-    identity, and i > j the identity twice.
+    identity, and i > j the identity twice.  ``pair`` gives the two flat
+    indices, which serve every table over as many entries.
 
     For op = add and nonnegative entries both partial runs are sums of
     entries inside the run, so nothing cancels: a run of m entries keeps
@@ -138,6 +140,7 @@ class _RunTable:
 
     def __init__(self, a: np.ndarray, op, empty: float):
         self.op = op
+        self.size = a.size
         levels = max(1, (a.size - 1).bit_length())
         self.width = (1 << levels) + 1
         padded = np.zeros(1 << levels)
@@ -150,23 +153,41 @@ class _RunTable:
             row = rows[k, :-1].reshape(blocks.shape)
             row[:, 0] = op.accumulate(blocks[:, 0, ::-1], axis=1)[:, ::-1]
             row[:, 1] = op.accumulate(blocks[:, 1], axis=1)
+        # row offset of level floor(log2(i ^ j)), 0 for i == j, by i ^ j
+        self.rows = np.repeat(np.arange(levels) * self.width,
+                              [2] + [1 << k for k in range(1, levels)])
 
-    def __call__(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """op over a[i..j] for integer arrays i, j; ``empty`` where i > j."""
-        # the level of i == j (xor 0) is taken as 0; that of i > j is
-        # never read, and can lie past the top level
-        row = np.maximum(np.frexp(i ^ j)[1] - 1, 0) * self.width
+    def pair(self, i: np.ndarray, j: np.ndarray):
+        """Flat indices of the two entries op(a[i..j]) reads.  ``take``
+        clips the xor of an i > j, whose row is never read."""
+        row = self.rows.take(i ^ j, mode="clip")
         empty = self.width - 1
-        left = np.where(i <= j, row + i, empty)
-        right = np.where(i < j, row + j, empty)
-        return self.op(self.table.take(left), self.table.take(right))
+        return (np.where(i <= j, row + i, empty),
+                np.where(i < j, row + j, empty))
+
+    def read(self, pair) -> np.ndarray:
+        """op over a[i..j] for ``pair(i, j)``; ``empty`` where i > j."""
+        return self.op(self.table.take(pair[0]), self.table.take(pair[1]))
+
+
+def _cells(lo, hi, runs: _RunTable):
+    """Cells of the windows between fractional node positions lo and hi,
+    clipped to the grid of runs.size + 1 nodes (hi to lo and above): the
+    low end's cell jl and offset la, the high end's jh and ha, whether
+    they share a cell, and the ``pair`` of the run jl + 1 .. jh - 1."""
+    lo = np.minimum(np.maximum(lo, 0.0), float(runs.size))
+    hi = np.maximum(np.minimum(hi, float(runs.size)), lo)
+    jl = np.minimum(lo.astype(np.int64), runs.size - 1)
+    jh = np.minimum(hi.astype(np.int64), runs.size - 1)
+    return jl, lo - jl, jh, hi - jh, jl == jh, runs.pair(jl + 1, jh - 1)
 
 
 def _window_norm(f: np.ndarray, p: float, dx: float):
-    """Window aggregate behind ||f||_{L^p} between fractional node
-    positions lo <= hi: for p = inf the max over the nodes inside and the
+    """Window aggregate behind ||f||_{L^p} over ``_cells``, and its run
+    table over n - 1 entries: for p = inf the max over the nodes inside,
+    jl + 1 .. jh - 1 from a table over the first n - 1 nodes, and the
     interpolated ends, else the trapezoid integral of f^p, whole cells
-    from the run table plus quadratic pieces of the two end cells.
+    jl + 1 .. jh - 1 from the table plus quadratic end-cell pieces.
 
     With ``envelope`` it also returns an envelope env of each window: the
     computed aggregate of every window inside lies within (n + 64) eps
@@ -176,46 +197,37 @@ def _window_norm(f: np.ndarray, p: float, dx: float):
     cancels to an error of up to about 8 eps of the whole cell, and run
     sums over at most n cells carry about n eps, so for an integral env
     is the sum over every cell the window touches."""
-    n = f.size
     if math.isinf(p):
-        runs = _RunTable(f, np.maximum, -np.inf)
+        runs = _RunTable(f[:-1], np.maximum, -np.inf)
         nxt = f[1:]
 
-        def at(pos):
-            i = np.minimum(pos.astype(np.int64), n - 2)
-            tau = pos - i
-            return f.take(i) * (1 - tau) + nxt.take(i) * tau
-
-        def window_max(lo, hi, envelope=False):
-            lo = np.clip(lo, 0.0, n - 1.0)
-            hi = np.clip(hi, 0.0, n - 1.0)
-            inner = runs(np.ceil(lo).astype(np.int64),
-                         np.floor(hi).astype(np.int64))
-            out = np.maximum(inner, np.maximum(at(lo), at(hi)))
+        def window_max(cells, envelope=False):
+            # node jh lies inside unless the ends share its cell; an end
+            # on a node interpolates to that node's value exactly
+            jl, la, jh, ha, same, pair = cells
+            fh = f.take(jh)
+            ends = np.maximum(f.take(jl) * (1 - la) + nxt.take(jl) * la,
+                              fh * (1 - ha) + nxt.take(jh) * ha)
+            out = np.maximum(np.maximum(runs.read(pair),
+                                        np.where(same, -np.inf, fh)), ends)
             return (out, out) if envelope else out
-        return window_max
+        return window_max, runs
 
     f = f ** p
     half_slope = 0.5 * (f[1:] - f[:-1])
     runs = _RunTable(0.5 * (f[1:] + f[:-1]) * dx, np.add, 0.0)
 
-    def window_sum(lo, hi, envelope=False):
-        lo = np.clip(lo, 0.0, n - 1.0)
-        hi = np.maximum(np.clip(hi, 0.0, n - 1.0), lo)
-        jl = np.minimum(np.floor(lo).astype(np.int64), n - 2)
-        jh = np.minimum(np.floor(hi).astype(np.int64), n - 2)
-        la = lo - jl
-        ha = hi - jh
+    def window_sum(cells, envelope=False):
+        jl, la, jh, ha, same, pair = cells
         # the low end's piece of its cell runs from la to ha when both
         # ends share a cell, else to 1, and the high end's from 0 to ha
-        same = jl == jh
         b = np.where(same, ha, 1.0)
         near = dx * (f.take(jl) * (b - la)
                      + half_slope.take(jl) * (b * b - la * la))
         far = dx * (f.take(jh) * ha + half_slope.take(jh) * (ha * ha))
-        out = np.where(same, near, near + runs(jl + 1, jh - 1) + far)
-        return (out, runs(jl, jh)) if envelope else out
-    return window_sum
+        out = np.where(same, near, near + runs.read(pair) + far)
+        return (out, runs.read(runs.pair(jl, jh))) if envelope else out
+    return window_sum, runs
 
 
 class _Side:
@@ -227,7 +239,7 @@ class _Side:
     the product after them."""
 
     def __init__(self, f: np.ndarray, p: float, root: int, order, dx: float):
-        self.norm = _window_norm(f, p, dx)
+        self.norm, self.runs = _window_norm(f, p, dx)
         self.delta = (f.size + 64) * np.finfo(float).eps
         if math.isinf(p):
             self.a, self.e = float(order), 1.0 / root
@@ -238,17 +250,17 @@ class _Side:
     def __call__(self, length, agg):
         return length ** self.a * agg ** self.e
 
-    def bound(self, high, l_narrow, l_wide, agg, env):
-        """Bound on the computed l^a S^e over every window between a
-        narrow one and a wide one containing it: a high bound where
-        ``high``, from agg the wide window's aggregate, else a low bound
-        from agg the narrow one's.  env is the wide window's envelope:
-        each computed aggregate lies within delta env of its exact,
-        nondecreasing value, so S moves by 2 delta env at most.  l comes
-        from whichever end bounds l^a."""
+    def bound(self, high, power, agg, env):
+        """Bound on the computed l^a S^e over every window between a narrow
+        one and a wide one containing it: a high bound where ``high``, from
+        agg the wide window's aggregate, else a low bound from agg the
+        narrow one's, with ``power`` the l^a of whichever end bounds it.
+        env is the wide window's envelope: each computed aggregate lies
+        within delta env of its exact, nondecreasing value, so S moves by
+        2 delta env at most."""
         slack = 2.0 * self.delta * env
         s = np.where(high, agg + slack, np.maximum(agg - slack, 0.0))
-        return self(np.where(high == (self.a >= 0), l_wide, l_narrow), s)
+        return power * s ** self.e
 
 
 class BalanceEvaluator:
@@ -262,46 +274,41 @@ class BalanceEvaluator:
         self.u = u
         self.spec = spec
         self.v = derivative_product(u, spec.ks)
-        self.w = np.abs(u.stack[spec.m])
         self._alpha = _Side(np.abs(self.v), spec.q, spec.kappa, spec.kbar,
                             u.dx)
-        self._beta = _Side(self.w, spec.r, 1, spec.m, u.dx)
+        self._beta = _Side(np.abs(u.stack[spec.m]), spec.r, 1, spec.m, u.dx)
 
     def _window(self, x, h):
-        lo = x - h
-        hi = x + h
+        """The ``_cells`` of each window, for both sides, and its length."""
+        lo, hi, length = x - h, x + h, 2.0 * h
         if self.spec.mode == "bounded":
             lo = np.maximum(lo, self.u.a)
             hi = np.minimum(hi, self.u.b)
             length = np.maximum(hi - lo, 0.0)
-        else:
-            length = 2.0 * h
-        lo_pos = (lo - self.u.a) / self.u.dx
-        hi_pos = (hi - self.u.a) / self.u.dx
-        return lo_pos, hi_pos, length
+        a, dx = self.u.a, self.u.dx
+        return _cells((lo - a) / dx, (hi - a) / dx, self._alpha.runs), length
 
     def _balance(self, side, x, h):
-        """l^a S^e of ``side`` over float arrays of x and h, unchecked."""
-        lo, hi, length = self._window(x, h)
-        return side(length, side.norm(lo, hi))
+        """l^a S^e of ``side`` over arrays of x and h, checked."""
+        cells, length = self._window(_finite("x", x),
+                                     _finite("h", h, positive=True))
+        return side(length, side.norm(cells))
 
     def _gap(self, x, h):
         """alpha - beta over float arrays of x and h, from one window per
         pair, unchecked."""
-        lo, hi, length = self._window(x, h)
+        cells, length = self._window(x, h)
         al, be = self._alpha, self._beta
-        return al(length, al.norm(lo, hi)) - be(length, be.norm(lo, hi))
+        return al(length, al.norm(cells)) - be(length, be.norm(cells))
 
     def alpha(self, x, h):
         """alpha_x(h) over arrays of x and h; a non-finite x, or an h that
         is not finite and positive, is a ParameterError."""
-        return self._balance(self._alpha, _finite("x", x),
-                             _finite("h", h, positive=True))
+        return self._balance(self._alpha, x, h)
 
     def beta(self, x, h):
         """beta_x(h) over arrays of x and h, checked as in ``alpha``."""
-        return self._balance(self._beta, _finite("x", x),
-                             _finite("h", h, positive=True))
+        return self._balance(self._beta, x, h)
 
     def working_set(self, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
         """Indices (into the grid) of E = {|u| and |v| above threshold}.
@@ -333,55 +340,55 @@ class BalanceEvaluator:
     def critical_radii(self, xs: np.ndarray) -> np.ndarray:
         """First crossing of alpha - beta for each x of a 1-D array.
 
-        Each point walks the ladder of ``_ladder`` from h0 = 2 dx, up
-        where alpha > beta at h0 and down elsewhere, to the first rung
-        where alpha - beta changes sign; that rung and the one before
-        bracket the crossing.  Illinois steps (module docstring), from
-        the scan's values at both ends, then close the bracket to
-        adjacent floats, and the radius is its midpoint.  A bracket still
-        open after ILLINOIS_STEPS passes takes midpoints, which close any
-        rung bracket within BISECT_STEPS more; one open after those is an
-        InvariantError.
+        Each point scans the rungs of ``_ladder`` for its bracket (module
+        docstring), and Illinois steps from the scan's values at both
+        ends close it to adjacent floats; the radius is its midpoint.  A
+        bracket still open after ILLINOIS_STEPS passes takes midpoints,
+        which close any rung bracket within BISECT_STEPS more; one open
+        after those is an InvariantError.
 
-        The walk gallops.  A point tries to move s rungs at once, first
-        16: it evaluates the target rung and moves if the target keeps
-        the sign and a certificate (module docstring; ``_Side.bound``)
-        proves the sign of every rung passed, and then s doubles.
-        Otherwise s halves, and a target past the crossing caps later
-        moves.  At s = 1 the point evaluates the next rung, as a
-        rung-by-rung scan would, so the brackets are that scan's.  xs is
-        checked once, as in ``alpha``; the scan and the refinement
-        evaluate unchecked.
+        The scan gallops.  A point tries to move s rungs at once, first 16: it
+        evaluates the target rung and moves if the target keeps the sign and a
+        certificate (module docstring; ``_Side.bound``) proves the sign of
+        every rung passed, and then s doubles.  Otherwise s halves, and a
+        target past the crossing caps later moves.  At s = 1 the point
+        evaluates the next rung, as a rung-by-rung scan would, so the brackets
+        are that scan's.  xs is checked once, as in ``alpha``; the scan and the
+        refinement evaluate unchecked.
         """
         xs = _finite("xs", xs)
         ladder, start, hmin, hmax = self._ladder()
         al, be = self._alpha, self._beta
         delta = al.delta
+        # real-line windows have l = 2h, so each rung's l^a is one entry
+        # of a table per side; bounded ones take it from the evaluation
+        powers = (None if self.spec.mode == "bounded" else
+                  [(2.0 * ladder) ** side.a for side in (al, be)])
 
         def evaluate(x, k):
-            lo, hi, length = self._window(x, ladder.take(k))
-            sv, env_v = al.norm(lo, hi, envelope=True)
-            sw, env_w = be.norm(lo, hi, envelope=True)
-            return (al(length, sv) - be(length, sw),
-                    (length, sv, env_v, env_w), sw)
+            cells, length = self._window(x, ladder.take(k))
+            pa, pb = ((length ** al.a, length ** be.a) if powers is None
+                      else (powers[0].take(k), powers[1].take(k)))
+            sv, env_v = al.norm(cells, envelope=True)
+            sw, env_w = be.norm(cells, envelope=True)
+            return (pa * sv ** al.e - pb * sw ** be.e,
+                    (pa, pb, sv, env_v, env_w), sw)
 
         def proved(up, cur, new, sw):
             """Whether the bounds prove the sign of alpha - beta at every
             rung from the current one (``cur``) to the target (``new``)."""
-            l_cur, sv_cur, env_v_cur, env_w_cur = cur
-            length, _, env_v, env_w = new
-            # going up the current rung is the narrow end of the run and
-            # the target the wide end, going down the reverse: so alpha's
-            # low (up) or high (down) bound takes its aggregate from the
-            # current rung, and beta's high (up) or low (down) bound from
-            # the target
-            narrow = np.where(up, l_cur, length)
-            wide = np.where(up, length, l_cur)
+            pa_cur, pb_cur, sv_cur, env_v_cur, env_w_cur = cur
+            pa, pb, _, env_v, env_w = new
+            # up, the current rung is the run's narrow end and the target
+            # its wide end, down the reverse: alpha's low (up) or high
+            # (down) bound takes S from the current rung, beta's high or
+            # low one from the target, and l^a from the same rung where
+            # a >= 0, else from the other
             with np.errstate(divide="ignore", invalid="ignore",
                              over="ignore"):
-                a = al.bound(~up, narrow, wide, sv_cur,
+                a = al.bound(~up, pa_cur if al.a >= 0 else pa, sv_cur,
                              np.where(up, env_v, env_v_cur))
-                b = be.bound(up, narrow, wide, sw,
+                b = be.bound(up, pb if be.a >= 0 else pb_cur, sw,
                              np.where(up, env_w, env_w_cur))
                 return np.where(up, a * (1 - delta) > b * (1 + delta),
                                 a * (1 + delta) < b * (1 - delta))
@@ -479,25 +486,26 @@ def besicovitch_select(centers, radii) -> list:
     center already lies in a selected open interval.  Returns selected
     indices into the input arrays.
 
-    With the selected ends in two sorted lists, #{lo < c} - #{hi <= c}
-    selected intervals contain c; one that rounds to a point is left out.
+    Each selected interval marks the centers inside it, one slice of the
+    centers in sorted order; one that rounds to a point marks none.
     """
     centers = _finite("centers", centers)
     radii = _finite("radii", radii, positive=True)
     if centers.shape != radii.shape:
         raise ParameterError("centers and radii must have equal length")
     order = np.lexsort((np.arange(centers.size), -radii))
-    los: list = []
-    his: list = []
+    by_center = np.argsort(centers, kind="stable")
+    sorted_centers = centers[by_center]
+    covered = np.zeros(centers.size, dtype=bool)
+    seen = memoryview(covered)  # reads one flag faster than the array
     selected: list = []
     for idx, c, r in zip(order.tolist(), centers[order].tolist(),
                          radii[order].tolist()):
-        if bisect_left(los, c) - bisect_right(his, c) > 0:
+        if seen[idx]:
             continue
         selected.append(idx)
-        if c - r < c + r:
-            insort(los, c - r)
-            insort(his, c + r)
+        covered[by_center[np.searchsorted(sorted_centers, c - r, "right"):
+                          np.searchsorted(sorted_centers, c + r)]] = True
     return selected
 
 
@@ -541,25 +549,16 @@ class CoverReport:
             raise InvariantError("balance residual above tolerance")
 
     def to_dict(self) -> dict:
-        meta = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in self.meta.items()}
-        return {"centers": self.centers.tolist(),
-                "radii": self.radii.tolist(),
-                "intervals": self.intervals.tolist(),
-                "max_overlap": self.max_overlap,
-                "deficit_cells": self.deficit_cells,
-                "deficit_measure": self.deficit_measure,
-                "balance_residuals": self.balance_residuals.tolist(),
-                "meta": meta}
+        def plain(d):
+            return {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+                    for k, v in d.items()}
+        return {**plain(vars(self)), "meta": plain(self.meta)}
 
     def csv_rows(self) -> list:
         ev = self.meta.get("alpha_beta")
-        rows = []
-        for i in range(self.centers.size):
-            a, b = (ev[i] if ev is not None else (None, None))
-            rows.append((self.centers[i], self.radii[i], a, b,
-                         self.balance_residuals[i]))
-        return rows
+        return [(self.centers[i], self.radii[i],
+                 *(ev[i] if ev is not None else (None, None)),
+                 self.balance_residuals[i]) for i in range(self.centers.size)]
 
 
 def cover_bytes(n: int, m: int) -> int:
@@ -600,11 +599,11 @@ def build_cover(u: GridFunction, spec: BalanceSpec,
     full = ev.working_set(threshold)
     idx = full[full % stride == 0]
     grid = u.grid
+    meta = {"mode": spec.mode, "threshold": threshold,
+            "e_resolution": e_resolution, "n": u.n}
     if idx.size == 0:
         return CoverReport(np.zeros(0), np.zeros(0), np.zeros((0, 2)), 0, 0,
-                           0.0, np.zeros(0),
-                           meta={"mode": spec.mode, "threshold": threshold,
-                                 "e_resolution": e_resolution, "n": u.n})
+                           0.0, np.zeros(0), meta=meta)
     xs = grid[idx]
     radii = ev.critical_radii(xs)
     selected = besicovitch_select(xs, radii)
@@ -619,17 +618,18 @@ def build_cover(u: GridFunction, spec: BalanceSpec,
 
     max_overlap = overlap_profile(intervals)
 
-    ref = grid[full]
-    covered = np.zeros(ref.shape, dtype=bool)
-    for lo, hi in intervals:
-        covered |= (ref > lo) & (ref < hi)
-    deficit = int(np.count_nonzero(~covered))
+    # the working-set nodes inside each open interval are one slice of
+    # them; a node is left out where no slice covers it
+    ref, slots = grid[full], full.size + 1
+    first = np.searchsorted(ref, intervals[:, 0], "right")
+    past = np.maximum(np.searchsorted(ref, intervals[:, 1]), first)
+    depth = np.cumsum(np.bincount(first, minlength=slots)
+                      - np.bincount(past, minlength=slots))
+    deficit = int(np.count_nonzero(depth[:-1] == 0))
 
     return CoverReport(
         centers=centers, radii=rs, intervals=intervals,
         max_overlap=max_overlap, deficit_cells=deficit,
         deficit_measure=deficit * u.dx,
         balance_residuals=residuals,
-        meta={"mode": spec.mode, "threshold": threshold,
-              "e_resolution": e_resolution, "n": u.n,
-              "alpha_beta": np.stack([alphas, betas], axis=1)})
+        meta={**meta, "alpha_beta": np.stack([alphas, betas], axis=1)})

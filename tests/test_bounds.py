@@ -11,10 +11,15 @@ an mpmath quadrature of the coefficients' closed forms.  The frozen
 scaling slopes match the exact chain's slope, built from those
 quadratures, within RK4's error.  The two frozen generalized ratios
 differ by their grids' under-reads of the sup norm.  The obstruction
-constants are not paired here yet.
+constants are not paired here yet.  The power family u = w^gamma,
+w = x(1 - x), in Beta-function closed form, shows that the ratio4 and
+ratio6 ceilings are their suprema.
 """
 
+import math
+
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 import gnlab.covering as cov
@@ -160,3 +165,74 @@ def test_frozen_generalized_ratios_differ_by_the_sup_under_reads(
     predicted = float(l12.theta) * (sup_under_read(bump_4097)
                                     - sup_under_read(bump_65537))
     assert abs(gap - predicted) <= 1e-12
+
+
+def _w_moment(a, coeffs) -> float:
+    """int_0^1 w^a (c_0 + c_1 w + ...) dx for w = x(1 - x), from
+    int_0^1 w^s dx = B(s + 1, s + 1) = Gamma(s + 1)^2 / Gamma(2s + 2)."""
+    return sum(c * math.exp(2 * math.lgamma(a + k + 1)
+                            - math.lgamma(2 * a + 2 * k + 2))
+               for k, c in enumerate(coeffs))
+
+
+def power_ratio(p, gamma) -> float:
+    """ratio4 (p = 4) or ratio6 (p = 6) of u = w^gamma in closed form.
+    With w' = 1 - 2x, w'^2 = 1 - 4w and w'' = -2, u' = gamma w^(gamma-1) w'
+    and u'' = gamma w^(gamma-2) (c0 - c1 w), c0 = gamma - 1,
+    c1 = 4 gamma - 2, so both integrals are polynomials in w times
+    w^(p (gamma-1)):
+    int u'^p = gamma^p int w^(p (gamma-1)) (1 - 4w)^(p/2), and
+    int (u u'^(p/2-2) u'')^2
+    = gamma^(p-2) int w^(p (gamma-1)) (1 - 4w)^(p/2-2) (c0 - c1 w)^2.
+    ratio4 is finite for gamma > 3/4 and ratio6 for gamma > 5/6."""
+    slope2 = P.polypow([1.0, -4.0], p // 2 - 2)
+    num = _w_moment(p * (gamma - 1), P.polymul(slope2, [1.0, -8.0, 16.0]))
+    den = _w_moment(p * (gamma - 1), P.polymul(slope2, P.polypow(
+        [gamma - 1, -(4 * gamma - 2)], 2)))
+    return (gamma ** 2 * num / den) ** (1 / p)
+
+
+def test_power_family_matches_a_quadrature():
+    """At gamma = 0.9 the closed forms agree with mpmath's quadrature of
+    the chain-rule derivatives of w^gamma (measured 5e-16 for ratio4 and
+    5e-15 for ratio6).  mpmath is imported here, as CI's numpy-floor step
+    collects this module without it."""
+    import mpmath as mp
+    g = mp.mpf("0.9")
+
+    def derivs(x):
+        w, dw = x * (1 - x), 1 - 2 * x
+        return (w ** g, g * w ** (g - 1) * dw,
+                g * (g - 1) * w ** (g - 2) * dw ** 2 - 2 * g * w ** (g - 1))
+
+    def integral(f):
+        return mp.quad(lambda x: f(*derivs(x)), [0, mp.mpf(1) / 2, 1])
+
+    with mp.workdps(30):
+        r4 = (integral(lambda u, d1, d2: d1 ** 4)
+              / integral(lambda u, d1, d2: (u * d2) ** 2)) ** (mp.mpf(1) / 4)
+        r6 = (integral(lambda u, d1, d2: d1 ** 6)
+              / integral(lambda u, d1, d2: (u * d1 * d2) ** 2)) \
+            ** (mp.mpf(1) / 6)
+    assert power_ratio(4, 0.9) == pytest.approx(float(r4), rel=1e-13,
+                                                abs=0.0)
+    assert power_ratio(6, 0.9) == pytest.approx(float(r6), rel=1e-13,
+                                                abs=0.0)
+
+
+def test_power_family_stays_below_the_ceilings():
+    """Both ratios rise to their ceilings as gamma falls to 3/4 and 5/6
+    and never pass them."""
+    for gamma in 0.75 + np.geomspace(1e-5, 3.0, 60):
+        assert power_ratio(4, gamma) <= gn.RATIO4_BOUND
+    for gamma in 5 / 6 + np.geomspace(1e-5, 3.0, 60):
+        assert power_ratio(6, gamma) <= gn.RATIO6_BOUND
+
+
+def test_power_family_reaches_the_ceilings():
+    """Just above the thresholds the family is within 1e-4 of each
+    ceiling (about 9e-5 below sqrt 3 and 4e-5 below 5^(1/3)), so the
+    ceilings are the suprema: they are limits of smooth compactly
+    supported functions, by mollification."""
+    assert gn.RATIO4_BOUND - power_ratio(4, 0.75 + 1e-5) <= 1e-4
+    assert gn.RATIO6_BOUND - power_ratio(6, 5 / 6 + 1e-5) <= 1e-4

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 
 import numpy as np
@@ -159,11 +160,28 @@ def _plain_scan(ev, xs):
 
 
 def _counted(norm, tally):
-    """``norm`` counting in tally[0] the (x, h) points it evaluates."""
-    def window(lo, hi, envelope=False):
-        tally[0] += np.size(lo)
-        return norm(lo, hi, envelope)
+    """``norm`` counting in tally[0] the (x, h) points it evaluates: one
+    per window and side, as both sides read each window's cells."""
+    def window(cells, envelope=False):
+        tally[0] += np.size(cells[0])
+        return norm(cells, envelope)
     return window
+
+
+def _window_at(f, p, dx):
+    """``_window_norm`` of f over the windows between fractional node
+    positions lo and hi, through ``_cells``."""
+    norm, runs = cov._window_norm(f, p, dx)
+
+    def window(lo, hi, envelope=False):
+        return norm(cov._cells(lo, hi, runs), envelope)
+    return window
+
+
+def _query(a, op, empty):
+    """The flat run table's query op(a[i..j]) for integer arrays i, j."""
+    runs = cov._RunTable(a, op, empty)
+    return lambda i, j: runs.read(runs.pair(i, j))
 
 
 def _both_scans(ev, xs=None):
@@ -349,7 +367,7 @@ class TestWindowEnvelope:
             f = rng.random(n) ** 3
             f[rng.random(n) < 0.3] = 0.0
             f[rng.random(n) < 0.2] *= 1e-12
-            norm = cov._window_norm(f, p, 1.0 / (n - 1))
+            norm = _window_at(f, p, 1.0 / (n - 1))
             delta = (n + 64) * np.finfo(float).eps
             c = rng.uniform(0.0, n - 1.0, 40)
             h = 10.0 ** rng.uniform(-14.0, 0.5, 40)
@@ -409,7 +427,77 @@ class TestBalanceSpec:
         assert spec.m == 3 and type(spec.m) is int
 
 
+def _bisect_select(centers, radii) -> list:
+    """The greedy selection with the selected ends in two sorted lists:
+    #{lo < c} - #{hi <= c} selected intervals contain c, and one that
+    rounds to a point is left out.  The reference for the centers that
+    ``besicovitch_select`` marks."""
+    order = np.lexsort((np.arange(centers.size), -radii))
+    los: list = []
+    his: list = []
+    selected: list = []
+    for idx, c, r in zip(order.tolist(), centers[order].tolist(),
+                         radii[order].tolist()):
+        if bisect_left(los, c) - bisect_right(his, c) > 0:
+            continue
+        selected.append(idx)
+        if c - r < c + r:
+            insort(los, c - r)
+            insort(his, c + r)
+    return selected
+
+
+def _cover_with_radii(u, radius_of, e_resolution):
+    """``build_cover`` with radius_of(xs) in place of the critical radii
+    and alpha = beta = 1, so that its balance check passes whatever the
+    intervals."""
+    def one(self, x, h):
+        return np.ones(np.size(x))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cov.BalanceEvaluator, "critical_radii",
+                   lambda self, xs: radius_of(xs))
+        mp.setattr(cov.BalanceEvaluator, "alpha", one)
+        mp.setattr(cov.BalanceEvaluator, "beta", one)
+        return cov.build_cover(u, SPEC, e_resolution=e_resolution)
+
+
+def _loop_deficit(u, intervals):
+    """Working-set nodes inside no open interval, one interval at a time."""
+    ref = u.grid[cov.BalanceEvaluator(u, SPEC).working_set()]
+    covered = np.zeros(ref.shape, dtype=bool)
+    for lo, hi in intervals:
+        covered |= (ref > lo) & (ref < hi)
+    return int(np.count_nonzero(~covered)), ref
+
+
+# centers on a grid of sixteenths and radii from a few dyadic values, so
+# radii tie and interval ends meet each other and the centers; 1e-17
+# rounds to a point at a center of 1/4 and above
+_CENTERS = st.one_of(st.integers(0, 32).map(lambda k: k / 16),
+                     st.floats(min_value=0.0, max_value=2.0))
+_RADII = st.one_of(st.sampled_from([1e-17, 1 / 64, 1 / 32, 1 / 16, 1 / 8]),
+                   st.floats(min_value=1e-3, max_value=0.3))
+
+
 class TestBesicovitchSelection:
+    @given(st.lists(st.tuples(_CENTERS, _RADII), min_size=1, max_size=80))
+    @settings(max_examples=150, deadline=None)
+    def test_selection_equals_the_bisect_selection(self, pairs):
+        centers = np.array([c for c, _ in pairs])
+        radii = np.array([r for _, r in pairs])
+        assert cov.besicovitch_select(centers, radii) == \
+            _bisect_select(centers, radii)
+
+    def test_ties_shared_ends_and_a_point_equal_the_bisect_selection(self):
+        # two tied radii whose intervals share the end 0.75, centers on
+        # ends (picked) and inside (skipped), and two point intervals at
+        # 1.5, each picked because a point covers no center
+        centers = np.array([0.5, 1.0, 0.75, 1.5, 0.25, 0.5, 1.5])
+        radii = np.array([0.25, 0.25, 0.125, 1e-17, 0.0625, 0.0625, 1e-17])
+        assert 1.5 - 1e-17 == 1.5 + 1e-17
+        picked = cov.besicovitch_select(centers, radii)
+        assert picked == _bisect_select(centers, radii) == [0, 1, 2, 4, 3, 6]
+
     def test_trivial_cases(self):
         assert cov.besicovitch_select(np.zeros(0), np.zeros(0)) == []
         assert cov.besicovitch_select(np.array([0.3]), np.array([0.1])) == [0]
@@ -467,7 +555,7 @@ class TestSegmentIntegral:
         for n in (2, 3, 64, 100, 1025, 8193):
             f = rng.random(n) ** 2
             dx = 1.0 / (n - 1)
-            window = cov._window_norm(f, 1.0, dx)
+            window = _window_at(f, 1.0, dx)
             cells = 0.5 * (f[1:] + f[:-1]) * dx
             lo = rng.integers(0, n, 300)
             hi = np.minimum(lo + rng.integers(0, n, 300), n - 1)
@@ -483,7 +571,7 @@ class TestSegmentIntegral:
         hi = np.minimum(lo + rng.uniform(0.0, 40.0, 400), n - 1.0)
         # the midpoint rule is exact for an affine f, without cancellation
         want = (hi - lo) * dx * (0.5 + 0.125 * (lo + hi) * dx)
-        got = cov._window_norm(f, 1.0, dx)(lo, hi)
+        got = _window_at(f, 1.0, dx)(lo, hi)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
@@ -494,7 +582,7 @@ class TestRangeMax:
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, 7, 64, 100, 1025):
             f = rng.standard_normal(n)
-            runs = cov._RunTable(f, np.maximum, -np.inf)
+            runs = _query(f, np.maximum, -np.inf)
             lo = rng.integers(0, n, 500)
             hi = np.minimum(lo + rng.integers(0, n, 500), n - 1)
             lo = np.concatenate([lo, np.arange(n), [0]])
@@ -503,7 +591,7 @@ class TestRangeMax:
             assert np.array_equal(runs(lo, hi), want)
 
     def test_empty_range_is_minus_infinity(self):
-        runs = cov._RunTable(np.arange(5.0), np.maximum, -np.inf)
+        runs = _query(np.arange(5.0), np.maximum, -np.inf)
         out = runs(np.array([3, 0]), np.array([2, 4]))
         assert out[0] == -np.inf and out[1] == 4.0
 
@@ -526,7 +614,7 @@ class TestRangeMax:
             want = [max([at(a), at(b)]
                         + list(f[math.ceil(a):math.floor(b) + 1]))
                     for a, b in zip(lo, hi)]
-            got = cov._window_norm(f, math.inf, 1.0 / (n - 1))(lo, hi)
+            got = _window_at(f, math.inf, 1.0 / (n - 1))(lo, hi)
             assert np.array_equal(got, want)
 
 
@@ -582,6 +670,29 @@ def _three_piece_window_sum(f, p, dx):
     return window_sum
 
 
+def _per_side_window_max(f):
+    """The window max with its own clip, ceil and floor, over the masked
+    query on all n nodes: the reference for the max that reads the cells
+    and index pair both sides share.  Like the max it replaces it reads
+    both ends of a reversed window, lo > hi."""
+    n = f.size
+    runs = _masked_runs(f, np.maximum, -np.inf)
+
+    def at(pos):
+        i = np.minimum(pos.astype(np.int64), n - 2)
+        tau = pos - i
+        return f[i] * (1 - tau) + f[i + 1] * tau
+
+    def window_max(lo, hi):
+        lo = np.clip(lo, 0.0, n - 1.0)
+        hi = np.clip(hi, 0.0, n - 1.0)
+        inner = runs(np.ceil(lo).astype(np.int64),
+                     np.floor(hi).astype(np.int64))
+        out = np.maximum(inner, np.maximum(at(lo), at(hi)))
+        return out, out
+    return window_max
+
+
 def _same_floats(got, want):
     return (got.dtype == want.dtype and np.array_equal(got, want)
             and np.array_equal(np.signbit(got), np.signbit(want)))
@@ -589,18 +700,19 @@ def _same_floats(got, want):
 
 @pytest.mark.floor
 class TestMaskFreeKernels:
-    """The flat run table's query and the window integral that takes each
-    end piece once give the floats, sign bits included, of the masked
-    query and the three-piece sum they replace."""
+    """The flat run table's query, its level lookup, and the window
+    aggregates that read one set of cells and one index pair for both
+    sides give the floats, sign bits included, of the masked query, the
+    three-piece sum and the per-side max they replace."""
 
     @pytest.mark.parametrize("op,empty", [(np.add, 0.0),
                                           (np.maximum, -np.inf)])
-    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 8193])
+    @pytest.mark.parametrize("n", [1, 2, 3, 62, 63, 64, 65, 8192, 8193])
     def test_query_equals_the_masked_query(self, op, empty, n):
         # i == j reads a[i] op the identity, so the entries hold no -0.0,
-        # as no cell of |f|^p does; j runs from -1, as the window integral
-        # asks for runs(jl + 1, jh - 1), and a pair (2^L - 1, -1) has an
-        # xor of -2^L, whose level L lies past the top level L - 1
+        # as no cell of |f|^p does; j runs from -1, as the window
+        # aggregates ask for runs(jl + 1, jh - 1), and a pair (i, -1) has
+        # the negative xor -(i + 1), which the level lookup clips
         rng = np.random.default_rng(n)
         a = rng.standard_normal(n)
         a[rng.random(n) < 0.1] = 0.0
@@ -614,10 +726,21 @@ class TestMaskFreeKernels:
             j = np.concatenate([j, [-1, n - 1, 5, 4]])
         assert np.any(i < j) == (n > 1) and np.any(i == j) and np.any(i > j)
         levels = max(1, (n - 1).bit_length())
-        above = np.frexp(i ^ j)[1] - 1 >= levels
-        assert np.any(above) == (n in (2, 64))
-        got = cov._RunTable(a, op, empty)(i, j)
+        xor = i ^ j
+        clipped = (xor < 0) | (xor >= 1 << levels)
+        # only a pair i > j, whose level row is never read, is clipped
+        assert np.any(clipped) and np.all(i[clipped] > j[clipped])
+        got = _query(a, op, empty)(i, j)
         assert _same_floats(got, _masked_runs(a, op, empty)(i, j))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 62, 63, 64, 65, 8192, 8193])
+    def test_level_lookup_equals_frexp(self, n):
+        # a query's i <= j both lie below 2^levels, and so does their
+        # xor: the lookup holds a row offset for every one of them
+        runs = cov._RunTable(np.ones(n), np.add, 0.0)
+        xor = np.arange(1 << max(1, (n - 1).bit_length()))
+        want = np.maximum(np.frexp(xor)[1] - 1, 0) * runs.width
+        assert np.array_equal(runs.rows, want)
 
     @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 8193])
     def test_window_sum_equals_the_three_piece_sum(self, n):
@@ -635,9 +758,62 @@ class TestMaskFreeKernels:
         lo = np.concatenate([c - h, c + h, j, j + t / 2, j + t])
         hi = np.concatenate([c + h, c - h, j + 1, j + t, j + 1 + t])
         for p in (1.0, 2.0):
-            got = cov._window_norm(np.abs(f), p, dx)(lo, hi, envelope=True)
+            got = _window_at(np.abs(f), p, dx)(lo, hi, envelope=True)
             want = _three_piece_window_sum(np.abs(f), p, dx)(lo, hi)
             assert all(map(_same_floats, got, want))
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 8193])
+    def test_shared_cells_equal_the_per_side_kernels(self, n):
+        rng = np.random.default_rng(n + 2)
+        f = np.abs(rng.standard_normal(n))
+        f[rng.random(n) < 0.2] = 0.0
+        dx = 1.0 / (n - 1)
+        c = rng.uniform(-1.0, n, 600)
+        h = (n - 1.0) * 10.0 ** rng.uniform(-14.0, 0.3, 600)
+        j = rng.integers(0, n - 1, 100).astype(float)
+        t = rng.random(100)
+        # random windows (clipped at both ends of the grid), ends on
+        # nodes (the whole grid among them), both ends in one cell, and
+        # ends in adjacent cells, where the run between them is empty
+        lo = np.concatenate([c - h, j, [0.0], j + t / 2, j + t])
+        hi = np.concatenate([c + h, j + 1, [n - 1.0], j + t, j + 1 + t])
+        max_norm, max_runs = cov._window_norm(f, math.inf, dx)
+        for p in (1.0, 2.0):
+            norm, runs = cov._window_norm(f, p, dx)
+            # the evaluator's cells come from alpha's table, whose layout
+            # the max's table over the first n - 1 nodes shares
+            cells = cov._cells(lo, hi, runs)
+            want = _three_piece_window_sum(f, p, dx)(lo, hi)
+            assert all(map(_same_floats, norm(cells, envelope=True), want))
+            want = _per_side_window_max(f)(lo, hi)
+            got = max_norm(cells, envelope=True)
+            assert all(map(_same_floats, got, want))
+            jl, jh, pair = cells[0], cells[2], cells[5]
+            assert _same_floats(max_runs.read(pair), _masked_runs(
+                f[:-1], np.maximum, -np.inf)(jl + 1, jh - 1))
+
+    @pytest.mark.parametrize("r", [math.inf, 2.0])
+    def test_reversed_windows_give_the_same_beta(self, r):
+        # on 100 nodes over [0, 1], (b - a) / dx reads 98.99999999999999,
+        # so the bounded window of an x right of b clips to lo = 99 > hi.
+        # The per-side max read both ends there and the shared cells read
+        # lo only, but the window's length is 0, so beta is 0 either way
+        u = fs.sample(fs.BumpChi(), (0.0, 1.0), 100, 3)
+        spec = cov.BalanceSpec(ks=(0, 1), q=2, m=3, r=r, mode="bounded")
+        x = np.array([1.05, 1.2, 1.0 + 1e-9, -0.05, -1e-9, 0.5, 0.99])
+        h = np.array([0.01, 0.1, 1e-10, 0.01, 1e-10, 0.2, 0.05])
+        lo, hi = np.maximum(x - h, u.a), np.minimum(x + h, u.b)
+        lo_pos, hi_pos = (lo - u.a) / u.dx, (hi - u.a) / u.dx
+        assert np.any(np.minimum(lo_pos, 99.0) > hi_pos)
+        w = np.abs(u.stack[3])
+        if math.isinf(r):
+            agg, a, e = _per_side_window_max(w)(lo_pos, hi_pos)[0], 3.0, 1.0
+        else:
+            agg = _three_piece_window_sum(w, r, u.dx)(lo_pos, hi_pos)[0]
+            a, e = 3.0 - 1.0 / r, 1.0 / r
+        got = cov.BalanceEvaluator(u, spec).beta(x, h)
+        assert _same_floats(got, np.maximum(hi - lo, 0.0) ** a * agg ** e)
+        assert np.all(got[:5] == 0.0) and np.all(got[5:] > 0.0)
 
 
 class TestBuildCover:
@@ -658,6 +834,32 @@ class TestBuildCover:
         got = tuple(len(cov.build_cover(u, SPEC, e_resolution=res).centers)
                     for res in (2049, 4097, 8193))
         assert got == counts
+
+    @given(st.lists(st.integers(0, 48), min_size=1, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_deficit_equals_the_interval_loop(self, ks):
+        # on the dyadic 1025-node grid the radii k/1024 put both ends of
+        # each interval exactly on nodes, and k = 0 stands for 1e-19,
+        # whose interval rounds to a point at every center
+        u = fs.sample(fs.BumpChi(), (0.0, 1.0), 1025, 3)
+        rep = _cover_with_radii(u, lambda xs: np.array(
+            [ks[i % len(ks)] / 1024 or 1e-19 for i in range(xs.size)]), 33)
+        assert rep.deficit_cells == _loop_deficit(u, rep.intervals)[0]
+
+    @pytest.mark.parametrize("k", [0, 1, 32, 48])
+    def test_deficit_with_ends_on_nodes_and_point_intervals(self, k):
+        # k = 32 makes each end the next center, a working-set node; k = 0
+        # stands for 1e-19, whose interval rounds to a point
+        u = fs.sample(fs.BumpChi(), (0.0, 1.0), 1025, 3)
+        rep = _cover_with_radii(
+            u, lambda xs: np.full(xs.size, k / 1024 or 1e-19), 33)
+        deficit, ref = _loop_deficit(u, rep.intervals)
+        assert rep.deficit_cells == deficit
+        if k == 0:
+            assert np.all(rep.intervals[:, 0] == rep.intervals[:, 1])
+            assert deficit == ref.size
+        else:
+            assert np.isin(rep.intervals, ref).any()
 
     def test_deficit_never_grows_under_refinement(self):
         u = fs.sample(fs.corpus_function("sinebump7"), (0.0, 1.0), 8193, 3)
